@@ -16,7 +16,7 @@ from loopstar.report import report_to_dict, text_summary
 cfg = parse_config({
     "d": 2, "K": 2, "N": 10, "R": 2,
     "suites": ["algebra", "poisson", "equivalence"],
-    "mc": {"n_samples": 2000, "K_mc": 16, "M": 256, "n_grid": 1024},
+    "mc": {"n_samples": 2000, "K_mc": 16, "n_grid": 1024},
 })
 report = run_suites(cfg)
 print(text_summary(report))

@@ -176,7 +176,7 @@ def injectivity_probe(F: FockVector, seed: int, draws_per_term: int = 5,
     return True
 
 
-def normal_convergence_check(sample: LoopSample, mu_ratio: float,
+def normal_convergence_check(sample: LoopSample, q: float,
                              n_max: int, n0: int,
                              cfg: Optional[ChaosEvalConfig] = None) -> dict:
     """Geometric-tail surrogate for normal convergence of the chaos series.
@@ -184,15 +184,16 @@ def normal_convergence_check(sample: LoopSample, mu_ratio: float,
     Builds a float vector whose degree-n part is a single power of the
     frequency-1 mode scaled so its derivative-sup bound is exactly
     mu_ratio^n, evaluates each degree by quadrature, and checks every
-    contribution against (2 mu_ratio M_sup)^n with M_sup the grid sup of
-    |B|, plus the implied geometric tail bound past n0.  Needs
-    mu_ratio < 1 / (2 M_sup) for the tail to close.
+    contribution against q^n = (2 mu_ratio M_sup)^n with M_sup the grid sup
+    of |B|, plus the implied geometric tail bound past n0.  The caller picks
+    the ratio 0 < q < 1, which the tail needs to close, and mu_ratio is
+    q / (2 M_sup): q itself is never recomputed, so it is reported exactly.
     """
     cfg = cfg or ChaosEvalConfig(method=QUADRATURE)
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"need a ratio 0 < q < 1 for the tail to close, got {q}")
     m_sup = float(np.max(np.abs(sample.values)))
-    q = 2.0 * mu_ratio * m_sup
-    if q >= 1.0:
-        raise ValueError(f"need mu_ratio < 1/(2 sup|B|) = {1.0 / (2.0 * m_sup):.6g}, got {mu_ratio}")
+    mu_ratio = q / (2.0 * m_sup)
     mode = ModeIndex(1, 1)
     # Largest sup-norm among the slot profile and its second derivative:
     envelope = max(float(np.max(np.abs(mode_profile(1, sample.grid, order=o)))) for o in (0, 2))

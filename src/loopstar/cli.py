@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_equivalence_window, load_config
 from .report import emit_report, text_summary
 from .suites import SUITE_RUNNERS, run_suites
 
@@ -40,11 +40,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"--seed must be an unsigned 64-bit value, got {args.seed}")
             cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, seed=args.seed))
         if args.suite:
-            requested = tuple(dict.fromkeys(args.suite))   # dedupe, keep order
-            if "equivalence" in requested and cfg.N - 2 * cfg.R < 0:
-                raise ConfigError(
-                    f"equivalence suite needs N - 2R >= 0, got N={cfg.N}, R={cfg.R}")
-            cfg = dataclasses.replace(cfg, suites=requested)
+            cfg = dataclasses.replace(cfg, suites=tuple(dict.fromkeys(args.suite)))  # dedupe
+            check_equivalence_window(cfg, "--suite")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

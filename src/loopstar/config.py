@@ -40,7 +40,6 @@ class McConfig:
     n_samples: int = 20000
     seed: int = 42
     K_mc: int = 64
-    M: int = 512
     n_grid: int = 4096
 
 
@@ -108,13 +107,12 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
     if not isinstance(mc_doc, dict):
         raise ConfigError(f"{where}.mc: expected an object")
     for key in mc_doc:
-        if key not in {"n_samples", "seed", "K_mc", "M", "n_grid"}:
+        if key not in {"n_samples", "seed", "K_mc", "n_grid"}:
             raise ConfigError(f"{where}.mc.{key}: unknown field")
     mc = McConfig(
         n_samples=_expect_int(mc_doc, "n_samples", 20000, f"{where}.mc", 100),
         seed=_expect_int(mc_doc, "seed", 42, f"{where}.mc", 0),
         K_mc=_expect_int(mc_doc, "K_mc", 64, f"{where}.mc", 1),
-        M=_expect_int(mc_doc, "M", 512, f"{where}.mc", 2),
         n_grid=_expect_int(mc_doc, "n_grid", 4096, f"{where}.mc", 64),
     )
     if mc.seed >= 1 << 64:
@@ -127,16 +125,21 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
         if s not in SUITE_NAMES:
             raise ConfigError(f"{where}.suites: unknown suite {s!r}; "
                               f"known: {', '.join(SUITE_NAMES)}")
-    if "equivalence" in suites and N - 2 * R < 0:
-        raise ConfigError(f"{where}: equivalence suite needs N - 2R >= 0, "
-                          f"got N={N}, R={R} (window {N - 2 * R})")
-
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"{where}.output_path: expected a string path")
 
-    return RunConfig(d=d, K=K, N=N, R=R, weight_c=weight_c, alpha_spec=alpha_spec,
-                     mc=mc, suites=tuple(suites), output_path=output_path)
+    cfg = RunConfig(d=d, K=K, N=N, R=R, weight_c=weight_c, alpha_spec=alpha_spec,
+                    mc=mc, suites=tuple(suites), output_path=output_path)
+    check_equivalence_window(cfg, where)
+    return cfg
+
+
+def check_equivalence_window(cfg: RunConfig, where: str) -> None:
+    """The equivalence suite may run only with a nonnegative degree window N - 2R."""
+    if "equivalence" in cfg.suites and cfg.N - 2 * cfg.R < 0:
+        raise ConfigError(f"{where}: equivalence suite needs N - 2R >= 0, "
+                          f"got N={cfg.N}, R={cfg.R} (window {cfg.N - 2 * cfg.R})")
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:
@@ -158,7 +161,7 @@ def config_echo(cfg: RunConfig) -> dict:
         "alpha_spec": cfg.alpha_spec if isinstance(cfg.alpha_spec, str)
         else {str(k): v for k, v in sorted(cfg.alpha_spec.items())},
         "mc": {"n_samples": cfg.mc.n_samples, "seed": cfg.mc.seed, "K_mc": cfg.mc.K_mc,
-               "M": cfg.mc.M, "n_grid": cfg.mc.n_grid},
+               "n_grid": cfg.mc.n_grid},
         "suites": list(cfg.suites),
         "output_path": cfg.output_path,
     }

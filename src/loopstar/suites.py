@@ -2,37 +2,73 @@
 
 Each check lives in a standalone seed-explicit function returning plain
 numbers, so the acceptance tests can rerun any of them at their own
-instance counts; the suite runners wrap them into report records with
-fixed counts.  Paired identities always go through two structurally
-different routes (engine vs direct expansion, spectral vs quadrature,
-closed form vs eigen-sum), never through the same code twice.
+instance counts; each suite's `CHECKS` table fixes the counts and
+`run_checks` makes the records.  Paired identities always go through two
+structurally different routes (engine vs direct expansion, spectral vs
+quadrature, closed form vs eigen-sum), never through the same code twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
 from .chaos import (ChaosEvalConfig, chaos_eval_quadrature, chaos_eval_spectral,
                     fd_matches_annihilation, injectivity_probe, normal_convergence_check,
                     stratonovich_pairing)
-from .config import RunConfig
+from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           exp_product_formula_rhs, star_A)
-from .fock import (RATIONAL, FockVector, HbarSeries, annihilate, annihilate_general,
+from .fock import (FockVector, HbarSeries, annihilate, annihilate_general,
                    wick_exponential, wick_product)
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix, green_diagonal,
                        green_kernel, holder_moment_check, sample_loop, sample_xi_batch,
                        spectral_green_sum)
-from .modes import LAMBDA, ModeIndex, MultiIndex, mode_profile
+from .modes import LAMBDA, ModeIndex, MultiIndex
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
 from .rand import instance_rng, random_fock, random_fraction, random_gamma, random_mode, random_xi
 from .report import CheckRecord, Precision, VerificationReport, package_versions
 from .serialization import deserialize_fock, serialize_fock
+
+
+@dataclass(frozen=True)
+class Check:
+    """One entry of a suite's check table.
+
+    `run(cfg, seed)` returns a dict with the instance count `n`.  The record
+    passes when the field named by `residual` is at most `tolerance` (or at
+    most the result's own `tolerance`, where the config sets the gate).
+    `claim` is a `str.format` template over the result; `observed` names its
+    headline field if that is not the residual.  Exact checks count failures:
+    tolerance 0, no `precision`.  An entry whose `run` is the previous
+    entry's reuses that result.
+    """
+
+    id: str
+    claim: str
+    run: Callable[[RunConfig, int], dict]
+    tolerance: float = 0.0
+    precision: Optional[Precision] = None
+    residual: str = "failures"
+    observed: Optional[str] = None
+
+
+def _search(check_id: str, claim: str, search: Callable[[RunConfig, int], dict]) -> Check:
+    """A grid search for continuity constants: residual max_ratio if found, else 2.0."""
+    def run(cfg, seed):
+        r = search(cfg, seed)
+        return {**r, "residual": r["max_ratio"] if r["found"] else 2.0}
+    return Check(check_id, claim, run, 1.0, Precision.STATISTIC, "residual", "max_ratio")
+
+
+CHECKS: dict[str, tuple[Check, ...]] = {}      # suite -> its entries, in report order
 
 
 # Multiple of eps * max(1, |value|) within which a quadrature grid that
@@ -191,57 +227,26 @@ def exp_taylor_residual(seed: int, n_instances: int, d: int, K: int, N: int) -> 
     return {"residual": worst, "n": n_instances}
 
 
-def run_algebra(cfg: RunConfig) -> list[CheckRecord]:
-    seed = cfg.mc.seed
-    records = []
-
-    def add_exact(check_id, claim, r, t0):
-        records.append(CheckRecord(
-            suite="algebra", check_id=check_id, claim=claim,
-            residual=float(r["failures"]), tolerance=0.0, passed=r["failures"] == 0,
-            n_instances=r["n"], seed=seed, observed=0.0,
-            wall_time=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    add_exact("wick.axioms", "product commutativity and associativity, exact over random triples",
-              wick_axiom_failures(seed, 60, cfg.d, cfg.K), t0)
-    t0 = time.perf_counter()
-    add_exact("wick.grading", "product terms match a brute-force union oracle with additive degrees",
-              degree_grading_failures(seed, 40, cfg.d, cfg.K), t0)
-    t0 = time.perf_counter()
-    add_exact("annihilate.derivation", "contraction is a derivation and contractions commute, exact",
-              derivation_failures(seed, 60, cfg.d, cfg.K), t0)
-    t0 = time.perf_counter()
-    add_exact("series.ring", "series product associativity and distributivity mod truncation, exact",
-              series_ring_failures(seed, 12, cfg.d, cfg.K, min(cfg.R, 3)), t0)
-    t0 = time.perf_counter()
-    add_exact("norm.monotone", "norm bound is 1 on the unit and monotone in C and k",
-              norm_monotone_failures(seed, 40, cfg.d, cfg.K), t0)
-
-    t0 = time.perf_counter()
-    sub = norm_submult_search(seed, 50, cfg.d, cfg.K)
-    records.append(CheckRecord(
-        suite="algebra", check_id="norm.submultiplicative",
-        claim=("norm bound of a product is below the factor bounds at grid-searched "
-               f"constants (k0={sub['k0']}, C0={sub['C0']:g})"),
-        residual=sub["max_ratio"] if sub["found"] else float(2.0),
-        tolerance=1.0, passed=sub["found"], n_instances=sub["n"], seed=seed,
-        observed=sub["max_ratio"], wall_time=time.perf_counter() - t0,
-        precision=Precision.STATISTIC))
-
-    t0 = time.perf_counter()
-    add_exact("serialize.roundtrip", "serialization round-trips and is canonical under reordering",
-              serialization_roundtrip_failures(seed, 40, cfg.d, cfg.K), t0)
-
-    t0 = time.perf_counter()
-    r = exp_taylor_residual(seed, 30, cfg.d, cfg.K, cfg.N)
-    records.append(CheckRecord(
-        suite="algebra", check_id="exp.taylor",
-        claim="chaos of the capped exponential equals the scalar Taylor partial sum",
-        residual=r["residual"], tolerance=1e-12, passed=r["residual"] <= 1e-12,
-        n_instances=r["n"], seed=seed, observed=r["residual"],
-        wall_time=time.perf_counter() - t0, precision=Precision.RESIDUAL))
-    return records
+CHECKS["algebra"] = (
+    Check("wick.axioms", "product commutativity and associativity, exact over random triples",
+          lambda cfg, seed: wick_axiom_failures(seed, 60, cfg.d, cfg.K)),
+    Check("wick.grading", "product terms match a brute-force union oracle with additive degrees",
+          lambda cfg, seed: degree_grading_failures(seed, 40, cfg.d, cfg.K)),
+    Check("annihilate.derivation", "contraction is a derivation and contractions commute, exact",
+          lambda cfg, seed: derivation_failures(seed, 60, cfg.d, cfg.K)),
+    Check("series.ring", "series product associativity and distributivity mod truncation, exact",
+          lambda cfg, seed: series_ring_failures(seed, 12, cfg.d, cfg.K, min(cfg.R, 3))),
+    Check("norm.monotone", "norm bound is 1 on the unit and monotone in C and k",
+          lambda cfg, seed: norm_monotone_failures(seed, 40, cfg.d, cfg.K)),
+    _search("norm.submultiplicative", "norm bound of a product is below the factor bounds at "
+            "grid-searched constants (k0={k0}, C0={C0:g})",
+            lambda cfg, seed: norm_submult_search(seed, 50, cfg.d, cfg.K)),
+    Check("serialize.roundtrip", "serialization round-trips and is canonical under reordering",
+          lambda cfg, seed: serialization_roundtrip_failures(seed, 40, cfg.d, cfg.K)),
+    Check("exp.taylor", "chaos of the capped exponential equals the scalar Taylor partial sum",
+          lambda cfg, seed: exp_taylor_residual(seed, 30, cfg.d, cfg.K, cfg.N),
+          1e-12, Precision.RESIDUAL, "residual"),
+)
 
 
 # ------------------------------------------------------------------ chaos
@@ -385,67 +390,47 @@ def injectivity_stats(seed: int, n_instances: int, d: int, K: int) -> dict:
     return {"failures": false_positives + (0 if ok_zero else 1), "n": n_instances}
 
 
-def run_chaos(cfg: RunConfig) -> list[CheckRecord]:
-    seed = cfg.mc.seed
-    records = []
-
-    def add(check_id, claim, residual, tolerance, n, observed=None, t0=None, passed=None,
-            precision=None):
-        records.append(CheckRecord(
-            suite="chaos", check_id=check_id, claim=claim, residual=residual,
-            tolerance=tolerance,
-            passed=(residual <= tolerance) if passed is None else passed,
-            n_instances=n, seed=seed,
-            observed=residual if observed is None else observed,
-            wall_time=time.perf_counter() - t0, precision=precision))
-
-    t0 = time.perf_counter()
-    r = chaos_spectral_residual(seed, 100, cfg.d, cfg.K)
-    add("factorization.spectral", "spectral chaos of a product equals the product of chaoses",
-        r["residual"], 1e-12, r["n"], t0=t0, precision=Precision.RESIDUAL)
-
-    t0 = time.perf_counter()
-    r = pairing_recovery_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc, cfg.mc.n_grid)
-    add("pairing.recovery", "quadrature pairing of each mode recovers its stored coefficient",
-        r["residual"], 1e-8, r["n"], t0=t0, precision=Precision.RESIDUAL)
-
-    t0 = time.perf_counter()
-    r = chaos_quadrature_residual(seed, 30, cfg.d, cfg.K, 4, cfg.mc.K_mc, cfg.mc.n_grid)
-    add("factorization.quadrature", "slotwise-quadrature evaluation matches the spectral one",
-        r["residual"], 1e-6, r["n"], t0=t0, precision=Precision.RESIDUAL)
-
-    t0 = time.perf_counter()
+def _quadrature_order(cfg: RunConfig, seed: int) -> dict:
     r = quadrature_convergence(seed, cfg.d, cfg.K)
-    add("quadrature.order", f"trapezoid rule on grids {'/'.join(map(str, r['grids']))} matches "
-        f"the spectral value within {r['bound']:g} eps where the grid resolves the integrand, "
-        f"shows aliasing error above that where it does not, and drops the error at least "
-        f"by (n_coarse/n_fine)^2 from each non-resolving to each resolving grid",
-        float(r["violations"]), 0.0, r["n"],
-        observed=float(sum(e <= r["bound"] for e in r["errors"])), t0=t0)
+    return {**r, "grid_list": "/".join(map(str, r["grids"])),
+            "within": sum(e <= r["bound"] for e in r["errors"])}
 
-    t0 = time.perf_counter()
-    r = gateaux_slope_deviation(seed, 15, cfg.d, cfg.K, cfg.mc.K_mc)
-    add("gateaux.slope", "finite-difference error slope toward the contraction chaos is 2 +- 0.1",
-        r["deviation"], 0.1, r["n"], t0=t0, precision=Precision.STATISTIC)
 
-    t0 = time.perf_counter()
-    r = fd_linear_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc)
-    add("gateaux.linear", "central difference is exact on degree <= 1 vectors",
-        r["residual"], 1e-9, r["n"], t0=t0, precision=Precision.RESIDUAL)
-
-    t0 = time.perf_counter()
-    r = injectivity_stats(seed, 40, cfg.d, cfg.K)
-    add("injectivity.probe", "identity-test probe accepts the zero vector and no random nonzero one",
-        float(r["failures"]), 0.0, r["n"], t0=t0)
-
-    t0 = time.perf_counter()
+def _normal_convergence(cfg: RunConfig, seed: int) -> dict:
     sample = sample_loop(seed + 41, cfg.mc.K_mc, 512, cfg.d)
-    m_sup = float(np.max(np.abs(sample.values)))
-    nc = normal_convergence_check(sample, mu_ratio=0.25 / m_sup, n_max=12, n0=4,
+    nc = normal_convergence_check(sample, q=0.5, n_max=12, n0=4,
                                   cfg=ChaosEvalConfig(n_grid=512, method="quadrature"))
-    add("normal.convergence", "per-degree contributions and tail respect the geometric envelope",
-        0.0 if nc["ok"] else 1.0, 0.0, len(nc["rows"]), observed=nc["ratio_q"], t0=t0)
-    return records
+    return {"failures": 0 if nc["ok"] else 1, "ratio_q": nc["ratio_q"], "n": len(nc["rows"])}
+
+
+CHECKS["chaos"] = (
+    Check("factorization.spectral", "spectral chaos of a product equals the product of chaoses",
+          lambda cfg, seed: chaos_spectral_residual(seed, 100, cfg.d, cfg.K),
+          1e-12, Precision.RESIDUAL, "residual"),
+    Check("pairing.recovery", "quadrature pairing of each mode recovers its stored coefficient",
+          lambda cfg, seed: pairing_recovery_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc,
+                                                      cfg.mc.n_grid),
+          1e-8, Precision.RESIDUAL, "residual"),
+    Check("factorization.quadrature", "slotwise-quadrature evaluation matches the spectral one",
+          lambda cfg, seed: chaos_quadrature_residual(seed, 30, cfg.d, cfg.K, 4, cfg.mc.K_mc,
+                                                      cfg.mc.n_grid),
+          1e-6, Precision.RESIDUAL, "residual"),
+    Check("quadrature.order", "trapezoid rule on grids {grid_list} matches the spectral value "
+          "within {bound:g} eps where the grid resolves the integrand, shows aliasing error "
+          "above that where it does not, and drops the error at least by (n_coarse/n_fine)^2 "
+          "from each non-resolving to each resolving grid",
+          _quadrature_order, residual="violations", observed="within"),
+    Check("gateaux.slope", "finite-difference error slope toward the contraction chaos is 2 +- 0.1",
+          lambda cfg, seed: gateaux_slope_deviation(seed, 15, cfg.d, cfg.K, cfg.mc.K_mc),
+          0.1, Precision.STATISTIC, "deviation"),
+    Check("gateaux.linear", "central difference is exact on degree <= 1 vectors",
+          lambda cfg, seed: fd_linear_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc),
+          1e-9, Precision.RESIDUAL, "residual"),
+    Check("injectivity.probe", "identity-test probe accepts the zero vector and no random "
+          "nonzero one", lambda cfg, seed: injectivity_stats(seed, 40, cfg.d, cfg.K)),
+    Check("normal.convergence", "per-degree contributions and tail respect the geometric envelope",
+          _normal_convergence, observed="ratio_q"),
+)
 
 
 # --------------------------------------------------------------- gaussian
@@ -590,69 +575,50 @@ def loop_eval_consistency(seed: int, d: int, K_mc: int = 32, M: int = 128) -> di
     return {"residual": worst, "n": 14}
 
 
-def run_gaussian(cfg: RunConfig) -> list[CheckRecord]:
-    seed, mc = cfg.mc.seed, cfg.mc
-    records = []
+def _covariance(cfg: RunConfig, seed: int) -> dict:
+    return covariance_z_scores(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d)
 
-    def add(check_id, claim, residual, tolerance, n, observed=None, t0=None, precision=None):
-        records.append(CheckRecord(
-            suite="gaussian", check_id=check_id, claim=claim, residual=residual,
-            tolerance=tolerance, passed=residual <= tolerance, n_instances=n,
-            seed=seed, observed=residual if observed is None else observed,
-            wall_time=time.perf_counter() - t0, precision=precision))
 
-    t0 = time.perf_counter()
-    r = kernel_constant_residuals(seed)
-    add("kernel.constants", "exponential coefficients and constant diagonal match rearranged "
-        "closed forms", r["residual"], 1e-14, r["n"], t0=t0, precision=Precision.RESIDUAL)
+def _covariance_psd(cfg: RunConfig, seed: int) -> dict:
+    min_eig = covariance_psd_min_eig(cfg.mc.K_mc)
+    return {"residual": max(0.0, -min_eig), "min_eig": min_eig, "n": 64}
 
-    t0 = time.perf_counter()
-    r = kernel_spectral_residual(seed)
-    add("kernel.spectral", "closed-form kernel matches the 200-frequency eigenfunction sum",
-        r["residual"], 1e-4, r["n"], t0=t0, precision=Precision.STATISTIC)
 
-    t0 = time.perf_counter()
-    r = kernel_stationarity_residual(seed)
-    add("kernel.stationary", "kernel is symmetric and translation invariant on the circle",
-        r["residual"], 1e-14, r["n"], t0=t0, precision=Precision.RESIDUAL)
+def _holder_bounded(cfg: RunConfig, seed: int) -> dict:
+    r = holder_bounded_ratio(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d)
+    return {**r, "tolerance": 2.0 * cfg.d}
 
-    t0 = time.perf_counter()
-    r = sampler_determinism_failures(seed, cfg.d)
-    add("sampler.deterministic", "same seed reproduces bits; seeds differ; batch prefixes agree",
-        float(r["failures"]), 0.0, r["n"], t0=t0)
 
-    t0 = time.perf_counter()
-    r = covariance_z_scores(seed, mc.n_samples, mc.K_mc, cfg.d)
-    add("covariance.same_coord", "MC covariance within 3 standard errors of the spectral truth",
-        r["worst_same"], 3.0, r["n"], t0=t0, precision=Precision.STATISTIC)
-    add("covariance.cross_coord", "cross-coordinate covariance vanishes within 3 standard errors",
-        r["worst_cross"], 3.0, r["n"], t0=time.perf_counter(), precision=Precision.STATISTIC)
-
-    t0 = time.perf_counter()
-    r = stationarity_z_score(seed, mc.n_samples, mc.K_mc, cfg.d)
-    add("covariance.stationary", "translated pairs share their covariance within joint MC error",
-        r["worst"], 3.0, r["n"], t0=t0, precision=Precision.STATISTIC)
-
-    t0 = time.perf_counter()
-    min_eig = covariance_psd_min_eig(mc.K_mc)
-    add("covariance.psd", "grid covariance matrix has no eigenvalue below -1e-10",
-        max(0.0, -min_eig), 1e-10, 64, observed=min_eig, t0=t0, precision=Precision.RESIDUAL)
-
-    t0 = time.perf_counter()
-    r = holder_p1_z(seed, mc.n_samples, mc.K_mc, cfg.d)
-    add("holder.p1", "p=1 increment-moment ratios match the Gaussian closed form within 3 SE",
-        r["worst"], 3.0, r["n"], observed=r["max_ratio"], t0=t0, precision=Precision.STATISTIC)
-
-    t0 = time.perf_counter()
-    r = holder_bounded_ratio(seed, mc.n_samples, mc.K_mc, cfg.d)
-    add("holder.bounded", "increment-moment ratios stay bounded down dyadic separations",
-        r["max_ratio"], 2.0 * cfg.d, r["n"], t0=t0, precision=Precision.STATISTIC)
-
-    t0 = time.perf_counter()
-    r = loop_eval_consistency(seed, cfg.d)
-    add("loop_eval.consistent", "grid hits come from storage and off-grid matches the spectral dot",
-        r["residual"], 1e-12, r["n"], t0=t0, precision=Precision.RESIDUAL)
-    return records
+CHECKS["gaussian"] = (
+    Check("kernel.constants", "exponential coefficients and constant diagonal match rearranged "
+          "closed forms", lambda cfg, seed: kernel_constant_residuals(seed),
+          1e-14, Precision.RESIDUAL, "residual"),
+    Check("kernel.spectral", "closed-form kernel matches the 200-frequency eigenfunction sum",
+          lambda cfg, seed: kernel_spectral_residual(seed), 1e-4, Precision.STATISTIC, "residual"),
+    Check("kernel.stationary", "kernel is symmetric and translation invariant on the circle",
+          lambda cfg, seed: kernel_stationarity_residual(seed),
+          1e-14, Precision.RESIDUAL, "residual"),
+    Check("sampler.deterministic", "same seed reproduces bits; seeds differ; batch prefixes agree",
+          lambda cfg, seed: sampler_determinism_failures(seed, cfg.d)),
+    # One z-score computation serves both covariance records.
+    Check("covariance.same_coord", "MC covariance within 3 standard errors of the spectral truth",
+          _covariance, 3.0, Precision.STATISTIC, "worst_same"),
+    Check("covariance.cross_coord", "cross-coordinate covariance vanishes within 3 standard errors",
+          _covariance, 3.0, Precision.STATISTIC, "worst_cross"),
+    Check("covariance.stationary", "translated pairs share their covariance within joint MC error",
+          lambda cfg, seed: stationarity_z_score(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d),
+          3.0, Precision.STATISTIC, "worst"),
+    Check("covariance.psd", "grid covariance matrix has no eigenvalue below -1e-10",
+          _covariance_psd, 1e-10, Precision.RESIDUAL, "residual", observed="min_eig"),
+    Check("holder.p1", "p=1 increment-moment ratios match the Gaussian closed form within 3 SE",
+          lambda cfg, seed: holder_p1_z(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d),
+          3.0, Precision.STATISTIC, "worst", observed="max_ratio"),
+    Check("holder.bounded", "increment-moment ratios stay bounded down dyadic separations",
+          _holder_bounded, precision=Precision.STATISTIC, residual="max_ratio"),
+    Check("loop_eval.consistent", "grid hits come from storage and off-grid matches the spectral "
+          "dot", lambda cfg, seed: loop_eval_consistency(seed, cfg.d),
+          1e-12, Precision.RESIDUAL, "residual"),
+)
 
 
 # ---------------------------------------------------------------- poisson
@@ -772,49 +738,25 @@ def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int,
     return {"found": False, "k3": -1, "C3": 0.0, "max_ratio": worst, "n": n_pairs}
 
 
-def run_poisson(cfg: RunConfig) -> list[CheckRecord]:
-    seed = cfg.mc.seed
-    records = []
-
-    t0 = time.perf_counter()
+def _bracket_axioms(cfg: RunConfig, seed: int) -> dict:
     r = poisson_axiom_failures(seed, 100, cfg.d, cfg.K, cfg.weight_c)
-    records.append(CheckRecord(
-        suite="poisson", check_id="bracket.axioms",
-        claim="antisymmetry, Leibniz and Jacobi exact (and most brackets nontrivial)",
-        residual=float(r["failures"] + (0 if r["nonzero"] >= r["n"] // 5 else 1)),
-        tolerance=0.0, passed=r["failures"] == 0 and r["nonzero"] >= r["n"] // 5,
-        n_instances=r["n"], seed=seed, observed=float(r["nonzero"]),
-        wall_time=time.perf_counter() - t0))
+    return {**r, "failures": r["failures"] + (r["nonzero"] < r["n"] // 5)}
 
-    t0 = time.perf_counter()
-    r = bracket_pair_example_failures(cfg.d, cfg.K, cfg.weight_c)
-    records.append(CheckRecord(
-        suite="poisson", check_id="bracket.pairs",
-        claim="matched primal/dual degree-1 pairs bracket to minus the frequency weight",
-        residual=float(r["failures"]), tolerance=0.0, passed=r["failures"] == 0,
-        n_instances=r["n"], seed=seed, observed=0.0, wall_time=time.perf_counter() - t0))
 
-    t0 = time.perf_counter()
-    r = chaos_compatibility_residual(seed, 30, cfg.d, cfg.K)
-    records.append(CheckRecord(
-        suite="poisson", check_id="bracket.chaos_compat",
-        claim="chaos of the bracket equals the classical bracket of evaluation polynomials "
-              "(float weight 4 pi^2)",
-        residual=r["residual"], tolerance=1e-10, passed=r["residual"] <= 1e-10,
-        n_instances=r["n"], seed=seed, observed=r["residual"],
-        wall_time=time.perf_counter() - t0, precision=Precision.RESIDUAL))
-
-    t0 = time.perf_counter()
-    sub = bracket_bound_search(seed, 25, cfg.d, cfg.K, cfg.weight_c)
-    records.append(CheckRecord(
-        suite="poisson", check_id="bracket.bounded",
-        claim=f"bracket norm bound below the factor bounds at grid-searched constants "
-              f"(k3={sub['k3']}, C3={sub['C3']:g})",
-        residual=sub["max_ratio"] if sub["found"] else 2.0,
-        tolerance=1.0, passed=sub["found"], n_instances=sub["n"], seed=seed,
-        observed=sub["max_ratio"], wall_time=time.perf_counter() - t0,
-        precision=Precision.STATISTIC))
-    return records
+CHECKS["poisson"] = (
+    Check("bracket.axioms", "antisymmetry, Leibniz and Jacobi exact (and most brackets nontrivial)",
+          _bracket_axioms, observed="nonzero"),
+    Check("bracket.pairs",
+          "matched primal/dual degree-1 pairs bracket to minus the frequency weight",
+          lambda cfg, seed: bracket_pair_example_failures(cfg.d, cfg.K, cfg.weight_c)),
+    Check("bracket.chaos_compat", "chaos of the bracket equals the classical bracket of evaluation "
+          "polynomials (float weight 4 pi^2)",
+          lambda cfg, seed: chaos_compatibility_residual(seed, 30, cfg.d, cfg.K),
+          1e-10, Precision.RESIDUAL, "residual"),
+    _search("bracket.bounded", "bracket norm bound below the factor bounds at grid-searched "
+            "constants (k3={k3}, C3={C3:g})",
+            lambda cfg, seed: bracket_bound_search(seed, 25, cfg.d, cfg.K, cfg.weight_c)),
+)
 
 
 # ------------------------------------------------------------------ moyal
@@ -884,35 +826,17 @@ def star_series_failures(seed: int, n_instances: int, d: int, K: int,
     return {"failures": failures, "n": n_instances}
 
 
-def run_moyal(cfg: RunConfig) -> list[CheckRecord]:
-    seed = cfg.mc.seed
-    records = []
-
-    t0 = time.perf_counter()
-    r = power_law_failures(seed, 40, cfg.d, cfg.K, cfg.weight_c, cfg.R)
-    records.append(CheckRecord(
-        suite="moyal", check_id="power.laws",
-        claim="r=0 power is the product, antisymmetrized r=1 is twice the bracket, "
-              "depth and degree bookkeeping hold",
-        residual=float(r["failures"]), tolerance=0.0, passed=r["failures"] == 0,
-        n_instances=r["n"], seed=seed, observed=0.0, wall_time=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    r = moyal_assoc_failures(seed, 12, cfg.d, cfg.K, cfg.weight_c, cfg.R)
-    records.append(CheckRecord(
-        suite="moyal", check_id="star.associative",
-        claim="star-product associativity, coefficientwise and exact, random triples",
-        residual=float(r["failures"]), tolerance=0.0, passed=r["failures"] == 0,
-        n_instances=r["n"], seed=seed, observed=0.0, wall_time=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    r = star_series_failures(seed, 8, cfg.d, cfg.K, cfg.weight_c, min(cfg.R, 3))
-    records.append(CheckRecord(
-        suite="moyal", check_id="star.series",
-        claim="series product has the unit, reduces to the star, and stays associative",
-        residual=float(r["failures"]), tolerance=0.0, passed=r["failures"] == 0,
-        n_instances=r["n"], seed=seed, observed=0.0, wall_time=time.perf_counter() - t0))
-    return records
+CHECKS["moyal"] = (
+    Check("power.laws", "r=0 power is the product, antisymmetrized r=1 is twice the bracket, "
+          "depth and degree bookkeeping hold",
+          lambda cfg, seed: power_law_failures(seed, 40, cfg.d, cfg.K, cfg.weight_c, cfg.R)),
+    Check("star.associative", "star-product associativity, coefficientwise and exact, random "
+          "triples",
+          lambda cfg, seed: moyal_assoc_failures(seed, 12, cfg.d, cfg.K, cfg.weight_c, cfg.R)),
+    Check("star.series", "series product has the unit, reduces to the star, and stays associative",
+          lambda cfg, seed: star_series_failures(seed, 8, cfg.d, cfg.K, cfg.weight_c,
+                                                 min(cfg.R, 3))),
+)
 
 
 # ------------------------------------------------------------ equivalence
@@ -1143,91 +1067,67 @@ def operator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
     return {"found": False, "k1": -1, "C1": 0.0, "max_ratio": worst, "n": n_instances}
 
 
-def run_equivalence(cfg: RunConfig) -> list[CheckRecord]:
-    seed = cfg.mc.seed
-    A = resolve_alpha(cfg)
-    records = []
-
-    def add(check_id, claim, r, t0, extra_fail=0):
-        records.append(CheckRecord(
-            suite="equivalence", check_id=check_id, claim=claim,
-            residual=float(r["failures"] + extra_fail), tolerance=0.0,
-            passed=(r["failures"] + extra_fail) == 0, n_instances=r["n"], seed=seed,
-            observed=float(r.get("window", 0)), wall_time=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    add("cochain.displays", "perturbation is symmetric; both first-cochain expansions agree",
-        ea_cochain_failures(seed, 25, A, cfg.d, cfg.K), t0)
-
-    t0 = time.perf_counter()
-    add("star.normal_one_sided", "alpha=1 contraction equals the brute-force one-sided sum",
-        normal_one_sided_failures(seed, 10, cfg.d, cfg.K), t0)
-
-    t0 = time.perf_counter()
-    add("star.zero_is_moyal", "alpha=0 deformed star equals the unit-pairing star-product",
-        zero_is_moyal_failures(seed, 10, cfg.d, cfg.K, min(cfg.R, 3)), t0)
-
-    t0 = time.perf_counter()
-    add("star.associative", "deformed star associativity via its series extension, exact",
-        star_A_assoc_failures(seed, 8, A, cfg.d, cfg.K, min(cfg.R, 3)), t0)
-
-    t0 = time.perf_counter()
-    add("transform.basics", "transform is identity at alpha=0, depth-2, and formally invertible",
-        transform_basics_failures(seed, 10, A, cfg.d, cfg.K, min(cfg.R, 3)), t0)
-
-    t0 = time.perf_counter()
-    add("intertwine.poly", "transform of a deformed product equals unit-star of transforms "
-        "(random polynomials)",
-        intertwining_failures(seed, 12, A, cfg.d, cfg.K, cfg.N, cfg.R, kind="poly"), t0)
-
-    t0 = time.perf_counter()
-    add("intertwine.exp", "transform of a deformed product equals unit-star of transforms "
-        "(capped exponentials)",
-        intertwining_failures(seed, 12, A, cfg.d, cfg.K, cfg.N, cfg.R, kind="exp"), t0)
-
-    t0 = time.perf_counter()
-    add("product.formula", "deformed product of capped exponentials matches the closed formula "
-        "(d=1, K=2)",
-        product_formula_failures(seed, 12), t0)
-
-    t0 = time.perf_counter()
-    sub = operator_bound_search(seed, 15, A, cfg.d, cfg.K, which="t1")
-    records.append(CheckRecord(
-        suite="equivalence", check_id="transform.bounded",
-        claim=f"generator norm bound below the input bound at grid-searched constants "
-              f"(k1={sub['k1']}, C1={sub['C1']:g})",
-        residual=sub["max_ratio"] if sub["found"] else 2.0, tolerance=1.0,
-        passed=sub["found"], n_instances=sub["n"], seed=seed, observed=sub["max_ratio"],
-        wall_time=time.perf_counter() - t0, precision=Precision.STATISTIC))
-
-    t0 = time.perf_counter()
-    sub = operator_bound_search(seed, 15, A, cfg.d, cfg.K, which="ea")
-    records.append(CheckRecord(
-        suite="equivalence", check_id="perturbation.bounded",
-        claim=f"perturbation norm bound below the factor bounds at grid-searched constants "
-              f"(k1={sub['k1']}, C1={sub['C1']:g})",
-        residual=sub["max_ratio"] if sub["found"] else 2.0, tolerance=1.0,
-        passed=sub["found"], n_instances=sub["n"], seed=seed, observed=sub["max_ratio"],
-        wall_time=time.perf_counter() - t0, precision=Precision.STATISTIC))
-    return records
+CHECKS["equivalence"] = (
+    Check("cochain.displays", "perturbation is symmetric; both first-cochain expansions agree",
+          lambda cfg, seed: ea_cochain_failures(seed, 25, resolve_alpha(cfg), cfg.d, cfg.K)),
+    Check("star.normal_one_sided", "alpha=1 contraction equals the brute-force one-sided sum",
+          lambda cfg, seed: normal_one_sided_failures(seed, 10, cfg.d, cfg.K)),
+    Check("star.zero_is_moyal", "alpha=0 deformed star equals the unit-pairing star-product",
+          lambda cfg, seed: zero_is_moyal_failures(seed, 10, cfg.d, cfg.K, min(cfg.R, 3))),
+    Check("star.associative", "deformed star associativity via its series extension, exact",
+          lambda cfg, seed: star_A_assoc_failures(seed, 8, resolve_alpha(cfg), cfg.d, cfg.K,
+                                                  min(cfg.R, 3))),
+    Check("transform.basics", "transform is identity at alpha=0, depth-2, and formally "
+          "invertible",
+          lambda cfg, seed: transform_basics_failures(seed, 10, resolve_alpha(cfg), cfg.d, cfg.K,
+                                                      min(cfg.R, 3))),
+    Check("intertwine.poly", "transform of a deformed product equals unit-star of transforms "
+          "(random polynomials)",
+          lambda cfg, seed: intertwining_failures(seed, 12, resolve_alpha(cfg), cfg.d, cfg.K,
+                                                  cfg.N, cfg.R, kind="poly"), observed="window"),
+    Check("intertwine.exp", "transform of a deformed product equals unit-star of transforms "
+          "(capped exponentials)",
+          lambda cfg, seed: intertwining_failures(seed, 12, resolve_alpha(cfg), cfg.d, cfg.K,
+                                                  cfg.N, cfg.R, kind="exp"), observed="window"),
+    Check("product.formula", "deformed product of capped exponentials matches the closed formula "
+          "(d=1, K=2)", lambda cfg, seed: product_formula_failures(seed, 12), observed="window"),
+    _search("transform.bounded", "generator norm bound below the input bound at grid-searched "
+            "constants (k1={k1}, C1={C1:g})",
+            lambda cfg, seed: operator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K,
+                                                    which="t1")),
+    _search("perturbation.bounded", "perturbation norm bound below the factor bounds at "
+            "grid-searched constants (k1={k1}, C1={C1:g})",
+            lambda cfg, seed: operator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K,
+                                                    which="ea")),
+)
 
 
 # ------------------------------------------------------------------ runner
 
 
-SUITE_RUNNERS = {
-    "algebra": run_algebra,
-    "chaos": run_chaos,
-    "gaussian": run_gaussian,
-    "poisson": run_poisson,
-    "moyal": run_moyal,
-    "equivalence": run_equivalence,
-}
+def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
+    """Run one suite's table: each entry is timed and becomes one record."""
+    seed, records, previous = cfg.mc.seed, [], None
+    for check in CHECKS[suite]:
+        t0 = time.perf_counter()
+        if check.run is not previous:
+            previous, result = check.run, check.run(cfg, seed)
+        residual = float(result[check.residual])
+        tolerance = result.get("tolerance", check.tolerance)
+        records.append(CheckRecord(
+            suite=suite, check_id=check.id, claim=check.claim.format(**result),
+            residual=residual, tolerance=tolerance, passed=residual <= tolerance,
+            n_instances=result["n"], seed=seed,
+            observed=float(result[check.observed or check.residual]),
+            wall_time=time.perf_counter() - t0, precision=check.precision))
+    return records
+
+
+SUITE_RUNNERS = {suite: functools.partial(run_checks, suite) for suite in CHECKS}
 
 
 def run_suites(cfg: RunConfig) -> VerificationReport:
     """Execute the configured suites; check failures become records, not raises."""
-    from .config import config_echo
     records = []
     for name in cfg.suites:
         records.extend(SUITE_RUNNERS[name](cfg))

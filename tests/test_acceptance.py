@@ -164,7 +164,7 @@ def test_criterion_10_reporting_and_cli(capsys, tmp_path, monkeypatch):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
         "d": 2, "K": 2, "N": 6, "R": 2, "suites": ["algebra"],
-        "mc": {"n_samples": 500, "K_mc": 16, "M": 128}}))
+        "mc": {"n_samples": 500, "K_mc": 16}}))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code0a = cli_main(["--config", str(cfg_path), "--out", str(out1)])
     code0b = cli_main(["--config", str(cfg_path), "--out", str(out2)])

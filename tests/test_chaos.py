@@ -92,10 +92,9 @@ def test_normal_convergence_contract():
     sample = sample_loop(7, 8, 256, d=1)
     cfg = ChaosEvalConfig(n_grid=256, method="quadrature")
     with pytest.raises(ValueError):
-        normal_convergence_check(sample, mu_ratio=10.0, n_max=4, n0=2, cfg=cfg)
-    import numpy as np
-    m_sup = float(np.max(np.abs(sample.values)))
-    out = normal_convergence_check(sample, mu_ratio=0.2 / m_sup, n_max=10, n0=3, cfg=cfg)
+        normal_convergence_check(sample, q=10.0, n_max=4, n0=2, cfg=cfg)
+    out = normal_convergence_check(sample, q=0.4, n_max=10, n0=3, cfg=cfg)
     assert out["ok"]
+    assert out["ratio_q"] == 0.4 and out["mu_ratio"] == 0.2 / out["m_sup"]
     assert out["tail_sum"] <= out["tail_bound"]
     assert len(out["rows"]) == 11

@@ -9,7 +9,7 @@ import loopstar.suites as suites
 
 def write_config(tmp_path, **overrides):
     doc = {"d": 2, "K": 2, "N": 6, "R": 2, "suites": ["algebra"],
-           "mc": {"n_samples": 500, "K_mc": 16, "M": 128, "n_grid": 4096}}
+           "mc": {"n_samples": 500, "K_mc": 16, "n_grid": 4096}}
     doc.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

@@ -34,6 +34,8 @@ def test_parse_rejects_unknown_keys():
         parse_config(minimal_doc(bogus=1))
     with pytest.raises(ConfigError, match="mc.bogus"):
         parse_config(minimal_doc(mc={"bogus": 1}))
+    with pytest.raises(ConfigError, match=r"config\.mc\.M: unknown field"):
+        parse_config(minimal_doc(mc={"M": 512}))   # each check sets its own sample resolution
 
 
 def test_parse_rejects_bools_and_bad_values():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy
 
 import loopstar
+import loopstar.suites as suites
 from loopstar.config import parse_config
 from loopstar.report import canonical_json, report_to_dict, text_summary
 from loopstar.suites import SUITE_RUNNERS, run_suites
@@ -14,7 +15,7 @@ REPO = Path(__file__).resolve().parents[1]
 LIGHT_DOC = {
     "d": 2, "K": 2, "N": 10, "R": 2,
     "suites": ["algebra", "chaos", "gaussian", "poisson", "moyal", "equivalence"],
-    "mc": {"n_samples": 1000, "K_mc": 16, "M": 256, "n_grid": 1024, "seed": 42},
+    "mc": {"n_samples": 1000, "K_mc": 16, "n_grid": 1024, "seed": 42},
 }
 
 
@@ -30,6 +31,20 @@ def test_all_suites_pass_on_light_config():
         assert r.n_instances > 0
         assert r.wall_time >= 0.0
         assert r.claim
+        # Exact checks (tolerance 0) count failures and declare no precision;
+        # every other check declares the precision its floats are written at.
+        assert (r.tolerance == 0.0) == (r.precision is None), r.check_id
+
+
+def test_covariance_records_share_one_z_score_run(monkeypatch):
+    """covariance.cross_coord reuses the z-scores computed for covariance.same_coord."""
+    original, calls = suites.covariance_z_scores, []
+    monkeypatch.setattr(suites, "covariance_z_scores",
+                        lambda *args: calls.append(args) or original(*args))
+    ids = [r.check_id for r in SUITE_RUNNERS["gaussian"](parse_config(LIGHT_DOC))]
+    assert len(calls) == 1
+    at = ids.index("covariance.same_coord")
+    assert ids[at:at + 2] == ["covariance.same_coord", "covariance.cross_coord"]
 
 
 def test_report_embeds_config_echo():
@@ -51,6 +66,16 @@ def test_default_config_report_matches_golden():
     report = run_suites(cfg)
     got = canonical_json(report_to_dict(report)).encode() + b"\n"
     golden = (REPO / "tests" / "golden" / "default_report.json").read_bytes()
+    assert report.all_passed
+    assert got == golden
+
+
+def test_equivalence_config_report_matches_golden():
+    """The equivalence suite of its shipped config reproduces its canonical report."""
+    doc = json.loads((REPO / "configs" / "equivalence.json").read_text())
+    report = run_suites(parse_config({**doc, "suites": ["equivalence"]}))
+    got = canonical_json(report_to_dict(report)).encode() + b"\n"
+    golden = (REPO / "tests" / "golden" / "equivalence_report.json").read_bytes()
     assert report.all_passed
     assert got == golden
 
