@@ -31,7 +31,7 @@ phi2 = wick_exponential(g2, g2s, N)
 lhs = apply_T(star_A(phi1, phi2, A, form, R, max_degree=N), A, form)
 rhs = star_series(apply_T(HbarSeries.from_vector(phi1, R), A, form),
                   apply_T(HbarSeries.from_vector(phi2, R), A, form),
-                  unit, max_degree=N)
+                  unit.channels(), max_degree=N)
 print(f"\nT(phi1 *_A phi2) == T(phi1) *_0 T(phi2) on degree window {window}:",
       lhs.truncate_degree(window) == rhs.truncate_degree(window))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (RATIONAL, FockVector, HbarSeries, annihilate, contract_channels,
+from .fock import (FockVector, HbarSeries, _star_orders, annihilate, contract_channels,
                    wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
@@ -118,7 +118,7 @@ def _symmetric_channels(A: DiagonalOperatorA, form: SymplecticForm):
     return out
 
 
-def _deformed_channels(A: DiagonalOperatorA, form: SymplecticForm):
+def deformed_channels(A: DiagonalOperatorA, form: SymplecticForm):
     """Channels of the deformed contraction: (alpha+1) primal-first, (alpha-1) dual-first."""
     out = []
     for c in range(1, form.d + 1):
@@ -149,20 +149,13 @@ def cA1(F: FockVector, G: FockVector, A: DiagonalOperatorA,
 def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA,
         form: SymplecticForm, max_degree: Optional[int] = None) -> FockVector:
     """r-fold deformed contraction with the (alpha_k +- 1) channel weights."""
-    return contract_channels(F, G, _deformed_channels(A, form), r, max_degree)
+    return contract_channels(F, G, deformed_channels(A, form), r, max_degree)
 
 
 def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, form: SymplecticForm,
            R: int, max_degree: Optional[int] = None) -> HbarSeries:
     """Deformed star-product: order-r coefficient cAr / r!."""
-    if R < 0:
-        raise ValueError("series order must be >= 0")
-    coeffs = []
-    for r in range(R + 1):
-        inv = Fraction(1, math.factorial(r)) if F.scalar_mode == RATIONAL \
-            else 1.0 / math.factorial(r)
-        coeffs.append(cAr(r, F, G, A, form, max_degree).scale(inv))
-    return HbarSeries(coeffs)
+    return HbarSeries(_star_orders(F, G, deformed_channels(A, form), R, max_degree))
 
 
 def apply_T1(F: FockVector, A: DiagonalOperatorA, form: SymplecticForm) -> FockVector:
@@ -201,9 +194,7 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
             term = apply_T1(term, A, form)
             if term.is_zero():
                 break
-            inv = Fraction(1, math.factorial(b)) if FS.scalar_mode == RATIONAL \
-                else 1.0 / math.factorial(b)
-            out[a + b] = out[a + b] + term.scale(inv)
+            out[a + b] = out[a + b] + term.scale(Fraction(1, math.factorial(b)))
     return HbarSeries(out)
 
 

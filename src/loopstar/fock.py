@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Optional, Union
 
 from .modes import VACUUM, ModeIndex, MultiIndex
@@ -26,6 +25,7 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 Scalar = Union[Fraction, int, float]
+Channel = tuple[ModeIndex, ModeIndex, Scalar]     # (mode on F, mode on G, weight)
 
 
 def coerce_scalar(value: Scalar, scalar_mode: str):
@@ -50,6 +50,17 @@ def coerce_scalar(value: Scalar, scalar_mode: str):
 def _combine_caps(*caps: Optional[int]) -> Optional[int]:
     live = [c for c in caps if c is not None]
     return min(live) if live else None
+
+
+def _accumulate(acc: dict, terms: Mapping[MultiIndex, Scalar]) -> None:
+    """Add `terms` into `acc` in place, dropping coefficients that cancel."""
+    for mu, c in terms.items():
+        v = acc.get(mu)
+        v = c if v is None else v + c
+        if v:
+            acc[mu] = v
+        elif mu in acc:
+            del acc[mu]
 
 
 class FockVector:
@@ -92,8 +103,7 @@ class FockVector:
     @classmethod
     def unit(cls, scalar_mode: str = RATIONAL, max_degree: Optional[int] = None) -> "FockVector":
         """The vacuum monomial with coefficient 1: the algebra unit."""
-        one = Fraction(1) if scalar_mode == RATIONAL else 1.0
-        return cls._from_terms({VACUUM: one}, scalar_mode, max_degree)
+        return cls._from_terms({VACUUM: coerce_scalar(1, scalar_mode)}, scalar_mode, max_degree)
 
     @classmethod
     def monomial(cls, mu: MultiIndex, coeff: Scalar = 1,
@@ -121,8 +131,7 @@ class FockVector:
         return out
 
     def vacuum_component(self) -> Scalar:
-        zero = Fraction(0) if self.scalar_mode == RATIONAL else 0.0
-        return self.terms.get(VACUUM, zero)
+        return self.terms.get(VACUUM, coerce_scalar(0, self.scalar_mode))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -154,13 +163,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         self._check_mode(other)
         out = dict(self.terms)
-        for mu, c in other.terms.items():
-            v = out.get(mu)
-            v = c if v is None else v + c
-            if v:
-                out[mu] = v
-            elif mu in out:
-                del out[mu]
+        _accumulate(out, other.terms)
         return FockVector._from_terms(out, self.scalar_mode, _combine_caps(self.max_degree, other.max_degree))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
@@ -258,51 +261,65 @@ def annihilate_power(mode: ModeIndex, power: int, F: FockVector) -> FockVector:
     return F
 
 
-def contract_channels(F: FockVector, G: FockVector,
-                      channels: Iterable[tuple[ModeIndex, ModeIndex, Scalar]],
-                      r: int, max_degree: Optional[int] = None) -> FockVector:
-    """r-fold channel contraction, the engine behind every bidifferential layer.
+def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: int,
+                 max_degree: Optional[int] = None, lowest: int = 0) -> list[FockVector]:
+    """Orders lowest..R of the channel star-product of F and G: the one contraction engine.
 
-    A channel (m_F, m_G, w) contributes w * :a_{m_F}F . a_{m_G}G:.  This
-    returns the sum over ordered r-tuples of channels of the product of
-    their weights applied slotwise, i.e. the r-th power of the channel sum
-    as a bidifferential operator, without any 1/r! normalization.
-    Enumeration is by channel multiset with multinomial weight, which is
-    exact because slotwise contractions commute.
+    A channel (m_F, m_G, w) contributes w * :a_{m_F}F . a_{m_G}G:.  Order r
+    sums, over the multisets of r channels, prod w^c / c! times the Wick
+    product of the slotwise-annihilated operands; that is the r-fold
+    channel contraction over r!, since a multiset stands for r! / prod c!
+    ordered r-tuples and slotwise contractions commute.  The multisets are
+    walked depth first as nondecreasing channel sequences: each extends its
+    parent's contracted operands by one annihilation per side, and a branch
+    whose operand vanishes is dropped with everything below it.
     """
     F._check_mode(G)
-    if r < 0:
+    if R < 0:
         raise ValueError("contraction order must be >= 0")
-    if r == 0:
-        return wick_product(F, G, max_degree)
-    suppF = F.support_modes()
-    suppG = G.support_modes()
-    live = [(fm, gm, coerce_scalar(w, F.scalar_mode)) for fm, gm, w in channels
-            if fm in suppF and gm in suppG]
+    mode = F.scalar_mode
     cap = _combine_caps(F.max_degree, G.max_degree, max_degree)
-    total = FockVector.zero(F.scalar_mode, cap)
-    if not live:
-        return total
-    r_fact = math.factorial(r)
-    for combo in combinations_with_replacement(range(len(live)), r):
-        counts: dict[int, int] = {}
-        for idx in combo:
-            counts[idx] = counts.get(idx, 0) + 1
-        weight = Fraction(r_fact) if F.scalar_mode == RATIONAL else float(r_fact)
-        aF, aG = F, G
-        for idx, cnt in counts.items():
-            fm, gm, w = live[idx]
-            weight = weight * w ** cnt / math.factorial(cnt)
-            aF = annihilate_power(fm, cnt, aF)
-            if aF.is_zero():
-                break
-            aG = annihilate_power(gm, cnt, aG)
-            if aG.is_zero():
-                break
-        if aF.is_zero() or aG.is_zero() or not weight:
-            continue
-        total = total + wick_product(aF, aG, cap).scale(weight)
-    return total
+    suppF, suppG = F.support_modes(), G.support_modes()
+    live = [(fm, gm, coerce_scalar(w, mode)) for fm, gm, w in channels
+            if fm in suppF and gm in suppG]
+    orders: list[dict] = [{} for _ in range(R + 1)]
+
+    def walk(aF, aG, weight, depth, last, run):
+        # `last` is the channel that reached this node and `run` how often
+        # it occurs in the multiset, so a repeat divides the weight by c.
+        if depth >= lowest:
+            if len(aF) <= len(aG):
+                product = wick_product(aF.scale(weight), aG, cap)
+            else:
+                product = wick_product(aF, aG.scale(weight), cap)
+            _accumulate(orders[depth], product.terms)
+        if depth == R:
+            return
+        for i in range(last, len(live)):
+            fm, gm, w = live[i]
+            bF = annihilate(fm, aF)
+            if bF.is_zero():
+                continue
+            bG = annihilate(gm, aG)
+            if bG.is_zero():
+                continue
+            c = run + 1 if i == last else 1
+            walk(bF, bG, weight * w / c, depth + 1, i, c)
+
+    walk(F, G, 1, 0, 0, 0)
+    return [FockVector._from_terms(terms, mode, cap) for terms in orders[lowest:]]
+
+
+def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel], r: int,
+                      max_degree: Optional[int] = None) -> FockVector:
+    """r-fold channel contraction: the sum over ordered r-tuples of channels.
+
+    Each tuple contributes the product of its weights times the Wick
+    product of the slotwise-annihilated operands, i.e. the r-th power of
+    the channel sum as a bidifferential operator, without any 1/r!
+    normalization.  It is r! times order r of the shared engine.
+    """
+    return _star_orders(F, G, channels, r, max_degree, lowest=r)[0].scale(math.factorial(r))
 
 
 def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[ModeIndex, Scalar],
@@ -328,8 +345,7 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[Mode
     out = FockVector.unit(scalar_mode, N)
     power = out
     for n in range(1, N + 1):
-        inv_n = Fraction(1, n) if scalar_mode == RATIONAL else 1.0 / n
-        power = wick_product(power, gen, max_degree=N).scale(inv_n)
+        power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
         if power.is_zero():
             break
         out = out + power

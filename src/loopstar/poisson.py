@@ -4,18 +4,21 @@ The phase space is the doubled mode set: every (coord, freq) pair has a
 primal and a dual copy.  A SymplecticForm fixes the exact block pairing
 between them and a frequency weight (weight_c * k^2 + 1).  The bracket is
 the weighted single contraction across the form; its r-fold iterates are
-the bidifferential coefficients of the star-product.  All of it routes
-through the shared channel-contraction engine, so the bracket, its powers
-and every deformed product differ only in their channel tables.
+the bidifferential coefficients of the star-product.  One engine in
+`fock` computes all of it: it returns the star orders 0..R of a pair for a
+channel table, so the bracket, its powers and every deformed product
+differ only in their tables.  `star_series` is that engine's
+Cauchy-product extension to truncated series; it takes the channel table
+of the product it extends.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fock import RATIONAL, FockVector, HbarSeries, contract_channels
+from .fock import (Channel, FockVector, HbarSeries, _accumulate, _combine_caps, _star_orders,
+                   contract_channels)
 from .modes import ModeIndex
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -104,7 +107,7 @@ class SymplecticForm:
             raise ValueError(f"doubled index {idx} out of range for d={self.d}")
         return ModeIndex(idx % self.d + 1, freq, dual=idx >= self.d)
 
-    def channels(self) -> list[tuple[ModeIndex, ModeIndex, object]]:
+    def channels(self) -> list[Channel]:
         """Contraction channels (mode on F, mode on G, weight) for the bracket."""
         out = []
         for k in range(-self.K, self.K + 1):
@@ -135,31 +138,26 @@ def poisson_power(r: int, F: FockVector, G: FockVector, form: SymplecticForm,
 def moyal_star(F: FockVector, G: FockVector, form: SymplecticForm, R: int,
                max_degree: Optional[int] = None) -> HbarSeries:
     """Deformed product: order-r coefficient is the r-fold contraction over r!."""
-    if R < 0:
-        raise ValueError("series order must be >= 0")
-    coeffs = []
-    for r in range(R + 1):
-        inv = Fraction(1, math.factorial(r)) if F.scalar_mode == RATIONAL \
-            else 1.0 / math.factorial(r)
-        coeffs.append(poisson_power(r, F, G, form, max_degree).scale(inv))
-    return HbarSeries(coeffs)
+    return HbarSeries(_star_orders(F, G, form.channels(), R, max_degree))
 
 
-def star_series(FS: HbarSeries, GS: HbarSeries, form: SymplecticForm,
+def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
                 max_degree: Optional[int] = None) -> HbarSeries:
-    """Bilinear extension of the deformed product to truncated series."""
+    """Bilinear extension of the channel star-product to truncated series.
+
+    Order r collects order c of the star-product of FS_a and GS_b over
+    a + b + c = r.  `channels` is the product's channel table, such as
+    `form.channels()` for the Moyal product.
+    """
     FS._check_compatible(GS)
     R = FS.order
-    out = []
-    for r in range(R + 1):
-        acc = FockVector.zero(FS.scalar_mode, max_degree)
-        for c in range(r + 1):
-            inv = Fraction(1, math.factorial(c)) if FS.scalar_mode == RATIONAL \
-                else 1.0 / math.factorial(c)
-            for a in range(r - c + 1):
-                b = r - c - a
-                term = poisson_power(c, FS.coefficient(a), GS.coefficient(b), form, max_degree)
-                if not term.is_zero():
-                    acc = acc + term.scale(inv)
-        out.append(acc)
-    return HbarSeries(out)
+    cap = _combine_caps(max_degree, *(V.max_degree for V in FS.coeffs + GS.coeffs))
+    out: list[dict] = [{} for _ in range(R + 1)]
+    for a in range(R + 1):
+        for b in range(R + 1 - a):
+            F, G = FS.coefficient(a), GS.coefficient(b)
+            if F.is_zero() or G.is_zero():
+                continue
+            for c, part in enumerate(_star_orders(F, G, channels, R - a - b, max_degree)):
+                _accumulate(out[a + b + c], part.terms)
+    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode, cap) for terms in out)

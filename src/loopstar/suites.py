@@ -24,7 +24,7 @@ from .chaos import (ChaosEvalConfig, chaos_eval_quadrature, chaos_eval_spectral,
                     stratonovich_pairing)
 from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
-                          exp_product_formula_rhs, star_A)
+                          deformed_channels, exp_product_formula_rhs, star_A)
 from .fock import (FockVector, HbarSeries, annihilate, annihilate_general,
                    wick_exponential, wick_product)
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix, green_diagonal,
@@ -396,8 +396,9 @@ def _quadrature_order(cfg: RunConfig, seed: int) -> dict:
             "within": sum(e <= r["bound"] for e in r["errors"])}
 
 
-def _normal_convergence(cfg: RunConfig, seed: int) -> dict:
-    sample = sample_loop(seed + 41, cfg.mc.K_mc, 512, cfg.d)
+def normal_convergence_failures(seed: int, d: int, K_mc: int) -> dict:
+    """Per-degree chaos contributions of a sampled field stay under a q = 1/2 envelope."""
+    sample = sample_loop(seed + 41, K_mc, 512, d)
     nc = normal_convergence_check(sample, q=0.5, n_max=12, n0=4,
                                   cfg=ChaosEvalConfig(n_grid=512, method="quadrature"))
     return {"failures": 0 if nc["ok"] else 1, "ratio_q": nc["ratio_q"], "n": len(nc["rows"])}
@@ -429,7 +430,8 @@ CHECKS["chaos"] = (
     Check("injectivity.probe", "identity-test probe accepts the zero vector and no random "
           "nonzero one", lambda cfg, seed: injectivity_stats(seed, 40, cfg.d, cfg.K)),
     Check("normal.convergence", "per-degree contributions and tail respect the geometric envelope",
-          _normal_convergence, observed="ratio_q"),
+          lambda cfg, seed: normal_convergence_failures(seed, cfg.d, cfg.mc.K_mc),
+          observed="ratio_q"),
 )
 
 
@@ -790,14 +792,15 @@ def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int,
                          weight_c=Fraction(1), R: int = 4, max_degree: int = 3) -> dict:
     """Coefficientwise associativity of the truncated star-product."""
     form = SymplecticForm.standard(d, K, weight_c)
+    channels = form.channels()
     rng = instance_rng(seed, "moyal-assoc")
     failures = 0
     for _ in range(n_triples):
         F = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
         G = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
         H = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
-        left = star_series(moyal_star(F, G, form, R), HbarSeries.from_vector(H, R), form)
-        right = star_series(HbarSeries.from_vector(F, R), moyal_star(G, H, form, R), form)
+        left = star_series(moyal_star(F, G, form, R), HbarSeries.from_vector(H, R), channels)
+        right = star_series(HbarSeries.from_vector(F, R), moyal_star(G, H, form, R), channels)
         if left != right:
             failures += 1
     return {"failures": failures, "n": n_triples}
@@ -807,21 +810,22 @@ def star_series_failures(seed: int, n_instances: int, d: int, K: int,
                          weight_c=Fraction(1), R: int = 3) -> dict:
     """Series product reduces to the star on concentrated series; associativity."""
     form = SymplecticForm.standard(d, K, weight_c)
+    channels = form.channels()
     rng = instance_rng(seed, "star-series")
     failures = 0
     unit = HbarSeries.from_vector(FockVector.unit(), R)
-    if star_series(unit, unit, form) != unit:
+    if star_series(unit, unit, channels) != unit:
         failures += 1
     for _ in range(n_instances):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        if star_series(HbarSeries.from_vector(F, R), HbarSeries.from_vector(G, R), form) \
+        if star_series(HbarSeries.from_vector(F, R), HbarSeries.from_vector(G, R), channels) \
                 != moyal_star(F, G, form, R):
             failures += 1
         S, T, U = (HbarSeries([random_fock(rng, d, K, 2, n_terms=2, dual_fraction=0.5)
                                for _ in range(R + 1)]) for _ in range(3))
-        if star_series(star_series(S, T, form), U, form) \
-                != star_series(S, star_series(T, U, form), form):
+        if star_series(star_series(S, T, channels), U, channels) \
+                != star_series(S, star_series(T, U, channels), channels):
             failures += 1
     return {"failures": failures, "n": n_instances}
 
@@ -925,28 +929,15 @@ def star_A_assoc_failures(seed: int, n_triples: int, A: DiagonalOperatorA,
                           d: int, K: int, R: int = 3) -> dict:
     """Associativity of the deformed star via its bilinear series extension."""
     form = SymplecticForm.standard(d, K)
+    channels = deformed_channels(A, form)
     rng = instance_rng(seed, "starA-assoc")
     failures = 0
-
-    def star_ext(FS, GS):
-        out = []
-        for r in range(FS.order + 1):
-            acc = FockVector.zero()
-            for c in range(r + 1):
-                inv = Fraction(1, math.factorial(c))
-                for a in range(r - c + 1):
-                    term = cAr(c, FS.coefficient(a), GS.coefficient(r - c - a), A, form)
-                    if not term.is_zero():
-                        acc = acc + term.scale(inv)
-            out.append(acc)
-        return HbarSeries(out)
-
     for _ in range(n_triples):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
         H = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        left = star_ext(star_A(F, G, A, form, R), HbarSeries.from_vector(H, R))
-        right = star_ext(HbarSeries.from_vector(F, R), star_A(G, H, A, form, R))
+        left = star_series(star_A(F, G, A, form, R), HbarSeries.from_vector(H, R), channels)
+        right = star_series(HbarSeries.from_vector(F, R), star_A(G, H, A, form, R), channels)
         if left != right:
             failures += 1
     return {"failures": failures, "n": n_triples}
@@ -1005,7 +996,7 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
         lhs = apply_T(star_A(F, G, A, form, R, max_degree=N), A, form)
         TF = apply_T(HbarSeries.from_vector(F, R), A, form)
         TG = apply_T(HbarSeries.from_vector(G, R), A, form)
-        rhs = star_series(TF, TG, unit, max_degree=N)
+        rhs = star_series(TF, TG, unit.channels(), max_degree=N)
         if lhs.truncate_degree(window) != rhs.truncate_degree(window):
             failures += 1
     return {"failures": failures, "n": n_instances, "window": window}

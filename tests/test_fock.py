@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from loopstar.fock import (FLOAT, RATIONAL, FockVector, HbarSeries, annihilate,
+from loopstar.fock import (FLOAT, RATIONAL, FockVector, HbarSeries, _star_orders, annihilate,
                            annihilate_general, annihilate_power, contract_channels,
                            wick_exponential, wick_product)
 from loopstar.modes import ModeIndex, MultiIndex
@@ -109,6 +110,46 @@ def test_contract_channels_multinomial_weight():
     got = contract_channels(F, G, ch, 2)
     # distinct channels once each: weight 2!/(1!1!) * 2 * 3 = 12, fully contracted
     assert got == FockVector.unit().scale(Fraction(12))
+
+
+D2 = ModeIndex(1, 2, dual=True)
+# Two channels share the F-mode M1, (M1, D1) and (D1, M1) are an asymmetric
+# pair like the deformed table's, and the last never meets a coordinate-2
+# mode.  Weights are 3 times a power of two, so w^3 / 3! stays dyadic.
+CHANNELS = [(M1, D1, Fraction(3, 2)), (M1, D2, Fraction(-3, 4)),
+            (D1, M1, Fraction(3, 8)), (ModeIndex(2, 0), D1, Fraction(3))]
+ENGINE_F = FockVector({MultiIndex(((M1, 3), (D1, 1))): Fraction(1, 2),
+                       MultiIndex(((M1, 2), (D1, 2), (M2, 1))): Fraction(-3, 4),
+                       MultiIndex(((D1, 3),)): Fraction(1, 4),
+                       MultiIndex.single(M1): Fraction(2), MultiIndex(): Fraction(1)})
+ENGINE_G = FockVector({MultiIndex(((D1, 3), (M1, 1))): Fraction(1, 4),
+                       MultiIndex(((D1, 1), (D2, 1), (M1, 2))): Fraction(-1, 2),
+                       MultiIndex(((M1, 3),)): Fraction(3, 8),
+                       MultiIndex(((D2, 2),)): Fraction(1), MultiIndex.single(D1): Fraction(-2)})
+
+
+def ordered_tuple_contraction(F, G, channels, r):
+    """Sum over ordered r-tuples of channels of prod w times the Wick product."""
+    total = FockVector.zero(F.scalar_mode)
+    for tup in product(channels, repeat=r):
+        aF, aG, weight = F, G, Fraction(1)
+        for fm, gm, w in tup:
+            aF, aG, weight = annihilate(fm, aF), annihilate(gm, aG), weight * w
+        total = total + wick_product(aF, aG).scale(weight)
+    return total
+
+
+@pytest.mark.parametrize("scalar_mode", [RATIONAL, FLOAT])
+def test_contract_channels_matches_ordered_tuples(scalar_mode):
+    F, G = ENGINE_F, ENGINE_G
+    if scalar_mode == FLOAT:
+        F, G = F.to_float(), G.to_float()     # dyadic values: float sums stay exact
+    orders = _star_orders(F, G, CHANNELS, 3)
+    for r in range(4):
+        want = ordered_tuple_contraction(F, G, CHANNELS, r)
+        assert not want.is_zero()
+        assert contract_channels(F, G, CHANNELS, r) == want
+        assert orders[r].scale(math.factorial(r)) == want
 
 
 def test_wick_exponential_coefficients_and_validation():

@@ -130,7 +130,7 @@ def test_star_series_respects_cap():
     form = SymplecticForm.standard(1, 1)
     F = mono([(P1, 2)])
     S = HbarSeries.from_vector(F, 1)
-    capped = star_series(S, S, form, max_degree=2)
-    full = star_series(S, S, form)
+    capped = star_series(S, S, form.channels(), max_degree=2)
+    full = star_series(S, S, form.channels())
     assert capped.coefficient(0) == full.coefficient(0).truncate(2)
     assert capped.coefficient(1) == full.coefficient(1).truncate(2)
