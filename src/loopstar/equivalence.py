@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (FockVector, HbarSeries, _star_orders, annihilate, contract_channels,
-                   wick_exponential)
+from .fock import (FockVector, HbarSeries, _accumulate, _combine_caps, _star_orders,
+                   annihilate, contract_channels, wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
 
@@ -161,7 +161,7 @@ def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, form: SymplecticF
 def apply_T1(F: FockVector, A: DiagonalOperatorA, form: SymplecticForm) -> FockVector:
     """Transform generator: minus the alpha-weighted primal-dual double contraction."""
     support = F.support_modes()
-    total = FockVector.zero(F.scalar_mode, F.max_degree)
+    total: dict = {}
     for c in range(1, form.d + 1):
         for k in range(-form.K, form.K + 1):
             a = A.alpha_of(k)
@@ -173,8 +173,8 @@ def apply_T1(F: FockVector, A: DiagonalOperatorA, form: SymplecticForm) -> FockV
                 continue
             part = annihilate(p, annihilate(q, F))
             if not part.is_zero():
-                total = total + part.scale(a)
-    return -total
+                _accumulate(total, part.scale(-a).terms)
+    return FockVector._from_terms(total, F.scalar_mode, F.max_degree)
 
 
 def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarSeries:
@@ -182,20 +182,21 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
 
     Order r of the result collects generator powers b applied to input
     order r - b, weighted 1/b!.  Applying the negated operator inverts it
-    modulo the truncation order.
+    modulo the truncation order.  The result keeps the tightest cap of the
+    input coefficients.
     """
     R = FS.order
-    out = [FockVector.zero(FS.scalar_mode, FS.coefficient(0).max_degree)
-           for _ in range(R + 1)]
+    cap = _combine_caps(*(V.max_degree for V in FS.coeffs))
+    out: list[dict] = [{} for _ in range(R + 1)]
     for a in range(R + 1):
         term = FS.coefficient(a)
-        out[a] = out[a] + term
+        _accumulate(out[a], term.terms)
         for b in range(1, R - a + 1):
             term = apply_T1(term, A, form)
             if term.is_zero():
                 break
-            out[a + b] = out[a + b] + term.scale(Fraction(1, math.factorial(b)))
-    return HbarSeries(out)
+            _accumulate(out[a + b], term.scale(Fraction(1, math.factorial(b))).terms)
+    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode, cap) for terms in out)
 
 
 def canonical_pairing(gamma: Mapping[ModeIndex, Fraction],
@@ -234,7 +235,10 @@ def exp_product_formula_rhs(gamma1: Mapping[ModeIndex, Fraction],
     The scalar exponent is the (A + I) pairing of the first primal map
     with the second dual map plus the (A - I) pairing the other way
     around; the result is that exponential's order-R truncation times the
-    Wick exponential of the summed maps at degree cap N.
+    Wick exponential of the summed maps at degree cap N.  Power n of that
+    Wick exponential has degree n and is built from the powers below it,
+    so the result at a cap n <= N is the cap-N result truncated to degree
+    n: a check compared on a degree window passes the window as N.
     """
     lam = canonical_pairing(_rescaled(gamma1, A, +1), gamma2_star) \
         + canonical_pairing(_rescaled(gamma2, A, -1), gamma1_star)

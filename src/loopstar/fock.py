@@ -244,12 +244,12 @@ def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
 
 def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVector:
     """Contraction against a finite combination of modes: sum of h[mode] * a_mode."""
-    out = FockVector.zero(F.scalar_mode, F.max_degree)
+    out: dict[MultiIndex, Scalar] = {}
     for mode, coeff in h.items():
         part = annihilate(mode, F)
         if not part.is_zero():
-            out = out + part.scale(coeff)
-    return out
+            _accumulate(out, part.scale(coeff).terms)
+    return FockVector._from_terms(out, F.scalar_mode, F.max_degree)
 
 
 def annihilate_power(mode: ModeIndex, power: int, F: FockVector) -> FockVector:
@@ -342,14 +342,14 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[Mode
             raise ValueError(f"gamma_star must have dual support, got {mode!r}")
         gen_terms[MultiIndex.single(mode)] = c
     gen = FockVector(gen_terms, scalar_mode, max_degree=N)
-    out = FockVector.unit(scalar_mode, N)
-    power = out
+    power = FockVector.unit(scalar_mode, N)
+    out = dict(power.terms)
     for n in range(1, N + 1):
         power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
         if power.is_zero():
             break
-        out = out + power
-    return out
+        _accumulate(out, power.terms)
+    return FockVector._from_terms(out, scalar_mode, N)
 
 
 # -- formal power series in the deformation parameter --------------------
@@ -413,16 +413,18 @@ class HbarSeries:
         return HbarSeries([c.scale(scalar) for c in self.coeffs])
 
     def wick_mul(self, other: "HbarSeries", max_degree: Optional[int] = None) -> "HbarSeries":
-        """Cauchy product with the Wick product on coefficients."""
+        """Cauchy product with the Wick product on coefficients.
+
+        The result keeps the tightest cap of the coefficients and `max_degree`.
+        """
         self._check_compatible(other)
+        cap = _combine_caps(max_degree, *(V.max_degree for V in self.coeffs + other.coeffs))
         out = []
         for r in range(self.order + 1):
-            acc = FockVector.zero(self.scalar_mode, max_degree)
+            acc: dict[MultiIndex, Scalar] = {}
             for a in range(r + 1):
-                term = wick_product(self.coeffs[a], other.coeffs[r - a], max_degree)
-                if not term.is_zero():
-                    acc = acc + term
-            out.append(acc)
+                _accumulate(acc, wick_product(self.coeffs[a], other.coeffs[r - a], max_degree).terms)
+            out.append(FockVector._from_terms(acc, self.scalar_mode, cap))
         return HbarSeries(out)
 
     def truncate_degree(self, n: int) -> "HbarSeries":

@@ -52,7 +52,13 @@ def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None)
     zero vector (rational unless a mode is forced).
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines as the parser splits them; "$" keeps the last one when
+            # the bad byte starts a line.
+            lines = (data[:exc.start].decode("utf-8") + "$").splitlines()
+            raise FockParseError("invalid UTF-8", len(lines), len(lines[-1]) - 1) from None
     detected = scalar_mode
     parsed: list[tuple[int, MultiIndex, str, int, int]] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
@@ -73,7 +79,11 @@ def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None)
             m = _MODE_RE.match(tok)
             if not m:
                 raise FockParseError(f"bad mode factor {tok!r}", lineno, raw.find(tok))
-            coord, freq, dual, mult = int(m.group(1)), int(m.group(2)), m.group(3) == "1", int(m.group(4))
+            try:
+                coord, freq, mult = int(m.group(1)), int(m.group(2)), int(m.group(4))
+            except ValueError:      # beyond the interpreter's integer-string limit
+                raise FockParseError(f"integer too long in {tok!r}", lineno, raw.find(tok)) from None
+            dual = m.group(3) == "1"
             if coord < 1:
                 raise FockParseError(f"coordinate must be >= 1 in {tok!r}", lineno, raw.find(tok))
             if mult < 1:
@@ -95,7 +105,7 @@ def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None)
     for degree, mu, coeff_txt, lineno, col in parsed:
         try:
             value = Fraction(coeff_txt) if mode == RATIONAL else float(coeff_txt)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise FockParseError(f"bad coefficient {coeff_txt!r}", lineno, col) from None
         if mu in terms:
             raise FockParseError(f"duplicate monomial {mu!r}", lineno)

@@ -983,6 +983,12 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
 
     Both sides are compared coefficientwise up to the truncation order, on
     the degree window N - 2R inside which degree capping cannot leak.
+    The factors and their transforms stay at cap N; the right side's
+    star-product is formed at cap window, which is exact there: a cap is
+    the quotient map of the capped algebra and each Wick product adds
+    degrees, so the pairs it skips build only monomials above the window.
+    The left side keeps cap N, since `apply_T` lowers degree after the
+    product and its order-0 window terms need the product up to degree N.
     """
     window = N - 2 * R
     if window < 0:
@@ -996,7 +1002,7 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
         lhs = apply_T(star_A(F, G, A, form, R, max_degree=N), A, form)
         TF = apply_T(HbarSeries.from_vector(F, R), A, form)
         TG = apply_T(HbarSeries.from_vector(G, R), A, form)
-        rhs = star_series(TF, TG, unit.channels(), max_degree=N)
+        rhs = star_series(TF, TG, unit.channels(), max_degree=window)
         if lhs.truncate_degree(window) != rhs.truncate_degree(window):
             failures += 1
     return {"failures": failures, "n": n_instances, "window": window}
@@ -1007,7 +1013,10 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
     """Deformed product of two capped exponentials vs the closed formula.
 
     Cycles through the three named operator families; compared on the
-    N - 2R window at every truncation order.
+    N - 2R window at every truncation order.  The exponentials are built
+    at cap N and both sides are formed at cap window: every Wick product
+    adds degrees, so the cap drops only pairs whose monomials lie above
+    the window, and each side's window terms are exactly those at cap N.
     """
     window = N - 2 * R
     if window < 0:
@@ -1023,8 +1032,8 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
         g2s = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)
         phi1 = wick_exponential(g1, g1s, N)
         phi2 = wick_exponential(g2, g2s, N)
-        lhs = star_A(phi1, phi2, A, form, R, max_degree=N)
-        rhs = exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, N)
+        lhs = star_A(phi1, phi2, A, form, R, max_degree=window)
+        rhs = exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, window)
         if lhs.truncate_degree(window) != rhs.truncate_degree(window):
             failures += 1
     return {"failures": failures, "n": n_instances, "window": window}

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopstar.config import (ConfigError, McConfig, RunConfig, config_echo,
                              load_config, parse_config, parse_rational)
@@ -65,6 +67,39 @@ def test_parse_equivalence_window_guard():
         parse_config({"N": 6, "R": 4, "suites": ["equivalence"]})
     cfg = parse_config({"N": 10, "R": 2, "suites": ["equivalence"]})
     assert cfg.suites == ("equivalence",)
+
+
+_json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+_rational_text = (st.builds("{}/{}".format, st.integers(-3, 5), st.integers(-1, 4))
+                  | st.sampled_from(["1", "0.5", " 2 ", "-1/2", "a/b", "1/0", "", "9" * 5000]))
+_field_values = {
+    "d": st.integers(-1, 4), "K": st.integers(-1, 4), "N": st.integers(0, 12),
+    "R": st.integers(0, 6), "weight_c": _rational_text | _json,
+    "alpha_spec": st.sampled_from(["zero", "one", "ksq", "cubed"])
+    | st.dictionaries(st.integers(-5, 5).map(str) | st.text(max_size=3),
+                      _rational_text | _json, max_size=3) | _json,
+    "mc": st.dictionaries(st.sampled_from(["n_samples", "seed", "K_mc", "n_grid", "M"]),
+                          st.integers(-2, 2 ** 65) | _json, max_size=4) | _json,
+    "suites": st.lists(st.sampled_from(["algebra", "equivalence", "moyal", "nope"]), max_size=3)
+    | _json,
+    "output_path": st.none() | st.text(max_size=4) | _json,
+}
+_config_doc = st.fixed_dictionaries({}, optional=_field_values) | _json
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_config_doc)
+def test_fuzz_parse_config_rejects_with_location(doc):
+    # Any JSON value either parses or raises a ConfigError whose message
+    # starts with the path of the offending field; nothing else escapes.
+    try:
+        cfg = parse_config(doc, where="doc")
+    except ConfigError as exc:
+        assert str(exc).startswith(("doc:", "doc."))
+    else:
+        assert isinstance(cfg, RunConfig)
 
 
 def test_parse_rational_helper():

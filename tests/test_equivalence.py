@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from loopstar.equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1,
+from loopstar import equivalence, suites
+from loopstar.equivalence import (FAMILIES, DiagonalOperatorA, apply_EA, apply_T, apply_T1,
                                   cA1, cAr, canonical_pairing, exp_product_formula_rhs,
                                   star_A)
 from loopstar.fock import FockVector, HbarSeries, annihilate, wick_exponential
 from loopstar.modes import ModeIndex, MultiIndex
-from loopstar.poisson import SymplecticForm, moyal_star, poisson_bracket
+from loopstar.poisson import SymplecticForm, moyal_star, poisson_bracket, star_series
+from loopstar.rand import instance_rng, random_gamma
 from loopstar.suites import (ea_cochain_failures, intertwining_failures,
                              normal_one_sided_failures, product_formula_failures,
                              star_A_assoc_failures, transform_basics_failures,
@@ -171,3 +173,67 @@ def test_exp_product_formula_rhs_order_zero():
     g2s = {D1: Fraction(2)}
     rhs = exp_product_formula_rhs(g1, {}, {}, g2s, DiagonalOperatorA.family("zero", 2), 2, 5)
     assert rhs.coefficient(0) == wick_exponential(g1, g2s, 5)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("N, R", [(6, 3), (6, 2)])
+def test_window_cap_is_exact(seed, N, R):
+    # Each product the windowed checks compare, formed at cap = window,
+    # equals the same product at cap N truncated to the window, coefficient
+    # by coefficient; the inputs stay at cap N as in the checks.
+    d, K = 1, 2
+    window = N - 2 * R
+    form = SymplecticForm.standard(d, K)
+    unit = SymplecticForm.unit_pairing(d, K)
+    rng = instance_rng(seed, "window-cap")
+    contracted = 0
+    for family in FAMILIES:
+        A = DiagonalOperatorA.family(family, K)
+        g1, g1s, g2, g2s = (random_gamma(rng, d, K, 2, dual) for dual in (False, True, False, True))
+        phi1, phi2 = wick_exponential(g1, g1s, N), wick_exponential(g2, g2s, N)
+        TF, TG = (apply_T(HbarSeries.from_vector(phi, R), A, form) for phi in (phi1, phi2))
+        for product in (lambda cap: star_A(phi1, phi2, A, form, R, max_degree=cap),
+                        lambda cap: star_series(TF, TG, unit.channels(), max_degree=cap),
+                        lambda cap: exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, cap)):
+            capped, full = product(window), product(N)
+            for r in range(R + 1):
+                assert capped.coefficient(r) == full.coefficient(r).truncate(window)
+            assert not capped.coefficient(0).is_zero()
+            contracted += not capped.coefficient(1).is_zero()
+    assert contracted
+
+
+def _compare_at_cap_N(m, N):
+    """Form the products the windowed checks compare at cap N instead of the window."""
+    star_A_, rhs_, star_series_ = suites.star_A, suites.exp_product_formula_rhs, suites.star_series
+    m.setattr(suites, "star_A",
+              lambda F, G, A, form, R, max_degree=None: star_A_(F, G, A, form, R, N))
+    m.setattr(suites, "exp_product_formula_rhs",
+              lambda g1, g1s, g2, g2s, A, R, cap: rhs_(g1, g1s, g2, g2s, A, R, N))
+    m.setattr(suites, "star_series",
+              lambda FS, GS, channels, max_degree=None: star_series_(FS, GS, channels, N))
+
+
+def test_window_capped_product_formula_catches_wrong_pairing(monkeypatch):
+    # (A + I) on both pairings instead of (A - I) on the second one
+    rescaled = equivalence._rescaled
+    monkeypatch.setattr(equivalence, "_rescaled", lambda gamma, A, shift: rescaled(gamma, A, 1))
+    for args, N, R in (((3, 12), 8, 3), ((8, 6), 6, 3)):
+        capped = product_formula_failures(*args, N=N, R=R)["failures"]
+        with monkeypatch.context() as m:
+            _compare_at_cap_N(m, N)
+            full = product_formula_failures(*args, N=N, R=R)["failures"]
+        assert capped == full > 0
+
+
+def test_window_capped_intertwining_catches_wrong_sign(monkeypatch):
+    # the transform generator without its minus sign
+    generator = equivalence.apply_T1
+    monkeypatch.setattr(equivalence, "apply_T1", lambda F, A, form: -generator(F, A, form))
+    for d, K, N, R in ((2, 3, 10, 2), (1, 2, 6, 3)):
+        A = DiagonalOperatorA.family("ksq", K)
+        capped = intertwining_failures(3, 12, A, d, K, N, R, kind="exp")["failures"]
+        with monkeypatch.context() as m:
+            _compare_at_cap_N(m, N)
+            full = intertwining_failures(3, 12, A, d, K, N, R, kind="exp")["failures"]
+        assert capped == full > 0

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopstar.fock import FLOAT, RATIONAL, FockVector
 from loopstar.modes import ModeIndex, MultiIndex
@@ -87,3 +89,52 @@ def test_forced_scalar_mode_mismatch():
     data = serialize_fock(sample_vector())
     with pytest.raises(FockParseError):
         deserialize_fock(data, scalar_mode=FLOAT)
+
+
+def test_zero_denominator_is_located():
+    for text, where in (("0; ; 1/0", (1, 5)), ("0; ; 1/1\n1; (1,2,0)^1; -3/0", (2, 14))):
+        with pytest.raises(FockParseError) as exc:
+            deserialize_fock(text)
+        assert (exc.value.line, exc.value.column) == where
+
+
+def test_invalid_utf8_is_located():
+    with pytest.raises(FockParseError) as exc:
+        deserialize_fock(b"0; ; 1/1\n1; (1,\xff2,0)^1; 1/1\n")
+    assert (exc.value.line, exc.value.column) == (2, 6)
+
+
+_small_int = st.integers(-3, 6).map(str) | st.sampled_from(["", "x", "1.5", "9" * 5000])
+_factor = st.builds("({},{},{})^{}".format, _small_int, _small_int,
+                    st.sampled_from(["0", "1", "2", "-"]), _small_int) | st.text(max_size=6)
+_coefficient = (st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-1, 4))
+                | st.floats().map(repr) | st.sampled_from(["", "1", "-0", "1/-0", "nan", "1e5"])
+                | st.text(max_size=6))
+_term_line = st.builds(lambda deg, factors, coeff, sep: sep.join([deg, " ".join(factors), coeff]),
+                       _small_int, st.lists(_factor, max_size=3), _coefficient,
+                       st.sampled_from(["; ", ";", " ; ", ",", "; ;"]))
+_stream = st.lists(_term_line | st.sampled_from(["", "# note", "  "]), max_size=5).map("\n".join)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(_stream, st.sampled_from([None, RATIONAL, FLOAT]))
+def test_fuzz_deserialize_rejects_with_location(text, scalar_mode):
+    # Structured near-miss streams either parse or raise a located
+    # FockParseError; no other exception escapes.
+    try:
+        F = deserialize_fock(text, scalar_mode)
+    except FockParseError as exc:
+        lines = text.splitlines()
+        assert 1 <= exc.line <= len(lines)
+        assert 0 <= exc.column <= len(lines[exc.line - 1])
+    else:
+        assert isinstance(F, FockVector)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.binary(max_size=40))
+def test_fuzz_deserialize_bytes_rejects_with_location(data):
+    try:
+        deserialize_fock(data)
+    except FockParseError as exc:
+        assert exc.line >= 1 and exc.column >= 0
