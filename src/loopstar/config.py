@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .equivalence import FAMILIES
+from .fock import rational_from_text
 
 SUITE_NAMES = ("algebra", "chaos", "gaussian", "poisson", "moyal", "equivalence")
 
@@ -23,14 +24,15 @@ class ConfigError(ValueError):
 
 
 def parse_rational(text, where: str) -> Fraction:
+    """An int, or text `fock.rational_from_text` reads once stripped of whitespace."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
         try:
-            return Fraction(text.strip())
+            return rational_from_text(text.strip())
         except (ValueError, ZeroDivisionError):
             pass
-    raise ConfigError(f"{where}: expected a rational like \"3/4\", got {text!r}")
+    raise ConfigError(f"{where}: expected a rational like \"3/4\", got {text!r:.60}")
 
 
 @dataclass(frozen=True)

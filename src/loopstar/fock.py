@@ -16,6 +16,7 @@ correct multiplication in that quotient, not an approximation.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -45,6 +46,25 @@ def coerce_scalar(value: Scalar, scalar_mode: str):
             return float(value)
         raise TypeError(f"float mode cannot accept {type(value).__name__} coefficient {value!r}")
     raise ValueError(f"unknown scalar mode {scalar_mode!r}")
+
+
+# Longest digit run accepted in rational text: the interpreter's default
+# integer-string limit, so every coefficient `serialize_fock` writes reads back.
+MAX_RATIONAL_DIGITS = 4300
+_RATIONAL_TEXT = re.compile(r"-?[0-9]{1,%d}(?:[./][0-9]{1,%d})?" % ((MAX_RATIONAL_DIGITS,) * 2))
+
+
+def rational_from_text(text: str) -> Fraction:
+    """Exact value of `[-]digits`, `[-]digits.digits` or `[-]digits/digits`.
+
+    Digits are ASCII.  Anything else raises ValueError, as does a digit run
+    longer than MAX_RATIONAL_DIGITS; a zero denominator raises ZeroDivisionError.
+    `Fraction` alone also takes underscores, a leading "+" and exponents: the
+    11 bytes "1e10000000" build a 33-million-bit numerator.
+    """
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not a bounded rational: {text[:40]!r}")
+    return Fraction(text)
 
 
 def _combine_caps(*caps: Optional[int]) -> Optional[int]:

@@ -6,6 +6,9 @@ periodic kernel inverting (-d^2/ds^2 + 1).  Sampling is spectral: each
 retained trigonometric mode carries one standard normal coefficient drawn
 from its own counter-based stream, so any subset of modes, any batch size,
 and any thread layout reproduce bit-identical numbers for a given seed.
+The Monte-Carlo diagnostics take an optional, already drawn batch `xi`,
+so one verification run draws each Monte-Carlo batch once and hands it to
+every check that reads it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,11 +78,25 @@ class GreenKernel:
         return float(out) if out.ndim == 0 else out
 
 
+def _mode_key(seed: int, coord: int, freq: int) -> np.ndarray:
+    # The second key word packs the mode so streams never collide across
+    # coordinates or frequencies.  An explicit uint64 array keeps the key
+    # exact: numpy reads a list holding a word of 2**63 or more as floats.
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, (coord << 32) | (freq & 0xFFFFFFFF)],
+                    dtype=np.uint64)
+
+
 def _mode_stream(seed: int, coord: int, freq: int) -> np.random.Generator:
-    # One Philox stream per (seed, coord, freq); the second key word packs
-    # the mode so streams never collide across coordinates or frequencies.
-    word = (coord << 32) | (freq & 0xFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, word]))
+    """Reference constructor of the Philox stream of one (seed, coord, freq)."""
+    return np.random.Generator(np.random.Philox(key=_mode_key(seed, coord, freq)))
+
+
+def _fresh_philox_state(key: np.ndarray) -> dict:
+    """State of a newly built `Philox(key=key)`: counter 0, buffer empty."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
 
 def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
@@ -87,12 +104,18 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
 
     Shape (n_samples, d, 2 K_mc + 1); frequency k sits in column k + K_mc.
     Sample j of any batch equals draw j of the per-mode stream, so batches
-    of different sizes agree on their common prefix.
+    of different sizes agree on their common prefix.  One generator is
+    re-keyed to each mode's stream in turn: building a `Philox` from a key
+    also draws OS entropy for a seed it never uses, which costs several
+    times the re-keying, and the draws are those of `_mode_stream`.
     """
     out = np.empty((n_samples, d, 2 * K_mc + 1))
+    bits = np.random.Philox(key=[0, 0])
+    gen = np.random.Generator(bits)
     for c in range(1, d + 1):
         for k in range(-K_mc, K_mc + 1):
-            out[:, c - 1, k + K_mc] = _mode_stream(seed, c, k).standard_normal(n_samples)
+            bits.state = _fresh_philox_state(_mode_key(seed, c, k))
+            out[:, c - 1, k + K_mc] = gen.standard_normal(n_samples)
     return out
 
 
@@ -183,17 +206,21 @@ def gaussian_even_moment(sigma2: float, p: int, d: int) -> float:
 
 
 def holder_moment_check(n_samples: int, p: int, pairs: Sequence[tuple[float, float]],
-                        seed: int = 42, K_mc: int = 64, d: int = 2) -> dict:
+                        seed: int = 42, K_mc: int = 64, d: int = 2,
+                        xi: Optional[np.ndarray] = None) -> dict:
     """Monte-Carlo increment moments E|B(t) - B(s)|^{2p} / |t - s|^p.
 
     p must be 1, 2 or 3 and pairs must satisfy 0 < |t - s| <= 1/2 (a
     coincident pair contributes ratio 0 by convention).  Returns the rows,
     the largest ratio and its standard error, and for each pair the
-    analytic value implied by the truncated spectral covariance.
+    analytic value implied by the truncated spectral covariance.  `xi`, if
+    given, is the batch `sample_xi_batch(seed, n_samples, K_mc, d)` already
+    drawn; otherwise it is drawn here.
     """
     if p not in (1, 2, 3):
         raise ValueError("p must be 1, 2 or 3")
-    xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    if xi is None:
+        xi = sample_xi_batch(seed, n_samples, K_mc, d)
     rows = []
     max_ratio = 0.0
     max_stderr = 0.0

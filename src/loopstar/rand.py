@@ -17,9 +17,14 @@ from .modes import ModeIndex, MultiIndex
 
 
 def instance_rng(seed: int, label: str) -> np.random.Generator:
-    """One stream per (seed, check label); stable across runs and platforms."""
+    """One stream per (seed, check label); stable across runs and platforms.
+
+    The key is an explicit uint64 array: numpy reads a list holding a word of
+    2**63 or more as floats, which rounds it and can collide distinct seeds.
+    """
     word = zlib.crc32(label.encode("utf-8"))
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, word]))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def random_mode(rng: np.random.Generator, d: int, K: int, dual_fraction: float = 0.0) -> ModeIndex:

@@ -11,10 +11,9 @@ UTF-8 streams, which is what golden-file comparisons rely on.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Optional, Union
 
-from .fock import FLOAT, RATIONAL, FockVector
+from .fock import FLOAT, RATIONAL, FockVector, rational_from_text
 from .modes import ModeIndex, MultiIndex
 
 _MODE_RE = re.compile(r"^\((-?\d+),(-?\d+),([01])\)\^(\d+)$")
@@ -104,9 +103,9 @@ def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None)
     terms: dict[MultiIndex, object] = {}
     for degree, mu, coeff_txt, lineno, col in parsed:
         try:
-            value = Fraction(coeff_txt) if mode == RATIONAL else float(coeff_txt)
+            value = rational_from_text(coeff_txt) if mode == RATIONAL else float(coeff_txt)
         except (ValueError, ZeroDivisionError):
-            raise FockParseError(f"bad coefficient {coeff_txt!r}", lineno, col) from None
+            raise FockParseError(f"bad coefficient {coeff_txt[:40]!r}", lineno, col) from None
         if mu in terms:
             raise FockParseError(f"duplicate monomial {mu!r}", lineno)
         terms[mu] = value

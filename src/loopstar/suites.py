@@ -48,16 +48,20 @@ class Check:
     `claim` is a `str.format` template over the result; `observed` names its
     headline field if that is not the residual.  Exact checks count failures:
     tolerance 0, no `precision`.  An entry whose `run` is the previous
-    entry's reuses that result.
+    entry's reuses that result.  An entry marked `batch` reads the suite's
+    Monte-Carlo batch xi = sample_xi_batch(seed, cfg.mc.n_samples,
+    cfg.mc.K_mc, cfg.d): `run_checks` draws it once per call and passes it
+    as `run(cfg, seed, xi)`, and `run(cfg, seed)` draws it from the seed.
     """
 
     id: str
     claim: str
-    run: Callable[[RunConfig, int], dict]
+    run: Callable[..., dict]
     tolerance: float = 0.0
     precision: Optional[Precision] = None
     residual: str = "failures"
     observed: Optional[str] = None
+    batch: bool = False
 
 
 def _search(check_id: str, claim: str, search: Callable[[RunConfig, int], dict]) -> Check:
@@ -497,10 +501,16 @@ def sampler_determinism_failures(seed: int, d: int, K_mc: int = 16, M: int = 64)
     return {"failures": failures, "n": 4}
 
 
-def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int) -> dict:
-    """MC covariance against the truncated spectral truth, in standard errors."""
+def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
+                        xi: Optional[np.ndarray] = None) -> dict:
+    """MC covariance against the truncated spectral truth, in standard errors.
+
+    `xi`, here and in the other Monte-Carlo checks, is the batch
+    `sample_xi_batch(seed, n_samples, K_mc, d)` if already drawn.
+    """
     points = np.array([0.0, 0.11, 0.23, 0.37, 0.52, 0.68, 0.81, 0.94])
-    xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    if xi is None:
+        xi = sample_xi_batch(seed, n_samples, K_mc, d)
     E = basis_matrix(K_mc, points)                    # (2K+1, P)
     vals = np.tensordot(xi, E, axes=([2], [0]))       # (n, d, P)
     worst_same = 0.0
@@ -522,11 +532,13 @@ def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int) -> dict:
     return {"worst_same": worst_same, "worst_cross": worst_cross, "n": n_stats}
 
 
-def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int) -> dict:
+def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
+                         xi: Optional[np.ndarray] = None) -> dict:
     """Empirical covariance at translated pairs agrees within joint MC error."""
     base_pairs = [(0.05, 0.25), (0.1, 0.45), (0.3, 0.62)]
     shift = 0.31
-    xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    if xi is None:
+        xi = sample_xi_batch(seed, n_samples, K_mc, d)
     worst = 0.0
     for s, t in base_pairs:
         E = basis_matrix(K_mc, np.array([s, t, (s + shift) % 1.0, (t + shift) % 1.0]))
@@ -546,20 +558,22 @@ def covariance_psd_min_eig(K_mc: int, n_points: int = 64) -> float:
     return float(np.min(np.linalg.eigvalsh(cov)))
 
 
-def holder_p1_z(seed: int, n_samples: int, K_mc: int, d: int) -> dict:
+def holder_p1_z(seed: int, n_samples: int, K_mc: int, d: int,
+                xi: Optional[np.ndarray] = None) -> dict:
     """p = 1 increment-moment ratios against the Gaussian closed form."""
     pairs = [(0.1, 0.2), (0.15, 0.4), (0.3, 0.75), (0.02, 0.5), (0.6, 0.72)]
-    table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d)
+    table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d, xi=xi)
     worst = 0.0
     for row in table["rows"]:
         worst = max(worst, abs(row["ratio"] - row["analytic"]) / row["stderr"])
     return {"worst": worst, "n": len(pairs), "max_ratio": table["max_ratio"]}
 
 
-def holder_bounded_ratio(seed: int, n_samples: int, K_mc: int, d: int) -> dict:
+def holder_bounded_ratio(seed: int, n_samples: int, K_mc: int, d: int,
+                         xi: Optional[np.ndarray] = None) -> dict:
     """Ratios stay bounded on a dyadic separation sweep down to small gaps."""
     pairs = [(0.2, 0.2 + 2.0 ** (-j)) for j in range(1, 8)]
-    table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d)
+    table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d, xi=xi)
     return {"max_ratio": table["max_ratio"], "n": len(pairs)}
 
 
@@ -577,8 +591,8 @@ def loop_eval_consistency(seed: int, d: int, K_mc: int = 32, M: int = 128) -> di
     return {"residual": worst, "n": 14}
 
 
-def _covariance(cfg: RunConfig, seed: int) -> dict:
-    return covariance_z_scores(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d)
+def _covariance(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> dict:
+    return covariance_z_scores(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d, xi)
 
 
 def _covariance_psd(cfg: RunConfig, seed: int) -> dict:
@@ -586,8 +600,8 @@ def _covariance_psd(cfg: RunConfig, seed: int) -> dict:
     return {"residual": max(0.0, -min_eig), "min_eig": min_eig, "n": 64}
 
 
-def _holder_bounded(cfg: RunConfig, seed: int) -> dict:
-    r = holder_bounded_ratio(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d)
+def _holder_bounded(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> dict:
+    r = holder_bounded_ratio(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d, xi)
     return {**r, "tolerance": 2.0 * cfg.d}
 
 
@@ -602,21 +616,24 @@ CHECKS["gaussian"] = (
           1e-14, Precision.RESIDUAL, "residual"),
     Check("sampler.deterministic", "same seed reproduces bits; seeds differ; batch prefixes agree",
           lambda cfg, seed: sampler_determinism_failures(seed, cfg.d)),
-    # One z-score computation serves both covariance records.
+    # The `batch` entries read one drawn batch, and one z-score computation
+    # serves both covariance records.
     Check("covariance.same_coord", "MC covariance within 3 standard errors of the spectral truth",
-          _covariance, 3.0, Precision.STATISTIC, "worst_same"),
+          _covariance, 3.0, Precision.STATISTIC, "worst_same", batch=True),
     Check("covariance.cross_coord", "cross-coordinate covariance vanishes within 3 standard errors",
-          _covariance, 3.0, Precision.STATISTIC, "worst_cross"),
+          _covariance, 3.0, Precision.STATISTIC, "worst_cross", batch=True),
     Check("covariance.stationary", "translated pairs share their covariance within joint MC error",
-          lambda cfg, seed: stationarity_z_score(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d),
-          3.0, Precision.STATISTIC, "worst"),
+          lambda cfg, seed, xi=None: stationarity_z_score(seed, cfg.mc.n_samples, cfg.mc.K_mc,
+                                                          cfg.d, xi),
+          3.0, Precision.STATISTIC, "worst", batch=True),
     Check("covariance.psd", "grid covariance matrix has no eigenvalue below -1e-10",
           _covariance_psd, 1e-10, Precision.RESIDUAL, "residual", observed="min_eig"),
     Check("holder.p1", "p=1 increment-moment ratios match the Gaussian closed form within 3 SE",
-          lambda cfg, seed: holder_p1_z(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d),
-          3.0, Precision.STATISTIC, "worst", observed="max_ratio"),
+          lambda cfg, seed, xi=None: holder_p1_z(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d,
+                                                 xi),
+          3.0, Precision.STATISTIC, "worst", observed="max_ratio", batch=True),
     Check("holder.bounded", "increment-moment ratios stay bounded down dyadic separations",
-          _holder_bounded, precision=Precision.STATISTIC, residual="max_ratio"),
+          _holder_bounded, precision=Precision.STATISTIC, residual="max_ratio", batch=True),
     Check("loop_eval.consistent", "grid hits come from storage and off-grid matches the spectral "
           "dot", lambda cfg, seed: loop_eval_consistency(seed, cfg.d),
           1e-12, Precision.RESIDUAL, "residual"),
@@ -1106,12 +1123,21 @@ CHECKS["equivalence"] = (
 
 
 def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
-    """Run one suite's table: each entry is timed and becomes one record."""
-    seed, records, previous = cfg.mc.seed, [], None
+    """Run one suite's table: each entry is timed and becomes one record.
+
+    The Monte-Carlo batch is drawn inside the first `batch` entry's time and
+    lives only as long as this call.
+    """
+    seed, records, previous, xi = cfg.mc.seed, [], None, None
     for check in CHECKS[suite]:
         t0 = time.perf_counter()
         if check.run is not previous:
-            previous, result = check.run, check.run(cfg, seed)
+            args = (cfg, seed)
+            if check.batch:
+                if xi is None:
+                    xi = sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d)
+                args += (xi,)
+            previous, result = check.run, check.run(*args)
         residual = float(result[check.residual])
         tolerance = result.get("tolerance", check.tolerance)
         records.append(CheckRecord(

@@ -73,7 +73,9 @@ _json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | s
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
 _rational_text = (st.builds("{}/{}".format, st.integers(-3, 5), st.integers(-1, 4))
-                  | st.sampled_from(["1", "0.5", " 2 ", "-1/2", "a/b", "1/0", "", "9" * 5000]))
+                  | st.sampled_from(["1", "0.5", " 2 ", "-1/2", "a/b", "1/0", "", "9" * 5000])
+                  | st.sampled_from(["1e100000", "2E-99999", "1.5e3", "inf", "-Infinity", "nan",
+                                     "1_000", "3/4_0", "+1", ".5"]))
 _field_values = {
     "d": st.integers(-1, 4), "K": st.integers(-1, 4), "N": st.integers(0, 12),
     "R": st.integers(0, 6), "weight_c": _rational_text | _json,
@@ -110,6 +112,12 @@ def test_parse_rational_helper():
         parse_rational("a/b", "x")
     with pytest.raises(ConfigError):
         parse_rational(1.5, "x")
+    # Only [-]digits[.digits] or [-]digits/digits: Fraction would also read
+    # these, and "1e10000000" alone takes seconds and megabytes to build.
+    for text in ("1e10000000", "1E5", "inf", "nan", "1_000", "+1", ".5", "9" * 4301):
+        with pytest.raises(ConfigError, match=r"^x: expected a rational"):
+            parse_rational(text, "x")
+    assert parse_rational(" 9" + "9" * 4299 + " ", "x") == 10 ** 4300 - 1
 
 
 def test_load_config_errors(tmp_path):

@@ -9,6 +9,7 @@ from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matri
                                green_kernel, holder_moment_check, increment_variance,
                                loop_eval, sample_loop, sample_xi_batch, spectral_green_sum)
 from loopstar.modes import ModeIndex
+from loopstar.rand import instance_rng
 
 
 def test_kernel_closed_form_shape():
@@ -48,6 +49,37 @@ def test_sampler_shapes_and_determinism():
     assert np.array_equal(xi, sample_xi_batch(5, 7, 8, 2))
     assert not np.array_equal(xi, sample_xi_batch(6, 7, 8, 2))
     assert np.array_equal(xi[:3], sample_xi_batch(5, 3, 8, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -3])
+def test_rekeyed_streams_match_fresh_philox(seed):
+    # Every column is draw for draw the stream of a newly built Philox keyed
+    # by (seed, mode), and a batch of 1 is the prefix of a batch of 20000.
+    # The key goes in as a uint64 array: numpy reads a plain list holding a
+    # word of 2**63 or more as floats, so 2**64 - 1 and -3 would both become 0.
+    K, d, n = 4, 2, 20000
+    big = sample_xi_batch(seed, n, K, d)
+    one = sample_xi_batch(seed, 1, K, d)
+    for c in range(1, d + 1):
+        for k in range(-K, K + 1):
+            key = [seed & (2 ** 64 - 1), (c << 32) | (k & 0xFFFFFFFF)]
+            bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+            fresh = np.random.Generator(bits).standard_normal(n)
+            assert np.array_equal(big[:, c - 1, k + K], fresh), (c, k)
+            assert one[0, c - 1, k + K] == fresh[0]
+            if key[0] < 2 ** 63:        # a list key is exact here
+                listed = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+                assert np.array_equal(listed, fresh)
+    assert np.array_equal(one, big[:1])
+
+
+def test_high_seeds_draw_distinct_streams():
+    # 2**64 - 2 and 2**64 - 1 (and 2**63 + 1, 2**63 + 2) round to one float.
+    for seed in (2 ** 64 - 2, 2 ** 63 + 1):
+        a, b = sample_xi_batch(seed, 3, 2, 1), sample_xi_batch(seed + 1, 3, 2, 1)
+        assert not np.array_equal(a, b), seed
+        x, y = instance_rng(seed, "label"), instance_rng(seed + 1, "label")
+        assert x.random() != y.random(), seed
 
 
 def test_sample_loop_values_are_spectral():
@@ -104,6 +136,9 @@ def test_holder_moment_check_contract():
     assert table["rows"][0]["ratio"] == 0.0
     row = table["rows"][1]
     assert abs(row["ratio"] - row["analytic"]) <= 4 * row["stderr"]
+    xi = sample_xi_batch(1, 500, 16, 2)
+    assert holder_moment_check(500, 1, [(0.1, 0.1), (0.1, 0.3)], seed=1, K_mc=16, d=2,
+                               xi=xi) == table
 
 
 def test_export_loop_csv_round_trip(tmp_path):

@@ -98,6 +98,17 @@ def test_zero_denominator_is_located():
         assert (exc.value.line, exc.value.column) == where
 
 
+def test_rational_coefficients_are_bounded_text():
+    # Fraction would read these; exponents in particular build 10**e exactly.
+    for coeff in ("1e10000000", "1E5", "inf", "nan", "1_000", "+1", ".5", "9" * 4301):
+        with pytest.raises(FockParseError) as exc:
+            deserialize_fock(f"0; ; 1/1\n0; ; {coeff}", scalar_mode=RATIONAL)
+        assert (exc.value.line, exc.value.column) == (2, 5)
+    F = deserialize_fock("0; ; -0.25\n1; (1,2,0)^1; " + "9" * 4300, scalar_mode=RATIONAL)
+    assert F.terms[MultiIndex()] == Fraction(-1, 4)
+    assert F.terms[MultiIndex.single(M1)] == 10 ** 4300 - 1
+
+
 def test_invalid_utf8_is_located():
     with pytest.raises(FockParseError) as exc:
         deserialize_fock(b"0; ; 1/1\n1; (1,\xff2,0)^1; 1/1\n")
@@ -109,6 +120,8 @@ _factor = st.builds("({},{},{})^{}".format, _small_int, _small_int,
                     st.sampled_from(["0", "1", "2", "-"]), _small_int) | st.text(max_size=6)
 _coefficient = (st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-1, 4))
                 | st.floats().map(repr) | st.sampled_from(["", "1", "-0", "1/-0", "nan", "1e5"])
+                | st.sampled_from(["1e100000", "-2E+99999", "1.5e-100000", "inf", "-inf",
+                                   "Infinity", "NaN", "1_000", "1_0/3", "+1/2", ".5", "1/2e5"])
                 | st.text(max_size=6))
 _term_line = st.builds(lambda deg, factors, coeff, sep: sep.join([deg, " ".join(factors), coeff]),
                        _small_int, st.lists(_factor, max_size=3), _coefficient,

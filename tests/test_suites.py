@@ -47,6 +47,34 @@ def test_covariance_records_share_one_z_score_run(monkeypatch):
     assert ids[at:at + 2] == ["covariance.same_coord", "covariance.cross_coord"]
 
 
+def test_one_gaussian_run_draws_its_batch_once(monkeypatch):
+    """The four batch checks share one draw per run, and no run reuses another's."""
+    import loopstar.gaussian as gaussian
+    cfg = parse_config({**LIGHT_DOC, "suites": ["gaussian"]})
+    original, sizes = gaussian.sample_xi_batch, []
+
+    def counted(seed, n_samples, K_mc, d):
+        sizes.append(n_samples)
+        return original(seed, n_samples, K_mc, d)
+
+    # Both bindings: holder_moment_check draws through the gaussian module's.
+    monkeypatch.setattr(suites, "sample_xi_batch", counted)
+    monkeypatch.setattr(gaussian, "sample_xi_batch", counted)
+    run_suites(cfg)
+    assert sizes.count(cfg.mc.n_samples) == 1
+    run_suites(cfg)
+    assert sizes.count(cfg.mc.n_samples) == 2
+
+
+def test_batch_checks_match_their_seed_path():
+    seed, n_samples, K_mc, d = 5, 300, 8, 2
+    xi = suites.sample_xi_batch(seed, n_samples, K_mc, d)
+    for check in (suites.covariance_z_scores, suites.stationarity_z_score,
+                  suites.holder_p1_z, suites.holder_bounded_ratio):
+        assert check(seed, n_samples, K_mc, d, xi=xi) == check(seed, n_samples, K_mc, d), \
+            check.__name__
+
+
 def test_report_embeds_config_echo():
     cfg = parse_config(LIGHT_DOC)
     report = run_suites(cfg)
