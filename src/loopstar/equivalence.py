@@ -12,6 +12,7 @@ Wick exponentials, degree window by degree window in exact arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,11 +140,16 @@ def apply_EA(F: FockVector, G: FockVector, A: DiagonalOperatorA,
     return contract_channels(F, G, _symmetric_channels(A, form), 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_form(d: int, K: int) -> SymplecticForm:
+    # A form is fixed at construction, so one instance per (d, K) serves every call.
+    return SymplecticForm.unit_pairing(d, K)
+
+
 def cA1(F: FockVector, G: FockVector, A: DiagonalOperatorA,
         form: SymplecticForm) -> FockVector:
     """First deformed cochain: unit-pairing bracket plus the symmetric perturbation."""
-    unit = SymplecticForm.unit_pairing(form.d, form.K)
-    return poisson_bracket(F, G, unit) + apply_EA(F, G, A, form)
+    return poisson_bracket(F, G, _unit_form(form.d, form.K)) + apply_EA(F, G, A, form)
 
 
 def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA,
@@ -183,7 +189,8 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
     Order r of the result collects generator powers b applied to input
     order r - b, weighted 1/b!.  Applying the negated operator inverts it
     modulo the truncation order.  The result keeps the tightest cap of the
-    input coefficients.
+    input coefficients; when the inputs' caps differ, terms above it are
+    dropped.
     """
     R = FS.order
     cap = _combine_caps(*(V.max_degree for V in FS.coeffs))
@@ -196,7 +203,10 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
             if term.is_zero():
                 break
             _accumulate(out[a + b], term.scale(Fraction(1, math.factorial(b))).terms)
-    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode, cap) for terms in out)
+    result = HbarSeries(FockVector._from_terms(terms, FS.scalar_mode, cap) for terms in out)
+    if any(V.max_degree != cap for V in FS.coeffs):
+        result = result.truncate_degree(cap)
+    return result
 
 
 def canonical_pairing(gamma: Mapping[ModeIndex, Fraction],

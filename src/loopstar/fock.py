@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .modes import VACUUM, ModeIndex, MultiIndex
 
@@ -282,7 +282,8 @@ def annihilate_power(mode: ModeIndex, power: int, F: FockVector) -> FockVector:
 
 
 def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: int,
-                 max_degree: Optional[int] = None, lowest: int = 0) -> list[FockVector]:
+                 max_degree: Optional[int] = None, lowest: int = 0,
+                 order_caps: Optional[Sequence[int]] = None) -> list[FockVector]:
     """Orders lowest..R of the channel star-product of F and G: the one contraction engine.
 
     A channel (m_F, m_G, w) contributes w * :a_{m_F}F . a_{m_G}G:.  Order r
@@ -293,12 +294,23 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     walked depth first as nondecreasing channel sequences: each extends its
     parent's contracted operands by one annihilation per side, and a branch
     whose operand vanishes is dropped with everything below it.
+
+    `order_caps`, if given, holds one degree cap for each order 0..R, on
+    top of `max_degree` and the operands' caps.  Order r then equals the
+    order formed without `order_caps`, truncated to its cap, since each
+    Wick product adds degrees.
     """
     F._check_mode(G)
     if R < 0:
         raise ValueError("contraction order must be >= 0")
     mode = F.scalar_mode
     cap = _combine_caps(F.max_degree, G.max_degree, max_degree)
+    if order_caps is None:
+        caps = [cap] * (R + 1)
+    elif len(order_caps) == R + 1:
+        caps = [_combine_caps(cap, c) for c in order_caps]
+    else:
+        raise ValueError(f"need one cap per order 0..{R}, got {len(order_caps)}")
     suppF, suppG = F.support_modes(), G.support_modes()
     live = [(fm, gm, coerce_scalar(w, mode)) for fm, gm, w in channels
             if fm in suppF and gm in suppG]
@@ -309,9 +321,9 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
         # it occurs in the multiset, so a repeat divides the weight by c.
         if depth >= lowest:
             if len(aF) <= len(aG):
-                product = wick_product(aF.scale(weight), aG, cap)
+                product = wick_product(aF.scale(weight), aG, caps[depth])
             else:
-                product = wick_product(aF, aG.scale(weight), cap)
+                product = wick_product(aF, aG.scale(weight), caps[depth])
             _accumulate(orders[depth], product.terms)
         if depth == R:
             return
@@ -327,7 +339,7 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
             walk(bF, bG, weight * w / c, depth + 1, i, c)
 
     walk(F, G, 1, 0, 0, 0)
-    return [FockVector._from_terms(terms, mode, cap) for terms in orders[lowest:]]
+    return [FockVector._from_terms(orders[r], mode, caps[r]) for r in range(lowest, R + 1)]
 
 
 def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel], r: int,

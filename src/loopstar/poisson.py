@@ -49,10 +49,11 @@ class SymplecticForm:
     Doubled indices 0..d-1 are the primal coordinates, d..2d-1 their duals.
     omega_upper is always computed from omega_lower by exact inversion, so
     sign conventions are a consequence of the stated lower form, not a
-    second hand-coded table.
+    second hand-coded table.  The bracket's channel table is built once,
+    here, and every product over the form shares it.
     """
 
-    __slots__ = ("d", "K", "weight_c", "omega_lower", "omega_upper")
+    __slots__ = ("d", "K", "weight_c", "omega_lower", "omega_upper", "_channels")
 
     def __init__(self, d: int, K: int, weight_c=Fraction(1),
                  omega_lower: Optional[Sequence[Sequence[Fraction]]] = None):
@@ -79,6 +80,10 @@ class SymplecticForm:
                     raise ValueError("form matrix must be antisymmetric")
         self.omega_lower = lower
         self.omega_upper = _invert_rational(lower)
+        self._channels = tuple(
+            (self.mode_of_index(i, k), self.mode_of_index(j, k), self.weight(k) * entry)
+            for k in range(-K, K + 1) for i in range(2 * d) for j in range(2 * d)
+            if (entry := self.omega_upper[i][j]))
 
     @classmethod
     def standard(cls, d: int, K: int, weight_c=Fraction(1)) -> "SymplecticForm":
@@ -107,18 +112,14 @@ class SymplecticForm:
             raise ValueError(f"doubled index {idx} out of range for d={self.d}")
         return ModeIndex(idx % self.d + 1, freq, dual=idx >= self.d)
 
-    def channels(self) -> list[Channel]:
-        """Contraction channels (mode on F, mode on G, weight) for the bracket."""
-        out = []
-        for k in range(-self.K, self.K + 1):
-            w = self.weight(k)
-            for i in range(2 * self.d):
-                for j in range(2 * self.d):
-                    entry = self.omega_upper[i][j]
-                    if entry:
-                        out.append((self.mode_of_index(i, k), self.mode_of_index(j, k),
-                                    w * entry))
-        return out
+    def channels(self) -> tuple[Channel, ...]:
+        """Contraction channels (mode on F, mode on G, weight) for the bracket.
+
+        One entry per frequency k and nonzero omega_upper[i][j], in that
+        loop order, weighted weight(k) * omega_upper[i][j] in weight_c's
+        scalar type.  The same tuple is returned on every call.
+        """
+        return self._channels
 
     def __repr__(self) -> str:
         return f"SymplecticForm(d={self.d}, K={self.K}, weight_c={self.weight_c})"

@@ -25,7 +25,7 @@ from .chaos import (ChaosEvalConfig, chaos_eval_quadrature, chaos_eval_spectral,
 from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           deformed_channels, exp_product_formula_rhs, star_A)
-from .fock import (FockVector, HbarSeries, annihilate, annihilate_general,
+from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                    wick_exponential, wick_product)
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix, green_diagonal,
                        green_kernel, holder_moment_check, sample_loop, sample_xi_batch,
@@ -1004,19 +1004,25 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     star-product is formed at cap window, which is exact there: a cap is
     the quotient map of the capped algebra and each Wick product adds
     degrees, so the pairs it skips build only monomials above the window.
-    The left side keeps cap N, since `apply_T` lowers degree after the
-    product and its order-0 window terms need the product up to degree N.
+    On the left side `apply_T` acts after the product, and each generator
+    power lowers degree by exactly 2.  Star order a reaches order r of the
+    left side only through power b = r - a <= R - a, so its window terms
+    come from its terms of degree at most window + 2(R - a) = N - 2a;
+    order a is formed at that cap, which is exact there for the same
+    reason as on the right side.
     """
     window = N - 2 * R
     if window < 0:
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")
     form = SymplecticForm.standard(d, K)
     unit = SymplecticForm.unit_pairing(d, K)
+    channels = deformed_channels(A, form)
+    order_caps = [N - 2 * a for a in range(R + 1)]
     rng = instance_rng(seed, f"intertwine-{kind}-{A.name}")
     failures = 0
     for _ in range(n_instances):
         F, G = _exp_pair(rng, d, K, N) if kind == "exp" else _poly_pair(rng, d, K, N, window)
-        lhs = apply_T(star_A(F, G, A, form, R, max_degree=N), A, form)
+        lhs = apply_T(HbarSeries(_star_orders(F, G, channels, R, order_caps=order_caps)), A, form)
         TF = apply_T(HbarSeries.from_vector(F, R), A, form)
         TG = apply_T(HbarSeries.from_vector(G, R), A, form)
         rhs = star_series(TF, TG, unit.channels(), max_degree=window)

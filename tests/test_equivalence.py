@@ -5,12 +5,12 @@ import pytest
 
 from loopstar import equivalence, suites
 from loopstar.equivalence import (FAMILIES, DiagonalOperatorA, apply_EA, apply_T, apply_T1,
-                                  cA1, cAr, canonical_pairing, exp_product_formula_rhs,
-                                  star_A)
-from loopstar.fock import FockVector, HbarSeries, annihilate, wick_exponential
+                                  cA1, cAr, canonical_pairing, deformed_channels,
+                                  exp_product_formula_rhs, star_A)
+from loopstar.fock import FockVector, HbarSeries, _star_orders, annihilate, wick_exponential
 from loopstar.modes import ModeIndex, MultiIndex
 from loopstar.poisson import SymplecticForm, moyal_star, poisson_bracket, star_series
-from loopstar.rand import instance_rng, random_gamma
+from loopstar.rand import instance_rng, random_fock, random_gamma
 from loopstar.suites import (ea_cochain_failures, intertwining_failures,
                              normal_one_sided_failures, product_formula_failures,
                              star_A_assoc_failures, transform_basics_failures,
@@ -203,11 +203,50 @@ def test_window_cap_is_exact(seed, N, R):
     assert contracted
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("N, R", [(6, 3), (6, 2), (7, 2), (2, 1)])
+def test_per_order_caps_are_exact(seed, N, R):
+    # The intertwining left side forms star order a at cap N - 2a.  Each
+    # order equals the cap-N order truncated to its cap, and the transform
+    # of the capped series, which keeps the tightest cap, equals that of
+    # the cap-N series on the window.
+    d, K = 1, 2
+    window = N - 2 * R
+    caps = [N - 2 * a for a in range(R + 1)]
+    form = SymplecticForm.standard(d, K)
+    rng = instance_rng(seed, "order-caps")
+    dropped = contracted = 0
+    for family in FAMILIES:
+        A = DiagonalOperatorA.family(family, K)
+        channels = deformed_channels(A, form)
+        exp_pair = [wick_exponential(random_gamma(rng, d, K, 2, False),
+                                     random_gamma(rng, d, K, 2, True), N) for _ in range(2)]
+        poly_pair = [random_fock(rng, d, K, N, n_terms=4, dual_fraction=0.5) for _ in range(2)]
+        for F, G in (exp_pair, poly_pair):
+            capped = _star_orders(F, G, channels, R, order_caps=caps)
+            full = _star_orders(F, G, channels, R, max_degree=N)
+            for a in range(R + 1):
+                assert capped[a].max_degree == caps[a]
+                assert capped[a] == full[a].truncate(caps[a])
+                dropped += capped[a] != full[a]
+            lhs = apply_T(HbarSeries(capped), A, form)
+            assert all(part.max_degree == window and part.degree() <= window
+                       for part in lhs.coeffs)
+            assert lhs == apply_T(HbarSeries(full), A, form).truncate_degree(window)
+            contracted += any(not part.is_zero() for part in lhs.coeffs[1:])
+    assert dropped and contracted
+    with pytest.raises(ValueError):
+        _star_orders(F, G, channels, R, order_caps=caps[:-1])
+
+
 def _compare_at_cap_N(m, N):
     """Form the products the windowed checks compare at cap N instead of the window."""
     star_A_, rhs_, star_series_ = suites.star_A, suites.exp_product_formula_rhs, suites.star_series
+    star_orders_ = suites._star_orders
     m.setattr(suites, "star_A",
               lambda F, G, A, form, R, max_degree=None: star_A_(F, G, A, form, R, N))
+    m.setattr(suites, "_star_orders",
+              lambda F, G, channels, R, order_caps=None: star_orders_(F, G, channels, R, N))
     m.setattr(suites, "exp_product_formula_rhs",
               lambda g1, g1s, g2, g2s, A, R, cap: rhs_(g1, g1s, g2, g2s, A, R, N))
     m.setattr(suites, "star_series",
@@ -230,10 +269,23 @@ def test_window_capped_intertwining_catches_wrong_sign(monkeypatch):
     # the transform generator without its minus sign
     generator = equivalence.apply_T1
     monkeypatch.setattr(equivalence, "apply_T1", lambda F, A, form: -generator(F, A, form))
+    star_orders_ = suites._star_orders
+    caps_seen = []
+
+    def star_orders_spy(*args, order_caps, **kwargs):
+        caps_seen.append(order_caps)
+        return star_orders_(*args, order_caps=order_caps, **kwargs)
+
     for d, K, N, R in ((2, 3, 10, 2), (1, 2, 6, 3)):
         A = DiagonalOperatorA.family("ksq", K)
-        capped = intertwining_failures(3, 12, A, d, K, N, R, kind="exp")["failures"]
-        with monkeypatch.context() as m:
-            _compare_at_cap_N(m, N)
-            full = intertwining_failures(3, 12, A, d, K, N, R, kind="exp")["failures"]
-        assert capped == full > 0
+        for kind in ("exp", "poly"):
+            caps_seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(suites, "_star_orders", star_orders_spy)
+                capped = intertwining_failures(3, 12, A, d, K, N, R, kind=kind)["failures"]
+            # the left side ran with per-order caps
+            assert caps_seen and all(caps == [N - 2 * a for a in range(R + 1)] for caps in caps_seen)
+            with monkeypatch.context() as m:
+                _compare_at_cap_N(m, N)
+                full = intertwining_failures(3, 12, A, d, K, N, R, kind=kind)["failures"]
+            assert capped == full > 0

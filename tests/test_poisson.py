@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from loopstar.fock import FockVector, HbarSeries, wick_product
-from loopstar.modes import ModeIndex, MultiIndex
+from loopstar.modes import LAMBDA, ModeIndex, MultiIndex
 from loopstar.poisson import (SymplecticForm, moyal_star, poisson_bracket,
                               poisson_power, star_series)
 from loopstar.suites import (bracket_pair_example_failures, chaos_compatibility_residual,
@@ -58,6 +58,37 @@ def test_mode_of_index():
     assert form.mode_of_index(1, -1) == ModeIndex(2, -1)
     assert form.mode_of_index(2, 2) == ModeIndex(1, 2, dual=True)
     assert form.mode_of_index(3, 0) == ModeIndex(2, 0, dual=True)
+
+
+def _reference_channels(form):
+    # The table as a fresh loop over omega_upper and mode_of_index builds it.
+    out = []
+    for k in range(-form.K, form.K + 1):
+        w = form.weight(k)
+        for i in range(2 * form.d):
+            for j in range(2 * form.d):
+                entry = form.omega_upper[i][j]
+                if entry:
+                    out.append((form.mode_of_index(i, k), form.mode_of_index(j, k), w * entry))
+    return out
+
+
+@pytest.mark.parametrize("d, K, weight_c", [
+    *((d, K, c) for d in (1, 2) for K in (0, 3) for c in (0, 1, Fraction(3, 2), float(LAMBDA))),
+    (2, 3, None),       # the unit pairing
+])
+def test_channel_table_is_a_value(d, K, weight_c):
+    if weight_c is None:
+        form = SymplecticForm.unit_pairing(d, K)
+    else:
+        form = SymplecticForm.standard(d, K, weight_c)
+    table = form.channels()
+    assert table is form.channels()
+    assert isinstance(table, tuple)
+    reference = _reference_channels(form)
+    assert list(table) == reference
+    assert [type(w) for _, _, w in table] == [type(w) for _, _, w in reference]
+    assert len(table) == 2 * form.d * (2 * form.K + 1)
 
 
 def test_bracket_on_matched_pair():
