@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .modes import ModeIndex, mode_profile
+from .modes import ModeIndex, profile_table
 
 # Coefficients of e^{-x} and e^{x} in the closed-form kernel on one period.
 GREEN_ALPHA = 1.0 / (2.0 * (1.0 - math.exp(-1.0)))
@@ -50,13 +50,16 @@ def spectral_green_sum(s, t, K: int):
     """Truncated eigenfunction sum of the kernel over frequencies |k| <= K.
 
     This is the covariance the sampler actually realizes at cutoff K, and
-    an independent oracle for the closed form as K grows.
+    an independent oracle for the closed form as K grows.  Vectorized over
+    s and t, which broadcast against each other; the frequency terms are
+    added in order from -K up, as a per-frequency loop adds them.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    total = np.zeros(np.broadcast(s, t).shape)
-    for k in range(-K, K + 1):
-        total = total + mode_profile(k, s) * mode_profile(k, t)
+    ndim = max(s.ndim, t.ndim)
+    terms = (basis_matrix(K, s.reshape((1,) * (ndim - s.ndim) + s.shape))
+             * basis_matrix(K, t.reshape((1,) * (ndim - t.ndim) + t.shape)))
+    total = np.cumsum(terms, axis=0)[-1]
     return float(total) if total.ndim == 0 else total
 
 
@@ -107,22 +110,36 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
     of different sizes agree on their common prefix.  One generator is
     re-keyed to each mode's stream in turn: building a `Philox` from a key
     also draws OS entropy for a seed it never uses, which costs several
-    times the re-keying, and the draws are those of `_mode_stream`.
+    times the re-keying, and the draws are those of `_mode_stream`.  Each
+    mode's draws fill one contiguous row of a buffer holding one coordinate,
+    which is copied transposed into the C-contiguous result, so the extra
+    memory is 1/d of the result's.
     """
     out = np.empty((n_samples, d, 2 * K_mc + 1))
+    rows = np.empty((2 * K_mc + 1, n_samples))
     bits = np.random.Philox(key=[0, 0])
     gen = np.random.Generator(bits)
     for c in range(1, d + 1):
         for k in range(-K_mc, K_mc + 1):
             bits.state = _fresh_philox_state(_mode_key(seed, c, k))
-            out[:, c - 1, k + K_mc] = gen.standard_normal(n_samples)
+            gen.standard_normal(out=rows[k + K_mc])
+        out[:, c - 1] = rows.T
     return out
 
 
 def basis_matrix(K: int, s_points: np.ndarray) -> np.ndarray:
-    """Profiles of frequencies -K..K at the given points, shape (2K+1, P)."""
-    s_points = np.asarray(s_points, dtype=float)
-    return np.stack([mode_profile(k, s_points) for k in range(-K, K + 1)])
+    """Profiles of frequencies -K..K at the given points, shape (2K+1,) + s_points.shape.
+
+    `modes.profile_table` at order 0.  Every table of the sampler and of the
+    checks in `suites` is built under this name, and the demos use it;
+    `profile_table` is the builder, which also gives derivative orders.
+    """
+    return profile_table(K, s_points)
+
+
+def uniform_grid(M: int) -> np.ndarray:
+    """The M points m / M, m = 0..M-1, a sampled field's grid."""
+    return np.arange(M, dtype=float) / M
 
 
 @dataclass
@@ -160,13 +177,23 @@ class LoopSample:
                 for c in range(1, self.d + 1) for k in range(-K, K + 1)}
 
 
-def sample_loop(seed: int, K_mc: int, M: int, d: int = 2) -> LoopSample:
-    """Draw one field and materialize it on the uniform M-point grid."""
+def sample_loop(seed: int, K_mc: int, M: int, d: int = 2, *,
+                basis: Optional[np.ndarray] = None) -> LoopSample:
+    """Draw one field and materialize it on the uniform M-point grid.
+
+    `basis`, if given, is `basis_matrix(K_mc, uniform_grid(M))` already
+    built, so that several fields on one grid share one table.
+    """
     if K_mc < 1 or M < 2 or d < 1:
         raise ValueError("need K_mc >= 1, M >= 2, d >= 1")
     xi = sample_xi_batch(seed, 1, K_mc, d)[0]
-    grid = np.arange(M, dtype=float) / M
-    values = (xi @ basis_matrix(K_mc, grid)).T
+    grid = uniform_grid(M)
+    if basis is None:
+        basis = basis_matrix(K_mc, grid)
+    elif basis.shape != (2 * K_mc + 1, M):
+        raise ValueError(f"basis of shape {basis.shape} is not the ({2 * K_mc + 1}, {M}) "
+                         f"table of K_mc={K_mc} on {M} points")
+    values = (xi @ basis).T
     return LoopSample(seed=seed, K_mc=K_mc, d=d, xi=xi, grid=grid, values=values)
 
 
@@ -183,18 +210,19 @@ def loop_eval(sample: LoopSample, s) -> np.ndarray:
     idx = np.mod(s_arr, 1.0) * M
     near = np.rint(idx)
     on_grid = np.abs(idx - near) < 1e-12
-    for j, (sj, hit) in enumerate(zip(s_arr, on_grid)):
-        if hit:
-            out[j] = sample.values[int(near[j]) % M]
-        else:
-            profile = basis_matrix(sample.K_mc, np.array([sj]))[:, 0]
-            out[j] = sample.xi @ profile
+    hits = np.flatnonzero(on_grid)
+    out[hits] = sample.values[near[hits].astype(int) % M]
+    off = np.flatnonzero(~on_grid)
+    # One contiguous profile row per off-grid point, as a one-point table gives it.
+    profiles = np.ascontiguousarray(basis_matrix(sample.K_mc, s_arr[off]).T)
+    for j, profile in zip(off, profiles):
+        out[j] = sample.xi @ profile
     return out[0] if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
-def increment_variance(s: float, t: float, K: int) -> float:
-    """Per-coordinate variance of B(t) - B(s) at spectral cutoff K."""
-    return float(2.0 * (spectral_green_sum(0.0, 0.0, K) - spectral_green_sum(s, t, K)))
+def increment_variance(s, t, K: int):
+    """Per-coordinate variance of B(t) - B(s) at spectral cutoff K; vectorized over s and t."""
+    return 2.0 * (spectral_green_sum(0.0, 0.0, K) - spectral_green_sum(s, t, K))
 
 
 def gaussian_even_moment(sigma2: float, p: int, d: int) -> float:
@@ -221,23 +249,27 @@ def holder_moment_check(n_samples: int, p: int, pairs: Sequence[tuple[float, flo
         raise ValueError("p must be 1, 2 or 3")
     if xi is None:
         xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    s_pts = np.array([s for s, _ in pairs], dtype=float)
+    t_pts = np.array([t for _, t in pairs], dtype=float)
+    E_s, E_t = basis_matrix(K_mc, s_pts), basis_matrix(K_mc, t_pts)
+    variances = increment_variance(s_pts, t_pts, K_mc)
     rows = []
     max_ratio = 0.0
     max_stderr = 0.0
-    for s, t in pairs:
+    for j, (s, t) in enumerate(pairs):
         gap = abs(t - s)
         if gap == 0.0:
             rows.append({"s": s, "t": t, "ratio": 0.0, "stderr": 0.0, "analytic": 0.0, "n": n_samples})
             continue
         if gap > 0.5:
             raise ValueError(f"pair separation {gap} exceeds 1/2")
-        delta = basis_matrix(K_mc, np.array([t]))[:, 0] - basis_matrix(K_mc, np.array([s]))[:, 0]
+        delta = E_t[:, j] - E_s[:, j]
         incr = xi @ delta                      # (n_samples, d)
         power = np.sum(incr * incr, axis=1) ** p
         scale = gap ** p
         est = float(np.mean(power)) / scale
         stderr = float(np.std(power, ddof=1)) / math.sqrt(n_samples) / scale
-        analytic = gaussian_even_moment(increment_variance(s, t, K_mc), p, d) / scale
+        analytic = gaussian_even_moment(float(variances[j]), p, d) / scale
         rows.append({"s": s, "t": t, "ratio": est, "stderr": stderr, "analytic": analytic,
                      "n": n_samples})
         if est > max_ratio:

@@ -29,7 +29,7 @@ from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_
                    wick_exponential, wick_product)
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix, green_diagonal,
                        green_kernel, holder_moment_check, sample_loop, sample_xi_batch,
-                       spectral_green_sum)
+                       spectral_green_sum, uniform_grid)
 from .modes import LAMBDA, ModeIndex, MultiIndex
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
@@ -279,8 +279,9 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
     cfg = ChaosEvalConfig(n_grid=n_grid, method="quadrature")
     worst = 0.0
     n_samples = 3
+    basis = basis_matrix(K_mc, uniform_grid(n_grid))
     for i in range(n_samples):
-        sample = sample_loop(seed + i, K_mc, n_grid, d)
+        sample = sample_loop(seed + i, K_mc, n_grid, d, basis=basis)
         xi = sample.xi_map(K)
         for _ in range(max(1, n_instances // n_samples)):
             F = random_fock(rng, d, K, max_degree)
@@ -295,8 +296,9 @@ def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int = 64,
     cfg = ChaosEvalConfig(n_grid=n_grid, method="quadrature")
     worst = 0.0
     count = 0
+    basis = basis_matrix(K_mc, uniform_grid(n_grid))
     for i in range(3):
-        sample = sample_loop(seed + 17 + i, K_mc, n_grid, d)
+        sample = sample_loop(seed + 17 + i, K_mc, n_grid, d, basis=basis)
         for c in range(1, d + 1):
             for k in range(-K, K + 1):
                 mode = ModeIndex(c, k)
@@ -516,19 +518,19 @@ def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
     worst_same = 0.0
     worst_cross = 0.0
     n_stats = 0
-    for a in range(len(points)):
-        for b in range(a, len(points)):
-            truth = spectral_green_sum(points[a], points[b], K_mc)
-            for i in range(d):
-                prod = vals[:, i, a] * vals[:, i, b]
-                z = abs(np.mean(prod) - truth) / (np.std(prod, ddof=1) / math.sqrt(n_samples))
-                worst_same = max(worst_same, float(z))
-                n_stats += 1
-            if d >= 2:
-                prod = vals[:, 0, a] * vals[:, 1, b]
-                z = abs(np.mean(prod)) / (np.std(prod, ddof=1) / math.sqrt(n_samples))
-                worst_cross = max(worst_cross, float(z))
-                n_stats += 1
+    pair_a, pair_b = np.triu_indices(len(points))     # every a <= b, row by row
+    truths = spectral_green_sum(points[pair_a], points[pair_b], K_mc)
+    for a, b, truth in zip(pair_a, pair_b, truths):
+        for i in range(d):
+            prod = vals[:, i, a] * vals[:, i, b]
+            z = abs(np.mean(prod) - truth) / (np.std(prod, ddof=1) / math.sqrt(n_samples))
+            worst_same = max(worst_same, float(z))
+            n_stats += 1
+        if d >= 2:
+            prod = vals[:, 0, a] * vals[:, 1, b]
+            z = abs(np.mean(prod)) / (np.std(prod, ddof=1) / math.sqrt(n_samples))
+            worst_cross = max(worst_cross, float(z))
+            n_stats += 1
     return {"worst_same": worst_same, "worst_cross": worst_cross, "n": n_stats}
 
 
@@ -552,7 +554,7 @@ def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
 
 def covariance_psd_min_eig(K_mc: int, n_points: int = 64) -> float:
     """Smallest eigenvalue of the spectral covariance matrix on a grid."""
-    grid = np.arange(n_points) / n_points
+    grid = uniform_grid(n_points)
     E = basis_matrix(K_mc, grid)
     cov = E.T @ E
     return float(np.min(np.linalg.eigvalsh(cov)))

@@ -7,8 +7,9 @@ import pytest
 from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix,
                                export_loop_csv, gaussian_even_moment, green_diagonal,
                                green_kernel, holder_moment_check, increment_variance,
-                               loop_eval, sample_loop, sample_xi_batch, spectral_green_sum)
-from loopstar.modes import ModeIndex
+                               loop_eval, sample_loop, sample_xi_batch, spectral_green_sum,
+                               uniform_grid)
+from loopstar.modes import ModeIndex, mode_profile
 from loopstar.rand import instance_rng
 
 
@@ -40,7 +41,39 @@ def test_spectral_sum_vectorized():
     s = np.array([0.1, 0.2])
     out = spectral_green_sum(s, 0.0, 32)
     assert out.shape == (2,)
-    assert out[0] == pytest.approx(spectral_green_sum(0.1, 0.0, 32))
+    assert out[0] == spectral_green_sum(0.1, 0.0, 32)
+
+
+def _per_frequency_green_sum(s, t, K):
+    # The per-frequency loop the vectorized sum must reproduce bit for bit.
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    total = np.zeros(np.broadcast(s, t).shape)
+    for k in range(-K, K + 1):
+        total = total + mode_profile(k, s) * mode_profile(k, t)
+    return float(total) if total.ndim == 0 else total
+
+
+@pytest.mark.parametrize("K", [0, 1, 64, 200])
+def test_spectral_sum_equals_per_frequency_loop(K):
+    rng = np.random.default_rng(K)
+    s = rng.uniform(0.0, 1.0, 9)
+    cases = [(0.1, 0.35), (0.0, 0.0), (s, 0.25), (0.6, s),
+             (s.reshape(9, 1), rng.uniform(0.0, 1.0, (1, 4))),
+             (s[:4], rng.uniform(0.0, 1.0, 4))]
+    for a, b in cases:
+        got = spectral_green_sum(a, b, K)
+        want = _per_frequency_green_sum(a, b, K)
+        assert np.shape(got) == np.shape(want)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want), (np.shape(a), np.shape(b))
+
+
+def test_negative_cutoff_raises():
+    with pytest.raises(ValueError, match="K must be >= 0, got -1"):
+        spectral_green_sum(0.1, 0.2, -1)
+    with pytest.raises(ValueError, match="K must be >= 0, got -1"):
+        basis_matrix(-1, np.array([0.1, 0.2]))
 
 
 def test_sampler_shapes_and_determinism():
@@ -60,6 +93,8 @@ def test_rekeyed_streams_match_fresh_philox(seed):
     K, d, n = 4, 2, 20000
     big = sample_xi_batch(seed, n, K, d)
     one = sample_xi_batch(seed, 1, K, d)
+    assert big.flags.c_contiguous and one.flags.c_contiguous
+    assert big.shape == (n, d, 2 * K + 1)
     for c in range(1, d + 1):
         for k in range(-K, K + 1):
             key = [seed & (2 ** 64 - 1), (c << 32) | (k & 0xFFFFFFFF)]
@@ -93,6 +128,20 @@ def test_sample_loop_values_are_spectral():
         sample_loop(3, 8, 1)
 
 
+def test_sample_loop_shared_basis_is_bit_identical():
+    table = basis_matrix(8, uniform_grid(64))
+    for seed in (3, 4, 2 ** 64 - 1):
+        plain = sample_loop(seed, 8, 64, d=2)
+        shared = sample_loop(seed, 8, 64, d=2, basis=table)
+        assert np.array_equal(shared.xi, plain.xi)
+        assert np.array_equal(shared.grid, plain.grid)
+        assert np.array_equal(shared.values, plain.values)
+    with pytest.raises(ValueError, match="basis of shape"):
+        sample_loop(3, 8, 32, d=2, basis=table)
+    with pytest.raises(ValueError, match="basis of shape"):
+        sample_loop(3, 4, 64, d=2, basis=table)
+
+
 def test_xi_value_and_map_guards():
     sample = sample_loop(3, 8, 64, d=2)
     mode = ModeIndex(1, 2)
@@ -119,6 +168,19 @@ def test_loop_eval_grid_and_off_grid():
     assert out.shape == (2, 2)
 
 
+def test_loop_eval_points_match_per_point_route():
+    # Each off-grid point is the spectral dot with its own profile column,
+    # exactly; each grid hit is the stored row.
+    sample = sample_loop(9, 8, 32, d=2)
+    pts = np.array([0.123456, 3 / 32, 0.9, 1.0, 0.5, 0.77])
+    out = loop_eval(sample, pts)
+    for j, s in enumerate(pts):
+        hit = abs(s * 32 - round(s * 32)) < 1e-12
+        want = (sample.values[round(s * 32) % 32] if hit
+                else sample.xi @ basis_matrix(8, np.array([s]))[:, 0])
+        assert np.array_equal(out[j], want), s
+
+
 def test_increment_variance_and_moments():
     assert increment_variance(0.2, 0.2, 16) == pytest.approx(0.0, abs=1e-12)
     assert increment_variance(0.1, 0.3, 16) > 0
@@ -139,6 +201,8 @@ def test_holder_moment_check_contract():
     xi = sample_xi_batch(1, 500, 16, 2)
     assert holder_moment_check(500, 1, [(0.1, 0.1), (0.1, 0.3)], seed=1, K_mc=16, d=2,
                                xi=xi) == table
+    gap = abs(0.3 - 0.1)
+    assert row["analytic"] == gaussian_even_moment(increment_variance(0.1, 0.3, 16), 1, 2) / gap
 
 
 def test_export_loop_csv_round_trip(tmp_path):

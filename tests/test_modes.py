@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loopstar.modes import (LAMBDA, VACUUM, ModeIndex, MultiIndex, h_weight,
-                            mode_eval, mode_profile, mode_range, norm_const)
+                            mode_eval, mode_profile, mode_range, norm_const, profile_table)
 
 
 def test_mode_index_validation():
@@ -69,6 +69,33 @@ def test_profile_normalization_constants():
     assert norm_const(k) == pytest.approx(math.sqrt(2.0) / math.sqrt(1.0 + LAMBDA * k * k))
     assert h_weight(k) == pytest.approx(1.0 + LAMBDA * k * k)
     assert h_weight(-k) == h_weight(k)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("K", [0, 1, 64, 600])
+@pytest.mark.parametrize("s", [0.37, np.linspace(-0.5, 1.5, 33),
+                               np.random.default_rng(4).uniform(0.0, 1.0, (5, 7))],
+                         ids=["scalar", "1d", "2d"])
+def test_profile_table_rows_are_mode_profiles(order, K, s):
+    table = profile_table(K, s, order)
+    assert table.shape == (2 * K + 1,) + np.shape(s)
+    for k in range(-K, K + 1):
+        assert np.array_equal(table[k + K], mode_profile(k, s, order)), k
+
+
+def test_profile_table_scales_with_python_float_powers():
+    # numpy's array power rounds (2 pi k)^2 differently from Python's float
+    # power at k = 2207, and (2 pi k)^3 at k = 31; the rows must follow
+    # mode_profile, which uses the latter.
+    for K, order in ((2207, 2), (31, 3)):
+        table = profile_table(K, 0.3, order)
+        assert table[-1] == mode_profile(K, 0.3, order)
+        assert table[0] == mode_profile(-K, 0.3, order)
+
+
+def test_profile_table_rejects_negative_cutoff():
+    with pytest.raises(ValueError, match="K must be >= 0, got -1"):
+        profile_table(-1, np.array([0.1, 0.2]))
 
 
 def test_profiles_orthonormal_in_derivative_inner_product():
