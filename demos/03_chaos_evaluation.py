@@ -26,7 +26,7 @@ F = FockVector({
 })
 
 sample = sample_loop(seed=5, K_mc=64, M=4096, d=2)
-cfg = ChaosEvalConfig(n_grid=4096, method="quadrature")
+cfg = ChaosEvalConfig(n_grid=4096)
 
 spectral = chaos_eval_spectral(F, sample.xi_map(2))
 quadrature = chaos_eval_quadrature(F, sample, cfg)

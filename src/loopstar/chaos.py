@@ -23,25 +23,16 @@ from .fock import FLOAT, FockVector, annihilate_general
 from .gaussian import LoopSample
 from .modes import ModeIndex, MultiIndex, h_weight, mode_profile
 
-SPECTRAL = "spectral"
-QUADRATURE = "quadrature"
-
 
 @dataclass(frozen=True)
 class ChaosEvalConfig:
-    """Knobs for the quadrature evaluator and the finite-difference probe."""
+    """The grid of the quadrature evaluator and of the pairing."""
 
     n_grid: int = 4096
-    method: str = SPECTRAL
-    fd_epsilon: float = 1e-3
 
     def __post_init__(self):
         if self.n_grid < 64:
             raise ValueError(f"n_grid must be >= 64, got {self.n_grid}")
-        if self.method not in (SPECTRAL, QUADRATURE):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (0.0 < self.fd_epsilon <= 0.1):
-            raise ValueError(f"fd_epsilon must lie in (0, 0.1], got {self.fd_epsilon}")
 
 
 def _grid_slice(sample: LoopSample, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +180,7 @@ def normal_convergence_check(sample: LoopSample, q: float,
     the ratio 0 < q < 1, which the tail needs to close, and mu_ratio is
     q / (2 M_sup): q itself is never recomputed, so it is reported exactly.
     """
-    cfg = cfg or ChaosEvalConfig(method=QUADRATURE)
+    cfg = cfg or ChaosEvalConfig()
     if not 0.0 < q < 1.0:
         raise ValueError(f"need a ratio 0 < q < 1 for the tail to close, got {q}")
     m_sup = float(np.max(np.abs(sample.values)))

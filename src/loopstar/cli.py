@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from .config import ConfigError, check_equivalence_window, load_config
+from .config import ConfigError, check_suite_requirements, load_config
 from .report import emit_report, text_summary
 from .suites import SUITE_RUNNERS, run_suites
 
@@ -41,7 +41,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, seed=args.seed))
         if args.suite:
             cfg = dataclasses.replace(cfg, suites=tuple(dict.fromkeys(args.suite)))  # dedupe
-            check_equivalence_window(cfg, "--suite")
+            check_suite_requirements(cfg, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

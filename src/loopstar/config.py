@@ -133,15 +133,23 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
 
     cfg = RunConfig(d=d, K=K, N=N, R=R, weight_c=weight_c, alpha_spec=alpha_spec,
                     mc=mc, suites=tuple(suites), output_path=output_path)
-    check_equivalence_window(cfg, where)
+    check_suite_requirements(cfg, where)
     return cfg
 
 
-def check_equivalence_window(cfg: RunConfig, where: str) -> None:
-    """The equivalence suite may run only with a nonnegative degree window N - 2R."""
+def check_suite_requirements(cfg: RunConfig, where: str) -> None:
+    """Reject a suite the config cannot run.
+
+    The equivalence suite needs a nonnegative degree window N - 2R.  The
+    chaos suite pairs and evaluates modes up to frequency K on fields
+    sampled up to K_mc, so it needs K <= mc.K_mc.
+    """
     if "equivalence" in cfg.suites and cfg.N - 2 * cfg.R < 0:
         raise ConfigError(f"{where}: equivalence suite needs N - 2R >= 0, "
                           f"got N={cfg.N}, R={cfg.R} (window {cfg.N - 2 * cfg.R})")
+    if "chaos" in cfg.suites and cfg.K > cfg.mc.K_mc:
+        raise ConfigError(f"{where}.mc.K_mc: chaos suite needs K_mc >= K={cfg.K}, "
+                          f"got {cfg.mc.K_mc}")
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:

@@ -139,10 +139,6 @@ class FockVector:
         """Largest monomial degree present; 0 for the zero vector."""
         return max((mu.degree for mu in self.terms), default=0)
 
-    def degree_part(self, n: int) -> "FockVector":
-        part = {mu: c for mu, c in self.terms.items() if mu.degree == n}
-        return FockVector._from_terms(part, self.scalar_mode, self.max_degree)
-
     def support_modes(self) -> set[ModeIndex]:
         out: set[ModeIndex] = set()
         for mu in self.terms:

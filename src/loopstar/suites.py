@@ -3,9 +3,12 @@
 Each check lives in a standalone seed-explicit function returning plain
 numbers, so the acceptance tests can rerun any of them at their own
 instance counts; each suite's `CHECKS` table fixes the counts and
-`run_checks` makes the records.  Paired identities always go through two
-structurally different routes (engine vs direct expansion, spectral vs
-quadrature, closed form vs eigen-sum), never through the same code twice.
+`run_checks` makes the records.  Exact checks count failures through
+`_count_failures`, one loop over the instances of a seeded stream, and the
+continuity-constant searches walk one grid in `_constant_search`.  Paired
+identities always go through two structurally different routes (engine vs
+direct expansion, spectral vs quadrature, closed form vs eigen-sum), never
+through the same code twice.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,8 +50,8 @@ class Check:
     passes when the field named by `residual` is at most `tolerance` (or at
     most the result's own `tolerance`, where the config sets the gate).
     `claim` is a `str.format` template over the result; `observed` names its
-    headline field if that is not the residual.  Exact checks count failures:
-    tolerance 0, no `precision`.  An entry whose `run` is the previous
+    headline field if that is not the residual.  Exact checks count failures
+    through `_count_failures`: tolerance 0, no `precision`.  An entry whose `run` is the previous
     entry's reuses that result.  An entry marked `batch` reads the suite's
     Monte-Carlo batch xi = sample_xi_batch(seed, cfg.mc.n_samples,
     cfg.mc.K_mc, cfg.d): `run_checks` draws it once per call and passes it
@@ -91,94 +95,100 @@ def _fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _count_failures(seed: int, label: str, n: int,
+                    instance: Callable[[np.random.Generator, int], int]) -> dict:
+    """The one failure-counting loop of the exact checks.
+
+    Opens the (seed, label) stream and sums `instance(rng, i)`, the number of
+    identities instance i breaks, over i < n.  Each instance draws its
+    operands from the shared stream, so instance i sees the draws left by
+    instances 0..i-1.
+    """
+    rng = instance_rng(seed, label)
+    return {"failures": sum(instance(rng, i) for i in range(n)), "n": n}
+
+
+def _constant_search(ratio: Callable[[int, float], float], k: int, scales, n: int) -> dict:
+    """First grid point (k0, C0), k0 = k..k+4 and C0 in `scales`, with ratio(k0, C0) <= 1.
+
+    If no grid point qualifies, `max_ratio` is the least ratio on the grid.
+    """
+    least = math.inf
+    for k0 in range(k, k + 5):
+        for C0 in scales:
+            r = ratio(k0, C0)
+            if r <= 1.0:
+                return {"found": True, "k0": k0, "C0": C0, "max_ratio": r, "n": n}
+            least = min(least, r)
+    return {"found": False, "k0": -1, "C0": 0.0, "max_ratio": least, "n": n}
+
+
 # ---------------------------------------------------------------- algebra
 
 
 def wick_axiom_failures(seed: int, n_triples: int, d: int, K: int,
                         max_degree: int = 5) -> dict:
     """Commutativity and associativity of the product, exact."""
-    rng = instance_rng(seed, "wick-axioms")
-    failures = 0
-    for _ in range(n_triples):
-        F = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
-        G = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
-        H = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
-        if wick_product(F, G) != wick_product(G, F):
-            failures += 1
-        if wick_product(wick_product(F, G), H) != wick_product(F, wick_product(G, H)):
-            failures += 1
-    return {"failures": failures, "n": n_triples}
+    def instance(rng, i):
+        F, G, H = (random_fock(rng, d, K, max_degree, dual_fraction=0.3) for _ in range(3))
+        return (wick_product(F, G) != wick_product(G, F)) \
+            + (wick_product(wick_product(F, G), H) != wick_product(F, wick_product(G, H)))
+    return _count_failures(seed, "wick-axioms", n_triples, instance)
 
 
 def degree_grading_failures(seed: int, n_pairs: int, d: int, K: int,
                             max_degree: int = 5) -> dict:
     """Product terms against a brute-force union oracle with degree tags."""
-    rng = instance_rng(seed, "wick-grading")
-    failures = 0
-    for _ in range(n_pairs):
+    def instance(rng, i):
         F = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
         G = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
         brute: dict[MultiIndex, Fraction] = {}
+        broken = 0
         for mu, a in F.terms.items():
             for nu, b in G.terms.items():
                 key = MultiIndex(tuple(mu) + tuple(nu))   # validating constructor, not the merge path
-                if key.degree != mu.degree + nu.degree:
-                    failures += 1
+                broken += key.degree != mu.degree + nu.degree
                 brute[key] = brute.get(key, Fraction(0)) + a * b
-        if FockVector(brute) != wick_product(F, G):
-            failures += 1
-    return {"failures": failures, "n": n_pairs}
+        return broken + (FockVector(brute) != wick_product(F, G))
+    return _count_failures(seed, "wick-grading", n_pairs, instance)
 
 
 def derivation_failures(seed: int, n_instances: int, d: int, K: int,
                         max_degree: int = 5) -> dict:
     """Contraction is a derivation of the product; contractions commute."""
-    rng = instance_rng(seed, "derivation")
-    failures = 0
-    for _ in range(n_instances):
+    def instance(rng, i):
         F = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
         G = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
         h = random_gamma(rng, d, K, 2, dual=False)
         lhs = annihilate_general(h, wick_product(F, G))
         rhs = wick_product(annihilate_general(h, F), G) + wick_product(F, annihilate_general(h, G))
-        if lhs != rhs:
-            failures += 1
         m1 = random_mode(rng, d, K, 0.3)
         m2 = random_mode(rng, d, K, 0.3)
-        if annihilate(m1, annihilate(m2, F)) != annihilate(m2, annihilate(m1, F)):
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (lhs != rhs) + (annihilate(m1, annihilate(m2, F)) != annihilate(m2, annihilate(m1, F)))
+    return _count_failures(seed, "derivation", n_instances, instance)
 
 
 def series_ring_failures(seed: int, n_instances: int, d: int, K: int, R: int) -> dict:
     """Associativity and distributivity of the series product mod the truncation."""
-    rng = instance_rng(seed, "series-ring")
-    failures = 0
-    for _ in range(n_instances):
+    def instance(rng, i):
         S, T, U = (HbarSeries([random_fock(rng, d, K, 2, n_terms=2, dual_fraction=0.3)
                                for _ in range(R + 1)]) for _ in range(3))
-        if S.wick_mul(T).wick_mul(U) != S.wick_mul(T.wick_mul(U)):
-            failures += 1
-        if (S + T).wick_mul(U) != S.wick_mul(U) + T.wick_mul(U):
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (S.wick_mul(T).wick_mul(U) != S.wick_mul(T.wick_mul(U))) \
+            + ((S + T).wick_mul(U) != S.wick_mul(U) + T.wick_mul(U))
+    return _count_failures(seed, "series-ring", n_instances, instance)
 
 
 def norm_monotone_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
     """Vacuum normalization and monotonicity of the norm bound in C and k."""
-    rng = instance_rng(seed, "norm-monotone")
-    failures = 0
-    if connes_norm_upper(FockVector.unit(), 3, 0.5) != 1.0:
-        failures += 1
-    for _ in range(n_instances):
+    def instance(rng, i):
         F = random_fock(rng, d, K, 4, dual_fraction=0.3)
         c1, c2 = sorted(float(x) for x in rng.uniform(0.1, 4.0, size=2))
         k1, k2 = sorted(int(x) for x in rng.integers(0, 5, size=2))
-        if connes_norm_upper(F, 2, c1) > connes_norm_upper(F, 2, c2) + 1e-12:
-            failures += 1
-        if connes_norm_upper(F, k1, 1.0) > connes_norm_upper(F, k2, 1.0) + 1e-12:
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (connes_norm_upper(F, 2, c1) > connes_norm_upper(F, 2, c2) + 1e-12) \
+            + (connes_norm_upper(F, k1, 1.0) > connes_norm_upper(F, k2, 1.0) + 1e-12)
+    r = _count_failures(seed, "norm-monotone", n_instances, instance)
+    r["failures"] += connes_norm_upper(FockVector.unit(), 3, 0.5) != 1.0
+    return r
 
 
 def norm_submult_search(seed: int, n_pairs: int, d: int, K: int,
@@ -187,34 +197,24 @@ def norm_submult_search(seed: int, n_pairs: int, d: int, K: int,
     rng = instance_rng(seed, "norm-submult")
     pairs = [(random_fock(rng, d, K, 4, dual_fraction=0.3),
               random_fock(rng, d, K, 4, dual_fraction=0.3)) for _ in range(n_pairs)]
-    for k0 in range(k, k + 5):
-        for C0 in (C, 2 * C, 4 * C):
-            worst = 0.0
-            for F, G in pairs:
-                lhs = connes_norm_upper(wick_product(F, G), k, C)
-                rhs = connes_norm_upper(F, k0, C0) * connes_norm_upper(G, k0, C0)
-                worst = max(worst, lhs / rhs)
-            if worst <= 1.0:
-                return {"found": True, "k0": k0, "C0": C0, "max_ratio": worst, "n": n_pairs}
-    return {"found": False, "k0": -1, "C0": 0.0, "max_ratio": worst, "n": n_pairs}
+    return _constant_search(
+        lambda k0, C0: max((connes_norm_upper(wick_product(F, G), k, C)
+                            / (connes_norm_upper(F, k0, C0) * connes_norm_upper(G, k0, C0))
+                            for F, G in pairs), default=0.0),
+        k, (C, 2 * C, 4 * C), n_pairs)
 
 
 def serialization_roundtrip_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
     """Round trips and byte-identical canonicalization under term reordering."""
-    rng = instance_rng(seed, "serialize")
-    failures = 0
-    for _ in range(n_instances):
+    def instance(rng, i):
         F = random_fock(rng, d, K, 4, n_terms=5, dual_fraction=0.3)
         data = serialize_fock(F)
-        if deserialize_fock(data) != F:
-            failures += 1
         items = list(F.terms.items())
         rng.shuffle(items)
-        if serialize_fock(FockVector(dict(items))) != data:
-            failures += 1
-    if not deserialize_fock(b"").is_zero():
-        failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (deserialize_fock(data) != F) + (serialize_fock(FockVector(dict(items))) != data)
+    r = _count_failures(seed, "serialize", n_instances, instance)
+    r["failures"] += not deserialize_fock(b"").is_zero()
+    return r
 
 
 def exp_taylor_residual(seed: int, n_instances: int, d: int, K: int, N: int) -> dict:
@@ -276,7 +276,7 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
                               n_grid: int = 4096) -> dict:
     """Quadrature evaluator against the spectral one on sampled fields."""
     rng = instance_rng(seed, "chaos-quadrature")
-    cfg = ChaosEvalConfig(n_grid=n_grid, method="quadrature")
+    cfg = ChaosEvalConfig(n_grid=n_grid)
     worst = 0.0
     n_samples = 3
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
@@ -293,7 +293,7 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
 def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int = 64,
                               n_grid: int = 4096) -> dict:
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
-    cfg = ChaosEvalConfig(n_grid=n_grid, method="quadrature")
+    cfg = ChaosEvalConfig(n_grid=n_grid)
     worst = 0.0
     count = 0
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
@@ -331,7 +331,7 @@ def quadrature_convergence(seed: int, d: int, K: int, K_mc: int = 600,
     eps = float(np.finfo(float).eps)
     errors = []
     for n_grid in grids:
-        cfg = ChaosEvalConfig(n_grid=n_grid, method="quadrature")
+        cfg = ChaosEvalConfig(n_grid=n_grid)
         worst = 0.0
         inst_rng = instance_rng(seed, "chaos-convergence-instances")
         for _ in range(n_instances):
@@ -386,14 +386,12 @@ def fd_linear_residual(seed: int, d: int, K: int, K_mc: int = 64) -> dict:
 
 def injectivity_stats(seed: int, n_instances: int, d: int, K: int) -> dict:
     """The identity-test probe never calls a random nonzero vector zero."""
-    rng = instance_rng(seed, "injectivity")
-    false_positives = 0
-    for i in range(n_instances):
-        F = random_fock(rng, d, K, 4, n_terms=int(rng.integers(1, 6)))
-        if injectivity_probe(F, seed + i):
-            false_positives += 1
-    ok_zero = injectivity_probe(FockVector.zero(), seed)
-    return {"failures": false_positives + (0 if ok_zero else 1), "n": n_instances}
+    def instance(rng, i):
+        return injectivity_probe(random_fock(rng, d, K, 4, n_terms=int(rng.integers(1, 6))),
+                                 seed + i)
+    r = _count_failures(seed, "injectivity", n_instances, instance)
+    r["failures"] += not injectivity_probe(FockVector.zero(), seed)
+    return r
 
 
 def _quadrature_order(cfg: RunConfig, seed: int) -> dict:
@@ -406,7 +404,7 @@ def normal_convergence_failures(seed: int, d: int, K_mc: int) -> dict:
     """Per-degree chaos contributions of a sampled field stay under a q = 1/2 envelope."""
     sample = sample_loop(seed + 41, K_mc, 512, d)
     nc = normal_convergence_check(sample, q=0.5, n_max=12, n0=4,
-                                  cfg=ChaosEvalConfig(n_grid=512, method="quadrature"))
+                                  cfg=ChaosEvalConfig(n_grid=512))
     return {"failures": 0 if nc["ok"] else 1, "ratio_q": nc["ratio_q"], "n": len(nc["rows"])}
 
 
@@ -745,18 +743,11 @@ def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int,
     rng = instance_rng(seed, "bracket-bound")
     pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
               random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_pairs)]
-    worst = float("inf")
-    for k3 in range(k, k + 5):
-        for C3 in (C, 2 * C, 4 * C, 8 * C):
-            ratio = 0.0
-            for F, G in pairs:
-                num = connes_norm_upper(poisson_bracket(F, G, form), k, C)
-                den = connes_norm_upper(F, k3, C3) * connes_norm_upper(G, k3, C3)
-                ratio = max(ratio, num / den)
-            worst = min(worst, ratio)
-            if ratio <= 1.0:
-                return {"found": True, "k3": k3, "C3": C3, "max_ratio": ratio, "n": n_pairs}
-    return {"found": False, "k3": -1, "C3": 0.0, "max_ratio": worst, "n": n_pairs}
+    return _constant_search(
+        lambda k3, C3: max((connes_norm_upper(poisson_bracket(F, G, form), k, C)
+                            / (connes_norm_upper(F, k3, C3) * connes_norm_upper(G, k3, C3))
+                            for F, G in pairs), default=0.0),
+        k, (C, 2 * C, 4 * C, 8 * C), n_pairs)
 
 
 def _bracket_axioms(cfg: RunConfig, seed: int) -> dict:
@@ -775,7 +766,7 @@ CHECKS["poisson"] = (
           lambda cfg, seed: chaos_compatibility_residual(seed, 30, cfg.d, cfg.K),
           1e-10, Precision.RESIDUAL, "residual"),
     _search("bracket.bounded", "bracket norm bound below the factor bounds at grid-searched "
-            "constants (k3={k3}, C3={C3:g})",
+            "constants (k3={k0}, C3={C0:g})",
             lambda cfg, seed: bracket_bound_search(seed, 25, cfg.d, cfg.K, cfg.weight_c)),
 )
 
@@ -787,24 +778,19 @@ def power_law_failures(seed: int, n_instances: int, d: int, K: int,
                        weight_c=Fraction(1), R: int = 4) -> dict:
     """Contraction powers: wick at r=0, antisymmetrized r=1, depth and degrees."""
     form = SymplecticForm.standard(d, K, weight_c)
-    rng = instance_rng(seed, "power-laws")
-    failures = 0
-    for _ in range(n_instances):
+    mu = MultiIndex(((ModeIndex(1, 1), 2), (ModeIndex(1, 1, dual=True), 1)))
+    nu = MultiIndex(((ModeIndex(1, 1, dual=True), 2), (ModeIndex(1, 1), 1)))
+
+    def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        if poisson_power(0, F, G, form) != wick_product(F, G):
-            failures += 1
         anti = poisson_power(1, F, G, form) - poisson_power(1, G, F, form)
-        if anti != poisson_bracket(F, G, form).scale(2):
-            failures += 1
-        if not poisson_power(min(F.degree(), G.degree()) + 1, F, G, form).is_zero():
-            failures += 1
-        mu = MultiIndex(((ModeIndex(1, 1), 2), (ModeIndex(1, 1, dual=True), 1)))
-        nu = MultiIndex(((ModeIndex(1, 1, dual=True), 2), (ModeIndex(1, 1), 1)))
         P = poisson_power(2, FockVector({mu: Fraction(1)}), FockVector({nu: Fraction(1)}), form)
-        if any(key.degree != mu.degree + nu.degree - 4 for key in P.terms):
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (poisson_power(0, F, G, form) != wick_product(F, G)) \
+            + (anti != poisson_bracket(F, G, form).scale(2)) \
+            + (not poisson_power(min(F.degree(), G.degree()) + 1, F, G, form).is_zero()) \
+            + any(key.degree != mu.degree + nu.degree - 4 for key in P.terms)
+    return _count_failures(seed, "power-laws", n_instances, instance)
 
 
 def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int,
@@ -812,17 +798,13 @@ def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int,
     """Coefficientwise associativity of the truncated star-product."""
     form = SymplecticForm.standard(d, K, weight_c)
     channels = form.channels()
-    rng = instance_rng(seed, "moyal-assoc")
-    failures = 0
-    for _ in range(n_triples):
-        F = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
-        G = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
-        H = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
+
+    def instance(rng, i):
+        F, G, H = (random_fock(rng, d, K, max_degree, dual_fraction=0.5) for _ in range(3))
         left = star_series(moyal_star(F, G, form, R), HbarSeries.from_vector(H, R), channels)
         right = star_series(HbarSeries.from_vector(F, R), moyal_star(G, H, form, R), channels)
-        if left != right:
-            failures += 1
-    return {"failures": failures, "n": n_triples}
+        return left != right
+    return _count_failures(seed, "moyal-assoc", n_triples, instance)
 
 
 def star_series_failures(seed: int, n_instances: int, d: int, K: int,
@@ -830,23 +812,20 @@ def star_series_failures(seed: int, n_instances: int, d: int, K: int,
     """Series product reduces to the star on concentrated series; associativity."""
     form = SymplecticForm.standard(d, K, weight_c)
     channels = form.channels()
-    rng = instance_rng(seed, "star-series")
-    failures = 0
-    unit = HbarSeries.from_vector(FockVector.unit(), R)
-    if star_series(unit, unit, channels) != unit:
-        failures += 1
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        if star_series(HbarSeries.from_vector(F, R), HbarSeries.from_vector(G, R), channels) \
-                != moyal_star(F, G, form, R):
-            failures += 1
+        FG = star_series(HbarSeries.from_vector(F, R), HbarSeries.from_vector(G, R), channels)
         S, T, U = (HbarSeries([random_fock(rng, d, K, 2, n_terms=2, dual_fraction=0.5)
                                for _ in range(R + 1)]) for _ in range(3))
-        if star_series(star_series(S, T, channels), U, channels) \
-                != star_series(S, star_series(T, U, channels), channels):
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (FG != moyal_star(F, G, form, R)) \
+            + (star_series(star_series(S, T, channels), U, channels)
+               != star_series(S, star_series(T, U, channels), channels))
+    r = _count_failures(seed, "star-series", n_instances, instance)
+    unit = HbarSeries.from_vector(FockVector.unit(), R)
+    r["failures"] += star_series(unit, unit, channels) != unit
+    return r
 
 
 CHECKS["moyal"] = (
@@ -878,55 +857,50 @@ def ea_cochain_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     form = SymplecticForm.standard(d, K)
     unit = SymplecticForm.unit_pairing(d, K)
     zero_A = DiagonalOperatorA.family("zero", K)
-    rng = instance_rng(seed, "ea-cochain")
-    failures = 0
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        if apply_EA(F, G, A, form) != apply_EA(G, F, A, form):
-            failures += 1
-        if not apply_EA(F, G, zero_A, form).is_zero():
-            failures += 1
-        if cA1(F, G, zero_A, form) != poisson_bracket(F, G, unit):
-            failures += 1
-        if cA1(F, G, A, form) != cAr(1, F, G, A, form):
-            failures += 1
-        if not cAr(min(F.degree(), G.degree()) + 1, F, G, A, form).is_zero():
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (apply_EA(F, G, A, form) != apply_EA(G, F, A, form)) \
+            + (not apply_EA(F, G, zero_A, form).is_zero()) \
+            + (cA1(F, G, zero_A, form) != poisson_bracket(F, G, unit)) \
+            + (cA1(F, G, A, form) != cAr(1, F, G, A, form)) \
+            + (not cAr(min(F.degree(), G.degree()) + 1, F, G, A, form).is_zero())
+    return _count_failures(seed, "ea-cochain", n_instances, instance)
+
+
+def _one_sided_contraction(F: FockVector, G: FockVector, r: int, primal) -> FockVector:
+    """The one-sided r-fold contraction of F against G, by brute force over mode multisets."""
+    direct = FockVector.zero()
+    for combo in combinations_with_replacement(primal, r):
+        counts: dict[ModeIndex, int] = {}
+        for m in combo:
+            counts[m] = counts.get(m, 0) + 1
+        mult = math.factorial(r)
+        aF, aG = F, G
+        for m, cnt in counts.items():
+            mult //= math.factorial(cnt)
+            for _ in range(cnt):
+                aF = annihilate(m, aF)
+                aG = annihilate(m.as_dual, aG)
+        if aF.is_zero() or aG.is_zero():
+            continue
+        direct = direct + wick_product(aF, aG).scale(Fraction(mult * 2 ** r))
+    return direct
 
 
 def normal_one_sided_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
     """At alpha = 1 the deformed contraction is purely one-sided: direct oracle."""
     form = SymplecticForm.standard(d, K)
     one_A = DiagonalOperatorA.family("one", K)
-    rng = instance_rng(seed, "normal-onesided")
-    failures = 0
-    from itertools import combinations_with_replacement
     primal = [ModeIndex(c, k) for c in range(1, d + 1) for k in range(-K, K + 1)]
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        for r in (1, 2):
-            # build the one-sided r-fold contraction by brute force
-            direct = FockVector.zero()
-            for combo in combinations_with_replacement(primal, r):
-                counts: dict[ModeIndex, int] = {}
-                for m in combo:
-                    counts[m] = counts.get(m, 0) + 1
-                mult = math.factorial(r)
-                aF, aG = F, G
-                for m, cnt in counts.items():
-                    mult //= math.factorial(cnt)
-                    for _ in range(cnt):
-                        aF = annihilate(m, aF)
-                        aG = annihilate(m.as_dual, aG)
-                if aF.is_zero() or aG.is_zero():
-                    continue
-                direct = direct + wick_product(aF, aG).scale(Fraction(mult * 2 ** r))
-            if cAr(r, F, G, one_A, form) != direct:
-                failures += 1
-    return {"failures": failures, "n": n_instances}
+        return sum(cAr(r, F, G, one_A, form) != _one_sided_contraction(F, G, r, primal)
+                   for r in (1, 2))
+    return _count_failures(seed, "normal-onesided", n_instances, instance)
 
 
 def zero_is_moyal_failures(seed: int, n_instances: int, d: int, K: int, R: int = 3) -> dict:
@@ -934,14 +908,12 @@ def zero_is_moyal_failures(seed: int, n_instances: int, d: int, K: int, R: int =
     form = SymplecticForm.standard(d, K)
     unit = SymplecticForm.unit_pairing(d, K)
     zero_A = DiagonalOperatorA.family("zero", K)
-    rng = instance_rng(seed, "zero-moyal")
-    failures = 0
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        if star_A(F, G, zero_A, form, R) != moyal_star(F, G, unit, R):
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return star_A(F, G, zero_A, form, R) != moyal_star(F, G, unit, R)
+    return _count_failures(seed, "zero-moyal", n_instances, instance)
 
 
 def star_A_assoc_failures(seed: int, n_triples: int, A: DiagonalOperatorA,
@@ -949,17 +921,13 @@ def star_A_assoc_failures(seed: int, n_triples: int, A: DiagonalOperatorA,
     """Associativity of the deformed star via its bilinear series extension."""
     form = SymplecticForm.standard(d, K)
     channels = deformed_channels(A, form)
-    rng = instance_rng(seed, "starA-assoc")
-    failures = 0
-    for _ in range(n_triples):
-        F = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        H = random_fock(rng, d, K, 3, dual_fraction=0.5)
+
+    def instance(rng, i):
+        F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
         left = star_series(star_A(F, G, A, form, R), HbarSeries.from_vector(H, R), channels)
         right = star_series(HbarSeries.from_vector(F, R), star_A(G, H, A, form, R), channels)
-        if left != right:
-            failures += 1
-    return {"failures": failures, "n": n_triples}
+        return left != right
+    return _count_failures(seed, "starA-assoc", n_triples, instance)
 
 
 def transform_basics_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
@@ -967,19 +935,14 @@ def transform_basics_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     """Identity at alpha = 0, contraction depth, exact formal inverse."""
     form = SymplecticForm.standard(d, K)
     zero_A = DiagonalOperatorA.family("zero", K)
-    rng = instance_rng(seed, "transform-basics")
-    failures = 0
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         FS = HbarSeries([random_fock(rng, d, K, 3, n_terms=3, dual_fraction=0.5)
                          for _ in range(R + 1)])
-        if apply_T(FS, zero_A, form) != FS:
-            failures += 1
         low = random_fock(rng, d, K, 1, n_terms=2, dual_fraction=0.5)
-        if not apply_T1(low, A, form).is_zero():
-            failures += 1
-        if apply_T(apply_T(FS, A, form), A.negated(), form) != FS:
-            failures += 1
-    return {"failures": failures, "n": n_instances}
+        return (apply_T(FS, zero_A, form) != FS) + (not apply_T1(low, A, form).is_zero()) \
+            + (apply_T(apply_T(FS, A, form), A.negated(), form) != FS)
+    return _count_failures(seed, "transform-basics", n_instances, instance)
 
 
 def _poly_pair(rng, d, K, N, window) -> tuple[FockVector, FockVector]:
@@ -1020,17 +983,16 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     unit = SymplecticForm.unit_pairing(d, K)
     channels = deformed_channels(A, form)
     order_caps = [N - 2 * a for a in range(R + 1)]
-    rng = instance_rng(seed, f"intertwine-{kind}-{A.name}")
-    failures = 0
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         F, G = _exp_pair(rng, d, K, N) if kind == "exp" else _poly_pair(rng, d, K, N, window)
         lhs = apply_T(HbarSeries(_star_orders(F, G, channels, R, order_caps=order_caps)), A, form)
         TF = apply_T(HbarSeries.from_vector(F, R), A, form)
         TG = apply_T(HbarSeries.from_vector(G, R), A, form)
         rhs = star_series(TF, TG, unit.channels(), max_degree=window)
-        if lhs.truncate_degree(window) != rhs.truncate_degree(window):
-            failures += 1
-    return {"failures": failures, "n": n_instances, "window": window}
+        return lhs.truncate_degree(window) != rhs.truncate_degree(window)
+    r = _count_failures(seed, f"intertwine-{kind}-{A.name}", n_instances, instance)
+    return {**r, "window": window}
 
 
 def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3,
@@ -1047,9 +1009,8 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
     if window < 0:
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")
     form = SymplecticForm.standard(d, K)
-    rng = instance_rng(seed, "product-formula")
-    failures = 0
-    for i in range(n_instances):
+
+    def instance(rng, i):
         A = DiagonalOperatorA.family(("zero", "one", "ksq")[i % 3], K)
         g1 = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=False)
         g1s = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)
@@ -1059,9 +1020,9 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
         phi2 = wick_exponential(g2, g2s, N)
         lhs = star_A(phi1, phi2, A, form, R, max_degree=window)
         rhs = exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, window)
-        if lhs.truncate_degree(window) != rhs.truncate_degree(window):
-            failures += 1
-    return {"failures": failures, "n": n_instances, "window": window}
+        return lhs.truncate_degree(window) != rhs.truncate_degree(window)
+    r = _count_failures(seed, "product-formula", n_instances, instance)
+    return {**r, "window": window}
 
 
 def operator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
@@ -1070,26 +1031,21 @@ def operator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
     """Continuity constants for the transform generator or the perturbation."""
     form = SymplecticForm.standard(d, K)
     rng = instance_rng(seed, f"bound-{which}")
+    # The ea pairs follow the family in the stream, so the family is drawn either way.
     family = [random_fock(rng, d, K, 4, dual_fraction=0.5) for _ in range(n_instances)]
-    pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
-              random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_instances)]
-    worst = float("inf")
-    for k1 in range(k, k + 5):
-        for C1 in (C, 2 * C, 4 * C, 8 * C):
-            ratio = 0.0
-            if which == "t1":
-                for F in family:
-                    num = connes_norm_upper(apply_T1(F, A, form), k, C)
-                    ratio = max(ratio, num / connes_norm_upper(F, k1, C1))
-            else:
-                for F, G in pairs:
-                    num = connes_norm_upper(apply_EA(F, G, A, form), k, C)
-                    ratio = max(ratio, num / (connes_norm_upper(F, k1, C1)
-                                              * connes_norm_upper(G, k1, C1)))
-            worst = min(worst, ratio)
-            if ratio <= 1.0:
-                return {"found": True, "k1": k1, "C1": C1, "max_ratio": ratio, "n": n_instances}
-    return {"found": False, "k1": -1, "C1": 0.0, "max_ratio": worst, "n": n_instances}
+    if which == "t1":
+        def ratio(k1, C1):
+            return max((connes_norm_upper(apply_T1(F, A, form), k, C)
+                        / connes_norm_upper(F, k1, C1) for F in family), default=0.0)
+    else:
+        pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
+                  random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_instances)]
+
+        def ratio(k1, C1):
+            return max((connes_norm_upper(apply_EA(F, G, A, form), k, C)
+                        / (connes_norm_upper(F, k1, C1) * connes_norm_upper(G, k1, C1))
+                        for F, G in pairs), default=0.0)
+    return _constant_search(ratio, k, (C, 2 * C, 4 * C, 8 * C), n_instances)
 
 
 CHECKS["equivalence"] = (
@@ -1117,11 +1073,11 @@ CHECKS["equivalence"] = (
     Check("product.formula", "deformed product of capped exponentials matches the closed formula "
           "(d=1, K=2)", lambda cfg, seed: product_formula_failures(seed, 12), observed="window"),
     _search("transform.bounded", "generator norm bound below the input bound at grid-searched "
-            "constants (k1={k1}, C1={C1:g})",
+            "constants (k1={k0}, C1={C0:g})",
             lambda cfg, seed: operator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K,
                                                     which="t1")),
     _search("perturbation.bounded", "perturbation norm bound below the factor bounds at "
-            "grid-searched constants (k1={k1}, C1={C1:g})",
+            "grid-searched constants (k1={k0}, C1={C0:g})",
             lambda cfg, seed: operator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K,
                                                     which="ea")),
 )

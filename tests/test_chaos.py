@@ -21,18 +21,14 @@ def mono(pairs, coeff=Fraction(1)):
 def test_config_validation():
     with pytest.raises(ValueError):
         ChaosEvalConfig(n_grid=32)
-    with pytest.raises(ValueError):
-        ChaosEvalConfig(method="simpson")
-    with pytest.raises(ValueError):
-        ChaosEvalConfig(fd_epsilon=0.0)
 
 
 def test_grid_slice_divisibility():
     sample = sample_loop(1, 8, 96, d=2)
-    cfg = ChaosEvalConfig(n_grid=64, method="quadrature")
+    cfg = ChaosEvalConfig(n_grid=64)
     with pytest.raises(ValueError):
         chaos_eval_quadrature(mono([(M1, 1)]), sample, cfg)
-    big = ChaosEvalConfig(n_grid=128, method="quadrature")
+    big = ChaosEvalConfig(n_grid=128)
     with pytest.raises(ValueError):
         chaos_eval_quadrature(mono([(M1, 1)]), sample, big)
 
@@ -47,7 +43,7 @@ def test_spectral_eval_monomials():
 
 def test_pairing_recovers_coefficient():
     sample = sample_loop(2, 16, 1024, d=2)
-    cfg = ChaosEvalConfig(n_grid=1024, method="quadrature")
+    cfg = ChaosEvalConfig(n_grid=1024)
     for mode in (M1, M2, ModeIndex(1, 0)):
         assert stratonovich_pairing(mode, sample, cfg) == pytest.approx(
             sample.xi_value(mode), abs=1e-10)
@@ -59,7 +55,7 @@ def test_pairing_recovers_coefficient():
 
 def test_quadrature_matches_spectral():
     sample = sample_loop(5, 16, 1024, d=2)
-    cfg = ChaosEvalConfig(n_grid=1024, method="quadrature")
+    cfg = ChaosEvalConfig(n_grid=1024)
     F = mono([(M1, 2), (M2, 1)], Fraction(1, 2)) + mono([(ModeIndex(2, 3), 1)], Fraction(-2))
     got = chaos_eval_quadrature(F, sample, cfg)
     want = chaos_eval_spectral(F, sample.xi_map(3))
@@ -90,7 +86,7 @@ def test_injectivity_probe_behavior():
 
 def test_normal_convergence_contract():
     sample = sample_loop(7, 8, 256, d=1)
-    cfg = ChaosEvalConfig(n_grid=256, method="quadrature")
+    cfg = ChaosEvalConfig(n_grid=256)
     with pytest.raises(ValueError):
         normal_convergence_check(sample, q=10.0, n_max=4, n0=2, cfg=cfg)
     out = normal_convergence_check(sample, q=0.4, n_max=10, n0=3, cfg=cfg)

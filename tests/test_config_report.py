@@ -69,6 +69,15 @@ def test_parse_equivalence_window_guard():
     assert cfg.suites == ("equivalence",)
 
 
+def test_parse_chaos_needs_K_within_K_mc():
+    with pytest.raises(ConfigError, match=r"^config\.mc\.K_mc: chaos suite needs K_mc >= K=3"):
+        parse_config({"K": 3, "mc": {"K_mc": 2}, "suites": ["chaos"]})
+    with pytest.raises(ConfigError, match=r"mc\.K_mc"):
+        parse_config({"K": 3, "mc": {"K_mc": 2}})            # the default suites run chaos
+    assert parse_config({"K": 3, "mc": {"K_mc": 2}, "suites": ["algebra"]}).mc.K_mc == 2
+    assert parse_config({"K": 3, "mc": {"K_mc": 3}, "suites": ["chaos"]}).K == 3
+
+
 _json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
