@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 from .equivalence import FAMILIES
-from .fock import rational_from_text
+from .fock import MAX_RATIONAL_DIGITS, rational_from_text
 
 SUITE_NAMES = ("algebra", "chaos", "gaussian", "poisson", "moyal", "equivalence")
 
@@ -17,6 +18,12 @@ SUITE_NAMES = ("algebra", "chaos", "gaussian", "poisson", "moyal", "equivalence"
 # (N=6, R=4) leaves no degree window for the transform checks, which need
 # N - 2R >= 0.  configs/equivalence.json ships a working combination.
 DEFAULT_SUITES = ("algebra", "chaos", "gaussian", "poisson", "moyal")
+
+
+# A frequency key of an alpha_spec table is its canonical integer text, as
+# `config_echo` writes it: no sign on 0, no leading zero, space, "+" or "_",
+# so two keys never name one frequency.
+_FREQUENCY_KEY = re.compile(r"0|-?[1-9][0-9]{0,%d}" % (MAX_RATIONAL_DIGITS - 1))
 
 
 class ConfigError(ValueError):
@@ -93,10 +100,10 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
     elif isinstance(alpha_spec, dict):
         table = {}
         for k_txt, v in alpha_spec.items():
-            try:
-                k = int(k_txt)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}.alpha_spec: frequency key {k_txt!r} is not an integer") from None
+            if not (isinstance(k_txt, str) and _FREQUENCY_KEY.fullmatch(k_txt)):
+                raise ConfigError(f"{where}.alpha_spec: frequency key {k_txt!r:.40} is not "
+                                  f"canonical integer text like \"-2\"")
+            k = int(k_txt)
             if abs(k) > K:
                 raise ConfigError(f"{where}.alpha_spec: frequency {k} outside cutoff K={K}")
             frac = parse_rational(v, f"{where}.alpha_spec[{k}]")
@@ -157,10 +164,22 @@ def load_config(path: Union[str, Path]) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config(doc, where=str(path))
+
+
+def _unique_keys(pairs: list) -> dict:
+    # `json.loads` alone keeps the last of two equal keys without a word.
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key!r:.40} given twice in one object")
+        out[key] = value
+    return out
 
 
 def config_echo(cfg: RunConfig) -> dict:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (FockVector, HbarSeries, _accumulate, _combine_caps, _star_orders,
-                   annihilate, contract_channels, wick_exponential)
+from .fock import (FockVector, HbarSeries, _accumulate, _star_orders, annihilate,
+                   contract_channels, wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
 
@@ -180,7 +180,7 @@ def apply_T1(F: FockVector, A: DiagonalOperatorA, form: SymplecticForm) -> FockV
             part = annihilate(p, annihilate(q, F))
             if not part.is_zero():
                 _accumulate(total, part.scale(-a).terms)
-    return FockVector._from_terms(total, F.scalar_mode, F.max_degree)
+    return FockVector._from_terms(total, F.scalar_mode)
 
 
 def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarSeries:
@@ -188,12 +188,10 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
 
     Order r of the result collects generator powers b applied to input
     order r - b, weighted 1/b!.  Applying the negated operator inverts it
-    modulo the truncation order.  The result keeps the tightest cap of the
-    input coefficients; when the inputs' caps differ, terms above it are
-    dropped.
+    modulo the truncation order.  Each generator power lowers degree by
+    exactly 2 and no term is dropped.
     """
     R = FS.order
-    cap = _combine_caps(*(V.max_degree for V in FS.coeffs))
     out: list[dict] = [{} for _ in range(R + 1)]
     for a in range(R + 1):
         term = FS.coefficient(a)
@@ -203,10 +201,7 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
             if term.is_zero():
                 break
             _accumulate(out[a + b], term.scale(Fraction(1, math.factorial(b))).terms)
-    result = HbarSeries(FockVector._from_terms(terms, FS.scalar_mode, cap) for terms in out)
-    if any(V.max_degree != cap for V in FS.coeffs):
-        result = result.truncate_degree(cap)
-    return result
+    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode) for terms in out)
 
 
 def canonical_pairing(gamma: Mapping[ModeIndex, Fraction],

@@ -7,10 +7,12 @@ operator against a basis mode removes one unit of that mode scaled by its
 multiplicity.  Coefficients live in exactly one of two scalar modes:
 "rational" (stdlib Fraction, exact) or "float".  Mixing modes raises.
 
-Everything degree-graded here respects an optional max_degree cap: a capped
-vector is an element of the quotient algebra where all monomials of higher
-degree are identified with zero, so dropping terms above the cap is the
-correct multiplication in that quotient, not an approximation.
+A degree cap belongs to a multiplication, not to a vector: a product
+formed with `max_degree=n` is the product of the quotient algebra where
+all monomials of degree above n are identified with zero, so dropping
+terms above the cap is the correct multiplication in that quotient, not
+an approximation.  Vectors carry no cap; `truncate(n)` is the plain
+projection onto degrees <= n.
 """
 
 from __future__ import annotations
@@ -67,11 +69,6 @@ def rational_from_text(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _combine_caps(*caps: Optional[int]) -> Optional[int]:
-    live = [c for c in caps if c is not None]
-    return min(live) if live else None
-
-
 def _accumulate(acc: dict, terms: Mapping[MultiIndex, Scalar]) -> None:
     """Add `terms` into `acc` in place, dropping coefficients that cancel."""
     for mu, c in terms.items():
@@ -84,51 +81,48 @@ def _accumulate(acc: dict, terms: Mapping[MultiIndex, Scalar]) -> None:
 
 
 class FockVector:
-    """Sparse element of the (possibly degree-capped) symmetric algebra."""
+    """Sparse element of the symmetric algebra: its terms and their scalar mode.
 
-    __slots__ = ("terms", "scalar_mode", "max_degree")
+    A vector carries no degree cap; products take one as an argument.
+    """
+
+    __slots__ = ("terms", "scalar_mode")
 
     def __init__(self, terms: Optional[Mapping[MultiIndex, Scalar]] = None,
-                 scalar_mode: str = RATIONAL, max_degree: Optional[int] = None):
+                 scalar_mode: str = RATIONAL):
         if scalar_mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown scalar mode {scalar_mode!r}")
-        if max_degree is not None and max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
         clean: dict[MultiIndex, Scalar] = {}
         for mu, c in (terms or {}).items():
             if not isinstance(mu, MultiIndex):
                 mu = MultiIndex(mu)
-            if max_degree is not None and mu.degree > max_degree:
-                continue        # projection to the quotient
             c = coerce_scalar(c, scalar_mode)
             if c:
                 clean[mu] = c
         self.terms = clean
         self.scalar_mode = scalar_mode
-        self.max_degree = max_degree
 
     @classmethod
-    def _from_terms(cls, terms: dict, scalar_mode: str, max_degree: Optional[int]) -> "FockVector":
+    def _from_terms(cls, terms: dict, scalar_mode: str) -> "FockVector":
         # Fast path: caller guarantees canonical keys, coerced nonzero coefficients.
         out = object.__new__(cls)
         out.terms = terms
         out.scalar_mode = scalar_mode
-        out.max_degree = max_degree
         return out
 
     @classmethod
-    def zero(cls, scalar_mode: str = RATIONAL, max_degree: Optional[int] = None) -> "FockVector":
-        return cls._from_terms({}, scalar_mode, max_degree)
+    def zero(cls, scalar_mode: str = RATIONAL) -> "FockVector":
+        return cls._from_terms({}, scalar_mode)
 
     @classmethod
-    def unit(cls, scalar_mode: str = RATIONAL, max_degree: Optional[int] = None) -> "FockVector":
+    def unit(cls, scalar_mode: str = RATIONAL) -> "FockVector":
         """The vacuum monomial with coefficient 1: the algebra unit."""
-        return cls._from_terms({VACUUM: coerce_scalar(1, scalar_mode)}, scalar_mode, max_degree)
+        return cls._from_terms({VACUUM: coerce_scalar(1, scalar_mode)}, scalar_mode)
 
     @classmethod
     def monomial(cls, mu: MultiIndex, coeff: Scalar = 1,
-                 scalar_mode: str = RATIONAL, max_degree: Optional[int] = None) -> "FockVector":
-        return cls({mu: coeff}, scalar_mode, max_degree)
+                 scalar_mode: str = RATIONAL) -> "FockVector":
+        return cls({mu: coeff}, scalar_mode)
 
     # -- queries ---------------------------------------------------------
 
@@ -153,8 +147,6 @@ class FockVector:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        # max_degree is bookkeeping, not part of the value: two vectors with
-        # identical terms are equal regardless of their caps.
         if not isinstance(other, FockVector):
             return NotImplemented
         return self.scalar_mode == other.scalar_mode and self.terms == other.terms
@@ -180,21 +172,19 @@ class FockVector:
         self._check_mode(other)
         out = dict(self.terms)
         _accumulate(out, other.terms)
-        return FockVector._from_terms(out, self.scalar_mode, _combine_caps(self.max_degree, other.max_degree))
+        return FockVector._from_terms(out, self.scalar_mode)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-other)
 
     def __neg__(self) -> "FockVector":
-        return FockVector._from_terms({mu: -c for mu, c in self.terms.items()},
-                                      self.scalar_mode, self.max_degree)
+        return FockVector._from_terms({mu: -c for mu, c in self.terms.items()}, self.scalar_mode)
 
     def scale(self, scalar: Scalar) -> "FockVector":
         s = coerce_scalar(scalar, self.scalar_mode)
         if not s:
-            return FockVector.zero(self.scalar_mode, self.max_degree)
-        return FockVector._from_terms({mu: c * s for mu, c in self.terms.items()},
-                                      self.scalar_mode, self.max_degree)
+            return FockVector.zero(self.scalar_mode)
+        return FockVector._from_terms({mu: c * s for mu, c in self.terms.items()}, self.scalar_mode)
 
     def __mul__(self, scalar: Scalar) -> "FockVector":
         return self.scale(scalar)
@@ -202,15 +192,14 @@ class FockVector:
     __rmul__ = __mul__
 
     def truncate(self, n: int) -> "FockVector":
-        """Project onto degrees <= n and remember the cap."""
+        """Project onto degrees <= n."""
         kept = {mu: c for mu, c in self.terms.items() if mu.degree <= n}
-        return FockVector._from_terms(kept, self.scalar_mode, n)
+        return FockVector._from_terms(kept, self.scalar_mode)
 
     def to_float(self) -> "FockVector":
         if self.scalar_mode == FLOAT:
             return self
-        return FockVector._from_terms({mu: float(c) for mu, c in self.terms.items()},
-                                      FLOAT, self.max_degree)
+        return FockVector._from_terms({mu: float(c) for mu, c in self.terms.items()}, FLOAT)
 
 
 # -- products and contractions ------------------------------------------
@@ -219,17 +208,17 @@ class FockVector:
 def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None) -> FockVector:
     """Symmetrized product: multiset union of monomial labels, coefficient 1.
 
-    The cap is the tightest of the operands' caps and the explicit argument;
-    pairs whose degrees sum past it are skipped before any union is built.
+    With `max_degree` this is the product of the algebra truncated above
+    that degree: pairs whose degrees sum past it are skipped before any
+    union is built.
     """
     F._check_mode(G)
-    cap = _combine_caps(F.max_degree, G.max_degree, max_degree)
     acc: dict[MultiIndex, Scalar] = {}
     fitems = [(mu.degree, mu, c) for mu, c in F.terms.items()]
     gitems = sorted(((mu.degree, mu, c) for mu, c in G.terms.items()), key=lambda t: t[0])
     for dF, muF, cF in fitems:
         for dG, muG, cG in gitems:
-            if cap is not None and dF + dG > cap:
+            if max_degree is not None and dF + dG > max_degree:
                 break       # gitems sorted by degree
             key = muF.union(muG)
             v = acc.get(key)
@@ -238,7 +227,7 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
                 acc[key] = v
             elif key in acc:
                 del acc[key]
-    return FockVector._from_terms(acc, F.scalar_mode, cap)
+    return FockVector._from_terms(acc, F.scalar_mode)
 
 
 def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
@@ -255,7 +244,7 @@ def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
             out[key] = v
         elif key in out:
             del out[key]
-    return FockVector._from_terms(out, F.scalar_mode, F.max_degree)
+    return FockVector._from_terms(out, F.scalar_mode)
 
 
 def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVector:
@@ -265,7 +254,7 @@ def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVect
         part = annihilate(mode, F)
         if not part.is_zero():
             _accumulate(out, part.scale(coeff).terms)
-    return FockVector._from_terms(out, F.scalar_mode, F.max_degree)
+    return FockVector._from_terms(out, F.scalar_mode)
 
 
 def annihilate_power(mode: ModeIndex, power: int, F: FockVector) -> FockVector:
@@ -291,20 +280,19 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     parent's contracted operands by one annihilation per side, and a branch
     whose operand vanishes is dropped with everything below it.
 
-    `order_caps`, if given, holds one degree cap for each order 0..R, on
-    top of `max_degree` and the operands' caps.  Order r then equals the
-    order formed without `order_caps`, truncated to its cap, since each
-    Wick product adds degrees.
+    Every order is formed at cap `max_degree`, or, if `order_caps` is
+    given, order r at cap `order_caps[r]` instead (one cap per order
+    0..R).  Order r then equals the uncapped order truncated to its cap,
+    since each Wick product adds degrees.
     """
     F._check_mode(G)
     if R < 0:
         raise ValueError("contraction order must be >= 0")
     mode = F.scalar_mode
-    cap = _combine_caps(F.max_degree, G.max_degree, max_degree)
     if order_caps is None:
-        caps = [cap] * (R + 1)
+        caps = [max_degree] * (R + 1)
     elif len(order_caps) == R + 1:
-        caps = [_combine_caps(cap, c) for c in order_caps]
+        caps = order_caps
     else:
         raise ValueError(f"need one cap per order 0..{R}, got {len(order_caps)}")
     suppF, suppG = F.support_modes(), G.support_modes()
@@ -335,7 +323,7 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
             walk(bF, bG, weight * w / c, depth + 1, i, c)
 
     walk(F, G, 1, 0, 0, 0)
-    return [FockVector._from_terms(orders[r], mode, caps[r]) for r in range(lowest, R + 1)]
+    return [FockVector._from_terms(orders[r], mode) for r in range(lowest, R + 1)]
 
 
 def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel], r: int,
@@ -369,15 +357,15 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[Mode
         if not mode.dual:
             raise ValueError(f"gamma_star must have dual support, got {mode!r}")
         gen_terms[MultiIndex.single(mode)] = c
-    gen = FockVector(gen_terms, scalar_mode, max_degree=N)
-    power = FockVector.unit(scalar_mode, N)
+    gen = FockVector(gen_terms, scalar_mode)
+    power = FockVector.unit(scalar_mode)
     out = dict(power.terms)
     for n in range(1, N + 1):
         power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
         if power.is_zero():
             break
         _accumulate(out, power.terms)
-    return FockVector._from_terms(out, scalar_mode, N)
+    return FockVector._from_terms(out, scalar_mode)
 
 
 # -- formal power series in the deformation parameter --------------------
@@ -413,12 +401,12 @@ class HbarSeries:
     @classmethod
     def from_vector(cls, F: FockVector, R: int) -> "HbarSeries":
         """The constant series F + 0*hbar + ... up to order R."""
-        zeros = [FockVector.zero(F.scalar_mode, F.max_degree) for _ in range(R)]
+        zeros = [FockVector.zero(F.scalar_mode) for _ in range(R)]
         return cls([F] + zeros)
 
     @classmethod
-    def zero(cls, R: int, scalar_mode: str = RATIONAL, max_degree: Optional[int] = None) -> "HbarSeries":
-        return cls([FockVector.zero(scalar_mode, max_degree) for _ in range(R + 1)])
+    def zero(cls, R: int, scalar_mode: str = RATIONAL) -> "HbarSeries":
+        return cls([FockVector.zero(scalar_mode) for _ in range(R + 1)])
 
     def coefficient(self, r: int) -> FockVector:
         return self.coeffs[r]
@@ -441,18 +429,14 @@ class HbarSeries:
         return HbarSeries([c.scale(scalar) for c in self.coeffs])
 
     def wick_mul(self, other: "HbarSeries", max_degree: Optional[int] = None) -> "HbarSeries":
-        """Cauchy product with the Wick product on coefficients.
-
-        The result keeps the tightest cap of the coefficients and `max_degree`.
-        """
+        """Cauchy product with the Wick product on coefficients, each at cap `max_degree`."""
         self._check_compatible(other)
-        cap = _combine_caps(max_degree, *(V.max_degree for V in self.coeffs + other.coeffs))
         out = []
         for r in range(self.order + 1):
             acc: dict[MultiIndex, Scalar] = {}
             for a in range(r + 1):
                 _accumulate(acc, wick_product(self.coeffs[a], other.coeffs[r - a], max_degree).terms)
-            out.append(FockVector._from_terms(acc, self.scalar_mode, cap))
+            out.append(FockVector._from_terms(acc, self.scalar_mode))
         return HbarSeries(out)
 
     def truncate_degree(self, n: int) -> "HbarSeries":

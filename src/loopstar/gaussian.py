@@ -89,11 +89,6 @@ def _mode_key(seed: int, coord: int, freq: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _mode_stream(seed: int, coord: int, freq: int) -> np.random.Generator:
-    """Reference constructor of the Philox stream of one (seed, coord, freq)."""
-    return np.random.Generator(np.random.Philox(key=_mode_key(seed, coord, freq)))
-
-
 def _fresh_philox_state(key: np.ndarray) -> dict:
     """State of a newly built `Philox(key=key)`: counter 0, buffer empty."""
     return {"bit_generator": "Philox",
@@ -106,14 +101,15 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
     """Spectral coefficients for n_samples independent fields.
 
     Shape (n_samples, d, 2 K_mc + 1); frequency k sits in column k + K_mc.
-    Sample j of any batch equals draw j of the per-mode stream, so batches
-    of different sizes agree on their common prefix.  One generator is
-    re-keyed to each mode's stream in turn: building a `Philox` from a key
-    also draws OS entropy for a seed it never uses, which costs several
-    times the re-keying, and the draws are those of `_mode_stream`.  Each
-    mode's draws fill one contiguous row of a buffer holding one coordinate,
-    which is copied transposed into the C-contiguous result, so the extra
-    memory is 1/d of the result's.
+    Sample j of any batch equals draw j of the mode's stream, a `Philox`
+    keyed by `_mode_key(seed, coord, freq)`, so batches of different sizes
+    agree on their common prefix.  One generator is re-keyed to each mode's
+    stream in turn and draws what a newly built `Philox` would: building
+    one from a key also draws OS entropy for a seed it never uses, which
+    costs several times the re-keying.  Each mode's draws fill one
+    contiguous row of a buffer holding one coordinate, which is copied
+    transposed into the C-contiguous result, so the extra memory is 1/d of
+    the result's.
     """
     out = np.empty((n_samples, d, 2 * K_mc + 1))
     rows = np.empty((2 * K_mc + 1, n_samples))

@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fock import (Channel, FockVector, HbarSeries, _accumulate, _combine_caps, _star_orders,
-                   contract_channels)
+from .fock import Channel, FockVector, HbarSeries, _accumulate, _star_orders, contract_channels
 from .modes import ModeIndex
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -147,12 +146,11 @@ def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
     """Bilinear extension of the channel star-product to truncated series.
 
     Order r collects order c of the star-product of FS_a and GS_b over
-    a + b + c = r.  `channels` is the product's channel table, such as
-    `form.channels()` for the Moyal product.
+    a + b + c = r, each formed at cap `max_degree`.  `channels` is the
+    product's channel table, such as `form.channels()` for the Moyal product.
     """
     FS._check_compatible(GS)
     R = FS.order
-    cap = _combine_caps(max_degree, *(V.max_degree for V in FS.coeffs + GS.coeffs))
     out: list[dict] = [{} for _ in range(R + 1)]
     for a in range(R + 1):
         for b in range(R + 1 - a):
@@ -161,4 +159,4 @@ def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
                 continue
             for c, part in enumerate(_star_orders(F, G, channels, R - a - b, max_degree)):
                 _accumulate(out[a + b + c], part.terms)
-    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode, cap) for terms in out)
+    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode) for terms in out)

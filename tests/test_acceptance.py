@@ -100,7 +100,7 @@ def test_criterion_05_bracket_axioms(capsys):
 
 def test_criterion_06_star_product(capsys):
     t0 = time.perf_counter()
-    laws = power_law_failures(SEED, 50, d=2, K=3, R=4)
+    laws = power_law_failures(SEED, 50, d=2, K=3)
     assoc = moyal_assoc_failures(SEED, 50, d=2, K=3, R=4, max_degree=3)
     dt = time.perf_counter() - t0
     ok = laws["failures"] == 0 and assoc["failures"] == 0 and dt <= 120.0

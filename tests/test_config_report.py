@@ -62,6 +62,20 @@ def test_parse_alpha_table():
         parse_config(minimal_doc(alpha_spec="cubed"))
 
 
+def test_alpha_table_keys_are_canonical_integer_text(tmp_path):
+    # Each frequency has one spelling, the one config_echo writes back, so no
+    # two keys can name one frequency and silently overwrite each other.
+    for key in ("01", " 2", "+2", "1_0", "-0", "2 ", "", "x"):
+        with pytest.raises(ConfigError, match=r"^config\.alpha_spec: frequency key"):
+            parse_config(minimal_doc(alpha_spec={"1": "1/2", key: "3/4"}))
+    cfg = parse_config(minimal_doc(alpha_spec={"0": "1", "-3": "3/4", "3": "1/2"}))
+    assert parse_config(minimal_doc(alpha_spec=config_echo(cfg)["alpha_spec"])) == cfg
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"K": 3, "alpha_spec": {"1": "1/2", "1": "3/4"}}')
+    with pytest.raises(ConfigError, match=r"twice\.json: key '1' given twice"):
+        load_config(twice)
+
+
 def test_parse_equivalence_window_guard():
     with pytest.raises(ConfigError, match="N - 2R"):
         parse_config({"N": 6, "R": 4, "suites": ["equivalence"]})

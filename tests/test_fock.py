@@ -22,7 +22,7 @@ def test_constructor_validates_and_caps():
     with pytest.raises(TypeError):
         FockVector({MultiIndex.single(M1): 0.5})          # float into rational mode
     capped = FockVector({MultiIndex(((M1, 3),)): Fraction(1),
-                         MultiIndex.single(M2): Fraction(2)}, max_degree=2)
+                         MultiIndex.single(M2): Fraction(2)}).truncate(2)
     assert capped.degree() == 1
     assert len(capped) == 1
 
@@ -37,7 +37,7 @@ def test_zero_unit_monomial():
 
 def test_equality_ignores_cap_but_not_scalar_mode():
     a = FockVector({MultiIndex.single(M1): Fraction(1)})
-    b = FockVector({MultiIndex.single(M1): Fraction(1)}, max_degree=7)
+    b = a.truncate(7)
     assert a == b
     assert a != a.to_float()
     with pytest.raises(TypeError):
@@ -158,11 +158,20 @@ def test_wick_exponential_coefficients_and_validation():
     for n in range(5):
         key = MultiIndex(((M1, n),)) if n else MultiIndex()
         assert phi.terms.get(key, Fraction(0)) == Fraction(1, 2) ** n / math.factorial(n)
-    assert phi.max_degree == 4
     with pytest.raises(ValueError):
         wick_exponential({D1: Fraction(1)}, {}, 3)      # dual key on the primal side
     with pytest.raises(ValueError):
         wick_exponential({}, {M1: Fraction(1)}, 3)      # primal key on the dual side
+
+
+def test_exponential_carries_no_cap_into_products():
+    # The cap of wick_exponential bounds its own terms; a later product is
+    # capped only by its own argument.
+    phi = wick_exponential({M1: Fraction(1, 2)}, {D1: Fraction(3)}, 2)
+    square = wick_product(phi, phi)
+    assert phi.degree() == 2 and square.degree() == 4
+    assert wick_product(phi, phi, max_degree=2) == square.truncate(2)
+    assert square.truncate(2) != square
 
 
 def test_wick_exponential_two_modes_cross_terms():

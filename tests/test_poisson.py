@@ -135,7 +135,7 @@ def test_power_zero_and_one():
     anti = poisson_power(1, F, G, form) - poisson_power(1, G, F, form)
     assert anti == poisson_bracket(F, G, form).scale(2)
     assert poisson_power(3, F, G, form).is_zero()      # exceeds min degree
-    assert power_law_failures(1, 10, 2, 2, Fraction(1), 3)["failures"] == 0
+    assert power_law_failures(1, 10, 2, 2, Fraction(1))["failures"] == 0
 
 
 def test_moyal_star_structure():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import platform
 from pathlib import Path
 
 import numpy
+import pytest
 
 import loopstar
 import loopstar.suites as suites
@@ -106,6 +108,35 @@ def test_equivalence_config_report_matches_golden():
     golden = (REPO / "tests" / "golden" / "equivalence_report.json").read_bytes()
     assert report.all_passed
     assert got == golden
+
+
+# SHA-256 prefixes of the exact suites' canonical bodies at seeds other than
+# the goldens' 42: a change that should leave every exact result alone must
+# leave these unchanged too.
+EXACT_BODY_HASHES = [
+    ("default", ("algebra", "poisson", "moyal"), 7, "0c321415ef36599c"),
+    ("default", ("algebra", "poisson", "moyal"), 3, "25f077ecd5c00a29"),
+    ("equivalence", ("equivalence",), 7, "1eff7b80118fac87"),
+    ("equivalence", ("equivalence",), 3, "ded0e772a8797527"),
+]
+
+
+@pytest.mark.parametrize("config, suite_names, seed, prefix", EXACT_BODY_HASHES,
+                         ids=[f"{c}-seed{s}" for c, _, s, _ in EXACT_BODY_HASHES])
+def test_exact_suite_bodies_are_pinned(config, suite_names, seed, prefix):
+    doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
+    cfg = parse_config({**doc, "suites": list(suite_names), "mc": {**doc["mc"], "seed": seed}})
+    body = canonical_json(report_to_dict(run_suites(cfg)))
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == prefix
+
+
+def test_norm_search_forms_each_product_once(monkeypatch):
+    """The numerator of a continuity search does not depend on the grid point."""
+    original, calls = suites.wick_product, []
+    monkeypatch.setattr(suites, "wick_product", lambda F, G: calls.append(1) or original(F, G))
+    out = suites.norm_submult_search(42, 50, 2, 3)
+    assert out["found"] and (out["k0"], out["C0"]) != (1, 1.0)     # past the first grid point
+    assert len(calls) == 50
 
 
 def _keys(value):
