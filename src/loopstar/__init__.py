@@ -7,8 +7,8 @@ from .chaos import (ChaosEvalConfig, chaos_eval_quadrature, chaos_eval_spectral,
 from .config import ConfigError, McConfig, RunConfig, load_config, parse_config
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           exp_product_formula_rhs, star_A)
-from .fock import (FockVector, HbarSeries, annihilate, annihilate_general,
-                   annihilate_power, wick_exponential, wick_product)
+from .fock import (FockVector, HbarSeries, annihilate, annihilate_general, wick_exponential,
+                   wick_product)
 from .gaussian import (GreenKernel, LoopSample, green_kernel, holder_moment_check,
                        loop_eval, sample_loop, sample_xi_batch, spectral_green_sum)
 from .modes import LAMBDA, ModeIndex, MultiIndex, VACUUM, h_weight, mode_eval, mode_profile
@@ -25,8 +25,8 @@ __all__ = [
     "FockParseError", "FockVector", "GreenKernel", "HbarSeries", "LAMBDA",
     "LoopSample", "McConfig", "ModeIndex", "MultiIndex", "RunConfig",
     "SUITE_RUNNERS", "SymplecticForm", "VACUUM", "VerificationReport",
-    "annihilate", "annihilate_general", "annihilate_power", "apply_EA",
-    "apply_T", "apply_T1", "cA1", "cAr", "canonical_json",
+    "annihilate", "annihilate_general", "apply_EA", "apply_T", "apply_T1",
+    "cA1", "cAr", "canonical_json",
     "chaos_eval_quadrature", "chaos_eval_spectral", "connes_norm_upper",
     "deserialize_fock", "emit_report", "exp_product_formula_rhs",
     "gateaux_derivative_fd", "green_kernel", "h_weight", "holder_moment_check",

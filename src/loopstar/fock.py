@@ -140,9 +140,6 @@ class FockVector:
                 out.add(m)
         return out
 
-    def vacuum_component(self) -> Scalar:
-        return self.terms.get(VACUUM, coerce_scalar(0, self.scalar_mode))
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -255,15 +252,6 @@ def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVect
         if not part.is_zero():
             _accumulate(out, part.scale(coeff).terms)
     return FockVector._from_terms(out, F.scalar_mode)
-
-
-def annihilate_power(mode: ModeIndex, power: int, F: FockVector) -> FockVector:
-    """Iterated contraction a_mode^power; multiplicities give falling factorials."""
-    for _ in range(power):
-        if F.is_zero():
-            break
-        F = annihilate(mode, F)
-    return F
 
 
 def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -99,12 +99,6 @@ class MultiIndex(tuple):
                 return 0
         return 0
 
-    def expanded(self) -> Iterator[ModeIndex]:
-        """Modes with repetition, in canonical order."""
-        for m, c in self:
-            for _ in range(c):
-                yield m
-
     def union(self, other: "MultiIndex") -> "MultiIndex":
         if not other:
             return self
@@ -138,9 +132,6 @@ class MultiIndex(tuple):
                     return MultiIndex._raw(self[:i] + self[i + 1:])
                 return MultiIndex._raw(self[:i] + ((m, c - 1),) + self[i + 1:])
         raise KeyError(mode)
-
-    def has_dual(self) -> bool:
-        return any(m.dual for m, _ in self)
 
     def sort_key(self):
         """Degree-major canonical order for serialization."""

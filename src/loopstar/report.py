@@ -16,7 +16,10 @@ is a pure function of the run configuration, on any machine:
   decided on the written value, so rounding never turns a FAIL into a
   PASS and each verdict can be recomputed from the bytes as
   `residual <= tolerance`.  The record itself keeps the measured values,
-  which the text summary shows.
+  which the text summary shows;
+- a non-finite `residual` or `observed` (a check's worst value is inf once
+  any of its values is NaN or infinite) is written as `null` and read
+  back as inf, so it stays a FAIL.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+
+from .config import _unique_keys
 
 CONVENTION_NOTES = (
     "covariance kernel: positive-definite hyperbolic branch; the sign-flipped "
@@ -186,17 +191,21 @@ def canonical_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(value).__name__} canonically")
 
 
+def _finite_or_null(x: float) -> Optional[float]:
+    return x if math.isfinite(x) else None
+
+
 def record_to_dict(record: CheckRecord) -> dict:
     return {
         "suite": record.suite,
         "check_id": record.check_id,
         "claim": record.claim,
-        "residual": record.written(record.residual),
+        "residual": _finite_or_null(record.written(record.residual)),
         "tolerance": float(record.tolerance),
         "passed": record.passed,
         "n_instances": record.n_instances,
         "seed": record.seed,
-        "observed": record.written(record.observed),
+        "observed": _finite_or_null(record.written(record.observed)),
     }
 
 
@@ -210,11 +219,15 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
+def _null_as_inf(x: Optional[float]) -> float:
+    return math.inf if x is None else x
+
+
 def report_from_dict(doc: dict) -> VerificationReport:
     records = [CheckRecord(suite=r["suite"], check_id=r["check_id"], claim=r["claim"],
-                           residual=r["residual"], tolerance=r["tolerance"],
-                           passed=r["passed"], n_instances=r["n_instances"],
-                           seed=r["seed"], observed=r.get("observed", 0.0))
+                           residual=_null_as_inf(r["residual"]), tolerance=r["tolerance"],
+                           passed=r["passed"], n_instances=r["n_instances"], seed=r["seed"],
+                           observed=_null_as_inf(r.get("observed", 0.0)))
                for r in doc.get("records", [])]
     return VerificationReport(records=records, config=doc.get("config", {}),
                               versions=doc.get("versions", {}),
@@ -250,5 +263,6 @@ def emit_report(report: VerificationReport, path: Union[str, Path]) -> Path:
 
 
 def load_report(path: Union[str, Path]) -> VerificationReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a canonical report; a key repeated in one object raises ConfigError."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     return report_from_dict(doc)

@@ -3,12 +3,20 @@
 Each check lives in a standalone seed-explicit function returning plain
 numbers, so the acceptance tests can rerun any of them at their own
 instance counts; each suite's `CHECKS` table fixes the counts and
-`run_checks` makes the records.  Exact checks count failures through
-`_count_failures`, one loop over the instances of a seeded stream, and the
-continuity-constant searches walk one grid in `_constant_search`.  Paired
-identities always go through two structurally different routes (engine vs
-direct expansion, spectral vs quadrature, closed form vs eigen-sum), never
-through the same code twice.
+`run_checks` makes the records.
+
+Seeded checks walk their instances through one loop, `_instances`, which
+returns `instance(rng, i)` for i < n on the check's (seed, label) stream.
+An exact check sums what its instances return, the identities each breaks
+(`_count_failures`); a float check folds its values with `_worst`, which is
+inf once any value is NaN or infinite, so a broken evaluation FAILs instead
+of vanishing.  Three checks keep their own stream, since one loop would
+reorder their draws: the `ea` branch of `operator_bound_search` (family,
+then pairs), `kernel_constant_residuals` and `loop_eval_consistency`
+(vectorized batches).  The continuity-constant searches walk one grid in
+`_constant_search`.  Paired identities always go through two structurally
+different routes (engine vs direct expansion, spectral vs quadrature,
+closed form vs eigen-sum), never through the same code twice.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix, green_diagonal,
                        green_kernel, holder_moment_check, sample_loop, sample_xi_batch,
                        spectral_green_sum, uniform_grid)
-from .modes import LAMBDA, ModeIndex, MultiIndex
+from .modes import LAMBDA, ModeIndex, MultiIndex, mode_range
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
 from .rand import instance_rng, random_fock, random_fraction, random_gamma, random_mode, random_xi
@@ -95,17 +103,31 @@ def _fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _count_failures(seed: int, label: str, n: int,
-                    instance: Callable[[np.random.Generator, int], int]) -> dict:
-    """The one failure-counting loop of the exact checks.
+def _instances(seed: int, label: str, n: int,
+               instance: Callable[[np.random.Generator, int], Any]) -> list:
+    """The one instance loop of the seeded checks: `instance(rng, i)` for i < n.
 
-    Opens the (seed, label) stream and sums `instance(rng, i)`, the number of
-    identities instance i breaks, over i < n.  Each instance draws its
-    operands from the shared stream, so instance i sees the draws left by
-    instances 0..i-1.
+    Opens the (seed, label) stream once; each instance draws its operands
+    from it, so instance i sees the draws left by instances 0..i-1.
     """
     rng = instance_rng(seed, label)
-    return {"failures": sum(instance(rng, i) for i in range(n)), "n": n}
+    return [instance(rng, i) for i in range(n)]
+
+
+def _worst(values: Iterable[float]) -> float:
+    """The one fold for a worst value: the largest of 0.0 and `values`.
+
+    Any NaN or infinite value makes it inf, so the check FAILs: a plain
+    `max(0.0, nan)` is 0.0, and would pass a broken evaluation.
+    """
+    values = [float(v) for v in values]
+    return max([0.0, *values]) if all(map(math.isfinite, values)) else math.inf
+
+
+def _count_failures(seed: int, label: str, n: int,
+                    instance: Callable[[np.random.Generator, int], int]) -> dict:
+    """An exact check: the identities its n instances break, summed."""
+    return {"failures": sum(_instances(seed, label, n, instance)), "n": n}
 
 
 def _constant_search(operands: list, numerators: list[float],
@@ -121,7 +143,7 @@ def _constant_search(operands: list, numerators: list[float],
     least = math.inf
     for k0 in range(k, k + 5):
         for C0 in scales:
-            r = max((num / bound(x, k0, C0) for x, num in zip(operands, numerators)), default=0.0)
+            r = _worst(num / bound(x, k0, C0) for x, num in zip(operands, numerators))
             if r <= 1.0:
                 return {"found": True, "k0": k0, "C0": C0, "max_ratio": r, "n": n}
             least = min(least, r)
@@ -204,9 +226,9 @@ def norm_monotone_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
 def norm_submult_search(seed: int, n_pairs: int, d: int, K: int,
                         k: int = 1, C: float = 1.0) -> dict:
     """Smallest grid (k0, C0) making the product bound submultiplicative."""
-    rng = instance_rng(seed, "norm-submult")
-    pairs = [(random_fock(rng, d, K, 4, dual_fraction=0.3),
-              random_fock(rng, d, K, 4, dual_fraction=0.3)) for _ in range(n_pairs)]
+    pairs = _instances(seed, "norm-submult", n_pairs,
+                       lambda rng, i: (random_fock(rng, d, K, 4, dual_fraction=0.3),
+                                       random_fock(rng, d, K, 4, dual_fraction=0.3)))
     return _constant_search(pairs, [connes_norm_upper(wick_product(F, G), k, C) for F, G in pairs],
                             _pair_bound, k, (C, 2 * C, 4 * C))
 
@@ -226,16 +248,15 @@ def serialization_roundtrip_failures(seed: int, n_instances: int, d: int, K: int
 
 def exp_taylor_residual(seed: int, n_instances: int, d: int, K: int, N: int) -> dict:
     """Chaos of the capped exponential against the scalar Taylor partial sum."""
-    rng = instance_rng(seed, "exp-taylor")
-    worst = 0.0
-    for _ in range(n_instances):
+    def instance(rng, i):
         gamma = random_gamma(rng, d, K, 2, dual=False)
         phi = wick_exponential(gamma, {}, N)
         xi = random_xi(rng, d, K)
         x = sum(float(c) * xi[m] for m, c in gamma.items())
         partial = sum(x ** n / math.factorial(n) for n in range(N + 1))
-        worst = max(worst, _rel(chaos_eval_spectral(phi, xi), partial))
-    return {"residual": worst, "n": n_instances}
+        return _rel(chaos_eval_spectral(phi, xi), partial)
+    return {"residual": _worst(_instances(seed, "exp-taylor", n_instances, instance)),
+            "n": n_instances}
 
 
 CHECKS["algebra"] = (
@@ -266,53 +287,47 @@ CHECKS["algebra"] = (
 def chaos_spectral_residual(seed: int, n_instances: int, d: int, K: int,
                             max_degree: int = 4) -> dict:
     """Evaluation is multiplicative: chaos(:F.G:) vs product of evaluations."""
-    rng = instance_rng(seed, "chaos-spectral")
-    worst = 0.0
-    for _ in range(n_instances):
+    def instance(rng, i):
         F = random_fock(rng, d, K, max_degree)
         G = random_fock(rng, d, K, max_degree)
         xi = random_xi(rng, d, K)
         lhs = chaos_eval_spectral(wick_product(F, G), xi)
-        rhs = chaos_eval_spectral(F, xi) * chaos_eval_spectral(G, xi)
-        worst = max(worst, _rel(lhs, rhs))
-    return {"residual": worst, "n": n_instances}
+        return _rel(lhs, chaos_eval_spectral(F, xi) * chaos_eval_spectral(G, xi))
+    return {"residual": _worst(_instances(seed, "chaos-spectral", n_instances, instance)),
+            "n": n_instances}
 
 
 def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
                               max_degree: int = 4, K_mc: int = 64,
                               n_grid: int = 4096) -> dict:
-    """Quadrature evaluator against the spectral one on sampled fields."""
-    rng = instance_rng(seed, "chaos-quadrature")
+    """Quadrature evaluator against the spectral one on three sampled fields.
+
+    Each field serves max(1, n_instances // 3) instances, and `n` counts the
+    instances run.
+    """
     cfg = ChaosEvalConfig(n_grid=n_grid)
-    worst = 0.0
-    n_samples = 3
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
-    for i in range(n_samples):
-        sample = sample_loop(seed + i, K_mc, n_grid, d, basis=basis)
-        xi = sample.xi_map(K)
-        for _ in range(max(1, n_instances // n_samples)):
-            F = random_fock(rng, d, K, max_degree)
-            worst = max(worst, _rel(chaos_eval_quadrature(F, sample, cfg),
-                                    chaos_eval_spectral(F, xi)))
-    return {"residual": worst, "n": n_instances}
+    samples = [sample_loop(seed + j, K_mc, n_grid, d, basis=basis) for j in range(3)]
+    xis = [sample.xi_map(K) for sample in samples]
+    per = max(1, n_instances // 3)
+
+    def instance(rng, i):
+        F = random_fock(rng, d, K, max_degree)
+        return _rel(chaos_eval_quadrature(F, samples[i // per], cfg),
+                    chaos_eval_spectral(F, xis[i // per]))
+    n = 3 * per
+    return {"residual": _worst(_instances(seed, "chaos-quadrature", n, instance)), "n": n}
 
 
 def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int = 64,
                               n_grid: int = 4096) -> dict:
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
     cfg = ChaosEvalConfig(n_grid=n_grid)
-    worst = 0.0
-    count = 0
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
-    for i in range(3):
-        sample = sample_loop(seed + 17 + i, K_mc, n_grid, d, basis=basis)
-        for c in range(1, d + 1):
-            for k in range(-K, K + 1):
-                mode = ModeIndex(c, k)
-                worst = max(worst, abs(stratonovich_pairing(mode, sample, cfg)
-                                       - sample.xi_value(mode)))
-                count += 1
-    return {"residual": worst, "n": count}
+    samples = [sample_loop(seed + 17 + i, K_mc, n_grid, d, basis=basis) for i in range(3)]
+    gaps = [abs(stratonovich_pairing(mode, sample, cfg) - sample.xi_value(mode))
+            for sample in samples for mode in mode_range(d, K)]
+    return {"residual": _worst(gaps), "n": len(gaps)}
 
 
 def quadrature_convergence(seed: int, d: int, K: int, K_mc: int = 600,
@@ -336,17 +351,15 @@ def quadrature_convergence(seed: int, d: int, K: int, K_mc: int = 600,
     sample = sample_loop(seed + 23, K_mc, max(grids) * 2, d)
     xi = sample.xi_map(K)
     eps = float(np.finfo(float).eps)
-    errors = []
-    for n_grid in grids:
-        cfg = ChaosEvalConfig(n_grid=n_grid)
-        worst = 0.0
-        inst_rng = instance_rng(seed, "chaos-convergence-instances")
-        for _ in range(n_instances):
-            F = random_fock(inst_rng, d, K, 3)
-            value = chaos_eval_spectral(F, xi)
-            err = abs(chaos_eval_quadrature(F, sample, cfg) - value)
-            worst = max(worst, err / (eps * max(1.0, abs(value))))
-        errors.append(worst)
+    cfgs = [ChaosEvalConfig(n_grid=n_grid) for n_grid in grids]
+
+    def instance(rng, i):
+        F = random_fock(rng, d, K, 3)
+        value = chaos_eval_spectral(F, xi)
+        return [abs(chaos_eval_quadrature(F, sample, cfg) - value) / (eps * max(1.0, abs(value)))
+                for cfg in cfgs]
+    rows = _instances(seed, "chaos-convergence-instances", n_instances, instance)
+    errors = [_worst(row[g] for row in rows) for g in range(len(grids))]
     resolved = [n > K_mc + K for n in grids]
     violations = sum((e <= QUADRATURE_EPS_BOUND) != res for e, res in zip(errors, resolved))
     violations += sum(ef > ec * (c / f) ** 2
@@ -359,11 +372,10 @@ def quadrature_convergence(seed: int, d: int, K: int, K_mc: int = 600,
 def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int,
                             K_mc: int = 64) -> dict:
     """Central-difference error decays at order 2 toward the contraction chaos."""
-    rng = instance_rng(seed, "gateaux")
     eps_list = (1e-2, 1e-3, 1e-4)
-    worst = 0.0
     sample = sample_loop(seed + 31, K_mc, 256, d)
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         for _attempt in range(10):
             h_mode = random_mode(rng, d, K)
             F = random_fock(rng, d, K, 4)
@@ -373,22 +385,20 @@ def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int,
             errs = [fd_matches_annihilation(F, sample, h, eps) for eps in eps_list]
             if errs[0] >= 1e-5:
                 break
-        slope = _fit_loglog_slope(eps_list, errs)
-        worst = max(worst, abs(slope - 2.0))
-    return {"deviation": worst, "n": n_instances}
+        return abs(_fit_loglog_slope(eps_list, errs) - 2.0)
+    return {"deviation": _worst(_instances(seed, "gateaux", n_instances, instance)),
+            "n": n_instances}
 
 
 def fd_linear_residual(seed: int, d: int, K: int, K_mc: int = 64) -> dict:
     """On degree <= 1 vectors the central difference is exact."""
-    rng = instance_rng(seed, "gateaux-linear")
     sample = sample_loop(seed + 37, K_mc, 256, d)
-    worst = 0.0
-    for _ in range(20):
+
+    def instance(rng, i):
         mode = random_mode(rng, d, K)
         F = FockVector({MultiIndex(((mode, 1),)): random_fraction(rng), MultiIndex(): Fraction(1)})
-        h = {mode: 1.0}
-        worst = max(worst, fd_matches_annihilation(F, sample, h, 1e-3))
-    return {"residual": worst, "n": 20}
+        return fd_matches_annihilation(F, sample, {mode: 1.0}, 1e-3)
+    return {"residual": _worst(_instances(seed, "gateaux-linear", 20, instance)), "n": 20}
 
 
 def injectivity_stats(seed: int, n_instances: int, d: int, K: int) -> dict:
@@ -455,57 +465,49 @@ def kernel_constant_residuals(seed: int, n_points: int = 25) -> dict:
     # Independently rearranged forms of the same magnitudes.
     alpha_ref = math.e / (2.0 * (math.e - 1.0))
     beta_ref = math.exp(-1.0) / (2.0 * (1.0 - math.exp(-1.0)))
-    worst = max(abs(GREEN_ALPHA - alpha_ref), abs(GREEN_BETA - beta_ref))
     diag_ref = 0.5 / math.tanh(0.5)
-    worst = max(worst, abs(green_diagonal() - diag_ref))
+    gaps = [abs(GREEN_ALPHA - alpha_ref), abs(GREEN_BETA - beta_ref),
+            abs(green_diagonal() - diag_ref)]
     gk = GreenKernel()
     for s in rng.uniform(0.0, 1.0, size=n_points):
-        worst = max(worst, abs(green_kernel(float(s), float(s)) - diag_ref))
         x = float(rng.uniform(0.0, 1.0))
-        worst = max(worst, abs(gk.exponential_form(x) - green_kernel(x, 0.0)))
-    return {"residual": worst, "n": n_points}
+        gaps += [abs(green_kernel(float(s), float(s)) - diag_ref),
+                 abs(gk.exponential_form(x) - green_kernel(x, 0.0))]
+    return {"residual": _worst(gaps), "n": n_points}
 
 
 def kernel_spectral_residual(seed: int, n_pairs: int = 25, K_sum: int = 200) -> dict:
     """Closed form vs truncated eigenfunction sum, off-diagonal separations."""
-    rng = instance_rng(seed, "kernel-spectral")
-    worst = 0.0
-    for _ in range(n_pairs):
+    def instance(rng, i):
         s = float(rng.uniform(0.0, 1.0))
-        gap = float(rng.uniform(0.05, 0.5))
-        t = (s + gap) % 1.0
-        worst = max(worst, abs(green_kernel(s, t) - spectral_green_sum(s, t, K_sum)))
-    return {"residual": worst, "n": n_pairs}
+        t = (s + float(rng.uniform(0.05, 0.5))) % 1.0
+        return abs(green_kernel(s, t) - spectral_green_sum(s, t, K_sum))
+    return {"residual": _worst(_instances(seed, "kernel-spectral", n_pairs, instance)),
+            "n": n_pairs}
 
 
 def kernel_stationarity_residual(seed: int, n_pairs: int = 25) -> dict:
     """Kernel depends only on circle distance: translation invariance."""
-    rng = instance_rng(seed, "kernel-stationarity")
-    worst = 0.0
-    for _ in range(n_pairs):
+    def instance(rng, i):
         s, t, u = (float(x) for x in rng.uniform(0.0, 1.0, size=3))
-        worst = max(worst, abs(green_kernel(s, t) - green_kernel((s + u) % 1.0, (t + u) % 1.0)))
-        worst = max(worst, abs(green_kernel(s, t) - green_kernel(t, s)))
-    return {"residual": worst, "n": n_pairs}
+        return _worst((abs(green_kernel(s, t) - green_kernel((s + u) % 1.0, (t + u) % 1.0)),
+                       abs(green_kernel(s, t) - green_kernel(t, s))))
+    return {"residual": _worst(_instances(seed, "kernel-stationarity", n_pairs, instance)),
+            "n": n_pairs}
 
 
 def sampler_determinism_failures(seed: int, d: int, K_mc: int = 16, M: int = 64) -> dict:
     """Bit-identical resampling, seed sensitivity, batch prefix consistency."""
-    failures = 0
     a = sample_loop(seed, K_mc, M, d)
     b = sample_loop(seed, K_mc, M, d)
-    if not (np.array_equal(a.xi, b.xi) and np.array_equal(a.values, b.values)):
-        failures += 1
     c = sample_loop(seed + 1, K_mc, M, d)
-    if np.array_equal(a.xi, c.xi):
-        failures += 1
     big = sample_xi_batch(seed, 20, K_mc, d)
     small = sample_xi_batch(seed, 5, K_mc, d)
-    if not np.array_equal(big[:5], small):
-        failures += 1
-    if not np.array_equal(big[0], a.xi):
-        failures += 1
-    return {"failures": failures, "n": 4}
+    broken = (not (np.array_equal(a.xi, b.xi) and np.array_equal(a.values, b.values)),
+              np.array_equal(a.xi, c.xi),
+              not np.array_equal(big[:5], small),
+              not np.array_equal(big[0], a.xi))
+    return {"failures": sum(broken), "n": len(broken)}
 
 
 def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
@@ -520,23 +522,18 @@ def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
         xi = sample_xi_batch(seed, n_samples, K_mc, d)
     E = basis_matrix(K_mc, points)                    # (2K+1, P)
     vals = np.tensordot(xi, E, axes=([2], [0]))       # (n, d, P)
-    worst_same = 0.0
-    worst_cross = 0.0
-    n_stats = 0
+    same, cross = [], []
     pair_a, pair_b = np.triu_indices(len(points))     # every a <= b, row by row
     truths = spectral_green_sum(points[pair_a], points[pair_b], K_mc)
     for a, b, truth in zip(pair_a, pair_b, truths):
         for i in range(d):
             prod = vals[:, i, a] * vals[:, i, b]
-            z = abs(np.mean(prod) - truth) / (np.std(prod, ddof=1) / math.sqrt(n_samples))
-            worst_same = max(worst_same, float(z))
-            n_stats += 1
+            same.append(abs(np.mean(prod) - truth) / (np.std(prod, ddof=1) / math.sqrt(n_samples)))
         if d >= 2:
             prod = vals[:, 0, a] * vals[:, 1, b]
-            z = abs(np.mean(prod)) / (np.std(prod, ddof=1) / math.sqrt(n_samples))
-            worst_cross = max(worst_cross, float(z))
-            n_stats += 1
-    return {"worst_same": worst_same, "worst_cross": worst_cross, "n": n_stats}
+            cross.append(abs(np.mean(prod)) / (np.std(prod, ddof=1) / math.sqrt(n_samples)))
+    return {"worst_same": _worst(same), "worst_cross": _worst(cross),
+            "n": len(same) + len(cross)}
 
 
 def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
@@ -546,15 +543,15 @@ def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
     shift = 0.31
     if xi is None:
         xi = sample_xi_batch(seed, n_samples, K_mc, d)
-    worst = 0.0
+    zs = []
     for s, t in base_pairs:
         E = basis_matrix(K_mc, np.array([s, t, (s + shift) % 1.0, (t + shift) % 1.0]))
         vals = np.tensordot(xi, E, axes=([2], [0]))
         p1 = vals[:, 0, 0] * vals[:, 0, 1]
         p2 = vals[:, 0, 2] * vals[:, 0, 3]
         se = math.sqrt(np.var(p1, ddof=1) / n_samples + np.var(p2, ddof=1) / n_samples)
-        worst = max(worst, abs(float(np.mean(p1) - np.mean(p2))) / se)
-    return {"worst": worst, "n": len(base_pairs)}
+        zs.append(abs(float(np.mean(p1) - np.mean(p2))) / se)
+    return {"worst": _worst(zs), "n": len(base_pairs)}
 
 
 def covariance_psd_min_eig(K_mc: int, n_points: int = 64) -> float:
@@ -570,9 +567,7 @@ def holder_p1_z(seed: int, n_samples: int, K_mc: int, d: int,
     """p = 1 increment-moment ratios against the Gaussian closed form."""
     pairs = [(0.1, 0.2), (0.15, 0.4), (0.3, 0.75), (0.02, 0.5), (0.6, 0.72)]
     table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d, xi=xi)
-    worst = 0.0
-    for row in table["rows"]:
-        worst = max(worst, abs(row["ratio"] - row["analytic"]) / row["stderr"])
+    worst = _worst(abs(row["ratio"] - row["analytic"]) / row["stderr"] for row in table["rows"])
     return {"worst": worst, "n": len(pairs), "max_ratio": table["max_ratio"]}
 
 
@@ -589,13 +584,12 @@ def loop_eval_consistency(seed: int, d: int, K_mc: int = 32, M: int = 128) -> di
     from .gaussian import loop_eval
     rng = instance_rng(seed, "loop-eval")
     sample = sample_loop(seed + 3, K_mc, M, d)
-    worst = 0.0
-    for j in (0, 1, M // 2, M - 1):
-        worst = max(worst, float(np.max(np.abs(loop_eval(sample, j / M) - sample.values[j]))))
+    gaps = [np.max(np.abs(loop_eval(sample, j / M) - sample.values[j]))
+            for j in (0, 1, M // 2, M - 1)]
     for s in rng.uniform(0.0, 1.0, size=10):
         direct = sample.xi @ basis_matrix(K_mc, np.array([float(s)]))[:, 0]
-        worst = max(worst, float(np.max(np.abs(loop_eval(sample, float(s)) - direct))))
-    return {"residual": worst, "n": 14}
+        gaps.append(np.max(np.abs(loop_eval(sample, float(s)) - direct)))
+    return {"residual": _worst(gaps), "n": len(gaps)}
 
 
 def _covariance(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> dict:
@@ -604,7 +598,7 @@ def _covariance(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> d
 
 def _covariance_psd(cfg: RunConfig, seed: int) -> dict:
     min_eig = covariance_psd_min_eig(cfg.mc.K_mc)
-    return {"residual": max(0.0, -min_eig), "min_eig": min_eig, "n": 64}
+    return {"residual": _worst([-min_eig]), "min_eig": min_eig, "n": 64}
 
 
 def _holder_bounded(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> dict:
@@ -654,49 +648,36 @@ def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int,
                            weight_c=Fraction(1), max_degree: int = 3) -> dict:
     """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets."""
     form = SymplecticForm.standard(d, K, weight_c)
-    rng = instance_rng(seed, "poisson-axioms")
-    failures = 0
-    nonzero = 0
-    for _ in range(n_triples):
-        F = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
-        G = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
-        H = random_fock(rng, d, K, max_degree, dual_fraction=0.5)
+
+    def instance(rng, i):      # (identities broken, whether {F, G} is nonzero)
+        F, G, H = (random_fock(rng, d, K, max_degree, dual_fraction=0.5) for _ in range(3))
         fg = poisson_bracket(F, G, form)
-        if not fg.is_zero():
-            nonzero += 1
-        if not poisson_bracket(F, F, form).is_zero():
-            failures += 1
-        if not (fg + poisson_bracket(G, F, form)).is_zero():
-            failures += 1
         lhs = poisson_bracket(F, wick_product(G, H), form)
         rhs = wick_product(fg, H) + wick_product(G, poisson_bracket(F, H, form))
-        if lhs != rhs:
-            failures += 1
         jac = poisson_bracket(F, poisson_bracket(G, H, form), form) \
             + poisson_bracket(G, poisson_bracket(H, F, form), form) \
             + poisson_bracket(H, poisson_bracket(F, G, form), form)
-        if not jac.is_zero():
-            failures += 1
-    return {"failures": failures, "nonzero": nonzero, "n": n_triples}
+        return (not poisson_bracket(F, F, form).is_zero()) \
+            + (not (fg + poisson_bracket(G, F, form)).is_zero()) \
+            + (lhs != rhs) + (not jac.is_zero()), not fg.is_zero()
+    results = _instances(seed, "poisson-axioms", n_triples, instance)
+    return {"failures": sum(broken for broken, _ in results),
+            "nonzero": sum(nontrivial for _, nontrivial in results), "n": n_triples}
 
 
 def bracket_pair_example_failures(d: int, K: int, weight_c=Fraction(1)) -> dict:
     """Degree-1 pairs: bracket is minus the weight on matched primal/dual pairs."""
     form = SymplecticForm.standard(d, K, weight_c)
-    failures = 0
-    count = 0
-    for c in range(1, d + 1):
-        for k in range(-K, K + 1):
-            F = FockVector({MultiIndex.single(ModeIndex(c, k)): Fraction(1)})
-            G = FockVector({MultiIndex.single(ModeIndex(c, k, dual=True)): Fraction(1)})
-            expected = FockVector({MultiIndex(): -(weight_c * k * k + 1)})
-            if poisson_bracket(F, G, form) != expected:
-                failures += 1
-            other = FockVector({MultiIndex.single(ModeIndex(c, -k if k else K, dual=True)): Fraction(1)})
-            if k != 0 and not poisson_bracket(F, other, form).is_zero():
-                failures += 1
-            count += 1
-    return {"failures": failures, "n": count}
+    modes = mode_range(d, K)
+
+    def one(mode):
+        return FockVector({MultiIndex.single(mode): Fraction(1)})
+    failures = sum((poisson_bracket(one(m), one(m.as_dual), form)
+                    != FockVector({MultiIndex(): -(weight_c * m.freq * m.freq + 1)}))
+                   + (m.freq != 0 and not poisson_bracket(
+                       one(m), one(ModeIndex(m.coord, -m.freq, dual=True)), form).is_zero())
+                   for m in modes)
+    return {"failures": failures, "n": len(modes)}
 
 
 def _poly_partial_eval(F: FockVector, mode: ModeIndex, xi: dict) -> float:
@@ -722,9 +703,8 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
     engine against direct polynomial differentiation.
     """
     form = SymplecticForm.standard(d, K, weight_c=float(LAMBDA))
-    rng = instance_rng(seed, "chaos-compat")
-    worst = 0.0
-    for _ in range(n_instances):
+
+    def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5).to_float()
         G = random_fock(rng, d, K, 3, dual_fraction=0.5).to_float()
         xi = random_xi(rng, d, K, include_dual=True)
@@ -739,17 +719,18 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
                         rhs += w * float(entry) \
                             * _poly_partial_eval(F, form.mode_of_index(i, k), xi) \
                             * _poly_partial_eval(G, form.mode_of_index(j, k), xi)
-        worst = max(worst, _rel(lhs, rhs))
-    return {"residual": worst, "n": n_instances}
+        return _rel(lhs, rhs)
+    return {"residual": _worst(_instances(seed, "chaos-compat", n_instances, instance)),
+            "n": n_instances}
 
 
 def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int,
                          weight_c=Fraction(1), k: int = 1, C: float = 1.0) -> dict:
     """Grid-searched continuity constants for the bracket under the norm bound."""
     form = SymplecticForm.standard(d, K, weight_c)
-    rng = instance_rng(seed, "bracket-bound")
-    pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
-              random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_pairs)]
+    pairs = _instances(seed, "bracket-bound", n_pairs,
+                       lambda rng, i: (random_fock(rng, d, K, 3, dual_fraction=0.5),
+                                       random_fock(rng, d, K, 3, dual_fraction=0.5)))
     return _constant_search(pairs, [connes_norm_upper(poisson_bracket(F, G, form), k, C)
                                     for F, G in pairs], _pair_bound, k, (C, 2 * C, 4 * C, 8 * C))
 
@@ -898,7 +879,7 @@ def normal_one_sided_failures(seed: int, n_instances: int, d: int, K: int) -> di
     """At alpha = 1 the deformed contraction is purely one-sided: direct oracle."""
     form = SymplecticForm.standard(d, K)
     one_A = DiagonalOperatorA.family("one", K)
-    primal = [ModeIndex(c, k) for c in range(1, d + 1) for k in range(-K, K + 1)]
+    primal = mode_range(d, K)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
@@ -1036,13 +1017,18 @@ def operator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
                           k: int = 1, C: float = 1.0) -> dict:
     """Continuity constants for the transform generator or the perturbation."""
     form = SymplecticForm.standard(d, K)
-    rng = instance_rng(seed, f"bound-{which}")
-    # The ea pairs follow the family in the stream, so the family is drawn either way.
-    family = [random_fock(rng, d, K, 4, dual_fraction=0.5) for _ in range(n_instances)]
     scales = (C, 2 * C, 4 * C, 8 * C)
+
+    def draw(rng, i):
+        return random_fock(rng, d, K, 4, dual_fraction=0.5)
     if which == "t1":
+        family = _instances(seed, "bound-t1", n_instances, draw)
         return _constant_search(family, [connes_norm_upper(apply_T1(F, A, form), k, C)
                                          for F in family], connes_norm_upper, k, scales)
+    # The ea stream draws a family first, as the t1 stream does, then the pairs.
+    rng = instance_rng(seed, f"bound-{which}")
+    for i in range(n_instances):
+        draw(rng, i)
     pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
               random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_instances)]
     return _constant_search(pairs, [connes_norm_upper(apply_EA(F, G, A, form), k, C)
@@ -1118,7 +1104,13 @@ SUITE_RUNNERS = {suite: functools.partial(run_checks, suite) for suite in CHECKS
 
 
 def run_suites(cfg: RunConfig) -> VerificationReport:
-    """Execute the configured suites; check failures become records, not raises."""
+    """Execute the configured suites, one record per check.
+
+    A check that does not hold becomes a FAIL record.  An exception raised
+    inside a check is not caught and ends the run: a zero-variance batch,
+    for one, raises ZeroDivisionError in `stationarity_z_score`.  Turning
+    such an exception into a FAIL record is ROADMAP item 4b.
+    """
     records = []
     for name in cfg.suites:
         records.extend(SUITE_RUNNERS[name](cfg))

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import pytest
 
@@ -32,6 +34,27 @@ def test_exit_one_on_failure(tmp_path, monkeypatch):
     monkeypatch.setitem(suites.SUITE_RUNNERS, "algebra", failing_runner)
     path = write_config(tmp_path)
     assert main(["--config", str(path)]) == 1
+
+
+def test_non_finite_residual_fails_and_is_written_as_null(tmp_path, monkeypatch):
+    """An evaluator that returns inf on every third call FAILs its check, not vanishes."""
+    original, calls = suites.chaos_eval_spectral, itertools.count(1)
+
+    def every_third_inf(F, xi):
+        value = original(F, xi)
+        return math.inf if next(calls) % 3 == 0 else value
+
+    monkeypatch.setattr(suites, "chaos_eval_spectral", every_third_inf)
+    path = write_config(tmp_path, suites=["chaos"])
+    out = tmp_path / "report.json"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    written = next(r for r in json.loads(out.read_text())["records"]
+                   if r["check_id"] == "factorization.spectral")
+    assert written["residual"] is None and written["observed"] is None
+    assert not written["passed"]
+    loaded = next(r for r in load_report(out).records if r.check_id == "factorization.spectral")
+    assert loaded.residual == math.inf and not loaded.passed
+    assert not load_report(out).all_passed
 
 
 def test_exit_two_on_config_errors(tmp_path, capsys):

@@ -279,3 +279,14 @@ def test_golden_verdicts_recompute_from_the_bytes():
         assert rec["passed"] == (rec["residual"] <= rec["tolerance"]), rec["check_id"]
     # A report read back renders to the same bytes.
     assert canonical_json(report_to_dict(load_report(path))) + "\n" == path.read_text()
+
+
+def test_load_report_rejects_a_repeated_key(tmp_path):
+    """A second `all_passed` must not decide, silently, what a report says."""
+    text = (REPO / "tests" / "golden" / "default_report.json").read_text()
+    assert text.count('"all_passed": true') == 1
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(text.replace('"all_passed": true',
+                                    '"all_passed": false,\n  "all_passed": true'))
+    with pytest.raises(ConfigError, match="all_passed"):
+        load_report(doubled)

@@ -26,7 +26,7 @@ def test_multi_index_merge_and_degree():
     assert mu.degree == 4
     assert mu.multiplicity(m) == 3
     assert mu.multiplicity(ModeIndex(1, 5)) == 0
-    assert sorted(mu.expanded()) == sorted([m, m, m, n])
+    assert dict(mu) == {m: 3, n: 1}
     assert VACUUM.degree == 0
     assert len(tuple(VACUUM)) == 0
 
@@ -51,8 +51,6 @@ def test_multi_index_validation():
         MultiIndex(((m, 0),))
     with pytest.raises(TypeError):
         MultiIndex((("not a mode", 1),))
-    assert MultiIndex(((m, 1), (m.as_dual, 1))).has_dual()
-    assert not MultiIndex.single(m).has_dual()
 
 
 def test_sort_key_orders_by_degree_first():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from loopstar.fock import FockVector, HbarSeries, wick_product
-from loopstar.modes import LAMBDA, ModeIndex, MultiIndex
+from loopstar.modes import LAMBDA, VACUUM, ModeIndex, MultiIndex
 from loopstar.poisson import (SymplecticForm, moyal_star, poisson_bracket,
                               poisson_power, star_series)
 from loopstar.suites import (bracket_pair_example_failures, chaos_compatibility_residual,
@@ -145,7 +145,7 @@ def test_moyal_star_structure():
     S = moyal_star(F, G, form, R=2)
     assert S.order == 2
     assert S.coefficient(0) == wick_product(F, G)
-    assert S.coefficient(1) == FockVector.unit().scale(poisson_bracket(F, G, form).vacuum_component())
+    assert S.coefficient(1) == FockVector.unit().scale(poisson_bracket(F, G, form).terms[VACUUM])
     assert S.coefficient(2).is_zero()
 
 

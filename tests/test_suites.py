@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import platform
 from pathlib import Path
 
@@ -21,8 +22,14 @@ LIGHT_DOC = {
 }
 
 
-def test_all_suites_pass_on_light_config():
-    report = run_suites(parse_config(LIGHT_DOC))
+@pytest.fixture(scope="module")
+def light_report():
+    """One run of the light config, shared by the tests that only read it."""
+    return run_suites(parse_config(LIGHT_DOC))
+
+
+def test_all_suites_pass_on_light_config(light_report):
+    report = light_report
     assert report.all_passed
     suites_seen = {r.suite for r in report.records}
     assert suites_seen == set(LIGHT_DOC["suites"])
@@ -77,12 +84,10 @@ def test_batch_checks_match_their_seed_path():
             check.__name__
 
 
-def test_report_embeds_config_echo():
-    cfg = parse_config(LIGHT_DOC)
-    report = run_suites(cfg)
-    assert report.config["K"] == 2
-    assert report.config["mc"]["n_samples"] == 1000
-    assert report.config["suites"] == list(cfg.suites)
+def test_report_embeds_config_echo(light_report):
+    assert light_report.config["K"] == 2
+    assert light_report.config["mc"]["n_samples"] == 1000
+    assert light_report.config["suites"] == list(parse_config(LIGHT_DOC).suites)
 
 
 def test_suite_registry_matches_config_names():
@@ -121,13 +126,48 @@ EXACT_BODY_HASHES = [
 ]
 
 
-@pytest.mark.parametrize("config, suite_names, seed, prefix", EXACT_BODY_HASHES,
-                         ids=[f"{c}-seed{s}" for c, _, s, _ in EXACT_BODY_HASHES])
-def test_exact_suite_bodies_are_pinned(config, suite_names, seed, prefix):
+# The same for the float suites of the default config: a refactor of the
+# Monte-Carlo and residual checks must leave these bodies alone too.
+FLOAT_BODY_HASHES = [
+    ("default", ("chaos", "gaussian"), 7, "e1b1f55cc32560a2"),
+    ("default", ("chaos", "gaussian"), 3, "8406cda0248f81af"),
+]
+
+
+def _body_hash(config, suite_names, seed):
     doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
     cfg = parse_config({**doc, "suites": list(suite_names), "mc": {**doc["mc"], "seed": seed}})
     body = canonical_json(report_to_dict(run_suites(cfg)))
-    assert hashlib.sha256(body.encode()).hexdigest()[:16] == prefix
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("config, suite_names, seed, prefix", EXACT_BODY_HASHES,
+                         ids=[f"{c}-seed{s}" for c, _, s, _ in EXACT_BODY_HASHES])
+def test_exact_suite_bodies_are_pinned(config, suite_names, seed, prefix):
+    assert _body_hash(config, suite_names, seed) == prefix
+
+
+@pytest.mark.parametrize("config, suite_names, seed, prefix", FLOAT_BODY_HASHES,
+                         ids=[f"{c}-seed{s}" for c, _, s, _ in FLOAT_BODY_HASHES])
+def test_float_suite_bodies_are_pinned(config, suite_names, seed, prefix):
+    assert _body_hash(config, suite_names, seed) == prefix
+
+
+def test_worst_is_inf_on_any_non_finite_value():
+    assert suites._worst([]) == 0.0
+    assert suites._worst([0.5, 2.0, 1.0]) == 2.0
+    assert suites._worst([0.0, math.nan]) == math.inf
+    assert suites._worst([-math.inf]) == math.inf
+
+
+def test_quadrature_residual_counts_the_instances_it_runs(monkeypatch):
+    """Three fields serve n // 3 instances each (at least one), and `n` says so."""
+    original, calls = suites.random_fock, []
+    monkeypatch.setattr(suites, "random_fock", lambda *a, **k: calls.append(1) or original(*a, **k))
+    for n, ran in ((10, 9), (1, 3)):
+        calls.clear()
+        out = suites.chaos_quadrature_residual(42, n, 2, 2, 4, K_mc=16, n_grid=512)
+        assert out["n"] == ran == len(calls)
 
 
 def test_norm_search_forms_each_product_once(monkeypatch):
@@ -147,13 +187,12 @@ def _keys(value):
     return set()
 
 
-def test_canonical_body_is_independent_of_the_environment(monkeypatch):
+def test_canonical_body_is_independent_of_the_environment(light_report, monkeypatch):
     """Faked numpy and Python versions change the text summary, not one body byte."""
-    cfg = parse_config(LIGHT_DOC)
-    here = canonical_json(report_to_dict(run_suites(cfg)))
+    here = canonical_json(report_to_dict(light_report))
     monkeypatch.setattr(numpy, "__version__", "0.0.fake")
     monkeypatch.setattr(platform, "python_version", lambda: "9.9.9")
-    report = run_suites(cfg)
+    report = run_suites(parse_config(LIGHT_DOC))
     doc = report_to_dict(report)
     assert canonical_json(doc) == here
     assert doc["versions"] == {"loopstar": loopstar.__version__}
