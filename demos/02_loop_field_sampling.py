@@ -12,16 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from loopstar import GreenKernel, green_kernel, sample_loop, sample_xi_batch, spectral_green_sum
-from loopstar.gaussian import export_loop_csv, green_diagonal
+from loopstar import (green_exponential_form, green_kernel, sample_loop, sample_xi_batch,
+                      spectral_green_sum)
+from loopstar.gaussian import GREEN_ALPHA, GREEN_BETA, export_loop_csv, green_diagonal
 
-gk = GreenKernel()
 print("kernel at coincident points:", green_diagonal())
-print("exponential coefficients alpha, beta:", gk.alpha, gk.beta)
+print("exponential coefficients alpha, beta:", GREEN_ALPHA, GREEN_BETA)
 for s, t in [(0.1, 0.3), (0.0, 0.5)]:
     closed = green_kernel(s, t)
     print(f"G({s},{t}) closed={closed:.10f}  "
-          f"exp-form={gk.exponential_form(abs(s - t)):.10f}  "
+          f"exp-form={green_exponential_form(abs(s - t)):.10f}  "
           f"eigen-sum(K=200)={spectral_green_sum(s, t, 200):.10f}")
 
 print("\nsampling is counter-based: same seed, same bits")

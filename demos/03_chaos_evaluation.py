@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from loopstar import ChaosEvalConfig, FockVector, ModeIndex, MultiIndex, sample_loop
+from loopstar import FockVector, ModeIndex, MultiIndex, sample_loop
 from loopstar.chaos import (chaos_eval_quadrature, chaos_eval_spectral,
                             fd_matches_annihilation, stratonovich_pairing)
 
@@ -26,17 +26,16 @@ F = FockVector({
 })
 
 sample = sample_loop(seed=5, K_mc=64, M=4096, d=2)
-cfg = ChaosEvalConfig(n_grid=4096)
 
 spectral = chaos_eval_spectral(F, sample.xi_map(2))
-quadrature = chaos_eval_quadrature(F, sample, cfg)
+quadrature = chaos_eval_quadrature(F, sample, 4096)
 print(f"spectral evaluation   {spectral:.12f}")
 print(f"quadrature evaluation {quadrature:.12f}")
 print(f"difference            {abs(spectral - quadrature):.2e}")
 
 print("\npairing each mode recovers its sampled coefficient:")
 for mode in (m1, m2):
-    got = stratonovich_pairing(mode, sample, cfg)
+    got = stratonovich_pairing(mode, sample, 4096)
     print(f"  {mode!r}: pairing {got:+.8f}  stored {sample.xi_value(mode):+.8f}")
 
 print("\ncentral-difference error decays at second order:")

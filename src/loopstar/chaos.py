@@ -13,9 +13,7 @@ of symmetrized kernels multiply like the polynomials they come from.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -24,23 +22,15 @@ from .gaussian import LoopSample
 from .modes import ModeIndex, MultiIndex, h_weight, mode_profile
 
 
-@dataclass(frozen=True)
-class ChaosEvalConfig:
-    """The grid of the quadrature evaluator and of the pairing."""
-
-    n_grid: int = 4096
-
-    def __post_init__(self):
-        if self.n_grid < 64:
-            raise ValueError(f"n_grid must be >= 64, got {self.n_grid}")
-
-
 def _grid_slice(sample: LoopSample, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid points j/n_grid and field values there, subsampled from storage.
 
-    Requires n_grid to divide the stored resolution so the values are the
-    stored ones exactly, never re-interpolated.
+    The quadrature grid has at least 64 points, and n_grid must divide the
+    stored resolution so the values are the stored ones exactly, never
+    re-interpolated.
     """
+    if n_grid < 64:
+        raise ValueError(f"n_grid must be >= 64, got {n_grid}")
     if n_grid > sample.M:
         raise ValueError(f"n_grid {n_grid} exceeds sample resolution M={sample.M}")
     if sample.M % n_grid:
@@ -49,7 +39,7 @@ def _grid_slice(sample: LoopSample, n_grid: int) -> tuple[np.ndarray, np.ndarray
     return sample.grid[::step], sample.values[::step]
 
 
-def stratonovich_pairing(mode: ModeIndex, sample: LoopSample, cfg: ChaosEvalConfig) -> float:
+def stratonovich_pairing(mode: ModeIndex, sample: LoopSample, n_grid: int) -> float:
     """Loop-space pairing of one basis mode with the field, by quadrature.
 
     Computes (1 + lambda k^2) times the circle integral of profile * field
@@ -60,7 +50,7 @@ def stratonovich_pairing(mode: ModeIndex, sample: LoopSample, cfg: ChaosEvalConf
         raise ValueError(f"sampled fields pair with primal modes only, got {mode!r}")
     if mode.coord > sample.d:
         raise ValueError(f"mode coordinate {mode.coord} exceeds sample dimension {sample.d}")
-    grid, values = _grid_slice(sample, cfg.n_grid)
+    grid, values = _grid_slice(sample, n_grid)
     prof = mode_profile(mode.freq, grid)
     return float(h_weight(mode.freq) * np.mean(prof * values[:, mode.coord - 1]))
 
@@ -83,14 +73,14 @@ def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
     return total
 
 
-def chaos_eval_quadrature(F: FockVector, sample: LoopSample, cfg: ChaosEvalConfig) -> float:
+def chaos_eval_quadrature(F: FockVector, sample: LoopSample, n_grid: int) -> float:
     """Slotwise-quadrature evaluation, independent of the stored coefficients.
 
     Each tensor slot of a monomial contributes the trapezoid integral of
     (profile - profile'') * field; slots multiply, monomials add.
     """
     slots: dict[ModeIndex, float] = {}
-    grid, values = _grid_slice(sample, cfg.n_grid)
+    grid, values = _grid_slice(sample, n_grid)
     total = 0.0
     for mu, c in F.terms.items():
         prod = float(c)
@@ -145,12 +135,11 @@ def fd_matches_annihilation(F: FockVector, sample: LoopSample,
     return abs(fd - chaos_eval_spectral(contracted, xi))
 
 
-def injectivity_probe(F: FockVector, seed: int, draws_per_term: int = 5,
-                      tol: float = 1e-9) -> bool:
+def injectivity_probe(F: FockVector, seed: int) -> bool:
     """Polynomial identity test: does F evaluate to ~0 on random draws?
 
     Draws 5 standard-normal coefficient maps per monomial (at least one)
-    and returns True iff every evaluation is below tol times the largest
+    and returns True iff every evaluation is below 1e-9 times the largest
     coefficient magnitude.  A True verdict is the probe's claim that F is
     the zero vector.
     """
@@ -158,18 +147,17 @@ def injectivity_probe(F: FockVector, seed: int, draws_per_term: int = 5,
         return True
     modes = sorted(F.support_modes())
     scale = max(abs(float(c)) for c in F.terms.values())
-    n_draws = max(1, draws_per_term * len(F))
+    n_draws = max(1, 5 * len(F))
     rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x1D]))
     for _ in range(n_draws):
         xi = {mode: float(z) for mode, z in zip(modes, rng.standard_normal(len(modes)))}
-        if abs(chaos_eval_spectral(F, xi)) > tol * scale:
+        if abs(chaos_eval_spectral(F, xi)) > 1e-9 * scale:
             return False
     return True
 
 
 def normal_convergence_check(sample: LoopSample, q: float,
-                             n_max: int, n0: int,
-                             cfg: Optional[ChaosEvalConfig] = None) -> dict:
+                             n_max: int, n0: int, n_grid: int) -> dict:
     """Geometric-tail surrogate for normal convergence of the chaos series.
 
     Builds a float vector whose degree-n part is a single power of the
@@ -180,7 +168,6 @@ def normal_convergence_check(sample: LoopSample, q: float,
     the ratio 0 < q < 1, which the tail needs to close, and mu_ratio is
     q / (2 M_sup): q itself is never recomputed, so it is reported exactly.
     """
-    cfg = cfg or ChaosEvalConfig()
     if not 0.0 < q < 1.0:
         raise ValueError(f"need a ratio 0 < q < 1 for the tail to close, got {q}")
     m_sup = float(np.max(np.abs(sample.values)))
@@ -194,7 +181,7 @@ def normal_convergence_check(sample: LoopSample, q: float,
         coeff = (mu_ratio / envelope) ** n
         part = FockVector({MultiIndex(((mode, n),)) if n else MultiIndex(): coeff},
                           scalar_mode=FLOAT)
-        contribution = abs(chaos_eval_quadrature(part, sample, cfg))
+        contribution = abs(chaos_eval_quadrature(part, sample, n_grid))
         bound = q ** n
         rows.append({"degree": n, "contribution": contribution, "bound": bound})
         if n > n0:

@@ -84,15 +84,17 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
     for key in doc:
         if key not in known:
             raise ConfigError(f"{where}.{key}: unknown field")
-    d = _expect_int(doc, "d", 2, where, 1)
-    K = _expect_int(doc, "K", 3, where, 1)
-    N = _expect_int(doc, "N", 6, where, 2)
-    R = _expect_int(doc, "R", 4, where, 1)
-    weight_c = parse_rational(doc.get("weight_c", "1"), f"{where}.weight_c")
+    default = RunConfig()       # a missing field takes its dataclass default
+    d = _expect_int(doc, "d", default.d, where, 1)
+    K = _expect_int(doc, "K", default.K, where, 1)
+    N = _expect_int(doc, "N", default.N, where, 2)
+    R = _expect_int(doc, "R", default.R, where, 1)
+    weight_c = (parse_rational(doc["weight_c"], f"{where}.weight_c") if "weight_c" in doc
+                else default.weight_c)
     if weight_c <= 0:
         raise ConfigError(f"{where}.weight_c: must be positive, got {weight_c}")
 
-    alpha_spec = doc.get("alpha_spec", "ksq")
+    alpha_spec = doc.get("alpha_spec", default.alpha_spec)
     if isinstance(alpha_spec, str):
         if alpha_spec not in FAMILIES:
             raise ConfigError(f"{where}.alpha_spec: unknown family {alpha_spec!r}; "
@@ -119,22 +121,22 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
         if key not in {"n_samples", "seed", "K_mc", "n_grid"}:
             raise ConfigError(f"{where}.mc.{key}: unknown field")
     mc = McConfig(
-        n_samples=_expect_int(mc_doc, "n_samples", 20000, f"{where}.mc", 100),
-        seed=_expect_int(mc_doc, "seed", 42, f"{where}.mc", 0),
-        K_mc=_expect_int(mc_doc, "K_mc", 64, f"{where}.mc", 1),
-        n_grid=_expect_int(mc_doc, "n_grid", 4096, f"{where}.mc", 64),
+        n_samples=_expect_int(mc_doc, "n_samples", default.mc.n_samples, f"{where}.mc", 100),
+        seed=_expect_int(mc_doc, "seed", default.mc.seed, f"{where}.mc", 0),
+        K_mc=_expect_int(mc_doc, "K_mc", default.mc.K_mc, f"{where}.mc", 1),
+        n_grid=_expect_int(mc_doc, "n_grid", default.mc.n_grid, f"{where}.mc", 64),
     )
     if mc.seed >= 1 << 64:
         raise ConfigError(f"{where}.mc.seed: must fit in 64 bits")
 
-    suites = doc.get("suites", list(DEFAULT_SUITES))
+    suites = doc.get("suites", list(default.suites))
     if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
         raise ConfigError(f"{where}.suites: expected a list of suite names")
     for s in suites:
         if s not in SUITE_NAMES:
             raise ConfigError(f"{where}.suites: unknown suite {s!r}; "
                               f"known: {', '.join(SUITE_NAMES)}")
-    output_path = doc.get("output_path")
+    output_path = doc.get("output_path", default.output_path)
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"{where}.output_path: expected a string path")
 

@@ -57,26 +57,21 @@ class DiagonalOperatorA:
                 raise ValueError(f"growth witness ({self.K_bound}, {self.mu}) fails at k={k}")
 
     @classmethod
-    def from_table(cls, table: Mapping[int, Fraction], K: int,
-                   mu: Optional[int] = None, name: str = "table") -> "DiagonalOperatorA":
+    def from_table(cls, table: Mapping[int, Fraction], K: int) -> "DiagonalOperatorA":
         """Build from an explicit table, deriving the tightest simple witness.
 
-        mu defaults to 0 when the zero frequency is rescaled (any
-        polynomial bound must then be constant there) and to 2 otherwise.
+        mu is 0 when the zero frequency is rescaled (any polynomial bound
+        must then be constant there) and 2 otherwise.
         """
         clean = {int(k): Fraction(v) for k, v in table.items()}
-        if mu is None:
-            mu = 0 if clean.get(0) else 2
+        mu = 0 if clean.get(0) else 2
         bound = Fraction(0)
         for k in range(-K, K + 1):
             a = abs(clean.get(k, Fraction(0)))
             growth = Fraction(1) if (k == 0 and mu == 0) else Fraction(abs(k)) ** mu
-            if growth == 0:
-                if a:
-                    raise ValueError(f"nonzero alpha at k=0 needs growth exponent 0, got {mu}")
-                continue
-            bound = max(bound, a / growth)
-        return cls(alpha=dict(clean), K=K, K_bound=bound, mu=mu, name=name)
+            if growth:
+                bound = max(bound, a / growth)
+        return cls(alpha=dict(clean), K=K, K_bound=bound, mu=mu)
 
     @classmethod
     def family(cls, name: str, K: int) -> "DiagonalOperatorA":
@@ -93,9 +88,6 @@ class DiagonalOperatorA:
 
     def alpha_of(self, k: int) -> Fraction:
         return self.alpha.get(k, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(not a for a in self.alpha.values())
 
     def negated(self) -> "DiagonalOperatorA":
         """Same witness, opposite eigenvalues; generates the inverse transform."""
@@ -153,9 +145,9 @@ def cA1(F: FockVector, G: FockVector, A: DiagonalOperatorA,
 
 
 def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA,
-        form: SymplecticForm, max_degree: Optional[int] = None) -> FockVector:
+        form: SymplecticForm) -> FockVector:
     """r-fold deformed contraction with the (alpha_k +- 1) channel weights."""
-    return contract_channels(F, G, deformed_channels(A, form), r, max_degree)
+    return contract_channels(F, G, deformed_channels(A, form), r)
 
 
 def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, form: SymplecticForm,

@@ -115,14 +115,9 @@ class FockVector:
         return cls._from_terms({}, scalar_mode)
 
     @classmethod
-    def unit(cls, scalar_mode: str = RATIONAL) -> "FockVector":
-        """The vacuum monomial with coefficient 1: the algebra unit."""
-        return cls._from_terms({VACUUM: coerce_scalar(1, scalar_mode)}, scalar_mode)
-
-    @classmethod
-    def monomial(cls, mu: MultiIndex, coeff: Scalar = 1,
-                 scalar_mode: str = RATIONAL) -> "FockVector":
-        return cls({mu: coeff}, scalar_mode)
+    def unit(cls) -> "FockVector":
+        """The vacuum monomial with rational coefficient 1: the algebra unit."""
+        return cls._from_terms({VACUUM: Fraction(1)}, RATIONAL)
 
     # -- queries ---------------------------------------------------------
 
@@ -314,8 +309,8 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     return [FockVector._from_terms(orders[r], mode) for r in range(lowest, R + 1)]
 
 
-def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel], r: int,
-                      max_degree: Optional[int] = None) -> FockVector:
+def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel],
+                      r: int) -> FockVector:
     """r-fold channel contraction: the sum over ordered r-tuples of channels.
 
     Each tuple contributes the product of its weights times the Wick
@@ -323,12 +318,12 @@ def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel],
     the channel sum as a bidifferential operator, without any 1/r!
     normalization.  It is r! times order r of the shared engine.
     """
-    return _star_orders(F, G, channels, r, max_degree, lowest=r)[0].scale(math.factorial(r))
+    return _star_orders(F, G, channels, r, lowest=r)[0].scale(math.factorial(r))
 
 
 def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[ModeIndex, Scalar],
-                     N: int, scalar_mode: str = RATIONAL) -> FockVector:
-    """Degree-capped exponential of a degree-one element on the doubled modes.
+                     N: int) -> FockVector:
+    """Degree-capped rational exponential of a degree-one element on the doubled modes.
 
     gamma feeds primal slots and gamma_star dual slots; the result is
     sum_{n <= N} (gamma + gamma_star)^{wick n} / n!.  Keys must carry the
@@ -345,15 +340,15 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[Mode
         if not mode.dual:
             raise ValueError(f"gamma_star must have dual support, got {mode!r}")
         gen_terms[MultiIndex.single(mode)] = c
-    gen = FockVector(gen_terms, scalar_mode)
-    power = FockVector.unit(scalar_mode)
+    gen = FockVector(gen_terms)
+    power = FockVector.unit()
     out = dict(power.terms)
     for n in range(1, N + 1):
         power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
         if power.is_zero():
             break
         _accumulate(out, power.terms)
-    return FockVector._from_terms(out, scalar_mode)
+    return FockVector._from_terms(out, RATIONAL)
 
 
 # -- formal power series in the deformation parameter --------------------
@@ -392,10 +387,6 @@ class HbarSeries:
         zeros = [FockVector.zero(F.scalar_mode) for _ in range(R)]
         return cls([F] + zeros)
 
-    @classmethod
-    def zero(cls, R: int, scalar_mode: str = RATIONAL) -> "HbarSeries":
-        return cls([FockVector.zero(scalar_mode) for _ in range(R + 1)])
-
     def coefficient(self, r: int) -> FockVector:
         return self.coeffs[r]
 
@@ -409,21 +400,14 @@ class HbarSeries:
         self._check_compatible(other)
         return HbarSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "HbarSeries") -> "HbarSeries":
-        self._check_compatible(other)
-        return HbarSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, scalar: Scalar) -> "HbarSeries":
-        return HbarSeries([c.scale(scalar) for c in self.coeffs])
-
-    def wick_mul(self, other: "HbarSeries", max_degree: Optional[int] = None) -> "HbarSeries":
-        """Cauchy product with the Wick product on coefficients, each at cap `max_degree`."""
+    def wick_mul(self, other: "HbarSeries") -> "HbarSeries":
+        """Cauchy product with the Wick product on coefficients."""
         self._check_compatible(other)
         out = []
         for r in range(self.order + 1):
             acc: dict[MultiIndex, Scalar] = {}
             for a in range(r + 1):
-                _accumulate(acc, wick_product(self.coeffs[a], other.coeffs[r - a], max_degree).terms)
+                _accumulate(acc, wick_product(self.coeffs[a], other.coeffs[r - a]).terms)
             out.append(FockVector._from_terms(acc, self.scalar_mode))
         return HbarSeries(out)
 

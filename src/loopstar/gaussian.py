@@ -63,22 +63,11 @@ def spectral_green_sum(s, t, K: int):
     return float(total) if total.ndim == 0 else total
 
 
-@dataclass(frozen=True)
-class GreenKernel:
-    """Closed-form kernel descriptor: exponential coefficients and shape."""
-
-    alpha: float = GREEN_ALPHA
-    beta: float = GREEN_BETA
-    form: str = "cosh(dist - 1/2) / (2 sinh(1/2))"
-
-    def value(self, s, t):
-        return green_kernel(s, t)
-
-    def exponential_form(self, x):
-        """alpha e^{-x} + beta e^{x} on x in [0, 1]; equal to value() there."""
-        x = np.asarray(x, dtype=float)
-        out = self.alpha * np.exp(-x) + self.beta * np.exp(x)
-        return float(out) if out.ndim == 0 else out
+def green_exponential_form(x):
+    """GREEN_ALPHA e^{-x} + GREEN_BETA e^{x}; equal to green_kernel(x, 0) on x in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    out = GREEN_ALPHA * np.exp(-x) + GREEN_BETA * np.exp(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def _mode_key(seed: int, coord: int, freq: int) -> np.ndarray:

@@ -40,11 +40,6 @@ class ModeIndex(namedtuple("ModeIndex", ["coord", "freq", "dual"])):
         return super().__new__(cls, int(coord), int(freq), bool(dual))
 
     @property
-    def primal(self) -> "ModeIndex":
-        """The same mode with the dual flag cleared."""
-        return self if not self.dual else ModeIndex(self.coord, self.freq, False)
-
-    @property
     def as_dual(self) -> "ModeIndex":
         return self if self.dual else ModeIndex(self.coord, self.freq, True)
 
@@ -203,21 +198,8 @@ def profile_table(K: int, s, order: int = 0) -> np.ndarray:
     return out
 
 
-def mode_eval(mode: ModeIndex, s: float, d: int, order: int = 0) -> np.ndarray:
-    """d-vector value of one basis mode at a single parameter s.
-
-    Dual modes share their primal twin's profile; the flag only matters to
-    the symplectic pairing.
-    """
-    if mode.coord > d:
-        raise ValueError(f"mode coordinate {mode.coord} exceeds dimension {d}")
-    out = np.zeros(d)
-    out[mode.coord - 1] = float(mode_profile(mode.freq, s, order))
-    return out
-
-
-def mode_range(d: int, K: int, dual: bool = False) -> list[ModeIndex]:
-    """All retained modes: coordinates 1..d, frequencies -K..K."""
+def mode_range(d: int, K: int) -> list[ModeIndex]:
+    """All retained primal modes: coordinates 1..d, frequencies -K..K."""
     if d < 1 or K < 0:
         raise ValueError("need d >= 1 and K >= 0")
-    return [ModeIndex(c, k, dual) for c in range(1, d + 1) for k in range(-K, K + 1)]
+    return [ModeIndex(c, k) for c in range(1, d + 1) for k in range(-K, K + 1)]

@@ -129,10 +129,9 @@ def poisson_bracket(F: FockVector, G: FockVector, form: SymplecticForm) -> FockV
     return contract_channels(F, G, form.channels(), 1)
 
 
-def poisson_power(r: int, F: FockVector, G: FockVector, form: SymplecticForm,
-                  max_degree: Optional[int] = None) -> FockVector:
+def poisson_power(r: int, F: FockVector, G: FockVector, form: SymplecticForm) -> FockVector:
     """r-fold iterate of the bracket's channel sum; r = 0 is the plain product."""
-    return contract_channels(F, G, form.channels(), r, max_degree)
+    return contract_channels(F, G, form.channels(), r)
 
 
 def moyal_star(F: FockVector, G: FockVector, form: SymplecticForm, R: int,

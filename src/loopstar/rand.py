@@ -48,12 +48,11 @@ def random_fraction(rng: np.random.Generator) -> Fraction:
 
 
 def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
-                n_terms: int = 4, dual_fraction: float = 0.0,
-                min_degree: int = 0) -> FockVector:
+                n_terms: int = 4, dual_fraction: float = 0.0) -> FockVector:
     """Random rational vector with small coefficients; never the zero vector."""
     terms: dict[MultiIndex, Fraction] = {}
     while len(terms) < n_terms:
-        degree = int(rng.integers(min_degree, max_degree + 1))
+        degree = int(rng.integers(0, max_degree + 1))
         mu = random_multi_index(rng, d, K, degree, dual_fraction)
         terms[mu] = random_fraction(rng)
     return FockVector(terms, RATIONAL)

@@ -224,14 +224,31 @@ def _null_as_inf(x: Optional[float]) -> float:
 
 
 def report_from_dict(doc: dict) -> VerificationReport:
-    records = [CheckRecord(suite=r["suite"], check_id=r["check_id"], claim=r["claim"],
-                           residual=_null_as_inf(r["residual"]), tolerance=r["tolerance"],
-                           passed=r["passed"], n_instances=r["n_instances"], seed=r["seed"],
-                           observed=_null_as_inf(r.get("observed", 0.0)))
-               for r in doc.get("records", [])]
-    return VerificationReport(records=records, config=doc.get("config", {}),
-                              versions=doc.get("versions", {}),
-                              notes=tuple(doc.get("notes", ())))
+    """The report a canonical body describes, with every verdict recomputed.
+
+    A record passes iff `residual <= tolerance`, a null residual reading as
+    inf.  A body whose `passed` or `all_passed` says otherwise raises
+    ValueError naming the check.
+    """
+    records = []
+    for r in doc.get("records", []):
+        residual = _null_as_inf(r["residual"])
+        passed = residual <= r["tolerance"]
+        if r["passed"] is not passed:
+            raise ValueError(f"{r['suite']}/{r['check_id']}: passed is {r['passed']!r}, but "
+                             f"residual {residual!r} against tolerance {r['tolerance']!r} "
+                             f"gives {passed}")
+        records.append(CheckRecord(suite=r["suite"], check_id=r["check_id"], claim=r["claim"],
+                                   residual=residual, tolerance=r["tolerance"], passed=passed,
+                                   n_instances=r["n_instances"], seed=r["seed"],
+                                   observed=_null_as_inf(r.get("observed", 0.0))))
+    report = VerificationReport(records=records, config=doc.get("config", {}),
+                                versions=doc.get("versions", {}),
+                                notes=tuple(doc.get("notes", ())))
+    if doc.get("all_passed", report.all_passed) is not report.all_passed:
+        raise ValueError(f"all_passed is {doc['all_passed']!r}, but the records give "
+                         f"{report.all_passed}")
+    return report
 
 
 def text_summary(report: VerificationReport) -> str:

@@ -11,9 +11,9 @@ An exact check sums what its instances return, the identities each breaks
 (`_count_failures`); a float check folds its values with `_worst`, which is
 inf once any value is NaN or infinite, so a broken evaluation FAILs instead
 of vanishing.  Three checks keep their own stream, since one loop would
-reorder their draws: the `ea` branch of `operator_bound_search` (family,
-then pairs), `kernel_constant_residuals` and `loop_eval_consistency`
-(vectorized batches).  The continuity-constant searches walk one grid in
+reorder their draws: `perturbation_bound_search` (family, then pairs),
+`kernel_constant_residuals` and `loop_eval_consistency` (vectorized
+batches).  The continuity-constant searches walk one grid in
 `_constant_search`.  Paired identities always go through two structurally
 different routes (engine vs direct expansion, spectral vs quadrature,
 closed form vs eigen-sum), never through the same code twice.
@@ -31,17 +31,16 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
-from .chaos import (ChaosEvalConfig, chaos_eval_quadrature, chaos_eval_spectral,
-                    fd_matches_annihilation, injectivity_probe, normal_convergence_check,
-                    stratonovich_pairing)
+from .chaos import (chaos_eval_quadrature, chaos_eval_spectral, fd_matches_annihilation,
+                    injectivity_probe, normal_convergence_check, stratonovich_pairing)
 from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           deformed_channels, exp_product_formula_rhs, star_A)
 from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                    wick_exponential, wick_product)
-from .gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix, green_diagonal,
-                       green_kernel, holder_moment_check, sample_loop, sample_xi_batch,
-                       spectral_green_sum, uniform_grid)
+from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, green_diagonal,
+                       green_exponential_form, green_kernel, holder_moment_check, sample_loop,
+                       sample_xi_batch, spectral_green_sum, uniform_grid)
 from .modes import LAMBDA, ModeIndex, MultiIndex, mode_range
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
@@ -124,24 +123,36 @@ def _worst(values: Iterable[float]) -> float:
     return max([0.0, *values]) if all(map(math.isfinite, values)) else math.inf
 
 
+def _z(diff: float, se: float) -> float:
+    """The one z-score of the Monte-Carlo checks: |diff| / se, inf if se is not positive.
+
+    A zero-variance batch then FAILs its check instead of dividing by zero.
+    """
+    return abs(diff) / se if se > 0 else math.inf
+
+
 def _count_failures(seed: int, label: str, n: int,
                     instance: Callable[[np.random.Generator, int], int]) -> dict:
     """An exact check: the identities its n instances break, summed."""
     return {"failures": sum(_instances(seed, label, n, instance)), "n": n}
 
 
+# C0 values of the continuity-constant grid; the norm search walks the first three.
+_SCALES = (1.0, 2.0, 4.0, 8.0)
+
+
 def _constant_search(operands: list, numerators: list[float],
-                     bound: Callable[[Any, int, float], float], k: int, scales) -> dict:
-    """First grid point (k0, C0), k0 = k..k+4 and C0 in `scales`, with ratio <= 1.
+                     bound: Callable[[Any, int, float], float], scales) -> dict:
+    """First grid point (k0, C0), k0 = 1..5 and C0 in `scales`, with ratio <= 1.
 
     The ratio at a point is the largest numerators[i] / bound(operands[i], k0, C0).
     The numerators do not depend on the point, so they are computed once by
-    the caller.  If no grid point qualifies, `max_ratio` is the least ratio
-    on the grid.
+    the caller, at the norm bound (k, C) = (1, 1.0).  If no grid point
+    qualifies, `max_ratio` is the least ratio on the grid.
     """
     n = len(operands)
     least = math.inf
-    for k0 in range(k, k + 5):
+    for k0 in range(1, 6):
         for C0 in scales:
             r = _worst(num / bound(x, k0, C0) for x, num in zip(operands, numerators))
             if r <= 1.0:
@@ -158,22 +169,20 @@ def _pair_bound(pair: tuple[FockVector, FockVector], k0: int, C0: float) -> floa
 # ---------------------------------------------------------------- algebra
 
 
-def wick_axiom_failures(seed: int, n_triples: int, d: int, K: int,
-                        max_degree: int = 5) -> dict:
+def wick_axiom_failures(seed: int, n_triples: int, d: int, K: int) -> dict:
     """Commutativity and associativity of the product, exact."""
     def instance(rng, i):
-        F, G, H = (random_fock(rng, d, K, max_degree, dual_fraction=0.3) for _ in range(3))
+        F, G, H = (random_fock(rng, d, K, 5, dual_fraction=0.3) for _ in range(3))
         return (wick_product(F, G) != wick_product(G, F)) \
             + (wick_product(wick_product(F, G), H) != wick_product(F, wick_product(G, H)))
     return _count_failures(seed, "wick-axioms", n_triples, instance)
 
 
-def degree_grading_failures(seed: int, n_pairs: int, d: int, K: int,
-                            max_degree: int = 5) -> dict:
+def degree_grading_failures(seed: int, n_pairs: int, d: int, K: int) -> dict:
     """Product terms against a brute-force union oracle with degree tags."""
     def instance(rng, i):
-        F = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
-        G = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
+        F = random_fock(rng, d, K, 5, dual_fraction=0.3)
+        G = random_fock(rng, d, K, 5, dual_fraction=0.3)
         brute: dict[MultiIndex, Fraction] = {}
         broken = 0
         for mu, a in F.terms.items():
@@ -185,12 +194,11 @@ def degree_grading_failures(seed: int, n_pairs: int, d: int, K: int,
     return _count_failures(seed, "wick-grading", n_pairs, instance)
 
 
-def derivation_failures(seed: int, n_instances: int, d: int, K: int,
-                        max_degree: int = 5) -> dict:
+def derivation_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
     """Contraction is a derivation of the product; contractions commute."""
     def instance(rng, i):
-        F = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
-        G = random_fock(rng, d, K, max_degree, dual_fraction=0.3)
+        F = random_fock(rng, d, K, 5, dual_fraction=0.3)
+        G = random_fock(rng, d, K, 5, dual_fraction=0.3)
         h = random_gamma(rng, d, K, 2, dual=False)
         lhs = annihilate_general(h, wick_product(F, G))
         rhs = wick_product(annihilate_general(h, F), G) + wick_product(F, annihilate_general(h, G))
@@ -223,14 +231,13 @@ def norm_monotone_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
     return r
 
 
-def norm_submult_search(seed: int, n_pairs: int, d: int, K: int,
-                        k: int = 1, C: float = 1.0) -> dict:
+def norm_submult_search(seed: int, n_pairs: int, d: int, K: int) -> dict:
     """Smallest grid (k0, C0) making the product bound submultiplicative."""
     pairs = _instances(seed, "norm-submult", n_pairs,
                        lambda rng, i: (random_fock(rng, d, K, 4, dual_fraction=0.3),
                                        random_fock(rng, d, K, 4, dual_fraction=0.3)))
-    return _constant_search(pairs, [connes_norm_upper(wick_product(F, G), k, C) for F, G in pairs],
-                            _pair_bound, k, (C, 2 * C, 4 * C))
+    return _constant_search(pairs, [connes_norm_upper(wick_product(F, G), 1, 1.0)
+                                    for F, G in pairs], _pair_bound, _SCALES[:3])
 
 
 def serialization_roundtrip_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
@@ -284,12 +291,11 @@ CHECKS["algebra"] = (
 # ------------------------------------------------------------------ chaos
 
 
-def chaos_spectral_residual(seed: int, n_instances: int, d: int, K: int,
-                            max_degree: int = 4) -> dict:
+def chaos_spectral_residual(seed: int, n_instances: int, d: int, K: int) -> dict:
     """Evaluation is multiplicative: chaos(:F.G:) vs product of evaluations."""
     def instance(rng, i):
-        F = random_fock(rng, d, K, max_degree)
-        G = random_fock(rng, d, K, max_degree)
+        F = random_fock(rng, d, K, 4)
+        G = random_fock(rng, d, K, 4)
         xi = random_xi(rng, d, K)
         lhs = chaos_eval_spectral(wick_product(F, G), xi)
         return _rel(lhs, chaos_eval_spectral(F, xi) * chaos_eval_spectral(G, xi))
@@ -298,22 +304,20 @@ def chaos_spectral_residual(seed: int, n_instances: int, d: int, K: int,
 
 
 def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
-                              max_degree: int = 4, K_mc: int = 64,
-                              n_grid: int = 4096) -> dict:
+                              K_mc: int = 64, n_grid: int = 4096) -> dict:
     """Quadrature evaluator against the spectral one on three sampled fields.
 
     Each field serves max(1, n_instances // 3) instances, and `n` counts the
     instances run.
     """
-    cfg = ChaosEvalConfig(n_grid=n_grid)
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
     samples = [sample_loop(seed + j, K_mc, n_grid, d, basis=basis) for j in range(3)]
     xis = [sample.xi_map(K) for sample in samples]
     per = max(1, n_instances // 3)
 
     def instance(rng, i):
-        F = random_fock(rng, d, K, max_degree)
-        return _rel(chaos_eval_quadrature(F, samples[i // per], cfg),
+        F = random_fock(rng, d, K, 4)
+        return _rel(chaos_eval_quadrature(F, samples[i // per], n_grid),
                     chaos_eval_spectral(F, xis[i // per]))
     n = 3 * per
     return {"residual": _worst(_instances(seed, "chaos-quadrature", n, instance)), "n": n}
@@ -322,19 +326,18 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
 def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int = 64,
                               n_grid: int = 4096) -> dict:
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
-    cfg = ChaosEvalConfig(n_grid=n_grid)
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
     samples = [sample_loop(seed + 17 + i, K_mc, n_grid, d, basis=basis) for i in range(3)]
-    gaps = [abs(stratonovich_pairing(mode, sample, cfg) - sample.xi_value(mode))
+    gaps = [abs(stratonovich_pairing(mode, sample, n_grid) - sample.xi_value(mode))
             for sample in samples for mode in mode_range(d, K)]
     return {"residual": _worst(gaps), "n": len(gaps)}
 
 
-def quadrature_convergence(seed: int, d: int, K: int, K_mc: int = 600,
-                           grids=(256, 512, 1024, 2048), n_instances: int = 5) -> dict:
+def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     """Trapezoid quadrature is exact once the grid resolves the integrand.
 
-    Each slot integrates the field (frequencies up to K_mc) against a mode
+    Five instances run on the grids 256, 512, 1024 and 2048.  Each slot
+    integrates the field (frequencies up to K_mc = 600) against a mode
     profile (frequencies up to K), so the integrand carries frequencies up
     to K_mc + K, and the n-point trapezoid rule integrates it exactly iff
     n > K_mc + K (Trefethen & Weideman, SIAM Review 2014).  The field
@@ -348,16 +351,16 @@ def quadrature_convergence(seed: int, d: int, K: int, K_mc: int = 600,
     the (c, f) pairs that break the drop; `errors` is each grid's worst
     error in units of eps * max(1, |value|).
     """
+    K_mc, grids, n_instances = 600, (256, 512, 1024, 2048), 5
     sample = sample_loop(seed + 23, K_mc, max(grids) * 2, d)
     xi = sample.xi_map(K)
     eps = float(np.finfo(float).eps)
-    cfgs = [ChaosEvalConfig(n_grid=n_grid) for n_grid in grids]
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3)
         value = chaos_eval_spectral(F, xi)
-        return [abs(chaos_eval_quadrature(F, sample, cfg) - value) / (eps * max(1.0, abs(value)))
-                for cfg in cfgs]
+        return [abs(chaos_eval_quadrature(F, sample, n_grid) - value)
+                / (eps * max(1.0, abs(value))) for n_grid in grids]
     rows = _instances(seed, "chaos-convergence-instances", n_instances, instance)
     errors = [_worst(row[g] for row in rows) for g in range(len(grids))]
     resolved = [n > K_mc + K for n in grids]
@@ -420,8 +423,7 @@ def _quadrature_order(cfg: RunConfig, seed: int) -> dict:
 def normal_convergence_failures(seed: int, d: int, K_mc: int) -> dict:
     """Per-degree chaos contributions of a sampled field stay under a q = 1/2 envelope."""
     sample = sample_loop(seed + 41, K_mc, 512, d)
-    nc = normal_convergence_check(sample, q=0.5, n_max=12, n0=4,
-                                  cfg=ChaosEvalConfig(n_grid=512))
+    nc = normal_convergence_check(sample, q=0.5, n_max=12, n0=4, n_grid=512)
     return {"failures": 0 if nc["ok"] else 1, "ratio_q": nc["ratio_q"], "n": len(nc["rows"])}
 
 
@@ -434,7 +436,7 @@ CHECKS["chaos"] = (
                                                       cfg.mc.n_grid),
           1e-8, Precision.RESIDUAL, "residual"),
     Check("factorization.quadrature", "slotwise-quadrature evaluation matches the spectral one",
-          lambda cfg, seed: chaos_quadrature_residual(seed, 30, cfg.d, cfg.K, 4, cfg.mc.K_mc,
+          lambda cfg, seed: chaos_quadrature_residual(seed, 30, cfg.d, cfg.K, cfg.mc.K_mc,
                                                       cfg.mc.n_grid),
           1e-6, Precision.RESIDUAL, "residual"),
     Check("quadrature.order", "trapezoid rule on grids {grid_list} matches the spectral value "
@@ -459,8 +461,8 @@ CHECKS["chaos"] = (
 # --------------------------------------------------------------- gaussian
 
 
-def kernel_constant_residuals(seed: int, n_points: int = 25) -> dict:
-    """Closed-form kernel constants and shape identities."""
+def kernel_constant_residuals(seed: int) -> dict:
+    """Closed-form kernel constants and shape identities, at 25 random points."""
     rng = instance_rng(seed, "kernel-constants")
     # Independently rearranged forms of the same magnitudes.
     alpha_ref = math.e / (2.0 * (math.e - 1.0))
@@ -468,41 +470,38 @@ def kernel_constant_residuals(seed: int, n_points: int = 25) -> dict:
     diag_ref = 0.5 / math.tanh(0.5)
     gaps = [abs(GREEN_ALPHA - alpha_ref), abs(GREEN_BETA - beta_ref),
             abs(green_diagonal() - diag_ref)]
-    gk = GreenKernel()
-    for s in rng.uniform(0.0, 1.0, size=n_points):
+    for s in rng.uniform(0.0, 1.0, size=25):
         x = float(rng.uniform(0.0, 1.0))
         gaps += [abs(green_kernel(float(s), float(s)) - diag_ref),
-                 abs(gk.exponential_form(x) - green_kernel(x, 0.0))]
-    return {"residual": _worst(gaps), "n": n_points}
+                 abs(green_exponential_form(x) - green_kernel(x, 0.0))]
+    return {"residual": _worst(gaps), "n": 25}
 
 
-def kernel_spectral_residual(seed: int, n_pairs: int = 25, K_sum: int = 200) -> dict:
-    """Closed form vs truncated eigenfunction sum, off-diagonal separations."""
+def kernel_spectral_residual(seed: int) -> dict:
+    """Closed form vs the 200-frequency eigenfunction sum at 25 off-diagonal pairs."""
     def instance(rng, i):
         s = float(rng.uniform(0.0, 1.0))
         t = (s + float(rng.uniform(0.05, 0.5))) % 1.0
-        return abs(green_kernel(s, t) - spectral_green_sum(s, t, K_sum))
-    return {"residual": _worst(_instances(seed, "kernel-spectral", n_pairs, instance)),
-            "n": n_pairs}
+        return abs(green_kernel(s, t) - spectral_green_sum(s, t, 200))
+    return {"residual": _worst(_instances(seed, "kernel-spectral", 25, instance)), "n": 25}
 
 
-def kernel_stationarity_residual(seed: int, n_pairs: int = 25) -> dict:
-    """Kernel depends only on circle distance: translation invariance."""
+def kernel_stationarity_residual(seed: int) -> dict:
+    """Kernel depends only on circle distance: translation invariance, 25 triples."""
     def instance(rng, i):
         s, t, u = (float(x) for x in rng.uniform(0.0, 1.0, size=3))
         return _worst((abs(green_kernel(s, t) - green_kernel((s + u) % 1.0, (t + u) % 1.0)),
                        abs(green_kernel(s, t) - green_kernel(t, s))))
-    return {"residual": _worst(_instances(seed, "kernel-stationarity", n_pairs, instance)),
-            "n": n_pairs}
+    return {"residual": _worst(_instances(seed, "kernel-stationarity", 25, instance)), "n": 25}
 
 
-def sampler_determinism_failures(seed: int, d: int, K_mc: int = 16, M: int = 64) -> dict:
-    """Bit-identical resampling, seed sensitivity, batch prefix consistency."""
-    a = sample_loop(seed, K_mc, M, d)
-    b = sample_loop(seed, K_mc, M, d)
-    c = sample_loop(seed + 1, K_mc, M, d)
-    big = sample_xi_batch(seed, 20, K_mc, d)
-    small = sample_xi_batch(seed, 5, K_mc, d)
+def sampler_determinism_failures(seed: int, d: int) -> dict:
+    """Bit-identical resampling, seed sensitivity, batch prefix consistency (K_mc = 16)."""
+    a = sample_loop(seed, 16, 64, d)
+    b = sample_loop(seed, 16, 64, d)
+    c = sample_loop(seed + 1, 16, 64, d)
+    big = sample_xi_batch(seed, 20, 16, d)
+    small = sample_xi_batch(seed, 5, 16, d)
     broken = (not (np.array_equal(a.xi, b.xi) and np.array_equal(a.values, b.values)),
               np.array_equal(a.xi, c.xi),
               not np.array_equal(big[:5], small),
@@ -528,10 +527,10 @@ def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
     for a, b, truth in zip(pair_a, pair_b, truths):
         for i in range(d):
             prod = vals[:, i, a] * vals[:, i, b]
-            same.append(abs(np.mean(prod) - truth) / (np.std(prod, ddof=1) / math.sqrt(n_samples)))
+            same.append(_z(np.mean(prod) - truth, np.std(prod, ddof=1) / math.sqrt(n_samples)))
         if d >= 2:
             prod = vals[:, 0, a] * vals[:, 1, b]
-            cross.append(abs(np.mean(prod)) / (np.std(prod, ddof=1) / math.sqrt(n_samples)))
+            cross.append(_z(np.mean(prod), np.std(prod, ddof=1) / math.sqrt(n_samples)))
     return {"worst_same": _worst(same), "worst_cross": _worst(cross),
             "n": len(same) + len(cross)}
 
@@ -550,14 +549,13 @@ def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
         p1 = vals[:, 0, 0] * vals[:, 0, 1]
         p2 = vals[:, 0, 2] * vals[:, 0, 3]
         se = math.sqrt(np.var(p1, ddof=1) / n_samples + np.var(p2, ddof=1) / n_samples)
-        zs.append(abs(float(np.mean(p1) - np.mean(p2))) / se)
+        zs.append(_z(float(np.mean(p1) - np.mean(p2)), se))
     return {"worst": _worst(zs), "n": len(base_pairs)}
 
 
-def covariance_psd_min_eig(K_mc: int, n_points: int = 64) -> float:
-    """Smallest eigenvalue of the spectral covariance matrix on a grid."""
-    grid = uniform_grid(n_points)
-    E = basis_matrix(K_mc, grid)
+def covariance_psd_min_eig(K_mc: int) -> float:
+    """Smallest eigenvalue of the spectral covariance matrix on the 64-point grid."""
+    E = basis_matrix(K_mc, uniform_grid(64))
     cov = E.T @ E
     return float(np.min(np.linalg.eigvalsh(cov)))
 
@@ -567,7 +565,7 @@ def holder_p1_z(seed: int, n_samples: int, K_mc: int, d: int,
     """p = 1 increment-moment ratios against the Gaussian closed form."""
     pairs = [(0.1, 0.2), (0.15, 0.4), (0.3, 0.75), (0.02, 0.5), (0.6, 0.72)]
     table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d, xi=xi)
-    worst = _worst(abs(row["ratio"] - row["analytic"]) / row["stderr"] for row in table["rows"])
+    worst = _worst(_z(row["ratio"] - row["analytic"], row["stderr"]) for row in table["rows"])
     return {"worst": worst, "n": len(pairs), "max_ratio": table["max_ratio"]}
 
 
@@ -579,15 +577,18 @@ def holder_bounded_ratio(seed: int, n_samples: int, K_mc: int, d: int,
     return {"max_ratio": table["max_ratio"], "n": len(pairs)}
 
 
-def loop_eval_consistency(seed: int, d: int, K_mc: int = 32, M: int = 128) -> dict:
-    """Grid hits return stored values; off-grid points match the spectral dot."""
+def loop_eval_consistency(seed: int, d: int) -> dict:
+    """Grid hits return stored values; off-grid points match the spectral dot.
+
+    The field has K_mc = 32 on a 128-point grid.
+    """
     from .gaussian import loop_eval
     rng = instance_rng(seed, "loop-eval")
-    sample = sample_loop(seed + 3, K_mc, M, d)
-    gaps = [np.max(np.abs(loop_eval(sample, j / M) - sample.values[j]))
-            for j in (0, 1, M // 2, M - 1)]
+    sample = sample_loop(seed + 3, 32, 128, d)
+    gaps = [np.max(np.abs(loop_eval(sample, j / 128) - sample.values[j]))
+            for j in (0, 1, 64, 127)]
     for s in rng.uniform(0.0, 1.0, size=10):
-        direct = sample.xi @ basis_matrix(K_mc, np.array([float(s)]))[:, 0]
+        direct = sample.xi @ basis_matrix(32, np.array([float(s)]))[:, 0]
         gaps.append(np.max(np.abs(loop_eval(sample, float(s)) - direct)))
     return {"residual": _worst(gaps), "n": len(gaps)}
 
@@ -645,12 +646,12 @@ CHECKS["gaussian"] = (
 
 
 def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int,
-                           weight_c=Fraction(1), max_degree: int = 3) -> dict:
+                           weight_c=Fraction(1)) -> dict:
     """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets."""
     form = SymplecticForm.standard(d, K, weight_c)
 
     def instance(rng, i):      # (identities broken, whether {F, G} is nonzero)
-        F, G, H = (random_fock(rng, d, K, max_degree, dual_fraction=0.5) for _ in range(3))
+        F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
         fg = poisson_bracket(F, G, form)
         lhs = poisson_bracket(F, wick_product(G, H), form)
         rhs = wick_product(fg, H) + wick_product(G, poisson_bracket(F, H, form))
@@ -725,14 +726,14 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
 
 
 def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int,
-                         weight_c=Fraction(1), k: int = 1, C: float = 1.0) -> dict:
+                         weight_c=Fraction(1)) -> dict:
     """Grid-searched continuity constants for the bracket under the norm bound."""
     form = SymplecticForm.standard(d, K, weight_c)
     pairs = _instances(seed, "bracket-bound", n_pairs,
                        lambda rng, i: (random_fock(rng, d, K, 3, dual_fraction=0.5),
                                        random_fock(rng, d, K, 3, dual_fraction=0.5)))
-    return _constant_search(pairs, [connes_norm_upper(poisson_bracket(F, G, form), k, C)
-                                    for F, G in pairs], _pair_bound, k, (C, 2 * C, 4 * C, 8 * C))
+    return _constant_search(pairs, [connes_norm_upper(poisson_bracket(F, G, form), 1, 1.0)
+                                    for F, G in pairs], _pair_bound, _SCALES)
 
 
 def _bracket_axioms(cfg: RunConfig, seed: int) -> dict:
@@ -780,13 +781,13 @@ def power_law_failures(seed: int, n_instances: int, d: int, K: int,
 
 
 def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int,
-                         weight_c=Fraction(1), R: int = 4, max_degree: int = 3) -> dict:
+                         weight_c=Fraction(1), R: int = 4) -> dict:
     """Coefficientwise associativity of the truncated star-product."""
     form = SymplecticForm.standard(d, K, weight_c)
     channels = form.channels()
 
     def instance(rng, i):
-        F, G, H = (random_fock(rng, d, K, max_degree, dual_fraction=0.5) for _ in range(3))
+        F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
         left = star_series(moyal_star(F, G, form, R), HbarSeries.from_vector(H, R), channels)
         right = star_series(HbarSeries.from_vector(F, R), moyal_star(G, H, form, R), channels)
         return left != right
@@ -982,9 +983,8 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     return {**r, "window": window}
 
 
-def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3,
-                             d: int = 1, K: int = 2) -> dict:
-    """Deformed product of two capped exponentials vs the closed formula.
+def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3) -> dict:
+    """Deformed product of two capped exponentials vs the closed formula, at d=1, K=2.
 
     Cycles through the three named operator families; compared on the
     N - 2R window at every truncation order.  The exponentials are built
@@ -995,6 +995,7 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
     window = N - 2 * R
     if window < 0:
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")
+    d, K = 1, 2
     form = SymplecticForm.standard(d, K)
 
     def instance(rng, i):
@@ -1012,27 +1013,30 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
     return {**r, "window": window}
 
 
-def operator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
-                          d: int, K: int, which: str = "t1",
-                          k: int = 1, C: float = 1.0) -> dict:
-    """Continuity constants for the transform generator or the perturbation."""
+def generator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
+                           d: int, K: int) -> dict:
+    """Continuity constants for the transform generator."""
     form = SymplecticForm.standard(d, K)
-    scales = (C, 2 * C, 4 * C, 8 * C)
+    family = _instances(seed, "bound-t1", n_instances,
+                        lambda rng, i: random_fock(rng, d, K, 4, dual_fraction=0.5))
+    return _constant_search(family, [connes_norm_upper(apply_T1(F, A, form), 1, 1.0)
+                                     for F in family], connes_norm_upper, _SCALES)
 
-    def draw(rng, i):
-        return random_fock(rng, d, K, 4, dual_fraction=0.5)
-    if which == "t1":
-        family = _instances(seed, "bound-t1", n_instances, draw)
-        return _constant_search(family, [connes_norm_upper(apply_T1(F, A, form), k, C)
-                                         for F in family], connes_norm_upper, k, scales)
-    # The ea stream draws a family first, as the t1 stream does, then the pairs.
-    rng = instance_rng(seed, f"bound-{which}")
-    for i in range(n_instances):
-        draw(rng, i)
+
+def perturbation_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
+                              d: int, K: int) -> dict:
+    """Continuity constants for the perturbation.
+
+    Its stream draws a family first, as the generator's does, then the pairs.
+    """
+    form = SymplecticForm.standard(d, K)
+    rng = instance_rng(seed, "bound-ea")
+    for _ in range(n_instances):
+        random_fock(rng, d, K, 4, dual_fraction=0.5)
     pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
               random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_instances)]
-    return _constant_search(pairs, [connes_norm_upper(apply_EA(F, G, A, form), k, C)
-                                    for F, G in pairs], _pair_bound, k, scales)
+    return _constant_search(pairs, [connes_norm_upper(apply_EA(F, G, A, form), 1, 1.0)
+                                    for F, G in pairs], _pair_bound, _SCALES)
 
 
 CHECKS["equivalence"] = (
@@ -1061,12 +1065,11 @@ CHECKS["equivalence"] = (
           "(d=1, K=2)", lambda cfg, seed: product_formula_failures(seed, 12), observed="window"),
     _search("transform.bounded", "generator norm bound below the input bound at grid-searched "
             "constants (k1={k0}, C1={C0:g})",
-            lambda cfg, seed: operator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K,
-                                                    which="t1")),
+            lambda cfg, seed: generator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K)),
     _search("perturbation.bounded", "perturbation norm bound below the factor bounds at "
             "grid-searched constants (k1={k0}, C1={C0:g})",
-            lambda cfg, seed: operator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K,
-                                                    which="ea")),
+            lambda cfg, seed: perturbation_bound_search(seed, 15, resolve_alpha(cfg), cfg.d,
+                                                        cfg.K)),
 )
 
 
@@ -1106,10 +1109,9 @@ SUITE_RUNNERS = {suite: functools.partial(run_checks, suite) for suite in CHECKS
 def run_suites(cfg: RunConfig) -> VerificationReport:
     """Execute the configured suites, one record per check.
 
-    A check that does not hold becomes a FAIL record.  An exception raised
-    inside a check is not caught and ends the run: a zero-variance batch,
-    for one, raises ZeroDivisionError in `stationarity_z_score`.  Turning
-    such an exception into a FAIL record is ROADMAP item 4b.
+    A check that does not hold becomes a FAIL record; a zero-variance
+    Monte-Carlo batch is one (its z-scores are inf).  An exception raised
+    inside a check is not caught and ends the run.
     """
     records = []
     for name in cfg.suites:

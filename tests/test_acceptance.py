@@ -38,7 +38,7 @@ def announce(capsys, num, ok, detail):
 
 def test_criterion_01_product_axioms_exact(capsys):
     t0 = time.perf_counter()
-    out = wick_axiom_failures(SEED, 200, d=2, K=3, max_degree=5)
+    out = wick_axiom_failures(SEED, 200, d=2, K=3)
     dt = time.perf_counter() - t0
     ok = out["failures"] == 0 and dt <= 10.0
     announce(capsys, 1, ok,
@@ -48,7 +48,7 @@ def test_criterion_01_product_axioms_exact(capsys):
 
 def test_criterion_02_derivation_exact(capsys):
     t0 = time.perf_counter()
-    out = derivation_failures(SEED, 200, d=2, K=3, max_degree=5)
+    out = derivation_failures(SEED, 200, d=2, K=3)
     dt = time.perf_counter() - t0
     ok = out["failures"] == 0 and dt <= 5.0
     announce(capsys, 2, ok,
@@ -89,7 +89,7 @@ def test_criterion_04_gateaux_slope(capsys):
 
 def test_criterion_05_bracket_axioms(capsys):
     t0 = time.perf_counter()
-    out = poisson_axiom_failures(SEED, 100, d=2, K=3, max_degree=3)
+    out = poisson_axiom_failures(SEED, 100, d=2, K=3)
     dt = time.perf_counter() - t0
     ok = out["failures"] == 0 and out["nonzero"] >= 20 and dt <= 30.0
     announce(capsys, 5, ok,
@@ -101,7 +101,7 @@ def test_criterion_05_bracket_axioms(capsys):
 def test_criterion_06_star_product(capsys):
     t0 = time.perf_counter()
     laws = power_law_failures(SEED, 50, d=2, K=3)
-    assoc = moyal_assoc_failures(SEED, 50, d=2, K=3, R=4, max_degree=3)
+    assoc = moyal_assoc_failures(SEED, 50, d=2, K=3, R=4)
     dt = time.perf_counter() - t0
     ok = laws["failures"] == 0 and assoc["failures"] == 0 and dt <= 120.0
     announce(capsys, 6, ok,
@@ -114,7 +114,7 @@ def test_criterion_06_star_product(capsys):
 def test_criterion_07_gaussian_field(capsys):
     t0 = time.perf_counter()
     const = kernel_constant_residuals(SEED)
-    spec = kernel_spectral_residual(SEED, n_pairs=25, K_sum=200)
+    spec = kernel_spectral_residual(SEED)
     cov = covariance_z_scores(SEED, 20000, K_mc=64, d=2)
     hol = holder_p1_z(SEED, 20000, K_mc=64, d=2)
     dt = time.perf_counter() - t0

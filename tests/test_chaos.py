@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopstar.chaos import (ChaosEvalConfig, chaos_eval_quadrature, chaos_eval_spectral,
+from loopstar.chaos import (chaos_eval_quadrature, chaos_eval_spectral,
                             fd_matches_annihilation, gateaux_derivative_fd,
                             injectivity_probe, normal_convergence_check,
                             stratonovich_pairing)
@@ -19,18 +19,17 @@ def mono(pairs, coeff=Fraction(1)):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ChaosEvalConfig(n_grid=32)
+    sample = sample_loop(1, 8, 64, d=2)      # 32 divides the stored resolution
+    with pytest.raises(ValueError, match="n_grid must be >= 64"):
+        chaos_eval_quadrature(mono([(M1, 1)]), sample, 32)
 
 
 def test_grid_slice_divisibility():
     sample = sample_loop(1, 8, 96, d=2)
-    cfg = ChaosEvalConfig(n_grid=64)
     with pytest.raises(ValueError):
-        chaos_eval_quadrature(mono([(M1, 1)]), sample, cfg)
-    big = ChaosEvalConfig(n_grid=128)
+        chaos_eval_quadrature(mono([(M1, 1)]), sample, 64)
     with pytest.raises(ValueError):
-        chaos_eval_quadrature(mono([(M1, 1)]), sample, big)
+        chaos_eval_quadrature(mono([(M1, 1)]), sample, 128)
 
 
 def test_spectral_eval_monomials():
@@ -43,25 +42,23 @@ def test_spectral_eval_monomials():
 
 def test_pairing_recovers_coefficient():
     sample = sample_loop(2, 16, 1024, d=2)
-    cfg = ChaosEvalConfig(n_grid=1024)
     for mode in (M1, M2, ModeIndex(1, 0)):
-        assert stratonovich_pairing(mode, sample, cfg) == pytest.approx(
+        assert stratonovich_pairing(mode, sample, 1024) == pytest.approx(
             sample.xi_value(mode), abs=1e-10)
     with pytest.raises(ValueError):
-        stratonovich_pairing(M1.as_dual, sample, cfg)
+        stratonovich_pairing(M1.as_dual, sample, 1024)
     with pytest.raises(ValueError):
-        stratonovich_pairing(ModeIndex(3, 0), sample, cfg)
+        stratonovich_pairing(ModeIndex(3, 0), sample, 1024)
 
 
 def test_quadrature_matches_spectral():
     sample = sample_loop(5, 16, 1024, d=2)
-    cfg = ChaosEvalConfig(n_grid=1024)
     F = mono([(M1, 2), (M2, 1)], Fraction(1, 2)) + mono([(ModeIndex(2, 3), 1)], Fraction(-2))
-    got = chaos_eval_quadrature(F, sample, cfg)
+    got = chaos_eval_quadrature(F, sample, 1024)
     want = chaos_eval_spectral(F, sample.xi_map(3))
     assert got == pytest.approx(want, abs=1e-9)
     with pytest.raises(ValueError):
-        chaos_eval_quadrature(mono([(M1.as_dual, 1)]), sample, cfg)
+        chaos_eval_quadrature(mono([(M1.as_dual, 1)]), sample, 1024)
 
 
 def test_gateaux_fd_contract():
@@ -86,10 +83,9 @@ def test_injectivity_probe_behavior():
 
 def test_normal_convergence_contract():
     sample = sample_loop(7, 8, 256, d=1)
-    cfg = ChaosEvalConfig(n_grid=256)
     with pytest.raises(ValueError):
-        normal_convergence_check(sample, q=10.0, n_max=4, n0=2, cfg=cfg)
-    out = normal_convergence_check(sample, q=0.4, n_max=10, n0=3, cfg=cfg)
+        normal_convergence_check(sample, q=10.0, n_max=4, n0=2, n_grid=256)
+    out = normal_convergence_check(sample, q=0.4, n_max=10, n0=3, n_grid=256)
     assert out["ok"]
     assert out["ratio_q"] == 0.4 and out["mu_ratio"] == 0.2 / out["m_sup"]
     assert out["tail_sum"] <= out["tail_bound"]

@@ -24,6 +24,7 @@ def minimal_doc(**overrides):
 
 def test_parse_defaults():
     cfg = parse_config({})
+    assert cfg == RunConfig()
     assert cfg.d == 2 and cfg.K == 3 and cfg.N == 6 and cfg.R == 4
     assert cfg.weight_c == Fraction(1)
     assert cfg.alpha_spec == "ksq"
@@ -184,6 +185,22 @@ def test_report_round_trip_and_wall_time_exclusion():
     assert [r.check_id for r in back.records] == ["a.b", "c.d"]
     assert back.records[0].observed == 0.25
     assert back.records[1].passed is False
+
+
+def test_report_from_dict_recomputes_each_verdict():
+    doc = json.loads((REPO / "tests" / "golden" / "default_report.json").read_text())
+    assert report_from_dict(doc).all_passed
+    wick = next(r for r in doc["records"] if r["check_id"] == "wick.axioms")
+    wick["residual"] = 5.0                    # the file still says passed: true
+    with pytest.raises(ValueError, match="wick.axioms"):
+        report_from_dict(doc)
+    wick["passed"] = False                    # consistent record, stale all_passed
+    with pytest.raises(ValueError, match="all_passed"):
+        report_from_dict(doc)
+    doc["all_passed"] = False
+    assert not report_from_dict(doc).all_passed
+    wick["residual"] = None                   # a null residual reads as inf: a FAIL
+    assert not report_from_dict(doc).records[0].passed
 
 
 def test_canonical_json_determinism():

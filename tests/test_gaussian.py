@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, GreenKernel, basis_matrix,
-                               export_loop_csv, gaussian_even_moment, green_diagonal,
+from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, export_loop_csv,
+                               gaussian_even_moment, green_diagonal, green_exponential_form,
                                green_kernel, holder_moment_check, increment_variance,
                                loop_eval, sample_loop, sample_xi_batch, spectral_green_sum,
                                uniform_grid)
@@ -22,13 +22,11 @@ def test_kernel_closed_form_shape():
 
 
 def test_exponential_coefficients():
-    gk = GreenKernel()
-    assert gk.alpha == pytest.approx(1.0 / (2.0 * (1.0 - math.exp(-1.0))))
-    assert gk.beta == pytest.approx(1.0 / (2.0 * (math.e - 1.0)))
+    assert GREEN_ALPHA == pytest.approx(1.0 / (2.0 * (1.0 - math.exp(-1.0))))
+    assert GREEN_BETA == pytest.approx(1.0 / (2.0 * (math.e - 1.0)))
     assert GREEN_ALPHA + GREEN_BETA == pytest.approx(green_diagonal())
     for x in (0.0, 0.2, 0.7, 1.0):
-        assert gk.exponential_form(x) == pytest.approx(green_kernel(x, 0.0), abs=1e-14)
-    assert gk.value(0.2, 0.9) == pytest.approx(green_kernel(0.2, 0.9))
+        assert green_exponential_form(x) == pytest.approx(green_kernel(x, 0.0), abs=1e-14)
 
 
 def test_spectral_sum_converges_to_closed_form():

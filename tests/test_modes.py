@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loopstar.modes import (LAMBDA, VACUUM, ModeIndex, MultiIndex, h_weight,
-                            mode_eval, mode_profile, mode_range, norm_const, profile_table)
+                            mode_profile, mode_range, norm_const, profile_table)
 
 
 def test_mode_index_validation():
@@ -15,7 +15,6 @@ def test_mode_index_validation():
     m = ModeIndex(1, -3)
     assert not m.dual
     assert m.as_dual.dual and m.as_dual.freq == -3
-    assert m.as_dual.primal == m
     assert repr(ModeIndex(1, 2, dual=True)) == "e(1,2)*"
 
 
@@ -117,16 +116,7 @@ def test_second_derivative_is_minus_lambda_ksq():
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_mode_eval_places_coordinate():
-    v = mode_eval(ModeIndex(2, 1), 0.3, d=3)
-    assert v.shape == (3,)
-    assert v[0] == 0.0 and v[2] == 0.0
-    assert v[1] == pytest.approx(mode_profile(1, 0.3))
-
-
 def test_mode_range_counts():
     modes = mode_range(2, 3)
     assert len(modes) == 2 * 7
     assert all(not m.dual for m in modes)
-    duals = mode_range(2, 3, dual=True)
-    assert all(m.dual for m in duals)

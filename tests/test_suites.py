@@ -84,6 +84,16 @@ def test_batch_checks_match_their_seed_path():
             check.__name__
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_variance_batch_fails_instead_of_raising():
+    # A batch with no spread has standard error 0: every z-score is inf, so
+    # each check FAILs without a ZeroDivisionError or a RuntimeWarning.
+    xi = numpy.zeros((10, 1, 9))
+    assert suites.covariance_z_scores(0, 10, 4, 1, xi)["worst_same"] == math.inf
+    assert suites.stationarity_z_score(0, 10, 4, 1, xi)["worst"] == math.inf
+    assert suites.holder_p1_z(0, 10, 4, 1, xi)["worst"] == math.inf
+
+
 def test_report_embeds_config_echo(light_report):
     assert light_report.config["K"] == 2
     assert light_report.config["mc"]["n_samples"] == 1000
@@ -166,7 +176,7 @@ def test_quadrature_residual_counts_the_instances_it_runs(monkeypatch):
     monkeypatch.setattr(suites, "random_fock", lambda *a, **k: calls.append(1) or original(*a, **k))
     for n, ran in ((10, 9), (1, 3)):
         calls.clear()
-        out = suites.chaos_quadrature_residual(42, n, 2, 2, 4, K_mc=16, n_grid=512)
+        out = suites.chaos_quadrature_residual(42, n, 2, 2, K_mc=16, n_grid=512)
         assert out["n"] == ran == len(calls)
 
 
