@@ -28,71 +28,47 @@ FAMILIES = ("zero", "one", "ksq")
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOperatorA:
-    """Frequency-diagonal rescaling with a recorded polynomial growth witness.
+    """Frequency-diagonal rescaling by rational eigenvalues.
 
-    alpha maps each retained frequency to its rational eigenvalue; the
-    witness (K_bound, mu) certifies |alpha_k| <= K_bound * |k|^mu for all
-    retained k (with 0^0 = 1), and is checked at construction.
+    alpha maps each retained frequency |k| <= K to its eigenvalue; a
+    frequency it omits has eigenvalue 0.
     """
 
     alpha: Mapping[int, Fraction]
     K: int
-    K_bound: Fraction
-    mu: int
     name: str = "table"
 
     def __post_init__(self):
         if self.K < 0:
             raise ValueError("frequency cutoff must be >= 0")
-        if self.mu < 0:
-            raise ValueError("growth exponent must be >= 0")
         for k, a in self.alpha.items():
             if abs(k) > self.K:
                 raise ValueError(f"alpha entry at frequency {k} outside cutoff {self.K}")
             if not isinstance(a, Fraction):
                 raise TypeError(f"alpha values must be Fraction, got {type(a).__name__}")
-        for k in range(-self.K, self.K + 1):
-            growth = Fraction(1) if (k == 0 and self.mu == 0) else Fraction(abs(k)) ** self.mu
-            if abs(self.alpha_of(k)) > self.K_bound * growth:
-                raise ValueError(f"growth witness ({self.K_bound}, {self.mu}) fails at k={k}")
 
     @classmethod
     def from_table(cls, table: Mapping[int, Fraction], K: int) -> "DiagonalOperatorA":
-        """Build from an explicit table, deriving the tightest simple witness.
-
-        mu is 0 when the zero frequency is rescaled (any polynomial bound
-        must then be constant there) and 2 otherwise.
-        """
-        clean = {int(k): Fraction(v) for k, v in table.items()}
-        mu = 0 if clean.get(0) else 2
-        bound = Fraction(0)
-        for k in range(-K, K + 1):
-            a = abs(clean.get(k, Fraction(0)))
-            growth = Fraction(1) if (k == 0 and mu == 0) else Fraction(abs(k)) ** mu
-            if growth:
-                bound = max(bound, a / growth)
-        return cls(alpha=dict(clean), K=K, K_bound=bound, mu=mu)
+        """Build from an explicit table of frequency -> eigenvalue."""
+        return cls(alpha={int(k): Fraction(v) for k, v in table.items()}, K=K)
 
     @classmethod
     def family(cls, name: str, K: int) -> "DiagonalOperatorA":
         """Named families: zero (identity transform), one (normal product), ksq."""
         if name == "zero":
-            return cls(alpha={}, K=K, K_bound=Fraction(0), mu=0, name=name)
+            return cls(alpha={}, K=K, name=name)
         if name == "one":
-            return cls(alpha={k: Fraction(1) for k in range(-K, K + 1)},
-                       K=K, K_bound=Fraction(1), mu=0, name=name)
+            return cls(alpha={k: Fraction(1) for k in range(-K, K + 1)}, K=K, name=name)
         if name == "ksq":
-            return cls(alpha={k: Fraction(k * k) for k in range(-K, K + 1) if k},
-                       K=K, K_bound=Fraction(1), mu=2, name=name)
+            return cls(alpha={k: Fraction(k * k) for k in range(-K, K + 1) if k}, K=K, name=name)
         raise ValueError(f"unknown family {name!r}; known: {FAMILIES}")
 
     def alpha_of(self, k: int) -> Fraction:
         return self.alpha.get(k, Fraction(0))
 
     def negated(self) -> "DiagonalOperatorA":
-        """Same witness, opposite eigenvalues; generates the inverse transform."""
-        return DiagonalOperatorA(alpha={k: -a for k, a in self.alpha.items()},
-                                 K=self.K, K_bound=self.K_bound, mu=self.mu,
+        """Opposite eigenvalues; generates the inverse transform."""
+        return DiagonalOperatorA(alpha={k: -a for k, a in self.alpha.items()}, K=self.K,
                                  name=f"-{self.name}")
 
 

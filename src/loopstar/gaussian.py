@@ -6,9 +6,10 @@ periodic kernel inverting (-d^2/ds^2 + 1).  Sampling is spectral: each
 retained trigonometric mode carries one standard normal coefficient drawn
 from its own counter-based stream, so any subset of modes, any batch size,
 and any thread layout reproduce bit-identical numbers for a given seed.
-The Monte-Carlo diagnostics take an optional, already drawn batch `xi`,
-so one verification run draws each Monte-Carlo batch once and hands it to
-every check that reads it.
+The Monte-Carlo diagnostics take an already drawn batch `xi` as their
+only sample input and read its size, dimension and cutoff from its shape
+(`batch_shape`), so one verification run draws each Monte-Carlo batch once
+and hands it to every check that reads it.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
     return out
 
 
+def batch_shape(xi: np.ndarray) -> tuple[int, int, int]:
+    """(n_samples, d, K_mc) of a batch laid out as `sample_xi_batch` draws it."""
+    n_samples, d, width = xi.shape
+    return n_samples, d, (width - 1) // 2
+
+
 def basis_matrix(K: int, s_points: np.ndarray) -> np.ndarray:
     """Profiles of frequencies -K..K at the given points, shape (2K+1,) + s_points.shape.
 
@@ -136,8 +143,6 @@ class LoopSample:
     """
 
     seed: int
-    K_mc: int
-    d: int
     xi: np.ndarray                      # (d, 2 K_mc + 1)
     grid: np.ndarray = field(repr=False)     # (M,)
     values: np.ndarray = field(repr=False)   # (M, d)
@@ -145,6 +150,14 @@ class LoopSample:
     @property
     def M(self) -> int:
         return len(self.grid)
+
+    @property
+    def d(self) -> int:
+        return self.xi.shape[0]
+
+    @property
+    def K_mc(self) -> int:
+        return (self.xi.shape[1] - 1) // 2
 
     def xi_value(self, mode: ModeIndex) -> float:
         """Coefficient of one primal mode; duals carry no sampled coefficient."""
@@ -162,7 +175,7 @@ class LoopSample:
                 for c in range(1, self.d + 1) for k in range(-K, K + 1)}
 
 
-def sample_loop(seed: int, K_mc: int, M: int, d: int = 2, *,
+def sample_loop(seed: int, K_mc: int, M: int, d: int, *,
                 basis: Optional[np.ndarray] = None) -> LoopSample:
     """Draw one field and materialize it on the uniform M-point grid.
 
@@ -179,7 +192,7 @@ def sample_loop(seed: int, K_mc: int, M: int, d: int = 2, *,
         raise ValueError(f"basis of shape {basis.shape} is not the ({2 * K_mc + 1}, {M}) "
                          f"table of K_mc={K_mc} on {M} points")
     values = (xi @ basis).T
-    return LoopSample(seed=seed, K_mc=K_mc, d=d, xi=xi, grid=grid, values=values)
+    return LoopSample(seed=seed, xi=xi, grid=grid, values=values)
 
 
 def loop_eval(sample: LoopSample, s) -> np.ndarray:
@@ -218,22 +231,17 @@ def gaussian_even_moment(sigma2: float, p: int, d: int) -> float:
     return out
 
 
-def holder_moment_check(n_samples: int, p: int, pairs: Sequence[tuple[float, float]],
-                        seed: int = 42, K_mc: int = 64, d: int = 2,
-                        xi: Optional[np.ndarray] = None) -> dict:
-    """Monte-Carlo increment moments E|B(t) - B(s)|^{2p} / |t - s|^p.
+def holder_moment_check(xi: np.ndarray, p: int, pairs: Sequence[tuple[float, float]]) -> dict:
+    """Monte-Carlo increment moments E|B(t) - B(s)|^{2p} / |t - s|^p over the batch `xi`.
 
     p must be 1, 2 or 3 and pairs must satisfy 0 < |t - s| <= 1/2 (a
     coincident pair contributes ratio 0 by convention).  Returns the rows,
     the largest ratio and its standard error, and for each pair the
-    analytic value implied by the truncated spectral covariance.  `xi`, if
-    given, is the batch `sample_xi_batch(seed, n_samples, K_mc, d)` already
-    drawn; otherwise it is drawn here.
+    analytic value implied by the truncated spectral covariance.
     """
     if p not in (1, 2, 3):
         raise ValueError("p must be 1, 2 or 3")
-    if xi is None:
-        xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    n_samples, d, K_mc = batch_shape(xi)
     s_pts = np.array([s for s, _ in pairs], dtype=float)
     t_pts = np.array([t for _, t in pairs], dtype=float)
     E_s, E_t = basis_matrix(K_mc, s_pts), basis_matrix(K_mc, t_pts)

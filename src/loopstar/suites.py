@@ -38,7 +38,7 @@ from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, c
                           deformed_channels, exp_product_formula_rhs, star_A)
 from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                    wick_exponential, wick_product)
-from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, green_diagonal,
+from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape, green_diagonal,
                        green_exponential_form, green_kernel, holder_moment_check, sample_loop,
                        sample_xi_batch, spectral_green_sum, uniform_grid)
 from .modes import LAMBDA, ModeIndex, MultiIndex, mode_range
@@ -59,10 +59,10 @@ class Check:
     `claim` is a `str.format` template over the result; `observed` names its
     headline field if that is not the residual.  Exact checks count failures
     through `_count_failures`: tolerance 0, no `precision`.  An entry whose `run` is the previous
-    entry's reuses that result.  An entry marked `batch` reads the suite's
-    Monte-Carlo batch xi = sample_xi_batch(seed, cfg.mc.n_samples,
-    cfg.mc.K_mc, cfg.d): `run_checks` draws it once per call and passes it
-    as `run(cfg, seed, xi)`, and `run(cfg, seed)` draws it from the seed.
+    entry's reuses that result.  An entry marked `batch` reads only the
+    suite's Monte-Carlo batch xi = sample_xi_batch(seed, cfg.mc.n_samples,
+    cfg.mc.K_mc, cfg.d): `run_checks` draws it once per call and runs the
+    entry as `run(xi)`.
     """
 
     id: str
@@ -304,7 +304,7 @@ def chaos_spectral_residual(seed: int, n_instances: int, d: int, K: int) -> dict
 
 
 def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
-                              K_mc: int = 64, n_grid: int = 4096) -> dict:
+                              K_mc: int, n_grid: int) -> dict:
     """Quadrature evaluator against the spectral one on three sampled fields.
 
     Each field serves max(1, n_instances // 3) instances, and `n` counts the
@@ -323,8 +323,7 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
     return {"residual": _worst(_instances(seed, "chaos-quadrature", n, instance)), "n": n}
 
 
-def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int = 64,
-                              n_grid: int = 4096) -> dict:
+def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int, n_grid: int) -> dict:
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
     samples = [sample_loop(seed + 17 + i, K_mc, n_grid, d, basis=basis) for i in range(3)]
@@ -372,8 +371,7 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
             "resolved": resolved, "bound": QUADRATURE_EPS_BOUND, "n": n_instances}
 
 
-def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int,
-                            K_mc: int = 64) -> dict:
+def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int, K_mc: int) -> dict:
     """Central-difference error decays at order 2 toward the contraction chaos."""
     eps_list = (1e-2, 1e-3, 1e-4)
     sample = sample_loop(seed + 31, K_mc, 256, d)
@@ -393,7 +391,7 @@ def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int,
             "n": n_instances}
 
 
-def fd_linear_residual(seed: int, d: int, K: int, K_mc: int = 64) -> dict:
+def fd_linear_residual(seed: int, d: int, K: int, K_mc: int) -> dict:
     """On degree <= 1 vectors the central difference is exact."""
     sample = sample_loop(seed + 37, K_mc, 256, d)
 
@@ -509,16 +507,15 @@ def sampler_determinism_failures(seed: int, d: int) -> dict:
     return {"failures": sum(broken), "n": len(broken)}
 
 
-def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
-                        xi: Optional[np.ndarray] = None) -> dict:
+def covariance_z_scores(xi: np.ndarray) -> dict:
     """MC covariance against the truncated spectral truth, in standard errors.
 
-    `xi`, here and in the other Monte-Carlo checks, is the batch
-    `sample_xi_batch(seed, n_samples, K_mc, d)` if already drawn.
+    `xi`, here and in the other Monte-Carlo checks, is a drawn batch
+    `sample_xi_batch(seed, n_samples, K_mc, d)`; its shape gives n_samples,
+    d and K_mc.
     """
     points = np.array([0.0, 0.11, 0.23, 0.37, 0.52, 0.68, 0.81, 0.94])
-    if xi is None:
-        xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    n_samples, d, K_mc = batch_shape(xi)
     E = basis_matrix(K_mc, points)                    # (2K+1, P)
     vals = np.tensordot(xi, E, axes=([2], [0]))       # (n, d, P)
     same, cross = [], []
@@ -535,13 +532,11 @@ def covariance_z_scores(seed: int, n_samples: int, K_mc: int, d: int,
             "n": len(same) + len(cross)}
 
 
-def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
-                         xi: Optional[np.ndarray] = None) -> dict:
+def stationarity_z_score(xi: np.ndarray) -> dict:
     """Empirical covariance at translated pairs agrees within joint MC error."""
     base_pairs = [(0.05, 0.25), (0.1, 0.45), (0.3, 0.62)]
     shift = 0.31
-    if xi is None:
-        xi = sample_xi_batch(seed, n_samples, K_mc, d)
+    n_samples, _, K_mc = batch_shape(xi)
     zs = []
     for s, t in base_pairs:
         E = basis_matrix(K_mc, np.array([s, t, (s + shift) % 1.0, (t + shift) % 1.0]))
@@ -553,27 +548,28 @@ def stationarity_z_score(seed: int, n_samples: int, K_mc: int, d: int,
     return {"worst": _worst(zs), "n": len(base_pairs)}
 
 
-def covariance_psd_min_eig(K_mc: int) -> float:
-    """Smallest eigenvalue of the spectral covariance matrix on the 64-point grid."""
+def covariance_psd_min_eig(K_mc: int) -> tuple[float, int]:
+    """Smallest eigenvalue of the spectral covariance matrix on the 64-point grid.
+
+    Returns it with the number of grid points it was measured on.
+    """
     E = basis_matrix(K_mc, uniform_grid(64))
     cov = E.T @ E
-    return float(np.min(np.linalg.eigvalsh(cov)))
+    return float(np.min(np.linalg.eigvalsh(cov))), len(cov)
 
 
-def holder_p1_z(seed: int, n_samples: int, K_mc: int, d: int,
-                xi: Optional[np.ndarray] = None) -> dict:
+def holder_p1_z(xi: np.ndarray) -> dict:
     """p = 1 increment-moment ratios against the Gaussian closed form."""
     pairs = [(0.1, 0.2), (0.15, 0.4), (0.3, 0.75), (0.02, 0.5), (0.6, 0.72)]
-    table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d, xi=xi)
+    table = holder_moment_check(xi, 1, pairs)
     worst = _worst(_z(row["ratio"] - row["analytic"], row["stderr"]) for row in table["rows"])
     return {"worst": worst, "n": len(pairs), "max_ratio": table["max_ratio"]}
 
 
-def holder_bounded_ratio(seed: int, n_samples: int, K_mc: int, d: int,
-                         xi: Optional[np.ndarray] = None) -> dict:
+def holder_bounded_ratio(xi: np.ndarray) -> dict:
     """Ratios stay bounded on a dyadic separation sweep down to small gaps."""
     pairs = [(0.2, 0.2 + 2.0 ** (-j)) for j in range(1, 8)]
-    table = holder_moment_check(n_samples, 1, pairs, seed=seed, K_mc=K_mc, d=d, xi=xi)
+    table = holder_moment_check(xi, 1, pairs)
     return {"max_ratio": table["max_ratio"], "n": len(pairs)}
 
 
@@ -593,18 +589,18 @@ def loop_eval_consistency(seed: int, d: int) -> dict:
     return {"residual": _worst(gaps), "n": len(gaps)}
 
 
-def _covariance(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> dict:
-    return covariance_z_scores(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d, xi)
+def _covariance(xi: np.ndarray) -> dict:
+    return covariance_z_scores(xi)
 
 
 def _covariance_psd(cfg: RunConfig, seed: int) -> dict:
-    min_eig = covariance_psd_min_eig(cfg.mc.K_mc)
-    return {"residual": _worst([-min_eig]), "min_eig": min_eig, "n": 64}
+    min_eig, n = covariance_psd_min_eig(cfg.mc.K_mc)
+    return {"residual": _worst([-min_eig]), "min_eig": min_eig, "n": n}
 
 
-def _holder_bounded(cfg: RunConfig, seed: int, xi: Optional[np.ndarray] = None) -> dict:
-    r = holder_bounded_ratio(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d, xi)
-    return {**r, "tolerance": 2.0 * cfg.d}
+def _holder_bounded(xi: np.ndarray) -> dict:
+    _, d, _ = batch_shape(xi)
+    return {**holder_bounded_ratio(xi), "tolerance": 2.0 * d}
 
 
 CHECKS["gaussian"] = (
@@ -625,15 +621,12 @@ CHECKS["gaussian"] = (
     Check("covariance.cross_coord", "cross-coordinate covariance vanishes within 3 standard errors",
           _covariance, 3.0, Precision.STATISTIC, "worst_cross", batch=True),
     Check("covariance.stationary", "translated pairs share their covariance within joint MC error",
-          lambda cfg, seed, xi=None: stationarity_z_score(seed, cfg.mc.n_samples, cfg.mc.K_mc,
-                                                          cfg.d, xi),
-          3.0, Precision.STATISTIC, "worst", batch=True),
+          lambda xi: stationarity_z_score(xi), 3.0, Precision.STATISTIC, "worst", batch=True),
     Check("covariance.psd", "grid covariance matrix has no eigenvalue below -1e-10",
           _covariance_psd, 1e-10, Precision.RESIDUAL, "residual", observed="min_eig"),
     Check("holder.p1", "p=1 increment-moment ratios match the Gaussian closed form within 3 SE",
-          lambda cfg, seed, xi=None: holder_p1_z(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d,
-                                                 xi),
-          3.0, Precision.STATISTIC, "worst", observed="max_ratio", batch=True),
+          lambda xi: holder_p1_z(xi), 3.0, Precision.STATISTIC, "worst", observed="max_ratio",
+          batch=True),
     Check("holder.bounded", "increment-moment ratios stay bounded down dyadic separations",
           _holder_bounded, precision=Precision.STATISTIC, residual="max_ratio", batch=True),
     Check("loop_eval.consistent", "grid hits come from storage and off-grid matches the spectral "
@@ -1082,15 +1075,12 @@ def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
     The Monte-Carlo batch is drawn inside the first `batch` entry's time and
     lives only as long as this call.
     """
-    seed, records, previous, xi = cfg.mc.seed, [], None, None
+    seed, records, previous = cfg.mc.seed, [], None
+    batch = functools.cache(lambda: sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d))
     for check in CHECKS[suite]:
         t0 = time.perf_counter()
         if check.run is not previous:
-            args = (cfg, seed)
-            if check.batch:
-                if xi is None:
-                    xi = sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d)
-                args += (xi,)
+            args = (batch(),) if check.batch else (cfg, seed)
             previous, result = check.run, check.run(*args)
         residual = float(result[check.residual])
         tolerance = result.get("tolerance", check.tolerance)

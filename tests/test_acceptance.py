@@ -24,7 +24,7 @@ from loopstar.suites import (chaos_quadrature_residual, chaos_spectral_residual,
                              kernel_spectral_residual, moyal_assoc_failures,
                              poisson_axiom_failures, power_law_failures,
                              product_formula_failures, quadrature_convergence,
-                             wick_axiom_failures)
+                             sample_xi_batch, wick_axiom_failures)
 
 SEED = 42
 
@@ -78,7 +78,7 @@ def test_criterion_03_chaos_factorization(capsys):
 
 def test_criterion_04_gateaux_slope(capsys):
     t0 = time.perf_counter()
-    out = gateaux_slope_deviation(SEED, 50, d=2, K=3)
+    out = gateaux_slope_deviation(SEED, 50, d=2, K=3, K_mc=64)
     dt = time.perf_counter() - t0
     ok = out["deviation"] <= 0.1 and dt <= 30.0
     announce(capsys, 4, ok,
@@ -115,8 +115,9 @@ def test_criterion_07_gaussian_field(capsys):
     t0 = time.perf_counter()
     const = kernel_constant_residuals(SEED)
     spec = kernel_spectral_residual(SEED)
-    cov = covariance_z_scores(SEED, 20000, K_mc=64, d=2)
-    hol = holder_p1_z(SEED, 20000, K_mc=64, d=2)
+    xi = sample_xi_batch(SEED, 20000, 64, 2)
+    cov = covariance_z_scores(xi)
+    hol = holder_p1_z(xi)
     dt = time.perf_counter() - t0
     worst_z = max(cov["worst_same"], cov["worst_cross"], hol["worst"])
     ok = (const["residual"] <= 1e-14 and spec["residual"] <= 1e-4

@@ -1,4 +1,4 @@
-"""The package keeps no knob that no caller turns.
+"""The package keeps no knob that no caller turns, and exports what it imports.
 
 A defaulted parameter stays only if a call inside `src/loopstar` sets it,
 or if it is one of the few kept for a stated reason below.  Calls are
@@ -21,8 +21,6 @@ ALLOWED = {
     "poisson.moyal_star(max_degree)",               # mirrors star_A(max_degree)
     "suites.product_formula_failures(N)",           # the acceptance gate sets its scale through N
     "suites.product_formula_failures(R)",           # the acceptance gate sets its scale through R
-    "suites._covariance(xi)",                       # replay: run(cfg, seed) draws the batch itself
-    "suites._holder_bounded(xi)",                   # replay: run(cfg, seed) draws the batch itself
 }
 
 
@@ -78,3 +76,15 @@ def unset_defaults() -> list[str]:
 
 def test_every_default_is_set_by_a_caller():
     assert unset_defaults() == sorted(ALLOWED)
+
+
+def test_public_names_resolve():
+    """`loopstar.__all__` names each public name of the package once, and each resolves."""
+    import loopstar
+    assert len(loopstar.__all__) == len(set(loopstar.__all__))
+    assert [name for name in loopstar.__all__ if not hasattr(loopstar, name)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(name for name in imported
+                  if not name.startswith("_") and name not in loopstar.__all__) == []

@@ -42,9 +42,6 @@ def test_operator_table_validation():
         DiagonalOperatorA.from_table({5: Fraction(1)}, K=3)      # key above cutoff
     A = DiagonalOperatorA.from_table({0: Fraction(2), 1: Fraction(-3)}, K=3)
     assert A.alpha_of(0) == 2 and A.alpha_of(1) == -3 and A.alpha_of(2) == 0
-    # polynomial growth certificate must cover the table
-    assert all(abs(A.alpha_of(k)) <= A.K_bound * max(1, abs(k)) ** A.mu
-               for k in range(-3, 4))
 
 
 def test_perturbation_symmetry_and_zero():

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, export_loop_csv,
-                               gaussian_even_moment, green_diagonal, green_exponential_form,
-                               green_kernel, holder_moment_check, increment_variance,
-                               loop_eval, sample_loop, sample_xi_batch, spectral_green_sum,
-                               uniform_grid)
+from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape,
+                               export_loop_csv, gaussian_even_moment, green_diagonal,
+                               green_exponential_form, green_kernel, holder_moment_check,
+                               increment_variance, loop_eval, sample_loop, sample_xi_batch,
+                               spectral_green_sum, uniform_grid)
 from loopstar.modes import ModeIndex, mode_profile
 from loopstar.rand import instance_rng
 
@@ -120,10 +120,11 @@ def test_sample_loop_values_are_spectral():
     E = basis_matrix(8, sample.grid)
     assert np.allclose(sample.values, (sample.xi @ E).T)
     assert sample.M == 64
+    assert (sample.d, sample.K_mc) == (2, 8)
     with pytest.raises(ValueError):
-        sample_loop(3, 0, 64)
+        sample_loop(3, 0, 64, d=2)
     with pytest.raises(ValueError):
-        sample_loop(3, 8, 1)
+        sample_loop(3, 8, 1, d=2)
 
 
 def test_sample_loop_shared_basis_is_bit_identical():
@@ -188,17 +189,17 @@ def test_increment_variance_and_moments():
 
 
 def test_holder_moment_check_contract():
+    xi = sample_xi_batch(1, 500, 16, 2)
+    assert batch_shape(xi) == (500, 2, 16)
     with pytest.raises(ValueError):
-        holder_moment_check(100, 4, [(0.1, 0.2)])
+        holder_moment_check(xi, 4, [(0.1, 0.2)])
     with pytest.raises(ValueError):
-        holder_moment_check(100, 1, [(0.0, 0.7)])
-    table = holder_moment_check(500, 1, [(0.1, 0.1), (0.1, 0.3)], seed=1, K_mc=16, d=2)
+        holder_moment_check(xi, 1, [(0.0, 0.7)])
+    table = holder_moment_check(xi, 1, [(0.1, 0.1), (0.1, 0.3)])
+    assert table["n_samples"] == 500 and [row["n"] for row in table["rows"]] == [500, 500]
     assert table["rows"][0]["ratio"] == 0.0
     row = table["rows"][1]
     assert abs(row["ratio"] - row["analytic"]) <= 4 * row["stderr"]
-    xi = sample_xi_batch(1, 500, 16, 2)
-    assert holder_moment_check(500, 1, [(0.1, 0.1), (0.1, 0.3)], seed=1, K_mc=16, d=2,
-                               xi=xi) == table
     gap = abs(0.3 - 0.1)
     assert row["analytic"] == gaussian_even_moment(increment_variance(0.1, 0.3, 16), 1, 2) / gap
 

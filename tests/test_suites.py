@@ -66,7 +66,7 @@ def test_one_gaussian_run_draws_its_batch_once(monkeypatch):
         sizes.append(n_samples)
         return original(seed, n_samples, K_mc, d)
 
-    # Both bindings: holder_moment_check draws through the gaussian module's.
+    # Both bindings, so that a draw through either module is counted.
     monkeypatch.setattr(suites, "sample_xi_batch", counted)
     monkeypatch.setattr(gaussian, "sample_xi_batch", counted)
     run_suites(cfg)
@@ -75,23 +75,39 @@ def test_one_gaussian_run_draws_its_batch_once(monkeypatch):
     assert sizes.count(cfg.mc.n_samples) == 2
 
 
-def test_batch_checks_match_their_seed_path():
-    seed, n_samples, K_mc, d = 5, 300, 8, 2
-    xi = suites.sample_xi_batch(seed, n_samples, K_mc, d)
-    for check in (suites.covariance_z_scores, suites.stationarity_z_score,
-                  suites.holder_p1_z, suites.holder_bounded_ratio):
-        assert check(seed, n_samples, K_mc, d, xi=xi) == check(seed, n_samples, K_mc, d), \
-            check.__name__
-
-
 @pytest.mark.filterwarnings("error")
 def test_zero_variance_batch_fails_instead_of_raising():
     # A batch with no spread has standard error 0: every z-score is inf, so
     # each check FAILs without a ZeroDivisionError or a RuntimeWarning.
     xi = numpy.zeros((10, 1, 9))
-    assert suites.covariance_z_scores(0, 10, 4, 1, xi)["worst_same"] == math.inf
-    assert suites.stationarity_z_score(0, 10, 4, 1, xi)["worst"] == math.inf
-    assert suites.holder_p1_z(0, 10, 4, 1, xi)["worst"] == math.inf
+    assert suites.covariance_z_scores(xi)["worst_same"] == math.inf
+    assert suites.stationarity_z_score(xi)["worst"] == math.inf
+    assert suites.holder_p1_z(xi)["worst"] == math.inf
+
+
+def test_monte_carlo_gates_catch_a_perturbed_batch():
+    """Each covariance and p=1 moment gate FAILs a batch one defect away from the sampler's.
+
+    A 1.05 amplitude scale moves every variance by about 10%.  Mixing 0.312
+    of coordinate 1 into coordinate 2, scaled by 0.95 so its variance stays
+    within 0.1% of 1, correlates the coordinates alone.  The gates pass the
+    batch as drawn and catch each defect at three times their threshold.
+    The stationarity gate reads a translation defect, which neither is.
+    """
+    checks = {check.id: check for check in suites.CHECKS["gaussian"]}
+
+    def over_gate(check_id, xi):
+        check = checks[check_id]
+        return check.run(xi)[check.residual] / check.tolerance
+
+    xi = suites.sample_xi_batch(42, 20000, 64, 2)
+    mixed = xi.copy()
+    mixed[:, 1] = 0.95 * xi[:, 1] + 0.312 * xi[:, 0]
+    gates = ("covariance.same_coord", "covariance.cross_coord", "holder.p1")
+    assert all(over_gate(gate, xi) <= 1.0 for gate in gates)
+    assert over_gate("covariance.same_coord", 1.05 * xi) > 3.0
+    assert over_gate("holder.p1", 1.05 * xi) > 3.0
+    assert over_gate("covariance.cross_coord", mixed) > 3.0
 
 
 def test_report_embeds_config_echo(light_report):
