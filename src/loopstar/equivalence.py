@@ -4,7 +4,9 @@ A diagonal operator A rescales each frequency by a rational alpha_k.  It
 perturbs the unit-pairing contraction into channels weighted (alpha_k + 1)
 on primal-first terms and (alpha_k - 1) on dual-first terms, giving a
 family of star-products: alpha = 0 is the Moyal member, alpha = 1 the
-normal product with one-sided contractions.  The transform T = exp of
+normal product with one-sided contractions.  The operator carries the loop
+dimension d and the cutoff K, so each function here reads A alone, and A
+builds its channel tables once.  The transform T = exp of
 (hbar times a second-order contraction) intertwines any member with the
 Moyal one; the checks here verify that, plus the closed product formula on
 Wick exponentials, degree window by degree window in exact arithmetic.
@@ -28,17 +30,23 @@ FAMILIES = ("zero", "one", "ksq")
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOperatorA:
-    """Frequency-diagonal rescaling by rational eigenvalues.
+    """Frequency-diagonal rescaling of d-valued loops by rational eigenvalues.
 
     alpha maps each retained frequency |k| <= K to its eigenvalue; a
-    frequency it omits has eigenvalue 0.
+    frequency it omits has eigenvalue 0.  The operator alone fixes its
+    deformed product: it walks the (primal, dual, alpha_k) triples of its
+    d coordinates once, and builds its deformed and symmetric channel
+    tables from that walk on first use.
     """
 
     alpha: Mapping[int, Fraction]
+    d: int
     K: int
     name: str = "table"
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("loop dimension must be >= 1")
         if self.K < 0:
             raise ValueError("frequency cutoff must be >= 0")
         for k, a in self.alpha.items():
@@ -48,19 +56,20 @@ class DiagonalOperatorA:
                 raise TypeError(f"alpha values must be Fraction, got {type(a).__name__}")
 
     @classmethod
-    def from_table(cls, table: Mapping[int, Fraction], K: int) -> "DiagonalOperatorA":
+    def from_table(cls, table: Mapping[int, Fraction], d: int, K: int) -> "DiagonalOperatorA":
         """Build from an explicit table of frequency -> eigenvalue."""
-        return cls(alpha={int(k): Fraction(v) for k, v in table.items()}, K=K)
+        return cls(alpha={int(k): Fraction(v) for k, v in table.items()}, d=d, K=K)
 
     @classmethod
-    def family(cls, name: str, K: int) -> "DiagonalOperatorA":
+    def family(cls, name: str, d: int, K: int) -> "DiagonalOperatorA":
         """Named families: zero (identity transform), one (normal product), ksq."""
         if name == "zero":
-            return cls(alpha={}, K=K, name=name)
+            return cls(alpha={}, d=d, K=K, name=name)
         if name == "one":
-            return cls(alpha={k: Fraction(1) for k in range(-K, K + 1)}, K=K, name=name)
+            return cls(alpha={k: Fraction(1) for k in range(-K, K + 1)}, d=d, K=K, name=name)
         if name == "ksq":
-            return cls(alpha={k: Fraction(k * k) for k in range(-K, K + 1) if k}, K=K, name=name)
+            return cls(alpha={k: Fraction(k * k) for k in range(-K, K + 1) if k}, d=d, K=K,
+                       name=name)
         raise ValueError(f"unknown family {name!r}; known: {FAMILIES}")
 
     def alpha_of(self, k: int) -> Fraction:
@@ -68,44 +77,40 @@ class DiagonalOperatorA:
 
     def negated(self) -> "DiagonalOperatorA":
         """Opposite eigenvalues; generates the inverse transform."""
-        return DiagonalOperatorA(alpha={k: -a for k, a in self.alpha.items()}, K=self.K,
-                                 name=f"-{self.name}")
+        return DiagonalOperatorA(alpha={k: -a for k, a in self.alpha.items()}, d=self.d,
+                                 K=self.K, name=f"-{self.name}")
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[ModeIndex, ModeIndex, Fraction], ...]:
+        """(primal p, dual q, alpha_k) per coordinate c = 1..d, then frequency |k| <= K."""
+        return tuple((ModeIndex(c, k, False), ModeIndex(c, k, True), self.alpha_of(k))
+                     for c in range(1, self.d + 1) for k in range(-self.K, self.K + 1))
+
+    @functools.cached_property
+    def channels(self) -> tuple:
+        """The deformed contraction table, `deformed_channels(self)`, built once."""
+        return deformed_channels(self)
+
+    @functools.cached_property
+    def symmetric_channels(self) -> tuple:
+        """Channels of the symmetric perturbation: weight alpha_k both ways, built once."""
+        return tuple(ch for p, q, a in self.pairs if a for ch in ((p, q, a), (q, p, a)))
 
 
-def _symmetric_channels(A: DiagonalOperatorA, form: SymplecticForm):
-    """Channels of the symmetric perturbation: weight alpha_k both ways."""
-    out = []
-    for c in range(1, form.d + 1):
-        for k in range(-form.K, form.K + 1):
-            a = A.alpha_of(k)
-            if not a:
-                continue
-            p = ModeIndex(c, k, False)
-            q = ModeIndex(c, k, True)
-            out.append((p, q, a))
-            out.append((q, p, a))
-    return out
-
-
-def deformed_channels(A: DiagonalOperatorA, form: SymplecticForm):
+def deformed_channels(A: DiagonalOperatorA) -> tuple:
     """Channels of the deformed contraction: (alpha+1) primal-first, (alpha-1) dual-first."""
     out = []
-    for c in range(1, form.d + 1):
-        for k in range(-form.K, form.K + 1):
-            a = A.alpha_of(k)
-            p = ModeIndex(c, k, False)
-            q = ModeIndex(c, k, True)
-            if a + 1:
-                out.append((p, q, a + 1))
-            if a - 1:
-                out.append((q, p, a - 1))
-    return out
+    for p, q, a in A.pairs:
+        if a + 1:
+            out.append((p, q, a + 1))
+        if a - 1:
+            out.append((q, p, a - 1))
+    return tuple(out)
 
 
-def apply_EA(F: FockVector, G: FockVector, A: DiagonalOperatorA,
-             form: SymplecticForm) -> FockVector:
+def apply_EA(F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
     """Symmetric first-order perturbation: both contraction orders, weight alpha_k."""
-    return contract_channels(F, G, _symmetric_channels(A, form), 1)
+    return contract_channels(F, G, A.symmetric_channels, 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -114,44 +119,36 @@ def _unit_form(d: int, K: int) -> SymplecticForm:
     return SymplecticForm.unit_pairing(d, K)
 
 
-def cA1(F: FockVector, G: FockVector, A: DiagonalOperatorA,
-        form: SymplecticForm) -> FockVector:
+def cA1(F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
     """First deformed cochain: unit-pairing bracket plus the symmetric perturbation."""
-    return poisson_bracket(F, G, _unit_form(form.d, form.K)) + apply_EA(F, G, A, form)
+    return poisson_bracket(F, G, _unit_form(A.d, A.K)) + apply_EA(F, G, A)
 
 
-def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA,
-        form: SymplecticForm) -> FockVector:
+def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
     """r-fold deformed contraction with the (alpha_k +- 1) channel weights."""
-    return contract_channels(F, G, deformed_channels(A, form), r)
+    return contract_channels(F, G, A.channels, r)
 
 
-def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, form: SymplecticForm,
-           R: int, max_degree: Optional[int] = None) -> HbarSeries:
+def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, R: int,
+           max_degree: Optional[int] = None) -> HbarSeries:
     """Deformed star-product: order-r coefficient cAr / r!."""
-    return HbarSeries(_star_orders(F, G, deformed_channels(A, form), R, max_degree))
+    return HbarSeries(_star_orders(F, G, A.channels, R, max_degree))
 
 
-def apply_T1(F: FockVector, A: DiagonalOperatorA, form: SymplecticForm) -> FockVector:
+def apply_T1(F: FockVector, A: DiagonalOperatorA) -> FockVector:
     """Transform generator: minus the alpha-weighted primal-dual double contraction."""
     support = F.support_modes()
     total: dict = {}
-    for c in range(1, form.d + 1):
-        for k in range(-form.K, form.K + 1):
-            a = A.alpha_of(k)
-            if not a:
-                continue
-            p = ModeIndex(c, k, False)
-            q = ModeIndex(c, k, True)
-            if p not in support or q not in support:
-                continue
-            part = annihilate(p, annihilate(q, F))
-            if not part.is_zero():
-                _accumulate(total, part.scale(-a).terms)
+    for p, q, a in A.pairs:
+        if not a or p not in support or q not in support:
+            continue
+        part = annihilate(p, annihilate(q, F))
+        if not part.is_zero():
+            _accumulate(total, part.scale(-a).terms)
     return FockVector._from_terms(total, F.scalar_mode)
 
 
-def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarSeries:
+def apply_T(FS: HbarSeries, A: DiagonalOperatorA) -> HbarSeries:
     """Order-R truncation of the exponential of the generator, applied to a series.
 
     Order r of the result collects generator powers b applied to input
@@ -165,7 +162,7 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA, form: SymplecticForm) -> HbarS
         term = FS.coefficient(a)
         _accumulate(out[a], term.terms)
         for b in range(1, R - a + 1):
-            term = apply_T1(term, A, form)
+            term = apply_T1(term, A)
             if term.is_zero():
                 break
             _accumulate(out[a + b], term.scale(Fraction(1, math.factorial(b))).terms)

@@ -88,12 +88,11 @@ class FockVector:
 
     __slots__ = ("terms", "scalar_mode")
 
-    def __init__(self, terms: Optional[Mapping[MultiIndex, Scalar]] = None,
-                 scalar_mode: str = RATIONAL):
+    def __init__(self, terms: Mapping[MultiIndex, Scalar], scalar_mode: str = RATIONAL):
         if scalar_mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown scalar mode {scalar_mode!r}")
         clean: dict[MultiIndex, Scalar] = {}
-        for mu, c in (terms or {}).items():
+        for mu, c in terms.items():
             if not isinstance(mu, MultiIndex):
                 mu = MultiIndex(mu)
             c = coerce_scalar(c, scalar_mode)

@@ -35,7 +35,7 @@ def random_mode(rng: np.random.Generator, d: int, K: int, dual_fraction: float =
 
 
 def random_multi_index(rng: np.random.Generator, d: int, K: int, degree: int,
-                       dual_fraction: float = 0.0) -> MultiIndex:
+                       dual_fraction: float) -> MultiIndex:
     return MultiIndex.from_modes(random_mode(rng, d, K, dual_fraction) for _ in range(degree))
 
 

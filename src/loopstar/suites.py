@@ -35,7 +35,7 @@ from .chaos import (chaos_eval_quadrature, chaos_eval_spectral, fd_matches_annih
                     injectivity_probe, normal_convergence_check, stratonovich_pairing)
 from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
-                          deformed_channels, exp_product_formula_rhs, star_A)
+                          exp_product_formula_rhs, star_A)
 from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                    wick_exponential, wick_product)
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape, green_diagonal,
@@ -638,8 +638,7 @@ CHECKS["gaussian"] = (
 # ---------------------------------------------------------------- poisson
 
 
-def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int,
-                           weight_c=Fraction(1)) -> dict:
+def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int, weight_c) -> dict:
     """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets."""
     form = SymplecticForm.standard(d, K, weight_c)
 
@@ -659,7 +658,7 @@ def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int,
             "nonzero": sum(nontrivial for _, nontrivial in results), "n": n_triples}
 
 
-def bracket_pair_example_failures(d: int, K: int, weight_c=Fraction(1)) -> dict:
+def bracket_pair_example_failures(d: int, K: int, weight_c) -> dict:
     """Degree-1 pairs: bracket is minus the weight on matched primal/dual pairs."""
     form = SymplecticForm.standard(d, K, weight_c)
     modes = mode_range(d, K)
@@ -718,8 +717,7 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
             "n": n_instances}
 
 
-def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int,
-                         weight_c=Fraction(1)) -> dict:
+def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int, weight_c) -> dict:
     """Grid-searched continuity constants for the bracket under the norm bound."""
     form = SymplecticForm.standard(d, K, weight_c)
     pairs = _instances(seed, "bracket-bound", n_pairs,
@@ -753,8 +751,7 @@ CHECKS["poisson"] = (
 # ------------------------------------------------------------------ moyal
 
 
-def power_law_failures(seed: int, n_instances: int, d: int, K: int,
-                       weight_c=Fraction(1)) -> dict:
+def power_law_failures(seed: int, n_instances: int, d: int, K: int, weight_c) -> dict:
     """Contraction powers: wick at r=0, antisymmetrized r=1, depth and degrees."""
     form = SymplecticForm.standard(d, K, weight_c)
 
@@ -773,8 +770,8 @@ def power_law_failures(seed: int, n_instances: int, d: int, K: int,
     return r
 
 
-def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int,
-                         weight_c=Fraction(1), R: int = 4) -> dict:
+def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int, weight_c,
+                         R: int) -> dict:
     """Coefficientwise associativity of the truncated star-product."""
     form = SymplecticForm.standard(d, K, weight_c)
     channels = form.channels()
@@ -787,8 +784,8 @@ def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int,
     return _count_failures(seed, "moyal-assoc", n_triples, instance)
 
 
-def star_series_failures(seed: int, n_instances: int, d: int, K: int,
-                         weight_c=Fraction(1), R: int = 3) -> dict:
+def star_series_failures(seed: int, n_instances: int, d: int, K: int, weight_c,
+                         R: int) -> dict:
     """Series product reduces to the star on concentrated series; associativity."""
     form = SymplecticForm.standard(d, K, weight_c)
     channels = form.channels()
@@ -826,26 +823,25 @@ CHECKS["moyal"] = (
 
 def resolve_alpha(cfg: RunConfig) -> DiagonalOperatorA:
     if isinstance(cfg.alpha_spec, str):
-        return DiagonalOperatorA.family(cfg.alpha_spec, cfg.K)
+        return DiagonalOperatorA.family(cfg.alpha_spec, cfg.d, cfg.K)
     table = {int(k): Fraction(v) for k, v in cfg.alpha_spec.items()}
-    return DiagonalOperatorA.from_table(table, cfg.K)
+    return DiagonalOperatorA.from_table(table, cfg.d, cfg.K)
 
 
-def ea_cochain_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
-                        d: int, K: int) -> dict:
+def ea_cochain_failures(seed: int, n_instances: int, A: DiagonalOperatorA) -> dict:
     """Symmetry of the perturbation and equality of the two cochain expansions."""
-    form = SymplecticForm.standard(d, K)
+    d, K = A.d, A.K
     unit = SymplecticForm.unit_pairing(d, K)
-    zero_A = DiagonalOperatorA.family("zero", K)
+    zero_A = DiagonalOperatorA.family("zero", d, K)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        return (apply_EA(F, G, A, form) != apply_EA(G, F, A, form)) \
-            + (not apply_EA(F, G, zero_A, form).is_zero()) \
-            + (cA1(F, G, zero_A, form) != poisson_bracket(F, G, unit)) \
-            + (cA1(F, G, A, form) != cAr(1, F, G, A, form)) \
-            + (not cAr(min(F.degree(), G.degree()) + 1, F, G, A, form).is_zero())
+        return (apply_EA(F, G, A) != apply_EA(G, F, A)) \
+            + (not apply_EA(F, G, zero_A).is_zero()) \
+            + (cA1(F, G, zero_A) != poisson_bracket(F, G, unit)) \
+            + (cA1(F, G, A) != cAr(1, F, G, A)) \
+            + (not cAr(min(F.degree(), G.degree()) + 1, F, G, A).is_zero())
     return _count_failures(seed, "ea-cochain", n_instances, instance)
 
 
@@ -871,57 +867,53 @@ def _one_sided_contraction(F: FockVector, G: FockVector, r: int, primal) -> Fock
 
 def normal_one_sided_failures(seed: int, n_instances: int, d: int, K: int) -> dict:
     """At alpha = 1 the deformed contraction is purely one-sided: direct oracle."""
-    form = SymplecticForm.standard(d, K)
-    one_A = DiagonalOperatorA.family("one", K)
+    one_A = DiagonalOperatorA.family("one", d, K)
     primal = mode_range(d, K)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        return sum(cAr(r, F, G, one_A, form) != _one_sided_contraction(F, G, r, primal)
+        return sum(cAr(r, F, G, one_A) != _one_sided_contraction(F, G, r, primal)
                    for r in (1, 2))
     return _count_failures(seed, "normal-onesided", n_instances, instance)
 
 
-def zero_is_moyal_failures(seed: int, n_instances: int, d: int, K: int, R: int = 3) -> dict:
+def zero_is_moyal_failures(seed: int, n_instances: int, d: int, K: int, R: int) -> dict:
     """The alpha = 0 member coincides with the unit-pairing star-product."""
-    form = SymplecticForm.standard(d, K)
     unit = SymplecticForm.unit_pairing(d, K)
-    zero_A = DiagonalOperatorA.family("zero", K)
+    zero_A = DiagonalOperatorA.family("zero", d, K)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        return star_A(F, G, zero_A, form, R) != moyal_star(F, G, unit, R)
+        return star_A(F, G, zero_A, R) != moyal_star(F, G, unit, R)
     return _count_failures(seed, "zero-moyal", n_instances, instance)
 
 
-def star_A_assoc_failures(seed: int, n_triples: int, A: DiagonalOperatorA,
-                          d: int, K: int, R: int = 3) -> dict:
+def star_A_assoc_failures(seed: int, n_triples: int, A: DiagonalOperatorA, R: int) -> dict:
     """Associativity of the deformed star via its bilinear series extension."""
-    form = SymplecticForm.standard(d, K)
-    channels = deformed_channels(A, form)
+    channels = A.channels
 
     def instance(rng, i):
-        F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
-        left = star_series(star_A(F, G, A, form, R), HbarSeries.from_vector(H, R), channels)
-        right = star_series(HbarSeries.from_vector(F, R), star_A(G, H, A, form, R), channels)
+        F, G, H = (random_fock(rng, A.d, A.K, 3, dual_fraction=0.5) for _ in range(3))
+        left = star_series(star_A(F, G, A, R), HbarSeries.from_vector(H, R), channels)
+        right = star_series(HbarSeries.from_vector(F, R), star_A(G, H, A, R), channels)
         return left != right
     return _count_failures(seed, "starA-assoc", n_triples, instance)
 
 
 def transform_basics_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
-                              d: int, K: int, R: int = 3) -> dict:
+                              R: int) -> dict:
     """Identity at alpha = 0, contraction depth, exact formal inverse."""
-    form = SymplecticForm.standard(d, K)
-    zero_A = DiagonalOperatorA.family("zero", K)
+    d, K = A.d, A.K
+    zero_A = DiagonalOperatorA.family("zero", d, K)
 
     def instance(rng, i):
         FS = HbarSeries([random_fock(rng, d, K, 3, n_terms=3, dual_fraction=0.5)
                          for _ in range(R + 1)])
         low = random_fock(rng, d, K, 1, n_terms=2, dual_fraction=0.5)
-        return (apply_T(FS, zero_A, form) != FS) + (not apply_T1(low, A, form).is_zero()) \
-            + (apply_T(apply_T(FS, A, form), A.negated(), form) != FS)
+        return (apply_T(FS, zero_A) != FS) + (not apply_T1(low, A).is_zero()) \
+            + (apply_T(apply_T(FS, A), A.negated()) != FS)
     return _count_failures(seed, "transform-basics", n_instances, instance)
 
 
@@ -940,7 +932,7 @@ def _exp_pair(rng, d, K, N) -> tuple[FockVector, FockVector]:
 
 
 def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
-                          d: int, K: int, N: int, R: int, kind: str = "poly") -> dict:
+                          N: int, R: int, kind: str) -> dict:
     """Transform of a deformed product vs unit-star of transformed factors.
 
     Both sides are compared coefficientwise up to the truncation order, on
@@ -960,16 +952,15 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     window = N - 2 * R
     if window < 0:
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")
-    form = SymplecticForm.standard(d, K)
+    d, K = A.d, A.K
     unit = SymplecticForm.unit_pairing(d, K)
-    channels = deformed_channels(A, form)
     order_caps = [N - 2 * a for a in range(R + 1)]
 
     def instance(rng, i):
         F, G = _exp_pair(rng, d, K, N) if kind == "exp" else _poly_pair(rng, d, K, N, window)
-        lhs = apply_T(HbarSeries(_star_orders(F, G, channels, R, order_caps=order_caps)), A, form)
-        TF = apply_T(HbarSeries.from_vector(F, R), A, form)
-        TG = apply_T(HbarSeries.from_vector(G, R), A, form)
+        lhs = apply_T(HbarSeries(_star_orders(F, G, A.channels, R, order_caps=order_caps)), A)
+        TF = apply_T(HbarSeries.from_vector(F, R), A)
+        TG = apply_T(HbarSeries.from_vector(G, R), A)
         rhs = star_series(TF, TG, unit.channels(), max_degree=window)
         return lhs.truncate_degree(window) != rhs.truncate_degree(window)
     r = _count_failures(seed, f"intertwine-{kind}-{A.name}", n_instances, instance)
@@ -989,80 +980,74 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
     if window < 0:
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")
     d, K = 1, 2
-    form = SymplecticForm.standard(d, K)
 
     def instance(rng, i):
-        A = DiagonalOperatorA.family(("zero", "one", "ksq")[i % 3], K)
+        A = DiagonalOperatorA.family(("zero", "one", "ksq")[i % 3], d, K)
         g1 = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=False)
         g1s = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)
         g2 = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=False)
         g2s = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)
         phi1 = wick_exponential(g1, g1s, N)
         phi2 = wick_exponential(g2, g2s, N)
-        lhs = star_A(phi1, phi2, A, form, R, max_degree=window)
+        lhs = star_A(phi1, phi2, A, R, max_degree=window)
         rhs = exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, window)
         return lhs.truncate_degree(window) != rhs.truncate_degree(window)
     r = _count_failures(seed, "product-formula", n_instances, instance)
     return {**r, "window": window}
 
 
-def generator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
-                           d: int, K: int) -> dict:
+def generator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA) -> dict:
     """Continuity constants for the transform generator."""
-    form = SymplecticForm.standard(d, K)
     family = _instances(seed, "bound-t1", n_instances,
-                        lambda rng, i: random_fock(rng, d, K, 4, dual_fraction=0.5))
-    return _constant_search(family, [connes_norm_upper(apply_T1(F, A, form), 1, 1.0)
+                        lambda rng, i: random_fock(rng, A.d, A.K, 4, dual_fraction=0.5))
+    return _constant_search(family, [connes_norm_upper(apply_T1(F, A), 1, 1.0)
                                      for F in family], connes_norm_upper, _SCALES)
 
 
-def perturbation_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA,
-                              d: int, K: int) -> dict:
+def perturbation_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA) -> dict:
     """Continuity constants for the perturbation.
 
     Its stream draws a family first, as the generator's does, then the pairs.
     """
-    form = SymplecticForm.standard(d, K)
+    d, K = A.d, A.K
     rng = instance_rng(seed, "bound-ea")
     for _ in range(n_instances):
         random_fock(rng, d, K, 4, dual_fraction=0.5)
     pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
               random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_instances)]
-    return _constant_search(pairs, [connes_norm_upper(apply_EA(F, G, A, form), 1, 1.0)
+    return _constant_search(pairs, [connes_norm_upper(apply_EA(F, G, A), 1, 1.0)
                                     for F, G in pairs], _pair_bound, _SCALES)
 
 
 CHECKS["equivalence"] = (
     Check("cochain.displays", "perturbation is symmetric; both first-cochain expansions agree",
-          lambda cfg, seed: ea_cochain_failures(seed, 25, resolve_alpha(cfg), cfg.d, cfg.K)),
+          lambda cfg, seed: ea_cochain_failures(seed, 25, resolve_alpha(cfg))),
     Check("star.normal_one_sided", "alpha=1 contraction equals the brute-force one-sided sum",
           lambda cfg, seed: normal_one_sided_failures(seed, 10, cfg.d, cfg.K)),
     Check("star.zero_is_moyal", "alpha=0 deformed star equals the unit-pairing star-product",
           lambda cfg, seed: zero_is_moyal_failures(seed, 10, cfg.d, cfg.K, min(cfg.R, 3))),
     Check("star.associative", "deformed star associativity via its series extension, exact",
-          lambda cfg, seed: star_A_assoc_failures(seed, 8, resolve_alpha(cfg), cfg.d, cfg.K,
-                                                  min(cfg.R, 3))),
+          lambda cfg, seed: star_A_assoc_failures(seed, 8, resolve_alpha(cfg), min(cfg.R, 3))),
     Check("transform.basics", "transform is identity at alpha=0, depth-2, and formally "
           "invertible",
-          lambda cfg, seed: transform_basics_failures(seed, 10, resolve_alpha(cfg), cfg.d, cfg.K,
+          lambda cfg, seed: transform_basics_failures(seed, 10, resolve_alpha(cfg),
                                                       min(cfg.R, 3))),
     Check("intertwine.poly", "transform of a deformed product equals unit-star of transforms "
           "(random polynomials)",
-          lambda cfg, seed: intertwining_failures(seed, 12, resolve_alpha(cfg), cfg.d, cfg.K,
-                                                  cfg.N, cfg.R, kind="poly"), observed="window"),
+          lambda cfg, seed: intertwining_failures(seed, 12, resolve_alpha(cfg), cfg.N, cfg.R,
+                                                  kind="poly"), observed="window"),
     Check("intertwine.exp", "transform of a deformed product equals unit-star of transforms "
           "(capped exponentials)",
-          lambda cfg, seed: intertwining_failures(seed, 12, resolve_alpha(cfg), cfg.d, cfg.K,
-                                                  cfg.N, cfg.R, kind="exp"), observed="window"),
+          lambda cfg, seed: intertwining_failures(seed, 12, resolve_alpha(cfg), cfg.N, cfg.R,
+                                                  kind="exp"), observed="window"),
     Check("product.formula", "deformed product of capped exponentials matches the closed formula "
           "(d=1, K=2)", lambda cfg, seed: product_formula_failures(seed, 12), observed="window"),
     _search("transform.bounded", "generator norm bound below the input bound at grid-searched "
             "constants (k1={k0}, C1={C0:g})",
-            lambda cfg, seed: generator_bound_search(seed, 15, resolve_alpha(cfg), cfg.d, cfg.K)),
+            lambda cfg, seed: generator_bound_search(seed, 15, resolve_alpha(cfg))),
     _search("perturbation.bounded", "perturbation norm bound below the factor bounds at "
             "grid-searched constants (k1={k0}, C1={C0:g})",
-            lambda cfg, seed: perturbation_bound_search(seed, 15, resolve_alpha(cfg), cfg.d,
-                                                        cfg.K)),
+            lambda cfg, seed: perturbation_bound_search(seed, 15, resolve_alpha(cfg))),
 )
 
 

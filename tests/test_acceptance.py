@@ -89,7 +89,7 @@ def test_criterion_04_gateaux_slope(capsys):
 
 def test_criterion_05_bracket_axioms(capsys):
     t0 = time.perf_counter()
-    out = poisson_axiom_failures(SEED, 100, d=2, K=3)
+    out = poisson_axiom_failures(SEED, 100, d=2, K=3, weight_c=Fraction(1))
     dt = time.perf_counter() - t0
     ok = out["failures"] == 0 and out["nonzero"] >= 20 and dt <= 30.0
     announce(capsys, 5, ok,
@@ -100,8 +100,8 @@ def test_criterion_05_bracket_axioms(capsys):
 
 def test_criterion_06_star_product(capsys):
     t0 = time.perf_counter()
-    laws = power_law_failures(SEED, 50, d=2, K=3)
-    assoc = moyal_assoc_failures(SEED, 50, d=2, K=3, R=4)
+    laws = power_law_failures(SEED, 50, d=2, K=3, weight_c=Fraction(1))
+    assoc = moyal_assoc_failures(SEED, 50, d=2, K=3, weight_c=Fraction(1), R=4)
     dt = time.perf_counter() - t0
     ok = laws["failures"] == 0 and assoc["failures"] == 0 and dt <= 120.0
     announce(capsys, 6, ok,
@@ -134,10 +134,10 @@ def test_criterion_08_intertwining(capsys):
     failures = 0
     total = 0
     for family in ("zero", "one", "ksq"):
-        A = DiagonalOperatorA.family(family, 3)
+        A = DiagonalOperatorA.family(family, 2, 3)
         for R, n_each in ((2, 8), (3, 7)):
             for kind in ("poly", "exp"):
-                out = intertwining_failures(SEED, n_each, A, d=2, K=3, N=10, R=R, kind=kind)
+                out = intertwining_failures(SEED, n_each, A, N=10, R=R, kind=kind)
                 failures += out["failures"]
                 total += out["n"]
     dt = time.perf_counter() - t0

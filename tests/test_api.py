@@ -1,11 +1,11 @@
 """The package keeps no knob that no caller turns, and exports what it imports.
 
-A defaulted parameter stays only if a call inside `src/loopstar` sets it,
-or if it is one of the few kept for a stated reason below.  Calls are
-matched by the called name alone (a plain name or the attribute after the
-last dot), so a call of any function of that name counts, and a call
-through a stored reference, such as `check.run(*args)` in `run_checks`,
-is not seen.
+A defaulted parameter stays only if a call inside `src/loopstar` sets it
+and another leaves it, or if it is one of the few kept for a stated reason
+below.  Calls are matched by the called name alone (a plain name or the
+attribute after the last dot), so a call of any function of that name
+counts, and a call through a stored reference, such as `check.run(*args)`
+in `run_checks`, is not seen.
 """
 
 import ast
@@ -21,6 +21,13 @@ ALLOWED = {
     "poisson.moyal_star(max_degree)",               # mirrors star_A(max_degree)
     "suites.product_formula_failures(N)",           # the acceptance gate sets its scale through N
     "suites.product_formula_failures(R)",           # the acceptance gate sets its scale through R
+}
+
+# Defaulted parameters that every call inside the package sets, each with its reason.
+KEPT = {
+    "config.parse_config(where)",                   # a document read from no file has no path
+    "poisson.SymplecticForm.__init__(weight_c)",    # a form given by its matrix alone has weight 1
+    "poisson.SymplecticForm.standard(weight_c)",    # README and demos build the weight-1 form bare
 }
 
 
@@ -62,20 +69,30 @@ def _calls(tree: ast.Module):
         yield name, len(node.args), {k.arg for k in node.keywords}
 
 
-def unset_defaults() -> list[str]:
+def _setting(want) -> list[str]:
+    """Defaulted parameters for which `want` holds of their calls in the package.
+
+    `want` gets one bool per call of the parameter's called name: whether it sets it.
+    """
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     calls = [c for tree in trees.values() for c in _calls(tree)]
     out = []
     for module, tree in trees.items():
         for label, called, index, param in _defaulted(module, tree):
-            if not any(name == called and (param in keywords or (index is not None and n > index))
-                       for name, n, keywords in calls):
+            sets = [param in keywords or (index is not None and n > index)
+                    for name, n, keywords in calls if name == called]
+            if want(sets):
                 out.append(f"{label}({param})")
     return sorted(out)
 
 
 def test_every_default_is_set_by_a_caller():
-    assert unset_defaults() == sorted(ALLOWED)
+    assert _setting(lambda sets: not any(sets)) == sorted(ALLOWED)
+
+
+def test_no_default_is_set_by_every_caller():
+    # A default that every call overrides is a second copy of a value kept elsewhere.
+    assert _setting(lambda sets: sets and all(sets)) == sorted(KEPT)
 
 
 def test_public_names_resolve():

@@ -18,7 +18,7 @@ from test_suites import LIGHT_DOC
 
 
 def _negated_T1(original):
-    return lambda F, A, form: original(F, A, form).scale(-1)
+    return lambda F, A: original(F, A).scale(-1)
 
 
 def _doubled_order_2(original):
@@ -32,8 +32,10 @@ def _doubled_order_2(original):
 
 def _flipped_dual_first_sign(original):
     # The (alpha - 1) channels run dual-first; flip the sign of their weight.
-    def channels(A, form):
-        return [(fm, gm, -w if fm.dual else w) for fm, gm, w in original(A, form)]
+    # `A.channels` calls the module's builder, so patching `equivalence` alone
+    # reaches every deformed product.
+    def channels(A):
+        return tuple((fm, gm, -w if fm.dual else w) for fm, gm, w in original(A))
     return channels
 
 
@@ -49,7 +51,7 @@ MUTANTS = {
                              (fock, poisson, equivalence, suites),
                              ("star.associative", "intertwine.poly", "product.formula")),
     "(alpha - 1) channel sign flipped": (_flipped_dual_first_sign, "deformed_channels",
-                                         (equivalence, suites),
+                                         (equivalence,),
                                          ("cochain.displays", "star.zero_is_moyal")),
     "(A + I) and (A - I) swapped": (_swapped_shifts, "_rescaled", (equivalence,),
                                     ("product.formula",)),

@@ -108,7 +108,7 @@ def test_bracket_examples_all_frequencies():
 
 
 def test_bracket_axioms_small():
-    out = poisson_axiom_failures(3, 25, 2, 2)
+    out = poisson_axiom_failures(3, 25, 2, 2, Fraction(1))
     assert out["failures"] == 0
     assert out["nonzero"] >= 5
 
