@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (FockVector, HbarSeries, _accumulate, _star_orders, annihilate,
-                   contract_channels, wick_exponential)
+from .fock import (FockVector, HbarSeries, _star_orders, _Sum, annihilate, contract_channels,
+                   wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
 
@@ -138,14 +138,14 @@ def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, R: int,
 def apply_T1(F: FockVector, A: DiagonalOperatorA) -> FockVector:
     """Transform generator: minus the alpha-weighted primal-dual double contraction."""
     support = F.support_modes()
-    total: dict = {}
+    total = _Sum(F.scalar_mode)
     for p, q, a in A.pairs:
         if not a or p not in support or q not in support:
             continue
         part = annihilate(p, annihilate(q, F))
         if not part.is_zero():
-            _accumulate(total, part.scale(-a).terms)
-    return FockVector._from_terms(total, F.scalar_mode)
+            total.add(part.scale(-a))
+    return total.vector()
 
 
 def apply_T(FS: HbarSeries, A: DiagonalOperatorA) -> HbarSeries:
@@ -157,16 +157,16 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA) -> HbarSeries:
     exactly 2 and no term is dropped.
     """
     R = FS.order
-    out: list[dict] = [{} for _ in range(R + 1)]
+    out = [_Sum(FS.scalar_mode) for _ in range(R + 1)]
     for a in range(R + 1):
         term = FS.coefficient(a)
-        _accumulate(out[a], term.terms)
+        out[a].add(term)
         for b in range(1, R - a + 1):
             term = apply_T1(term, A)
             if term.is_zero():
                 break
-            _accumulate(out[a + b], term.scale(Fraction(1, math.factorial(b))).terms)
-    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode) for terms in out)
+            out[a + b].add(term.scale(Fraction(1, math.factorial(b))))
+    return HbarSeries(total.vector() for total in out)
 
 
 def canonical_pairing(gamma: Mapping[ModeIndex, Fraction],

@@ -5,7 +5,16 @@ labelled by a MultiIndex over ModeIndexes.  In this basis the Wick product
 is multiset union of labels with coefficient 1, and the annihilation
 operator against a basis mode removes one unit of that mode scaled by its
 multiplicity.  Coefficients live in exactly one of two scalar modes:
-"rational" (stdlib Fraction, exact) or "float".  Mixing modes raises.
+"rational" (exact) or "float".  Mixing modes raises.
+
+A vector stores integer numerators over one positive denominator, as
+FLINT's fmpq_poly does; a float vector stores its floats over denominator 1.
+Every operation reduces its result once, by gcd(D, *numerators), so equal
+vectors have equal storage, and the kernels below run on plain int (or
+float) multiply and add.  `.terms` is the read path: a mapping from
+monomial to coefficient, reduced Fractions in rational mode, in the order
+the terms were formed.  Its keys and length come from the numerators; the
+Fractions are built once per vector, on the first read of a value.
 
 A degree cap belongs to a multiplication, not to a vector: a product
 formed with `max_degree=n` is the product of the quotient algebra where
@@ -20,7 +29,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Iterable, Optional, Sequence, Union
 
 from .modes import VACUUM, ModeIndex, MultiIndex
 
@@ -69,24 +79,58 @@ def rational_from_text(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _accumulate(acc: dict, terms: Mapping[MultiIndex, Scalar]) -> None:
-    """Add `terms` into `acc` in place, dropping coefficients that cancel."""
-    for mu, c in terms.items():
-        v = acc.get(mu)
-        v = c if v is None else v + c
-        if v:
-            acc[mu] = v
-        elif mu in acc:
-            del acc[mu]
+class _Terms(Mapping):
+    """Read-only coefficients of one vector, keyed by monomial in term order.
+
+    Length, keys and membership read the numerators.  The values are
+    `values` if given (the floats, or the Fractions a vector was built
+    from); otherwise the reduced Fractions num / D, built on the first
+    value read and kept.  Every other method comes from `Mapping`.
+    """
+
+    __slots__ = ("_num", "_den", "_values")
+
+    def __init__(self, num: dict, den: int, values: Optional[dict]):
+        self._num = num
+        self._den = den
+        self._values = values
+
+    def _dict(self) -> dict:
+        if self._values is None:
+            den = self._den
+            self._values = {mu: Fraction(n, den) for mu, n in self._num.items()}
+        return self._values
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __contains__(self, mu) -> bool:
+        return mu in self._num
+
+    def __getitem__(self, mu):
+        return self._dict()[mu]
+
+    def items(self):
+        return self._dict().items()
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
 class FockVector:
-    """Sparse element of the symmetric algebra: its terms and their scalar mode.
+    """Sparse element of the symmetric algebra: numerators over one denominator.
 
-    A vector carries no degree cap; products take one as an argument.
+    `_num` maps each monomial to a nonzero numerator and `_den` is the
+    positive shared denominator, with gcd(_den, *numerators) == 1 in
+    rational mode; a float vector holds floats over 1.  `terms` is the
+    public view of the coefficients (see `_Terms`).  A vector carries no
+    degree cap; products take one as an argument.
     """
 
-    __slots__ = ("terms", "scalar_mode")
+    __slots__ = ("_num", "_den", "scalar_mode", "_terms")
 
     def __init__(self, terms: Mapping[MultiIndex, Scalar], scalar_mode: str = RATIONAL):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -98,55 +142,73 @@ class FockVector:
             c = coerce_scalar(c, scalar_mode)
             if c:
                 clean[mu] = c
-        self.terms = clean
+        num, den = clean, 1
+        if scalar_mode == RATIONAL:
+            # Over the lcm of reduced denominators the numerators share no factor with it.
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            num = {mu: c.numerator * (den // c.denominator) for mu, c in clean.items()}
+        self._num = num
+        self._den = den
         self.scalar_mode = scalar_mode
+        self._terms = _Terms(num, den, clean)
 
     @classmethod
-    def _from_terms(cls, terms: dict, scalar_mode: str) -> "FockVector":
-        # Fast path: caller guarantees canonical keys, coerced nonzero coefficients.
+    def _raw(cls, num: dict, den: int, scalar_mode: str) -> "FockVector":
+        # Fast path: caller guarantees canonical keys, nonzero reduced numerators.
         out = object.__new__(cls)
-        out.terms = terms
+        out._num = num
+        out._den = den
         out.scalar_mode = scalar_mode
+        out._terms = None
         return out
 
     @classmethod
     def zero(cls, scalar_mode: str = RATIONAL) -> "FockVector":
-        return cls._from_terms({}, scalar_mode)
+        return cls._raw({}, 1, scalar_mode)
 
     @classmethod
     def unit(cls) -> "FockVector":
         """The vacuum monomial with rational coefficient 1: the algebra unit."""
-        return cls._from_terms({VACUUM: Fraction(1)}, RATIONAL)
+        return cls._raw({VACUUM: 1}, 1, RATIONAL)
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[MultiIndex, Scalar]:
+        """Coefficient by monomial: reduced Fractions, or floats in float mode."""
+        if self._terms is None:
+            values = self._num if self.scalar_mode == FLOAT else None
+            self._terms = _Terms(self._num, self._den, values)
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
         """Largest monomial degree present; 0 for the zero vector."""
-        return max((mu.degree for mu in self.terms), default=0)
+        return max((mu.degree for mu in self._num), default=0)
 
     def support_modes(self) -> set[ModeIndex]:
         out: set[ModeIndex] = set()
-        for mu in self.terms:
+        for mu in self._num:
             for m, _ in mu:
                 out.add(m)
         return out
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self.scalar_mode == other.scalar_mode and self.terms == other.terms
+        return (self.scalar_mode == other.scalar_mode and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         raise TypeError("FockVector is mutable bookkeeping; not hashable")
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "FockVector(0)"
         items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
         shown = " + ".join(f"{c}*{mu!r}" for mu, c in items[:6])
@@ -160,22 +222,24 @@ class FockVector:
             raise TypeError(f"scalar mode mismatch: {self.scalar_mode} vs {other.scalar_mode}")
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        self._check_mode(other)
-        out = dict(self.terms)
-        _accumulate(out, other.terms)
-        return FockVector._from_terms(out, self.scalar_mode)
+        total = _Sum(self.scalar_mode, dict(self._num), self._den)
+        total.add(other)
+        return total.vector()
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-other)
 
     def __neg__(self) -> "FockVector":
-        return FockVector._from_terms({mu: -c for mu, c in self.terms.items()}, self.scalar_mode)
+        return FockVector._raw({mu: -c for mu, c in self._num.items()}, self._den,
+                               self.scalar_mode)
 
     def scale(self, scalar: Scalar) -> "FockVector":
         s = coerce_scalar(scalar, self.scalar_mode)
         if not s:
             return FockVector.zero(self.scalar_mode)
-        return FockVector._from_terms({mu: c * s for mu, c in self.terms.items()}, self.scalar_mode)
+        p, q = (s, 1) if self.scalar_mode == FLOAT else (s.numerator, s.denominator)
+        return _reduced({mu: c * p for mu, c in self._num.items()}, self._den * q,
+                        self.scalar_mode)
 
     def __mul__(self, scalar: Scalar) -> "FockVector":
         return self.scale(scalar)
@@ -184,13 +248,68 @@ class FockVector:
 
     def truncate(self, n: int) -> "FockVector":
         """Project onto degrees <= n."""
-        kept = {mu: c for mu, c in self.terms.items() if mu.degree <= n}
-        return FockVector._from_terms(kept, self.scalar_mode)
+        kept = {mu: c for mu, c in self._num.items() if mu.degree <= n}
+        return _reduced(kept, self._den, self.scalar_mode)
 
     def to_float(self) -> "FockVector":
         if self.scalar_mode == FLOAT:
             return self
-        return FockVector._from_terms({mu: float(c) for mu, c in self.terms.items()}, FLOAT)
+        # int / int is correctly rounded, so n / D is float(Fraction(n, D)).
+        den = self._den
+        return FockVector._raw({mu: n / den for mu, n in self._num.items()}, 1, FLOAT)
+
+
+def _reduced(num: dict, den: int, scalar_mode: str) -> FockVector:
+    """The vector num / den, with numerators and denominator divided by their gcd."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            for mu in num:
+                num[mu] //= g
+    return FockVector._raw(num, den, scalar_mode)
+
+
+class _Sum:
+    """Running sum of vectors of one scalar mode, as numerators over one denominator.
+
+    A summand whose denominator differs is brought to the lcm of the two;
+    terms that cancel are dropped.  `vector()` reduces once and hands over
+    the storage, so the sum is not used after it.
+    """
+
+    __slots__ = ("num", "den", "scalar_mode")
+
+    def __init__(self, scalar_mode: str, num: Optional[dict] = None, den: int = 1):
+        self.num = {} if num is None else num
+        self.den = den
+        self.scalar_mode = scalar_mode
+
+    def add(self, F: FockVector) -> None:
+        if F.scalar_mode != self.scalar_mode:
+            raise TypeError(f"scalar mode mismatch: {self.scalar_mode} vs {F.scalar_mode}")
+        acc, den = self.num, self.den
+        items = F._num.items()
+        if F._den != den:
+            lcm = den // math.gcd(den, F._den) * F._den
+            if lcm != den:
+                up = lcm // den
+                for mu in acc:
+                    acc[mu] *= up
+                self.den = lcm
+            if lcm != F._den:
+                up = lcm // F._den
+                items = [(mu, c * up) for mu, c in items]
+        for mu, c in items:
+            v = acc.get(mu)
+            v = c if v is None else v + c
+            if v:
+                acc[mu] = v
+            elif mu in acc:
+                del acc[mu]
+
+    def vector(self) -> FockVector:
+        return _reduced(self.num, self.den, self.scalar_mode)
 
 
 # -- products and contractions ------------------------------------------
@@ -205,8 +324,8 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
     """
     F._check_mode(G)
     acc: dict[MultiIndex, Scalar] = {}
-    fitems = [(mu.degree, mu, c) for mu, c in F.terms.items()]
-    gitems = sorted(((mu.degree, mu, c) for mu, c in G.terms.items()), key=lambda t: t[0])
+    fitems = [(mu.degree, mu, c) for mu, c in F._num.items()]
+    gitems = sorted(((mu.degree, mu, c) for mu, c in G._num.items()), key=lambda t: t[0])
     for dF, muF, cF in fitems:
         for dG, muG, cG in gitems:
             if max_degree is not None and dF + dG > max_degree:
@@ -218,13 +337,13 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
                 acc[key] = v
             elif key in acc:
                 del acc[key]
-    return FockVector._from_terms(acc, F.scalar_mode)
+    return _reduced(acc, F._den * G._den, F.scalar_mode)
 
 
 def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
     """Contraction against one basis mode: mu -> mult(mode) * (mu minus one unit)."""
     out: dict[MultiIndex, Scalar] = {}
-    for mu, c in F.terms.items():
+    for mu, c in F._num.items():
         m = mu.multiplicity(mode)
         if not m:
             continue
@@ -235,17 +354,17 @@ def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
             out[key] = v
         elif key in out:
             del out[key]
-    return FockVector._from_terms(out, F.scalar_mode)
+    return _reduced(out, F._den, F.scalar_mode)
 
 
 def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVector:
     """Contraction against a finite combination of modes: sum of h[mode] * a_mode."""
-    out: dict[MultiIndex, Scalar] = {}
+    out = _Sum(F.scalar_mode)
     for mode, coeff in h.items():
         part = annihilate(mode, F)
         if not part.is_zero():
-            _accumulate(out, part.scale(coeff).terms)
-    return FockVector._from_terms(out, F.scalar_mode)
+            out.add(part.scale(coeff))
+    return out.vector()
 
 
 def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: int,
@@ -280,7 +399,7 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     suppF, suppG = F.support_modes(), G.support_modes()
     live = [(fm, gm, coerce_scalar(w, mode)) for fm, gm, w in channels
             if fm in suppF and gm in suppG]
-    orders: list[dict] = [{} for _ in range(R + 1)]
+    orders = [_Sum(mode) for _ in range(R + 1)]
 
     def walk(aF, aG, weight, depth, last, run):
         # `last` is the channel that reached this node and `run` how often
@@ -290,7 +409,7 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
                 product = wick_product(aF.scale(weight), aG, caps[depth])
             else:
                 product = wick_product(aF, aG.scale(weight), caps[depth])
-            _accumulate(orders[depth], product.terms)
+            orders[depth].add(product)
         if depth == R:
             return
         for i in range(last, len(live)):
@@ -305,7 +424,7 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
             walk(bF, bG, weight * w / c, depth + 1, i, c)
 
     walk(F, G, 1, 0, 0, 0)
-    return [FockVector._from_terms(orders[r], mode) for r in range(lowest, R + 1)]
+    return [orders[r].vector() for r in range(lowest, R + 1)]
 
 
 def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel],
@@ -341,13 +460,13 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[Mode
         gen_terms[MultiIndex.single(mode)] = c
     gen = FockVector(gen_terms)
     power = FockVector.unit()
-    out = dict(power.terms)
+    out = _Sum(RATIONAL, dict(power._num))
     for n in range(1, N + 1):
         power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
         if power.is_zero():
             break
-        _accumulate(out, power.terms)
-    return FockVector._from_terms(out, RATIONAL)
+        out.add(power)
+    return out.vector()
 
 
 # -- formal power series in the deformation parameter --------------------
@@ -404,10 +523,10 @@ class HbarSeries:
         self._check_compatible(other)
         out = []
         for r in range(self.order + 1):
-            acc: dict[MultiIndex, Scalar] = {}
+            acc = _Sum(self.scalar_mode)
             for a in range(r + 1):
-                _accumulate(acc, wick_product(self.coeffs[a], other.coeffs[r - a]).terms)
-            out.append(FockVector._from_terms(acc, self.scalar_mode))
+                acc.add(wick_product(self.coeffs[a], other.coeffs[r - a]))
+            out.append(acc.vector())
         return HbarSeries(out)
 
     def truncate_degree(self, n: int) -> "HbarSeries":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fock import Channel, FockVector, HbarSeries, _accumulate, _star_orders, contract_channels
+from .fock import Channel, FockVector, HbarSeries, _star_orders, _Sum, contract_channels
 from .modes import ModeIndex
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -85,10 +85,6 @@ class SymplecticForm:
             if (entry := self.omega_upper[i][j]))
 
     @classmethod
-    def standard(cls, d: int, K: int, weight_c=Fraction(1)) -> "SymplecticForm":
-        return cls(d, K, weight_c)
-
-    @classmethod
     def unit_pairing(cls, d: int, K: int) -> "SymplecticForm":
         """Weight-1 form with {primal, dual} = +1: the deformation layer's pairing.
 
@@ -150,12 +146,12 @@ def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
     """
     FS._check_compatible(GS)
     R = FS.order
-    out: list[dict] = [{} for _ in range(R + 1)]
+    out = [_Sum(FS.scalar_mode) for _ in range(R + 1)]
     for a in range(R + 1):
         for b in range(R + 1 - a):
             F, G = FS.coefficient(a), GS.coefficient(b)
             if F.is_zero() or G.is_zero():
                 continue
             for c, part in enumerate(_star_orders(F, G, channels, R - a - b, max_degree)):
-                _accumulate(out[a + b + c], part.terms)
-    return HbarSeries(FockVector._from_terms(terms, FS.scalar_mode) for terms in out)
+                out[a + b + c].add(part)
+    return HbarSeries(total.vector() for total in out)

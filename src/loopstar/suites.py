@@ -640,7 +640,7 @@ CHECKS["gaussian"] = (
 
 def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int, weight_c) -> dict:
     """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets."""
-    form = SymplecticForm.standard(d, K, weight_c)
+    form = SymplecticForm(d, K, weight_c)
 
     def instance(rng, i):      # (identities broken, whether {F, G} is nonzero)
         F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
@@ -660,7 +660,7 @@ def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int, weight_c) 
 
 def bracket_pair_example_failures(d: int, K: int, weight_c) -> dict:
     """Degree-1 pairs: bracket is minus the weight on matched primal/dual pairs."""
-    form = SymplecticForm.standard(d, K, weight_c)
+    form = SymplecticForm(d, K, weight_c)
     modes = mode_range(d, K)
 
     def one(mode):
@@ -695,7 +695,7 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
     Runs in float mode with the curvature weight 4 pi^2, pairing the exact
     engine against direct polynomial differentiation.
     """
-    form = SymplecticForm.standard(d, K, weight_c=float(LAMBDA))
+    form = SymplecticForm(d, K, weight_c=float(LAMBDA))
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5).to_float()
@@ -719,7 +719,7 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
 
 def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int, weight_c) -> dict:
     """Grid-searched continuity constants for the bracket under the norm bound."""
-    form = SymplecticForm.standard(d, K, weight_c)
+    form = SymplecticForm(d, K, weight_c)
     pairs = _instances(seed, "bracket-bound", n_pairs,
                        lambda rng, i: (random_fock(rng, d, K, 3, dual_fraction=0.5),
                                        random_fock(rng, d, K, 3, dual_fraction=0.5)))
@@ -753,7 +753,7 @@ CHECKS["poisson"] = (
 
 def power_law_failures(seed: int, n_instances: int, d: int, K: int, weight_c) -> dict:
     """Contraction powers: wick at r=0, antisymmetrized r=1, depth and degrees."""
-    form = SymplecticForm.standard(d, K, weight_c)
+    form = SymplecticForm(d, K, weight_c)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
@@ -773,7 +773,7 @@ def power_law_failures(seed: int, n_instances: int, d: int, K: int, weight_c) ->
 def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int, weight_c,
                          R: int) -> dict:
     """Coefficientwise associativity of the truncated star-product."""
-    form = SymplecticForm.standard(d, K, weight_c)
+    form = SymplecticForm(d, K, weight_c)
     channels = form.channels()
 
     def instance(rng, i):
@@ -787,7 +787,7 @@ def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int, weight_c,
 def star_series_failures(seed: int, n_instances: int, d: int, K: int, weight_c,
                          R: int) -> dict:
     """Series product reduces to the star on concentrated series; associativity."""
-    form = SymplecticForm.standard(d, K, weight_c)
+    form = SymplecticForm(d, K, weight_c)
     channels = form.channels()
 
     def instance(rng, i):
@@ -949,6 +949,8 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
     order a is formed at that cap, which is exact there for the same
     reason as on the right side.
     """
+    if kind not in ("poly", "exp"):
+        raise ValueError(f"unknown operand kind {kind!r}; known: 'poly', 'exp'")
     window = N - 2 * R
     if window < 0:
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")

@@ -9,8 +9,6 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 import loopstar.suites as suites
 from loopstar.cli import main as cli_main
 from loopstar.equivalence import DiagonalOperatorA

@@ -27,7 +27,6 @@ ALLOWED = {
 KEPT = {
     "config.parse_config(where)",                   # a document read from no file has no path
     "poisson.SymplecticForm.__init__(weight_c)",    # a form given by its matrix alone has weight 1
-    "poisson.SymplecticForm.standard(weight_c)",    # README and demos build the weight-1 form bare
 }
 
 

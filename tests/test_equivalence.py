@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from loopstar import equivalence, suites
-from loopstar.equivalence import (FAMILIES, DiagonalOperatorA, apply_EA, apply_T, apply_T1,
-                                  cA1, cAr, canonical_pairing, deformed_channels,
-                                  exp_product_formula_rhs, star_A)
+from loopstar.equivalence import (FAMILIES, DiagonalOperatorA, apply_T, apply_T1, cA1,
+                                  canonical_pairing, deformed_channels, exp_product_formula_rhs,
+                                  star_A)
 from loopstar.fock import FockVector, HbarSeries, _star_orders, annihilate, wick_exponential
 from loopstar.modes import ModeIndex, MultiIndex
-from loopstar.poisson import SymplecticForm, moyal_star, poisson_bracket, star_series
+from loopstar.poisson import SymplecticForm, poisson_bracket, star_series
 from loopstar.rand import instance_rng, random_fock, random_gamma
 from loopstar.suites import (ea_cochain_failures, intertwining_failures,
                              normal_one_sided_failures, product_formula_failures,
@@ -151,6 +151,8 @@ def test_intertwining_tiny_window():
     assert out["failures"] == 0 and out["window"] == 0
     with pytest.raises(ValueError):
         intertwining_failures(6, 1, A, N=5, R=3, kind="poly")
+    with pytest.raises(ValueError):
+        intertwining_failures(6, 2, A, N=6, R=3, kind="expo")
 
 
 def test_intertwining_polynomials_wide_window():

@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopstar import fock
 from loopstar.fock import (FLOAT, RATIONAL, FockVector, HbarSeries, _star_orders, annihilate,
                            annihilate_general, contract_channels, wick_exponential,
                            wick_product)
@@ -203,3 +207,89 @@ def test_series_helpers():
     assert S + Z == S
     with pytest.raises(ValueError):
         S._check_compatible(HbarSeries.from_vector(FockVector.zero(), 3))
+
+
+# -- the kernels against their Fraction-dict form ------------------------
+
+
+def reference_wick_product(F_terms, G_terms, max_degree):
+    """The product on plain coefficient dicts, in the kernel's loop order."""
+    acc = {}
+    gitems = sorted(((mu.degree, mu, c) for mu, c in G_terms.items()), key=lambda t: t[0])
+    for muF, cF in F_terms.items():
+        for dG, muG, cG in gitems:
+            if max_degree is not None and muF.degree + dG > max_degree:
+                break
+            key = muF.union(muG)
+            v = acc.get(key)
+            v = cF * cG if v is None else v + cF * cG
+            if v:
+                acc[key] = v
+            elif key in acc:
+                del acc[key]
+    return acc
+
+
+def reference_annihilate(mode, F_terms):
+    """The contraction on a plain coefficient dict, in the kernel's loop order."""
+    out = {}
+    for mu, c in F_terms.items():
+        m = mu.multiplicity(mode)
+        if not m:
+            continue
+        key = mu.remove(mode)
+        v = out.get(key)
+        v = m * c if v is None else v + m * c
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return out
+
+
+_MODES = [M1, M2, D1, ModeIndex(2, 0)]
+_monomial = st.lists(st.tuples(st.sampled_from(_MODES), st.integers(1, 3)),
+                     max_size=3).map(MultiIndex)
+# Few values over shared denominators, so that terms cancel and gcds reduce.
+_coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+_operand = st.lists(st.tuples(_monomial, _coeff), max_size=6).map(dict)
+
+
+def _no_fraction(*args):
+    raise AssertionError("the length of a vector's terms built a Fraction")
+
+
+def _as_read(terms, scalar_mode):
+    # Keys, key order and values; floats by their bits.
+    if scalar_mode == FLOAT:
+        return [(mu, c.hex()) for mu, c in terms.items()]
+    for c in terms.values():
+        assert type(c) is Fraction and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
+    return list(terms.items())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_operand, _operand, st.one_of(st.none(), st.integers(0, 7)),
+       st.sampled_from([RATIONAL, FLOAT]))
+def test_kernels_match_fraction_reference(f, g, cap, scalar_mode):
+    if scalar_mode == FLOAT:
+        f = {mu: float(c) for mu, c in f.items()}
+        g = {mu: float(c) for mu, c in g.items()}
+    f = {mu: c for mu, c in f.items() if c}
+    g = {mu: c for mu, c in g.items() if c}
+    F, G = FockVector(f, scalar_mode), FockVector(g, scalar_mode)
+    out = wick_product(F, G, cap)
+    with mock.patch.object(fock, "Fraction", _no_fraction):
+        sizes = len(F.terms), len(G.terms), len(out.terms)
+    want = reference_wick_product(f, g, cap)
+    assert sizes == (len(f), len(g), len(want))
+    assert _as_read(out.terms, scalar_mode) == _as_read(want, scalar_mode)
+    assert _as_read(F.terms, scalar_mode) == _as_read(f, scalar_mode)
+    for mode in _MODES:
+        got = annihilate(mode, F)
+        with mock.patch.object(fock, "Fraction", _no_fraction):
+            size = len(got.terms)
+        want = reference_annihilate(mode, f)
+        assert size == len(want)
+        assert _as_read(got.terms, scalar_mode) == _as_read(want, scalar_mode)

@@ -32,7 +32,7 @@ def test_form_constructor_guards():
 
 
 def test_standard_form_inverse_blocks():
-    form = SymplecticForm.standard(2, 3)
+    form = SymplecticForm(2, 3)
     d = 2
     for i in range(d):
         for j in range(2 * d):
@@ -53,7 +53,7 @@ def test_unit_pairing_form():
 
 
 def test_mode_of_index():
-    form = SymplecticForm.standard(2, 3)
+    form = SymplecticForm(2, 3)
     assert form.mode_of_index(0, 2) == ModeIndex(1, 2)
     assert form.mode_of_index(1, -1) == ModeIndex(2, -1)
     assert form.mode_of_index(2, 2) == ModeIndex(1, 2, dual=True)
@@ -81,7 +81,7 @@ def test_channel_table_is_a_value(d, K, weight_c):
     if weight_c is None:
         form = SymplecticForm.unit_pairing(d, K)
     else:
-        form = SymplecticForm.standard(d, K, weight_c)
+        form = SymplecticForm(d, K, weight_c)
     table = form.channels()
     assert table is form.channels()
     assert isinstance(table, tuple)
@@ -92,7 +92,7 @@ def test_channel_table_is_a_value(d, K, weight_c):
 
 
 def test_bracket_on_matched_pair():
-    form = SymplecticForm.standard(1, 2, weight_c=Fraction(3))
+    form = SymplecticForm(1, 2, weight_c=Fraction(3))
     F = mono([(P1, 1)])
     G = mono([(D1, 1)])
     assert poisson_bracket(F, G, form) == FockVector.unit().scale(Fraction(-4))  # -(3*1+1)
@@ -114,7 +114,7 @@ def test_bracket_axioms_small():
 
 
 def test_bracket_degree_drop():
-    form = SymplecticForm.standard(1, 2)
+    form = SymplecticForm(1, 2)
     F = mono([(P1, 2), (D1, 1)])
     G = mono([(D1, 2)])
     got = poisson_bracket(F, G, form)
@@ -128,7 +128,7 @@ def test_chaos_compatibility_small():
 
 
 def test_power_zero_and_one():
-    form = SymplecticForm.standard(1, 2)
+    form = SymplecticForm(1, 2)
     F = mono([(P1, 1), (D1, 1)])
     G = mono([(P1, 2)])
     assert poisson_power(0, F, G, form) == wick_product(F, G)
@@ -139,7 +139,7 @@ def test_power_zero_and_one():
 
 
 def test_moyal_star_structure():
-    form = SymplecticForm.standard(1, 1)
+    form = SymplecticForm(1, 1)
     F = mono([(P1, 1)])
     G = mono([(D1, 1)])
     S = moyal_star(F, G, form, R=2)
@@ -158,7 +158,7 @@ def test_star_series_reduction_and_assoc():
 
 
 def test_star_series_respects_cap():
-    form = SymplecticForm.standard(1, 1)
+    form = SymplecticForm(1, 1)
     F = mono([(P1, 2)])
     S = HbarSeries.from_vector(F, 1)
     capped = star_series(S, S, form.channels(), max_degree=2)
