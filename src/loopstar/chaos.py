@@ -13,11 +13,12 @@ of symmetrized kernels multiply like the polynomials they come from.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .fock import FLOAT, FockVector, annihilate_general
+from .fock import FockVector, annihilate_general
 from .gaussian import LoopSample
 from .modes import ModeIndex, MultiIndex, h_weight, mode_profile
 
@@ -128,9 +129,13 @@ def gateaux_derivative_fd(F: FockVector, sample: LoopSample,
 
 def fd_matches_annihilation(F: FockVector, sample: LoopSample,
                             h: Mapping[ModeIndex, float], eps: float) -> float:
-    """|FD derivative - chaos of the h-contraction|, the residual the slope fit uses."""
+    """|FD derivative - chaos of the h-contraction|, the residual the slope fit uses.
+
+    The contraction is exact: each entry of h is taken at its exact value
+    (a float is a dyadic rational), so only the chaos evaluation rounds.
+    """
     fd = gateaux_derivative_fd(F, sample, h, eps)
-    contracted = annihilate_general(h, F.to_float())
+    contracted = annihilate_general({mode: Fraction(c) for mode, c in h.items()}, F)
     xi = sample_xi_for(contracted, sample, extra=sample_xi_for(F, sample))
     return abs(fd - chaos_eval_spectral(contracted, xi))
 
@@ -160,8 +165,8 @@ def normal_convergence_check(sample: LoopSample, q: float,
                              n_max: int, n0: int, n_grid: int) -> dict:
     """Geometric-tail surrogate for normal convergence of the chaos series.
 
-    Builds a float vector whose degree-n part is a single power of the
-    frequency-1 mode scaled so its derivative-sup bound is exactly
+    Takes as degree-n part a single power of the frequency-1 mode, scaled
+    by a float coefficient so its derivative-sup bound is exactly
     mu_ratio^n, evaluates each degree by quadrature, and checks every
     contribution against q^n = (2 mu_ratio M_sup)^n with M_sup the grid sup
     of |B|, plus the implied geometric tail bound past n0.  The caller picks
@@ -179,9 +184,8 @@ def normal_convergence_check(sample: LoopSample, q: float,
     tail_sum = 0.0
     for n in range(0, n_max + 1):
         coeff = (mu_ratio / envelope) ** n
-        part = FockVector({MultiIndex(((mode, n),)) if n else MultiIndex(): coeff},
-                          scalar_mode=FLOAT)
-        contribution = abs(chaos_eval_quadrature(part, sample, n_grid))
+        monomial = FockVector({MultiIndex(((mode, n),)) if n else MultiIndex(): 1})
+        contribution = abs(coeff * chaos_eval_quadrature(monomial, sample, n_grid))
         bound = q ** n
         rows.append({"degree": n, "contribution": contribution, "bound": bound})
         if n > n0:

@@ -138,7 +138,7 @@ def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, R: int,
 def apply_T1(F: FockVector, A: DiagonalOperatorA) -> FockVector:
     """Transform generator: minus the alpha-weighted primal-dual double contraction."""
     support = F.support_modes()
-    total = _Sum(F.scalar_mode)
+    total = _Sum()
     for p, q, a in A.pairs:
         if not a or p not in support or q not in support:
             continue
@@ -157,7 +157,7 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA) -> HbarSeries:
     exactly 2 and no term is dropped.
     """
     R = FS.order
-    out = [_Sum(FS.scalar_mode) for _ in range(R + 1)]
+    out = [_Sum() for _ in range(R + 1)]
     for a in range(R + 1):
         term = FS.coefficient(a)
         out[a].add(term)

@@ -4,17 +4,19 @@ Elements are finite linear combinations of symmetrized monomials, each
 labelled by a MultiIndex over ModeIndexes.  In this basis the Wick product
 is multiset union of labels with coefficient 1, and the annihilation
 operator against a basis mode removes one unit of that mode scaled by its
-multiplicity.  Coefficients live in exactly one of two scalar modes:
-"rational" (exact) or "float".  Mixing modes raises.
+multiplicity.  Coefficients are exact rationals and there is no other
+scalar type: a float coefficient, scale, direction or channel weight (or
+anything but a Fraction or an int) raises TypeError where it would enter
+the arithmetic, so this layer never rounds.  Floats enter only where a
+vector is evaluated on a sampled field (`chaos`).
 
 A vector stores integer numerators over one positive denominator, as
-FLINT's fmpq_poly does; a float vector stores its floats over denominator 1.
-Every operation reduces its result once, by gcd(D, *numerators), so equal
-vectors have equal storage, and the kernels below run on plain int (or
-float) multiply and add.  `.terms` is the read path: a mapping from
-monomial to coefficient, reduced Fractions in rational mode, in the order
-the terms were formed.  Its keys and length come from the numerators; the
-Fractions are built once per vector, on the first read of a value.
+FLINT's fmpq_poly does.  Every operation reduces its result once, by
+gcd(D, *numerators), so equal vectors have equal storage, and the kernels
+below run on plain int multiply and add.  `.terms` is the read path: a
+mapping from monomial to reduced Fraction, in the order the terms were
+formed.  Its keys and length come from the numerators; the Fractions are
+built once per vector, on the first read of a value.
 
 A degree cap belongs to a multiplication, not to a vector: a product
 formed with `max_degree=n` is the product of the quotient algebra where
@@ -34,30 +36,21 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .modes import VACUUM, ModeIndex, MultiIndex
 
-RATIONAL = "rational"
-FLOAT = "float"
-
-Scalar = Union[Fraction, int, float]
+Scalar = Union[Fraction, int]
 Channel = tuple[ModeIndex, ModeIndex, Scalar]     # (mode on F, mode on G, weight)
 
 
-def coerce_scalar(value: Scalar, scalar_mode: str):
-    """Bring a coefficient into the given scalar mode.
+def coerce_scalar(value: Scalar) -> Fraction:
+    """A coefficient as a Fraction.
 
-    Rational mode accepts Fraction and int only: floats are refused rather
-    than silently converted, so exact computations cannot be contaminated.
+    Fraction and int only: a float is refused rather than converted, so
+    exact computations cannot be contaminated.
     """
-    if scalar_mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"rational mode cannot accept {type(value).__name__} coefficient {value!r}")
-    if scalar_mode == FLOAT:
-        if isinstance(value, (int, float, Fraction)):
-            return float(value)
-        raise TypeError(f"float mode cannot accept {type(value).__name__} coefficient {value!r}")
-    raise ValueError(f"unknown scalar mode {scalar_mode!r}")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"the exact layer takes Fraction or int, not {type(value).__name__} {value!r}")
 
 
 # Longest digit run accepted in rational text: the interpreter's default
@@ -83,9 +76,9 @@ class _Terms(Mapping):
     """Read-only coefficients of one vector, keyed by monomial in term order.
 
     Length, keys and membership read the numerators.  The values are
-    `values` if given (the floats, or the Fractions a vector was built
-    from); otherwise the reduced Fractions num / D, built on the first
-    value read and kept.  Every other method comes from `Mapping`.
+    `values` if given (the Fractions a vector was built from); otherwise
+    the reduced Fractions num / D, built on the first value read and kept.
+    Every other method comes from `Mapping`.
     """
 
     __slots__ = ("_num", "_den", "_values")
@@ -124,61 +117,53 @@ class FockVector:
     """Sparse element of the symmetric algebra: numerators over one denominator.
 
     `_num` maps each monomial to a nonzero numerator and `_den` is the
-    positive shared denominator, with gcd(_den, *numerators) == 1 in
-    rational mode; a float vector holds floats over 1.  `terms` is the
-    public view of the coefficients (see `_Terms`).  A vector carries no
-    degree cap; products take one as an argument.
+    positive shared denominator, with gcd(_den, *numerators) == 1.
+    `terms` is the public view of the coefficients (see `_Terms`).  A
+    vector carries no degree cap; products take one as an argument.
     """
 
-    __slots__ = ("_num", "_den", "scalar_mode", "_terms")
+    __slots__ = ("_num", "_den", "_terms")
 
-    def __init__(self, terms: Mapping[MultiIndex, Scalar], scalar_mode: str = RATIONAL):
-        if scalar_mode not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown scalar mode {scalar_mode!r}")
-        clean: dict[MultiIndex, Scalar] = {}
+    def __init__(self, terms: Mapping[MultiIndex, Scalar]):
+        clean: dict[MultiIndex, Fraction] = {}
         for mu, c in terms.items():
             if not isinstance(mu, MultiIndex):
                 mu = MultiIndex(mu)
-            c = coerce_scalar(c, scalar_mode)
+            c = coerce_scalar(c)
             if c:
                 clean[mu] = c
-        num, den = clean, 1
-        if scalar_mode == RATIONAL:
-            # Over the lcm of reduced denominators the numerators share no factor with it.
-            den = math.lcm(*(c.denominator for c in clean.values()))
-            num = {mu: c.numerator * (den // c.denominator) for mu, c in clean.items()}
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        num = {mu: c.numerator * (den // c.denominator) for mu, c in clean.items()}
         self._num = num
         self._den = den
-        self.scalar_mode = scalar_mode
         self._terms = _Terms(num, den, clean)
 
     @classmethod
-    def _raw(cls, num: dict, den: int, scalar_mode: str) -> "FockVector":
+    def _raw(cls, num: dict, den: int) -> "FockVector":
         # Fast path: caller guarantees canonical keys, nonzero reduced numerators.
         out = object.__new__(cls)
         out._num = num
         out._den = den
-        out.scalar_mode = scalar_mode
         out._terms = None
         return out
 
     @classmethod
-    def zero(cls, scalar_mode: str = RATIONAL) -> "FockVector":
-        return cls._raw({}, 1, scalar_mode)
+    def zero(cls) -> "FockVector":
+        return cls._raw({}, 1)
 
     @classmethod
     def unit(cls) -> "FockVector":
-        """The vacuum monomial with rational coefficient 1: the algebra unit."""
-        return cls._raw({VACUUM: 1}, 1, RATIONAL)
+        """The vacuum monomial with coefficient 1: the algebra unit."""
+        return cls._raw({VACUUM: 1}, 1)
 
     # -- queries ---------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[MultiIndex, Scalar]:
-        """Coefficient by monomial: reduced Fractions, or floats in float mode."""
+    def terms(self) -> Mapping[MultiIndex, Fraction]:
+        """Coefficient by monomial, as reduced Fractions."""
         if self._terms is None:
-            values = self._num if self.scalar_mode == FLOAT else None
-            self._terms = _Terms(self._num, self._den, values)
+            self._terms = _Terms(self._num, self._den, None)
         return self._terms
 
     def is_zero(self) -> bool:
@@ -201,8 +186,7 @@ class FockVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return (self.scalar_mode == other.scalar_mode and self._den == other._den
-                and self._num == other._num)
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         raise TypeError("FockVector is mutable bookkeeping; not hashable")
@@ -217,12 +201,8 @@ class FockVector:
 
     # -- linear structure ------------------------------------------------
 
-    def _check_mode(self, other: "FockVector"):
-        if self.scalar_mode != other.scalar_mode:
-            raise TypeError(f"scalar mode mismatch: {self.scalar_mode} vs {other.scalar_mode}")
-
     def __add__(self, other: "FockVector") -> "FockVector":
-        total = _Sum(self.scalar_mode, dict(self._num), self._den)
+        total = _Sum(dict(self._num), self._den)
         total.add(other)
         return total.vector()
 
@@ -230,16 +210,14 @@ class FockVector:
         return self + (-other)
 
     def __neg__(self) -> "FockVector":
-        return FockVector._raw({mu: -c for mu, c in self._num.items()}, self._den,
-                               self.scalar_mode)
+        return FockVector._raw({mu: -c for mu, c in self._num.items()}, self._den)
 
     def scale(self, scalar: Scalar) -> "FockVector":
-        s = coerce_scalar(scalar, self.scalar_mode)
+        s = coerce_scalar(scalar)
         if not s:
-            return FockVector.zero(self.scalar_mode)
-        p, q = (s, 1) if self.scalar_mode == FLOAT else (s.numerator, s.denominator)
-        return _reduced({mu: c * p for mu, c in self._num.items()}, self._den * q,
-                        self.scalar_mode)
+            return FockVector.zero()
+        p, q = s.numerator, s.denominator
+        return _reduced({mu: c * p for mu, c in self._num.items()}, self._den * q)
 
     def __mul__(self, scalar: Scalar) -> "FockVector":
         return self.scale(scalar)
@@ -249,17 +227,10 @@ class FockVector:
     def truncate(self, n: int) -> "FockVector":
         """Project onto degrees <= n."""
         kept = {mu: c for mu, c in self._num.items() if mu.degree <= n}
-        return _reduced(kept, self._den, self.scalar_mode)
-
-    def to_float(self) -> "FockVector":
-        if self.scalar_mode == FLOAT:
-            return self
-        # int / int is correctly rounded, so n / D is float(Fraction(n, D)).
-        den = self._den
-        return FockVector._raw({mu: n / den for mu, n in self._num.items()}, 1, FLOAT)
+        return _reduced(kept, self._den)
 
 
-def _reduced(num: dict, den: int, scalar_mode: str) -> FockVector:
+def _reduced(num: dict, den: int) -> FockVector:
     """The vector num / den, with numerators and denominator divided by their gcd."""
     if den != 1:
         g = math.gcd(den, *num.values())
@@ -267,27 +238,24 @@ def _reduced(num: dict, den: int, scalar_mode: str) -> FockVector:
             den //= g
             for mu in num:
                 num[mu] //= g
-    return FockVector._raw(num, den, scalar_mode)
+    return FockVector._raw(num, den)
 
 
 class _Sum:
-    """Running sum of vectors of one scalar mode, as numerators over one denominator.
+    """Running sum of vectors, as numerators over one denominator.
 
     A summand whose denominator differs is brought to the lcm of the two;
     terms that cancel are dropped.  `vector()` reduces once and hands over
     the storage, so the sum is not used after it.
     """
 
-    __slots__ = ("num", "den", "scalar_mode")
+    __slots__ = ("num", "den")
 
-    def __init__(self, scalar_mode: str, num: Optional[dict] = None, den: int = 1):
+    def __init__(self, num: Optional[dict] = None, den: int = 1):
         self.num = {} if num is None else num
         self.den = den
-        self.scalar_mode = scalar_mode
 
     def add(self, F: FockVector) -> None:
-        if F.scalar_mode != self.scalar_mode:
-            raise TypeError(f"scalar mode mismatch: {self.scalar_mode} vs {F.scalar_mode}")
         acc, den = self.num, self.den
         items = F._num.items()
         if F._den != den:
@@ -309,7 +277,7 @@ class _Sum:
                 del acc[mu]
 
     def vector(self) -> FockVector:
-        return _reduced(self.num, self.den, self.scalar_mode)
+        return _reduced(self.num, self.den)
 
 
 # -- products and contractions ------------------------------------------
@@ -322,8 +290,7 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
     that degree: pairs whose degrees sum past it are skipped before any
     union is built.
     """
-    F._check_mode(G)
-    acc: dict[MultiIndex, Scalar] = {}
+    acc: dict[MultiIndex, int] = {}
     fitems = [(mu.degree, mu, c) for mu, c in F._num.items()]
     gitems = sorted(((mu.degree, mu, c) for mu, c in G._num.items()), key=lambda t: t[0])
     for dF, muF, cF in fitems:
@@ -337,12 +304,12 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
                 acc[key] = v
             elif key in acc:
                 del acc[key]
-    return _reduced(acc, F._den * G._den, F.scalar_mode)
+    return _reduced(acc, F._den * G._den)
 
 
 def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
     """Contraction against one basis mode: mu -> mult(mode) * (mu minus one unit)."""
-    out: dict[MultiIndex, Scalar] = {}
+    out: dict[MultiIndex, int] = {}
     for mu, c in F._num.items():
         m = mu.multiplicity(mode)
         if not m:
@@ -354,12 +321,12 @@ def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
             out[key] = v
         elif key in out:
             del out[key]
-    return _reduced(out, F._den, F.scalar_mode)
+    return _reduced(out, F._den)
 
 
 def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVector:
     """Contraction against a finite combination of modes: sum of h[mode] * a_mode."""
-    out = _Sum(F.scalar_mode)
+    out = _Sum()
     for mode, coeff in h.items():
         part = annihilate(mode, F)
         if not part.is_zero():
@@ -386,10 +353,8 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     0..R).  Order r then equals the uncapped order truncated to its cap,
     since each Wick product adds degrees.
     """
-    F._check_mode(G)
     if R < 0:
         raise ValueError("contraction order must be >= 0")
-    mode = F.scalar_mode
     if order_caps is None:
         caps = [max_degree] * (R + 1)
     elif len(order_caps) == R + 1:
@@ -397,9 +362,9 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     else:
         raise ValueError(f"need one cap per order 0..{R}, got {len(order_caps)}")
     suppF, suppG = F.support_modes(), G.support_modes()
-    live = [(fm, gm, coerce_scalar(w, mode)) for fm, gm, w in channels
+    live = [(fm, gm, coerce_scalar(w)) for fm, gm, w in channels
             if fm in suppF and gm in suppG]
-    orders = [_Sum(mode) for _ in range(R + 1)]
+    orders = [_Sum() for _ in range(R + 1)]
 
     def walk(aF, aG, weight, depth, last, run):
         # `last` is the channel that reached this node and `run` how often
@@ -441,7 +406,7 @@ def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel],
 
 def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[ModeIndex, Scalar],
                      N: int) -> FockVector:
-    """Degree-capped rational exponential of a degree-one element on the doubled modes.
+    """Degree-capped exponential of a degree-one element on the doubled modes.
 
     gamma feeds primal slots and gamma_star dual slots; the result is
     sum_{n <= N} (gamma + gamma_star)^{wick n} / n!.  Keys must carry the
@@ -460,7 +425,7 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[Mode
         gen_terms[MultiIndex.single(mode)] = c
     gen = FockVector(gen_terms)
     power = FockVector.unit()
-    out = _Sum(RATIONAL, dict(power._num))
+    out = _Sum(dict(power._num))
     for n in range(1, N + 1):
         power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
         if power.is_zero():
@@ -476,7 +441,7 @@ class HbarSeries:
     """Truncated formal series: one FockVector per order of the parameter.
 
     coeffs[r] is the order-r coefficient; the truncation order is fixed at
-    construction and all arithmetic demands matching orders and scalar modes.
+    construction and all arithmetic demands matching orders.
     """
 
     __slots__ = ("coeffs",)
@@ -485,24 +450,16 @@ class HbarSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("series needs at least the order-0 coefficient")
-        mode = coeffs[0].scalar_mode
-        for c in coeffs:
-            if c.scalar_mode != mode:
-                raise TypeError("all series coefficients must share one scalar mode")
         self.coeffs = coeffs
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def scalar_mode(self) -> str:
-        return self.coeffs[0].scalar_mode
-
     @classmethod
     def from_vector(cls, F: FockVector, R: int) -> "HbarSeries":
         """The constant series F + 0*hbar + ... up to order R."""
-        zeros = [FockVector.zero(F.scalar_mode) for _ in range(R)]
+        zeros = [FockVector.zero() for _ in range(R)]
         return cls([F] + zeros)
 
     def coefficient(self, r: int) -> FockVector:
@@ -511,8 +468,6 @@ class HbarSeries:
     def _check_compatible(self, other: "HbarSeries"):
         if self.order != other.order:
             raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
-        if self.scalar_mode != other.scalar_mode:
-            raise TypeError("scalar mode mismatch between series")
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         self._check_compatible(other)
@@ -523,7 +478,7 @@ class HbarSeries:
         self._check_compatible(other)
         out = []
         for r in range(self.order + 1):
-            acc = _Sum(self.scalar_mode)
+            acc = _Sum()
             for a in range(r + 1):
                 acc.add(wick_product(self.coeffs[a], other.coeffs[r - a]))
             out.append(acc.vector())

@@ -48,7 +48,8 @@ class SymplecticForm:
     Doubled indices 0..d-1 are the primal coordinates, d..2d-1 their duals.
     omega_upper is always computed from omega_lower by exact inversion, so
     sign conventions are a consequence of the stated lower form, not a
-    second hand-coded table.  The bracket's channel table is built once,
+    second hand-coded table.  weight_c is a Fraction or an int; a float
+    raises TypeError here.  The bracket's channel table is built once,
     here, and every product over the form shares it.
     """
 
@@ -58,8 +59,13 @@ class SymplecticForm:
                  omega_lower: Optional[Sequence[Sequence[Fraction]]] = None):
         if d < 1 or K < 0:
             raise ValueError("need d >= 1 and K >= 0")
+        # Checked here rather than by fock.coerce_scalar, so that the engine's
+        # call counts in a run do not depend on whether a cached form
+        # (equivalence._unit_form) was built earlier in the process.
         if isinstance(weight_c, int):
             weight_c = Fraction(weight_c)
+        elif not isinstance(weight_c, Fraction):
+            raise TypeError(f"weight_c must be a Fraction or an int, not {weight_c!r}")
         if weight_c < 0:
             raise ValueError("weight_c must be nonnegative")
         self.d = d
@@ -99,7 +105,7 @@ class SymplecticForm:
         return cls(d, K, Fraction(0), lower)
 
     def weight(self, freq: int):
-        """Frequency weight weight_c * k^2 + 1, in weight_c's own scalar type."""
+        """Frequency weight weight_c * k^2 + 1, exactly."""
         return self.weight_c * freq * freq + 1
 
     def mode_of_index(self, idx: int, freq: int) -> ModeIndex:
@@ -111,8 +117,8 @@ class SymplecticForm:
         """Contraction channels (mode on F, mode on G, weight) for the bracket.
 
         One entry per frequency k and nonzero omega_upper[i][j], in that
-        loop order, weighted weight(k) * omega_upper[i][j] in weight_c's
-        scalar type.  The same tuple is returned on every call.
+        loop order, weighted weight(k) * omega_upper[i][j].  The same tuple
+        is returned on every call.
         """
         return self._channels
 
@@ -146,7 +152,7 @@ def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
     """
     FS._check_compatible(GS)
     R = FS.order
-    out = [_Sum(FS.scalar_mode) for _ in range(R + 1)]
+    out = [_Sum() for _ in range(R + 1)]
     for a in range(R + 1):
         for b in range(R + 1 - a):
             F, G = FS.coefficient(a), GS.coefficient(b)

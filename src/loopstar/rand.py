@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import RATIONAL, FockVector
+from .fock import FockVector
 from .modes import ModeIndex, MultiIndex
 
 
@@ -55,7 +55,7 @@ def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
         degree = int(rng.integers(0, max_degree + 1))
         mu = random_multi_index(rng, d, K, degree, dual_fraction)
         terms[mu] = random_fraction(rng)
-    return FockVector(terms, RATIONAL)
+    return FockVector(terms)
 
 
 def random_xi(rng: np.random.Generator, d: int, K: int,

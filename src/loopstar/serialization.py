@@ -2,22 +2,25 @@
 
 One term per line, `degree; modes; coefficient`, where modes is a
 space-separated list of `(coord,freq,dualflag)^mult` factors in canonical
-sorted order and the coefficient is `numerator/denominator` in rational
-mode or a float repr in float mode.  Full-line `#` comments and blank
-lines are ignored.  Two equal vectors always serialize to byte-identical
-UTF-8 streams, which is what golden-file comparisons rely on.
+sorted order and the coefficient is `numerator/denominator`.  A reader
+also takes `[-]digits` and `[-]digits.digits`, each as its exact value
+(`-0.25` is -1/4); any other token, such as `1e5`, `inf` or `nan`, is
+refused with its line and column, since the exact layer has no float
+mode.  Full-line `#` comments and blank lines are ignored.  Two equal
+vectors always serialize to byte-identical UTF-8 streams, which is what
+golden-file comparisons rely on.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from fractions import Fraction
+from typing import Union
 
-from .fock import FLOAT, RATIONAL, FockVector, rational_from_text
+from .fock import FockVector, rational_from_text
 from .modes import ModeIndex, MultiIndex
 
 _MODE_RE = re.compile(r"^\((-?\d+),(-?\d+),([01])\)\^(\d+)$")
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 class FockParseError(ValueError):
@@ -35,21 +38,12 @@ def serialize_fock(F: FockVector) -> bytes:
     for mu in sorted(F.terms, key=lambda m: m.sort_key()):
         c = F.terms[mu]
         modes = " ".join(f"({m.coord},{m.freq},{1 if m.dual else 0})^{mult}" for m, mult in mu)
-        if F.scalar_mode == RATIONAL:
-            coeff = f"{c.numerator}/{c.denominator}"
-        else:
-            coeff = repr(c)
-        lines.append(f"{mu.degree}; {modes}; {coeff}")
+        lines.append(f"{mu.degree}; {modes}; {c.numerator}/{c.denominator}")
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None) -> FockVector:
-    """Parse a serialized vector.
-
-    scalar_mode None means detect from the coefficients: `p/q` tokens give
-    rational mode, float reprs give float mode.  An empty stream is the
-    zero vector (rational unless a mode is forced).
-    """
+def deserialize_fock(data: Union[bytes, str]) -> FockVector:
+    """Parse a serialized vector; an empty stream is the zero vector."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -58,8 +52,7 @@ def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None)
             # the bad byte starts a line.
             lines = (data[:exc.start].decode("utf-8") + "$").splitlines()
             raise FockParseError("invalid UTF-8", len(lines), len(lines[-1]) - 1) from None
-    detected = scalar_mode
-    parsed: list[tuple[int, MultiIndex, str, int, int]] = []
+    terms: dict[MultiIndex, Fraction] = {}
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -93,20 +86,12 @@ def deserialize_fock(data: Union[bytes, str], scalar_mode: Optional[str] = None)
             raise FockParseError(f"declared degree {degree} != actual degree {mu.degree}", lineno)
         if not coeff_txt:
             raise FockParseError("empty coefficient", lineno)
-        token_mode = RATIONAL if _RATIONAL_RE.match(coeff_txt) else FLOAT
-        if detected is None:
-            detected = token_mode
-        elif detected != token_mode and scalar_mode is None:
-            raise FockParseError(f"mixed coefficient styles ({detected} then {token_mode})", lineno)
-        parsed.append((degree, mu, coeff_txt, lineno, raw.find(coeff_txt)))
-    mode = detected if detected is not None else RATIONAL
-    terms: dict[MultiIndex, object] = {}
-    for degree, mu, coeff_txt, lineno, col in parsed:
         try:
-            value = rational_from_text(coeff_txt) if mode == RATIONAL else float(coeff_txt)
+            value = rational_from_text(coeff_txt)
         except (ValueError, ZeroDivisionError):
-            raise FockParseError(f"bad coefficient {coeff_txt[:40]!r}", lineno, col) from None
+            raise FockParseError(f"bad coefficient {coeff_txt[:40]!r}", lineno,
+                                 raw.find(coeff_txt)) from None
         if mu in terms:
             raise FockParseError(f"duplicate monomial {mu!r}", lineno)
         terms[mu] = value
-    return FockVector(terms, mode)
+    return FockVector(terms)

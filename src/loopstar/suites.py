@@ -673,15 +673,15 @@ def bracket_pair_example_failures(d: int, K: int, weight_c) -> dict:
     return {"failures": failures, "n": len(modes)}
 
 
-def _poly_partial_eval(F: FockVector, mode: ModeIndex, xi: dict) -> float:
+def _poly_partial_eval(terms: list, mode: ModeIndex, xi: dict) -> float:
     # Independent differentiation route: works on exponent maps directly,
-    # never through the contraction machinery.
+    # never through the contraction machinery.  `terms` holds (mu, float c).
     total = 0.0
-    for mu, c in F.terms.items():
+    for mu, c in terms:
         m = mu.multiplicity(mode)
         if not m:
             continue
-        prod = float(c) * m * xi[mode] ** (m - 1)
+        prod = c * m * xi[mode] ** (m - 1)
         for other, mult in mu:
             if other != mode:
                 prod *= xi[other] ** mult
@@ -692,26 +692,29 @@ def _poly_partial_eval(F: FockVector, mode: ModeIndex, xi: dict) -> float:
 def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) -> dict:
     """Chaos of the bracket equals the classical bracket of evaluation polynomials.
 
-    Runs in float mode with the curvature weight 4 pi^2, pairing the exact
-    engine against direct polynomial differentiation.
+    The curvature weight is the double 4 pi^2 read as the exact rational it
+    is, so the bracket is one exact engine call and only its chaos rounds.
+    It is paired against direct differentiation of the evaluation
+    polynomials in floats.
     """
-    form = SymplecticForm(d, K, weight_c=float(LAMBDA))
+    form = SymplecticForm(d, K, weight_c=Fraction(LAMBDA))
+    # The oracle's (weight * entry, mode on F, mode on G) per nonzero form entry.
+    pairings = [(float(form.weight(k)) * float(entry),
+                 form.mode_of_index(i, k), form.mode_of_index(j, k))
+                for k in range(-K, K + 1) for i in range(2 * d) for j in range(2 * d)
+                if (entry := form.omega_upper[i][j])]
 
     def instance(rng, i):
-        F = random_fock(rng, d, K, 3, dual_fraction=0.5).to_float()
-        G = random_fock(rng, d, K, 3, dual_fraction=0.5).to_float()
+        F = random_fock(rng, d, K, 3, dual_fraction=0.5)
+        G = random_fock(rng, d, K, 3, dual_fraction=0.5)
         xi = random_xi(rng, d, K, include_dual=True)
         lhs = chaos_eval_spectral(poisson_bracket(F, G, form), xi)
+        f_terms = [(mu, float(c)) for mu, c in F.terms.items()]
+        g_terms = [(mu, float(c)) for mu, c in G.terms.items()]
         rhs = 0.0
-        for k in range(-K, K + 1):
-            w = float(form.weight(k))
-            for i in range(2 * d):
-                for j in range(2 * d):
-                    entry = form.omega_upper[i][j]
-                    if entry:
-                        rhs += w * float(entry) \
-                            * _poly_partial_eval(F, form.mode_of_index(i, k), xi) \
-                            * _poly_partial_eval(G, form.mode_of_index(j, k), xi)
+        for w, mode_f, mode_g in pairings:
+            rhs += w * _poly_partial_eval(f_terms, mode_f, xi) \
+                * _poly_partial_eval(g_terms, mode_g, xi)
         return _rel(lhs, rhs)
     return {"residual": _worst(_instances(seed, "chaos-compat", n_instances, instance)),
             "n": n_instances}

@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "loopstar"
 # Defaulted parameters that no call inside the package sets, each with its reason.
 ALLOWED = {
     "cli.main(argv)",                               # the test hook; the console script passes none
-    "serialization.deserialize_fock(scalar_mode)",  # parses outside input; a reader may force its mode
     "modes.profile_table(order)",                   # pinned bit for bit to mode_profile(order)
     "poisson.moyal_star(max_degree)",               # mirrors star_A(max_degree)
     "suites.product_formula_failures(N)",           # the acceptance gate sets its scale through N

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopstar import fock
-from loopstar.fock import (FLOAT, RATIONAL, FockVector, HbarSeries, _star_orders, annihilate,
-                           annihilate_general, contract_channels, wick_exponential,
-                           wick_product)
+from loopstar.fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
+                           contract_channels, wick_exponential, wick_product)
 from loopstar.modes import VACUUM, ModeIndex, MultiIndex
 
 M1 = ModeIndex(1, 1)
@@ -24,11 +23,26 @@ def mono(pairs, coeff=Fraction(1)):
 
 def test_constructor_validates_and_caps():
     with pytest.raises(TypeError):
-        FockVector({MultiIndex.single(M1): 0.5})          # float into rational mode
+        FockVector({MultiIndex.single(M1): 0.5})          # a float coefficient
     capped = FockVector({MultiIndex(((M1, 3),)): Fraction(1),
                          MultiIndex.single(M2): Fraction(2)}).truncate(2)
     assert capped.degree() == 1
     assert len(capped) == 1
+
+
+@pytest.mark.parametrize("enter", [
+    lambda x: FockVector({MultiIndex.single(M1): x}),
+    lambda x: FockVector.unit().scale(x),
+    lambda x: annihilate_general({M1: x}, mono([(M1, 1)])),
+    lambda x: wick_exponential({M1: x}, {}, 2),
+    lambda x: wick_exponential({}, {D1: x}, 2),
+    lambda x: _star_orders(mono([(M1, 1)]), mono([(D1, 1)]), [(M1, D1, x)], 1),
+], ids=["vector", "scale", "direction", "gamma", "gamma_star", "channel_weight"])
+def test_float_is_refused_at_every_entrance(enter):
+    # 0.5 is exact as a double; the exact layer refuses the type, not the value.
+    enter(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        enter(0.5)
 
 
 def test_zero_unit_monomial():
@@ -39,11 +53,10 @@ def test_zero_unit_monomial():
     assert not m.is_zero()
 
 
-def test_equality_ignores_cap_but_not_scalar_mode():
+def test_equality_ignores_cap():
     a = FockVector({MultiIndex.single(M1): Fraction(1)})
     b = a.truncate(7)
     assert a == b
-    assert a != a.to_float()
     with pytest.raises(TypeError):
         hash(a)
 
@@ -120,7 +133,7 @@ def test_contract_channels_multinomial_weight():
 D2 = ModeIndex(1, 2, dual=True)
 # Two channels share the F-mode M1, (M1, D1) and (D1, M1) are an asymmetric
 # pair like the deformed table's, and the last never meets a coordinate-2
-# mode.  Weights are 3 times a power of two, so w^3 / 3! stays dyadic.
+# mode.
 CHANNELS = [(M1, D1, Fraction(3, 2)), (M1, D2, Fraction(-3, 4)),
             (D1, M1, Fraction(3, 8)), (ModeIndex(2, 0), D1, Fraction(3))]
 ENGINE_F = FockVector({MultiIndex(((M1, 3), (D1, 1))): Fraction(1, 2),
@@ -135,7 +148,7 @@ ENGINE_G = FockVector({MultiIndex(((D1, 3), (M1, 1))): Fraction(1, 4),
 
 def ordered_tuple_contraction(F, G, channels, r):
     """Sum over ordered r-tuples of channels of prod w times the Wick product."""
-    total = FockVector.zero(F.scalar_mode)
+    total = FockVector.zero()
     for tup in product(channels, repeat=r):
         aF, aG, weight = F, G, Fraction(1)
         for fm, gm, w in tup:
@@ -144,11 +157,8 @@ def ordered_tuple_contraction(F, G, channels, r):
     return total
 
 
-@pytest.mark.parametrize("scalar_mode", [RATIONAL, FLOAT])
-def test_contract_channels_matches_ordered_tuples(scalar_mode):
+def test_contract_channels_matches_ordered_tuples():
     F, G = ENGINE_F, ENGINE_G
-    if scalar_mode == FLOAT:
-        F, G = F.to_float(), G.to_float()     # dyadic values: float sums stay exact
     orders = _star_orders(F, G, CHANNELS, 3)
     for r in range(4):
         want = ordered_tuple_contraction(F, G, CHANNELS, r)
@@ -259,10 +269,8 @@ def _no_fraction(*args):
     raise AssertionError("the length of a vector's terms built a Fraction")
 
 
-def _as_read(terms, scalar_mode):
-    # Keys, key order and values; floats by their bits.
-    if scalar_mode == FLOAT:
-        return [(mu, c.hex()) for mu, c in terms.items()]
+def _as_read(terms):
+    # Keys, key order and values.
     for c in terms.values():
         assert type(c) is Fraction and c.denominator > 0
         assert math.gcd(c.numerator, c.denominator) == 1
@@ -270,26 +278,22 @@ def _as_read(terms, scalar_mode):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(_operand, _operand, st.one_of(st.none(), st.integers(0, 7)),
-       st.sampled_from([RATIONAL, FLOAT]))
-def test_kernels_match_fraction_reference(f, g, cap, scalar_mode):
-    if scalar_mode == FLOAT:
-        f = {mu: float(c) for mu, c in f.items()}
-        g = {mu: float(c) for mu, c in g.items()}
+@given(_operand, _operand, st.one_of(st.none(), st.integers(0, 7)))
+def test_kernels_match_fraction_reference(f, g, cap):
     f = {mu: c for mu, c in f.items() if c}
     g = {mu: c for mu, c in g.items() if c}
-    F, G = FockVector(f, scalar_mode), FockVector(g, scalar_mode)
+    F, G = FockVector(f), FockVector(g)
     out = wick_product(F, G, cap)
     with mock.patch.object(fock, "Fraction", _no_fraction):
         sizes = len(F.terms), len(G.terms), len(out.terms)
     want = reference_wick_product(f, g, cap)
     assert sizes == (len(f), len(g), len(want))
-    assert _as_read(out.terms, scalar_mode) == _as_read(want, scalar_mode)
-    assert _as_read(F.terms, scalar_mode) == _as_read(f, scalar_mode)
+    assert _as_read(out.terms) == _as_read(want)
+    assert _as_read(F.terms) == _as_read(f)
     for mode in _MODES:
         got = annihilate(mode, F)
         with mock.patch.object(fock, "Fraction", _no_fraction):
             size = len(got.terms)
         want = reference_annihilate(mode, f)
         assert size == len(want)
-        assert _as_read(got.terms, scalar_mode) == _as_read(want, scalar_mode)
+        assert _as_read(got.terms) == _as_read(want)

@@ -21,6 +21,8 @@ def mono(pairs, coeff=Fraction(1)):
 def test_form_constructor_guards():
     with pytest.raises(ValueError):
         SymplecticForm(1, 2, weight_c=Fraction(-1))
+    with pytest.raises(TypeError):
+        SymplecticForm(1, 2, weight_c=float(LAMBDA))     # refused when built, not at a product
     bad = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     with pytest.raises(ValueError):
         SymplecticForm(1, 2, omega_lower=bad)            # not antisymmetric
@@ -74,9 +76,9 @@ def _reference_channels(form):
 
 
 @pytest.mark.parametrize("d, K, weight_c", [
-    *((d, K, c) for d in (1, 2) for K in (0, 3) for c in (0, 1, Fraction(3, 2), float(LAMBDA))),
+    *((d, K, c) for d in (1, 2) for K in (0, 3) for c in (0, 1, Fraction(3, 2), Fraction(LAMBDA))),
     (2, 3, None),       # the unit pairing
-])
+], ids=lambda v: repr(LAMBDA) if v == LAMBDA else None)    # the double 4 pi^2, held exactly
 def test_channel_table_is_a_value(d, K, weight_c):
     if weight_c is None:
         form = SymplecticForm.unit_pairing(d, K)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopstar.fock import FLOAT, RATIONAL, FockVector
+from loopstar.fock import FockVector
 from loopstar.modes import ModeIndex, MultiIndex
 from loopstar.serialization import FockParseError, deserialize_fock, serialize_fock
 
@@ -25,18 +25,9 @@ def test_round_trip_rational():
     assert deserialize_fock(serialize_fock(F)) == F
 
 
-def test_round_trip_float():
-    F = sample_vector().to_float()
-    G = deserialize_fock(serialize_fock(F))
-    assert G.scalar_mode == FLOAT
-    assert G == F
-
-
 def test_zero_serializes_empty():
     assert serialize_fock(FockVector.zero()) == b""
-    Z = deserialize_fock(b"")
-    assert Z.is_zero() and Z.scalar_mode == RATIONAL
-    assert deserialize_fock(b"", scalar_mode=FLOAT).scalar_mode == FLOAT
+    assert deserialize_fock(b"").is_zero()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -72,23 +63,11 @@ def test_bad_coordinate_and_multiplicity():
         deserialize_fock(b"1; (1,2,0)^0; 1/1\n")
 
 
-def test_mixed_scalar_styles_rejected():
-    data = b"0; ; 1/2\n1; (1,2,0)^1; 0.5\n"
-    with pytest.raises(FockParseError):
-        deserialize_fock(data)
-
-
 def test_malformed_line_reports_position():
     with pytest.raises(FockParseError) as exc:
         deserialize_fock(b"0; ; 1/1\nnot a term line\n")
     assert exc.value.line == 2
     assert isinstance(exc.value.column, int)
-
-
-def test_forced_scalar_mode_mismatch():
-    data = serialize_fock(sample_vector())
-    with pytest.raises(FockParseError):
-        deserialize_fock(data, scalar_mode=FLOAT)
 
 
 def test_zero_denominator_is_located():
@@ -99,13 +78,16 @@ def test_zero_denominator_is_located():
 
 
 def test_rational_coefficients_are_bounded_text():
-    # Fraction would read these; exponents in particular build 10**e exactly.
-    for coeff in ("1e10000000", "1E5", "inf", "nan", "1_000", "+1", ".5", "9" * 4301):
+    # Fraction would read these, float too; exponents in particular build
+    # 10**e exactly.  Plain decimals read exactly: -0.25 is -1/4, 0.1 is 1/10.
+    for coeff in ("1e10000000", "1E5", "1e5", "0.1e-3", "inf", "nan", "1_000", "+1", ".5",
+                  "9" * 4301):
         with pytest.raises(FockParseError) as exc:
-            deserialize_fock(f"0; ; 1/1\n0; ; {coeff}", scalar_mode=RATIONAL)
+            deserialize_fock(f"0; ; 1/1\n0; ; {coeff}")
         assert (exc.value.line, exc.value.column) == (2, 5)
-    F = deserialize_fock("0; ; -0.25\n1; (1,2,0)^1; " + "9" * 4300, scalar_mode=RATIONAL)
+    F = deserialize_fock("0; ; -0.25\n1; (1,2,0)^1; " + "9" * 4300 + "\n1; (2,0,0)^1; 0.1")
     assert F.terms[MultiIndex()] == Fraction(-1, 4)
+    assert F.terms[MultiIndex.single(ModeIndex(2, 0))] == Fraction(1, 10)
     assert F.terms[MultiIndex.single(M1)] == 10 ** 4300 - 1
 
 
@@ -130,12 +112,12 @@ _stream = st.lists(_term_line | st.sampled_from(["", "# note", "  "]), max_size=
 
 
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
-@given(_stream, st.sampled_from([None, RATIONAL, FLOAT]))
-def test_fuzz_deserialize_rejects_with_location(text, scalar_mode):
+@given(_stream)
+def test_fuzz_deserialize_rejects_with_location(text):
     # Structured near-miss streams either parse or raise a located
     # FockParseError; no other exception escapes.
     try:
-        F = deserialize_fock(text, scalar_mode)
+        F = deserialize_fock(text)
     except FockParseError as exc:
         lines = text.splitlines()
         assert 1 <= exc.line <= len(lines)
