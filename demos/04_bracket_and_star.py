@@ -12,7 +12,7 @@ from loopstar import (FockVector, HbarSeries, ModeIndex, MultiIndex, SymplecticF
                       moyal_star, poisson_bracket, poisson_power, star_series,
                       wick_product)
 
-form = SymplecticForm(d=1, K=2)
+form = SymplecticForm(d=1, K=2, weight_c=1)
 P = FockVector({MultiIndex.single(ModeIndex(1, 2)): Fraction(1)})
 D = FockVector({MultiIndex.single(ModeIndex(1, 2, dual=True)): Fraction(1)})
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (FockVector, HbarSeries, _star_orders, _Sum, annihilate, contract_channels,
-                   wick_exponential)
+from .fock import (FockVector, HbarSeries, _star_orders, _Sum, annihilate, coerce_scalar,
+                   contract_channels, wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
 
@@ -57,8 +57,8 @@ class DiagonalOperatorA:
 
     @classmethod
     def from_table(cls, table: Mapping[int, Fraction], d: int, K: int) -> "DiagonalOperatorA":
-        """Build from an explicit table of frequency -> eigenvalue."""
-        return cls(alpha={int(k): Fraction(v) for k, v in table.items()}, d=d, K=K)
+        """Build from an explicit table of frequency -> eigenvalue, a Fraction or an int."""
+        return cls(alpha={int(k): coerce_scalar(v) for k, v in table.items()}, d=d, K=K)
 
     @classmethod
     def family(cls, name: str, d: int, K: int) -> "DiagonalOperatorA":
@@ -178,20 +178,21 @@ def canonical_pairing(gamma: Mapping[ModeIndex, Fraction],
             raise ValueError(f"first argument must be primal, got {mode!r}")
         partner = gamma_star.get(mode.as_dual)
         if partner is not None:
-            total += Fraction(c) * Fraction(partner)
+            total += coerce_scalar(c) * coerce_scalar(partner)
     return total
 
 
 def _rescaled(gamma: Mapping[ModeIndex, Fraction], A: DiagonalOperatorA,
               shift: int) -> dict[ModeIndex, Fraction]:
     """(A + shift * identity) applied to a coefficient map."""
-    return {mode: Fraction(c) * (A.alpha_of(mode.freq) + shift) for mode, c in gamma.items()}
+    return {mode: coerce_scalar(c) * (A.alpha_of(mode.freq) + shift)
+            for mode, c in gamma.items()}
 
 
 def _merged(a: Mapping[ModeIndex, Fraction], b: Mapping[ModeIndex, Fraction]) -> dict:
-    out = {mode: Fraction(c) for mode, c in a.items()}
+    out = {mode: coerce_scalar(c) for mode, c in a.items()}
     for mode, c in b.items():
-        out[mode] = out.get(mode, Fraction(0)) + Fraction(c)
+        out[mode] = out.get(mode, Fraction(0)) + coerce_scalar(c)
     return out
 
 

@@ -1,11 +1,12 @@
 """Weighted symplectic Poisson bracket and the truncated Moyal star-product.
 
 The phase space is the doubled mode set: every (coord, freq) pair has a
-primal and a dual copy.  A SymplecticForm fixes the exact block pairing
-between them and a frequency weight (weight_c * k^2 + 1).  The bracket is
-the weighted single contraction across the form; its r-fold iterates are
-the bidifferential coefficients of the star-product.  One engine in
-`fock` computes all of it: it returns the star orders 0..R of a pair for a
+primal and a dual copy.  A SymplecticForm pairs each primal mode with its
+own dual at the same frequency, with a frequency weight (weight_c * k^2 +
+1), and is nothing but that channel table.  The bracket is the weighted
+single contraction across the form; its r-fold iterates are the
+bidifferential coefficients of the star-product.  One engine in `fock`
+computes all of it: it returns the star orders 0..R of a pair for a
 channel table, so the bracket, its powers and every deformed product
 differ only in their tables.  `star_series` is that engine's
 Cauchy-product extension to truncated series; it takes the channel table
@@ -20,43 +21,24 @@ from typing import Optional, Sequence
 from .fock import Channel, FockVector, HbarSeries, _star_orders, _Sum, contract_channels
 from .modes import ModeIndex
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _invert_rational(mat: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Exact Gauss-Jordan inverse; raises on a singular matrix."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("form matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
 
 class SymplecticForm:
-    """Exact antisymmetric pairing on the doubled modes plus a frequency weight.
+    """The primal/dual pairing at each retained frequency, with its weight.
 
-    Doubled indices 0..d-1 are the primal coordinates, d..2d-1 their duals.
-    omega_upper is always computed from omega_lower by exact inversion, so
-    sign conventions are a consequence of the stated lower form, not a
-    second hand-coded table.  weight_c is a Fraction or an int; a float
-    raises TypeError here.  The bracket's channel table is built once,
-    here, and every product over the form shares it.
+    For each k = -K..K the table holds (primal c, dual c, sign * w(k)) for
+    c = 1..d, then (dual c, primal c, -sign * w(k)), with w(k) = weight_c
+    k^2 + 1.  The bracket has sign -1, so {p, p*} = -w(k); the unit pairing
+    has weight 1 and sign +1.  The orientation is written out here, so
+    exact checks pin it: `bracket.pairs` states the bracket's value and
+    `star.zero_is_moyal` the unit pairing's, and `tests/test_mutants.py`
+    shows that negating either table is caught.  weight_c is a Fraction or
+    an int; a float raises TypeError here.  Every product over the form
+    shares its table.
     """
 
-    __slots__ = ("d", "K", "weight_c", "omega_lower", "omega_upper", "_channels")
+    __slots__ = ("d", "K", "weight_c", "_channels")
 
-    def __init__(self, d: int, K: int, weight_c=Fraction(1),
-                 omega_lower: Optional[Sequence[Sequence[Fraction]]] = None):
+    def __init__(self, d: int, K: int, weight_c, sign: int = -1):
         if d < 1 or K < 0:
             raise ValueError("need d >= 1 and K >= 0")
         # Checked here rather than by fock.coerce_scalar, so that the engine's
@@ -71,55 +53,29 @@ class SymplecticForm:
         self.d = d
         self.K = K
         self.weight_c = weight_c
-        if omega_lower is None:
-            omega_lower = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-            for i in range(d):
-                omega_lower[i][d + i] = Fraction(1)      # primal-dual block
-                omega_lower[d + i][i] = Fraction(-1)
-        lower = tuple(tuple(Fraction(x) for x in row) for row in omega_lower)
-        if len(lower) != 2 * d or any(len(row) != 2 * d for row in lower):
-            raise ValueError(f"form matrix must be {2 * d} x {2 * d}")
-        for i in range(2 * d):
-            for j in range(2 * d):
-                if lower[i][j] != -lower[j][i]:
-                    raise ValueError("form matrix must be antisymmetric")
-        self.omega_lower = lower
-        self.omega_upper = _invert_rational(lower)
-        self._channels = tuple(
-            (self.mode_of_index(i, k), self.mode_of_index(j, k), self.weight(k) * entry)
-            for k in range(-K, K + 1) for i in range(2 * d) for j in range(2 * d)
-            if (entry := self.omega_upper[i][j]))
+        table = []
+        for k in range(-K, K + 1):
+            w = self.weight(k)
+            primal = [ModeIndex(c, k) for c in range(1, d + 1)]
+            table += [(p, p.as_dual, sign * w) for p in primal]
+            table += [(p.as_dual, p, -sign * w) for p in primal]
+        self._channels = tuple(table)
 
     @classmethod
     def unit_pairing(cls, d: int, K: int) -> "SymplecticForm":
         """Weight-1 form with {primal, dual} = +1: the deformation layer's pairing.
 
-        Obtained by flipping the orientation of the standard blocks and
-        dropping the frequency weight, so the single contraction weighs
-        every retained frequency by exactly 1.
+        The bracket's table with the opposite sign and no frequency weight,
+        so the single contraction weighs every retained frequency by exactly 1.
         """
-        lower = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-        for i in range(d):
-            lower[i][d + i] = Fraction(-1)
-            lower[d + i][i] = Fraction(1)
-        return cls(d, K, Fraction(0), lower)
+        return cls(d, K, 0, sign=1)
 
     def weight(self, freq: int):
         """Frequency weight weight_c * k^2 + 1, exactly."""
         return self.weight_c * freq * freq + 1
 
-    def mode_of_index(self, idx: int, freq: int) -> ModeIndex:
-        if not 0 <= idx < 2 * self.d:
-            raise ValueError(f"doubled index {idx} out of range for d={self.d}")
-        return ModeIndex(idx % self.d + 1, freq, dual=idx >= self.d)
-
     def channels(self) -> tuple[Channel, ...]:
-        """Contraction channels (mode on F, mode on G, weight) for the bracket.
-
-        One entry per frequency k and nonzero omega_upper[i][j], in that
-        loop order, weighted weight(k) * omega_upper[i][j].  The same tuple
-        is returned on every call.
-        """
+        """Contraction channels (mode on F, mode on G, weight); one tuple for every call."""
         return self._channels
 
     def __repr__(self) -> str:

@@ -86,6 +86,17 @@ def _search(check_id: str, claim: str, search: Callable[[RunConfig, int], dict])
 CHECKS: dict[str, tuple[Check, ...]] = {}      # suite -> its entries, in report order
 
 
+def resolve_form(cfg: RunConfig) -> SymplecticForm:
+    return SymplecticForm(cfg.d, cfg.K, cfg.weight_c)
+
+
+def resolve_alpha(cfg: RunConfig) -> DiagonalOperatorA:
+    if isinstance(cfg.alpha_spec, str):
+        return DiagonalOperatorA.family(cfg.alpha_spec, cfg.d, cfg.K)
+    table = {int(k): Fraction(v) for k, v in cfg.alpha_spec.items()}
+    return DiagonalOperatorA.from_table(table, cfg.d, cfg.K)
+
+
 # Multiple of eps * max(1, |value|) within which a quadrature grid that
 # resolves its integrand must reproduce the spectral evaluation.
 QUADRATURE_EPS_BOUND = 1e3
@@ -590,6 +601,9 @@ def loop_eval_consistency(seed: int, d: int) -> dict:
 
 
 def _covariance(xi: np.ndarray) -> dict:
+    # One object for both covariance entries, so `run_checks` reuses the result.
+    # It and the `lambda xi:` entries look their check up when called, so that a
+    # tracer replacing the module attribute (perfbench/layers.py) sees the call.
     return covariance_z_scores(xi)
 
 
@@ -638,12 +652,10 @@ CHECKS["gaussian"] = (
 # ---------------------------------------------------------------- poisson
 
 
-def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int, weight_c) -> dict:
+def poisson_axiom_failures(seed: int, n_triples: int, form: SymplecticForm) -> dict:
     """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets."""
-    form = SymplecticForm(d, K, weight_c)
-
     def instance(rng, i):      # (identities broken, whether {F, G} is nonzero)
-        F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
+        F, G, H = (random_fock(rng, form.d, form.K, 3, dual_fraction=0.5) for _ in range(3))
         fg = poisson_bracket(F, G, form)
         lhs = poisson_bracket(F, wick_product(G, H), form)
         rhs = wick_product(fg, H) + wick_product(G, poisson_bracket(F, H, form))
@@ -658,15 +670,14 @@ def poisson_axiom_failures(seed: int, n_triples: int, d: int, K: int, weight_c) 
             "nonzero": sum(nontrivial for _, nontrivial in results), "n": n_triples}
 
 
-def bracket_pair_example_failures(d: int, K: int, weight_c) -> dict:
+def bracket_pair_example_failures(form: SymplecticForm) -> dict:
     """Degree-1 pairs: bracket is minus the weight on matched primal/dual pairs."""
-    form = SymplecticForm(d, K, weight_c)
-    modes = mode_range(d, K)
+    modes = mode_range(form.d, form.K)
 
     def one(mode):
         return FockVector({MultiIndex.single(mode): Fraction(1)})
     failures = sum((poisson_bracket(one(m), one(m.as_dual), form)
-                    != FockVector({MultiIndex(): -(weight_c * m.freq * m.freq + 1)}))
+                    != FockVector({MultiIndex(): -(form.weight_c * m.freq * m.freq + 1)}))
                    + (m.freq != 0 and not poisson_bracket(
                        one(m), one(ModeIndex(m.coord, -m.freq, dual=True)), form).is_zero())
                    for m in modes)
@@ -697,12 +708,9 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
     It is paired against direct differentiation of the evaluation
     polynomials in floats.
     """
-    form = SymplecticForm(d, K, weight_c=Fraction(LAMBDA))
-    # The oracle's (weight * entry, mode on F, mode on G) per nonzero form entry.
-    pairings = [(float(form.weight(k)) * float(entry),
-                 form.mode_of_index(i, k), form.mode_of_index(j, k))
-                for k in range(-K, K + 1) for i in range(2 * d) for j in range(2 * d)
-                if (entry := form.omega_upper[i][j])]
+    form = SymplecticForm(d, K, Fraction(LAMBDA))
+    # The oracle's (weight, mode on F, mode on G) per channel of the form.
+    pairings = [(float(w), mode_f, mode_g) for mode_f, mode_g, w in form.channels()]
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
@@ -720,9 +728,9 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
             "n": n_instances}
 
 
-def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int, weight_c) -> dict:
+def bracket_bound_search(seed: int, n_pairs: int, form: SymplecticForm) -> dict:
     """Grid-searched continuity constants for the bracket under the norm bound."""
-    form = SymplecticForm(d, K, weight_c)
+    d, K = form.d, form.K
     pairs = _instances(seed, "bracket-bound", n_pairs,
                        lambda rng, i: (random_fock(rng, d, K, 3, dual_fraction=0.5),
                                        random_fock(rng, d, K, 3, dual_fraction=0.5)))
@@ -731,7 +739,7 @@ def bracket_bound_search(seed: int, n_pairs: int, d: int, K: int, weight_c) -> d
 
 
 def _bracket_axioms(cfg: RunConfig, seed: int) -> dict:
-    r = poisson_axiom_failures(seed, 100, cfg.d, cfg.K, cfg.weight_c)
+    r = poisson_axiom_failures(seed, 100, resolve_form(cfg))
     return {**r, "failures": r["failures"] + (r["nonzero"] < r["n"] // 5)}
 
 
@@ -740,27 +748,25 @@ CHECKS["poisson"] = (
           _bracket_axioms, observed="nonzero"),
     Check("bracket.pairs",
           "matched primal/dual degree-1 pairs bracket to minus the frequency weight",
-          lambda cfg, seed: bracket_pair_example_failures(cfg.d, cfg.K, cfg.weight_c)),
+          lambda cfg, seed: bracket_pair_example_failures(resolve_form(cfg))),
     Check("bracket.chaos_compat", "chaos of the bracket equals the classical bracket of evaluation "
           "polynomials (float weight 4 pi^2)",
           lambda cfg, seed: chaos_compatibility_residual(seed, 30, cfg.d, cfg.K),
           1e-10, Precision.RESIDUAL, "residual"),
     _search("bracket.bounded", "bracket norm bound below the factor bounds at grid-searched "
             "constants (k3={k0}, C3={C0:g})",
-            lambda cfg, seed: bracket_bound_search(seed, 25, cfg.d, cfg.K, cfg.weight_c)),
+            lambda cfg, seed: bracket_bound_search(seed, 25, resolve_form(cfg))),
 )
 
 
 # ------------------------------------------------------------------ moyal
 
 
-def power_law_failures(seed: int, n_instances: int, d: int, K: int, weight_c) -> dict:
+def power_law_failures(seed: int, n_instances: int, form: SymplecticForm) -> dict:
     """Contraction powers: wick at r=0, antisymmetrized r=1, depth and degrees."""
-    form = SymplecticForm(d, K, weight_c)
-
     def instance(rng, i):
-        F = random_fock(rng, d, K, 3, dual_fraction=0.5)
-        G = random_fock(rng, d, K, 3, dual_fraction=0.5)
+        F = random_fock(rng, form.d, form.K, 3, dual_fraction=0.5)
+        G = random_fock(rng, form.d, form.K, 3, dual_fraction=0.5)
         anti = poisson_power(1, F, G, form) - poisson_power(1, G, F, form)
         return (poisson_power(0, F, G, form) != wick_product(F, G)) \
             + (anti != poisson_bracket(F, G, form).scale(2)) \
@@ -773,24 +779,21 @@ def power_law_failures(seed: int, n_instances: int, d: int, K: int, weight_c) ->
     return r
 
 
-def moyal_assoc_failures(seed: int, n_triples: int, d: int, K: int, weight_c,
-                         R: int) -> dict:
+def moyal_assoc_failures(seed: int, n_triples: int, form: SymplecticForm, R: int) -> dict:
     """Coefficientwise associativity of the truncated star-product."""
-    form = SymplecticForm(d, K, weight_c)
     channels = form.channels()
 
     def instance(rng, i):
-        F, G, H = (random_fock(rng, d, K, 3, dual_fraction=0.5) for _ in range(3))
+        F, G, H = (random_fock(rng, form.d, form.K, 3, dual_fraction=0.5) for _ in range(3))
         left = star_series(moyal_star(F, G, form, R), HbarSeries.from_vector(H, R), channels)
         right = star_series(HbarSeries.from_vector(F, R), moyal_star(G, H, form, R), channels)
         return left != right
     return _count_failures(seed, "moyal-assoc", n_triples, instance)
 
 
-def star_series_failures(seed: int, n_instances: int, d: int, K: int, weight_c,
-                         R: int) -> dict:
+def star_series_failures(seed: int, n_instances: int, form: SymplecticForm, R: int) -> dict:
     """Series product reduces to the star on concentrated series; associativity."""
-    form = SymplecticForm(d, K, weight_c)
+    d, K = form.d, form.K
     channels = form.channels()
 
     def instance(rng, i):
@@ -811,24 +814,16 @@ def star_series_failures(seed: int, n_instances: int, d: int, K: int, weight_c,
 CHECKS["moyal"] = (
     Check("power.laws", "r=0 power is the product, antisymmetrized r=1 is twice the bracket, "
           "depth and degree bookkeeping hold",
-          lambda cfg, seed: power_law_failures(seed, 40, cfg.d, cfg.K, cfg.weight_c)),
+          lambda cfg, seed: power_law_failures(seed, 40, resolve_form(cfg))),
     Check("star.associative", "star-product associativity, coefficientwise and exact, random "
           "triples",
-          lambda cfg, seed: moyal_assoc_failures(seed, 12, cfg.d, cfg.K, cfg.weight_c, cfg.R)),
+          lambda cfg, seed: moyal_assoc_failures(seed, 12, resolve_form(cfg), cfg.R)),
     Check("star.series", "series product has the unit, reduces to the star, and stays associative",
-          lambda cfg, seed: star_series_failures(seed, 8, cfg.d, cfg.K, cfg.weight_c,
-                                                 min(cfg.R, 3))),
+          lambda cfg, seed: star_series_failures(seed, 8, resolve_form(cfg), min(cfg.R, 3))),
 )
 
 
 # ------------------------------------------------------------ equivalence
-
-
-def resolve_alpha(cfg: RunConfig) -> DiagonalOperatorA:
-    if isinstance(cfg.alpha_spec, str):
-        return DiagonalOperatorA.family(cfg.alpha_spec, cfg.d, cfg.K)
-    table = {int(k): Fraction(v) for k, v in cfg.alpha_spec.items()}
-    return DiagonalOperatorA.from_table(table, cfg.d, cfg.K)
 
 
 def ea_cochain_failures(seed: int, n_instances: int, A: DiagonalOperatorA) -> dict:

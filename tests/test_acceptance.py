@@ -12,6 +12,7 @@ from fractions import Fraction
 import loopstar.suites as suites
 from loopstar.cli import main as cli_main
 from loopstar.equivalence import DiagonalOperatorA
+from loopstar.poisson import SymplecticForm
 from loopstar.rand import instance_rng, random_fock
 from loopstar.report import CheckRecord
 from loopstar.serialization import deserialize_fock, serialize_fock
@@ -87,7 +88,7 @@ def test_criterion_04_gateaux_slope(capsys):
 
 def test_criterion_05_bracket_axioms(capsys):
     t0 = time.perf_counter()
-    out = poisson_axiom_failures(SEED, 100, d=2, K=3, weight_c=Fraction(1))
+    out = poisson_axiom_failures(SEED, 100, SymplecticForm(d=2, K=3, weight_c=Fraction(1)))
     dt = time.perf_counter() - t0
     ok = out["failures"] == 0 and out["nonzero"] >= 20 and dt <= 30.0
     announce(capsys, 5, ok,
@@ -98,8 +99,9 @@ def test_criterion_05_bracket_axioms(capsys):
 
 def test_criterion_06_star_product(capsys):
     t0 = time.perf_counter()
-    laws = power_law_failures(SEED, 50, d=2, K=3, weight_c=Fraction(1))
-    assoc = moyal_assoc_failures(SEED, 50, d=2, K=3, weight_c=Fraction(1), R=4)
+    form = SymplecticForm(d=2, K=3, weight_c=Fraction(1))
+    laws = power_law_failures(SEED, 50, form)
+    assoc = moyal_assoc_failures(SEED, 50, form, R=4)
     dt = time.perf_counter() - t0
     ok = laws["failures"] == 0 and assoc["failures"] == 0 and dt <= 120.0
     announce(capsys, 6, ok,

@@ -25,7 +25,6 @@ ALLOWED = {
 # Defaulted parameters that every call inside the package sets, each with its reason.
 KEPT = {
     "config.parse_config(where)",                   # a document read from no file has no path
-    "poisson.SymplecticForm.__init__(weight_c)",    # a form given by its matrix alone has weight 1
 }
 
 
@@ -103,3 +102,21 @@ def test_public_names_resolve():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(name for name in imported
                   if not name.startswith("_") and name not in loopstar.__all__) == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names `path` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read - {"annotations"})
+
+
+def test_no_unread_imports():
+    root = SRC.parents[1]
+    files = [p for d in (SRC, root / "tests", root / "demos") for p in sorted(d.glob("*.py"))
+             if p.name != "__init__.py"]
+    assert {str(p.relative_to(root)): names for p in files
+            if (names := _unread_imports(p))} == {}

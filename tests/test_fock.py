@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopstar import fock
+from loopstar.equivalence import DiagonalOperatorA, canonical_pairing, exp_product_formula_rhs
 from loopstar.fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                            contract_channels, wick_exponential, wick_product)
 from loopstar.modes import VACUUM, ModeIndex, MultiIndex
 
+M0 = ModeIndex(1, 0)
 M1 = ModeIndex(1, 1)
 M2 = ModeIndex(1, 2)
 D1 = ModeIndex(1, 1, dual=True)
+ONE_A = DiagonalOperatorA.family("one", 1, 1)
 
 
 def mono(pairs, coeff=Fraction(1)):
@@ -37,7 +40,14 @@ def test_constructor_validates_and_caps():
     lambda x: wick_exponential({M1: x}, {}, 2),
     lambda x: wick_exponential({}, {D1: x}, 2),
     lambda x: _star_orders(mono([(M1, 1)]), mono([(D1, 1)]), [(M1, D1, x)], 1),
-], ids=["vector", "scale", "direction", "gamma", "gamma_star", "channel_weight"])
+    # The equivalence layer's entrances: an operator table, a pairing, and
+    # the maps of the closed product formula (rescaled, then merged).
+    lambda x: DiagonalOperatorA.from_table({0: x}, 1, 1),
+    lambda x: canonical_pairing({M1: x}, {D1: Fraction(1)}),
+    lambda x: exp_product_formula_rhs({M1: x}, {}, {}, {D1: Fraction(1)}, ONE_A, 1, 2),
+    lambda x: exp_product_formula_rhs({}, {D1: x}, {M0: Fraction(1)}, {}, ONE_A, 1, 2),
+], ids=["vector", "scale", "direction", "gamma", "gamma_star", "channel_weight",
+        "alpha_table", "pairing", "rescaled_gamma", "merged_gamma_star"])
 def test_float_is_refused_at_every_entrance(enter):
     # 0.5 is exact as a double; the exact layer refuses the type, not the value.
     enter(Fraction(1, 2))

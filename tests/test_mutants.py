@@ -1,11 +1,13 @@
 """Semantic mutants of the engine must be caught by the exact checks.
 
-Each mutant is monkeypatched into every module binding the suites reach
-it through, and the one suite it needs runs on the light config of
-`test_suites.py`.  A mutant that no exact check notices would show that
-the failure counting no longer counts (DeMillo, Lipton & Sayward, *Hints
-on test data selection*, Computer 1978).
+Each mutant is monkeypatched into every module or class binding the
+suites reach it through, and the suite its entry names runs on the light
+config of `test_suites.py`.  A mutant that no exact check notices would
+show that the failure counting no longer counts (DeMillo, Lipton &
+Sayward, *Hints on test data selection*, Computer 1978).
 """
+
+import functools
 
 import pytest
 
@@ -44,27 +46,56 @@ def _swapped_shifts(original):
     return lambda gamma, A, shift: original(gamma, A, -shift)
 
 
+def _negated(table):
+    return tuple((fm, gm, -w) for fm, gm, w in table)
+
+
+def _negated_form_weights(original):
+    # Every form's table with each weight negated.  A form writes its
+    # orientation out by hand, so an exact check must pin it.
+    return lambda form: _negated(original(form))
+
+
+def _negated_unit_pairing(original):
+    # Only the unit pairing negated: it takes the bracket's orientation.
+    def unit_pairing(d, K):
+        form = original(d, K)
+        form._channels = _negated(form._channels)
+        return form
+    return staticmethod(unit_pairing)
+
+
+# name -> (mutant factory, patched attribute, its bindings, suite run, exact checks that catch it)
 MUTANTS = {
-    "apply_T1 negated": (_negated_T1, "apply_T1", (equivalence, suites),
+    "apply_T1 negated": (_negated_T1, "apply_T1", (equivalence, suites), "equivalence",
                          ("intertwine.poly", "intertwine.exp")),
     "star order 2 doubled": (_doubled_order_2, "_star_orders",
-                             (fock, poisson, equivalence, suites),
+                             (fock, poisson, equivalence, suites), "equivalence",
                              ("star.associative", "intertwine.poly", "product.formula")),
     "(alpha - 1) channel sign flipped": (_flipped_dual_first_sign, "deformed_channels",
-                                         (equivalence,),
+                                         (equivalence,), "equivalence",
                                          ("cochain.displays", "star.zero_is_moyal")),
     "(A + I) and (A - I) swapped": (_swapped_shifts, "_rescaled", (equivalence,),
-                                    ("product.formula",)),
+                                    "equivalence", ("product.formula",)),
+    "every form weight negated": (_negated_form_weights, "channels",
+                                  (poisson.SymplecticForm,), "poisson", ("bracket.pairs",)),
+    "unit pairing negated": (_negated_unit_pairing, "unit_pairing", (poisson.SymplecticForm,),
+                             "equivalence", ("cochain.displays", "star.zero_is_moyal",
+                                             "intertwine.poly", "intertwine.exp")),
 }
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_exact_checks_catch_mutant(name, monkeypatch):
-    make, attr, modules, catchers = MUTANTS[name]
+    make, attr, modules, suite, catchers = MUTANTS[name]
     mutant = make(getattr(modules[0], attr))
     for module in modules:
         monkeypatch.setattr(module, attr, mutant)
-    records = suites.run_checks("equivalence", parse_config(LIGHT_DOC))
+    # A fresh unit-form cache for the run, so that a form built by a mutant
+    # is dropped with it and one cached before cannot hide it.
+    monkeypatch.setattr(equivalence, "_unit_form",
+                        functools.lru_cache(maxsize=16)(equivalence._unit_form.__wrapped__))
+    records = suites.run_checks(suite, parse_config(LIGHT_DOC))
     failures = {r.check_id: r.residual for r in records if r.precision is None}
     assert set(catchers) <= set(failures)
     assert all(failures[c] > 0 for c in catchers), failures
