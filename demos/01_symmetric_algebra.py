@@ -36,7 +36,7 @@ lhs = annihilate_general(h, P)
 rhs = wick_product(annihilate_general(h, F), G) + wick_product(F, annihilate_general(h, G))
 print("derivation law on the product:", lhs == rhs)
 
-phi = wick_exponential({cos1: Fraction(1, 3)}, {}, N=4)
+phi = wick_exponential({cos1: Fraction(1, 3)}, N=4)
 print("\ncapped exponential of (1/3) cos1, degrees kept:",
       sorted(mu.degree for mu in phi.terms))
 print("degree-3 coefficient is (1/3)^3/3! =",

@@ -28,14 +28,14 @@ F = FockVector({
 sample = sample_loop(seed=5, K_mc=64, M=4096, d=2)
 
 spectral = chaos_eval_spectral(F, sample.xi_map(2))
-quadrature = chaos_eval_quadrature(F, sample, 4096)
+quadrature = chaos_eval_quadrature(F, sample)
 print(f"spectral evaluation   {spectral:.12f}")
 print(f"quadrature evaluation {quadrature:.12f}")
 print(f"difference            {abs(spectral - quadrature):.2e}")
 
 print("\npairing each mode recovers its sampled coefficient:")
 for mode in (m1, m2):
-    got = stratonovich_pairing(mode, sample, 4096)
+    got = stratonovich_pairing(mode, sample)
     print(f"  {mode!r}: pairing {got:+.8f}  stored {sample.xi_value(mode):+.8f}")
 
 print("\ncentral-difference error decays at second order:")

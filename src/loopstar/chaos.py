@@ -23,37 +23,19 @@ from .gaussian import LoopSample
 from .modes import ModeIndex, MultiIndex, h_weight, mode_profile
 
 
-def _grid_slice(sample: LoopSample, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points j/n_grid and field values there, subsampled from storage.
-
-    The quadrature grid has at least 64 points, and n_grid must divide the
-    stored resolution so the values are the stored ones exactly, never
-    re-interpolated.
-    """
-    if n_grid < 64:
-        raise ValueError(f"n_grid must be >= 64, got {n_grid}")
-    if n_grid > sample.M:
-        raise ValueError(f"n_grid {n_grid} exceeds sample resolution M={sample.M}")
-    if sample.M % n_grid:
-        raise ValueError(f"n_grid {n_grid} must divide sample resolution M={sample.M}")
-    step = sample.M // n_grid
-    return sample.grid[::step], sample.values[::step]
-
-
-def stratonovich_pairing(mode: ModeIndex, sample: LoopSample, n_grid: int) -> float:
+def stratonovich_pairing(mode: ModeIndex, sample: LoopSample) -> float:
     """Loop-space pairing of one basis mode with the field, by quadrature.
 
     Computes (1 + lambda k^2) times the circle integral of profile * field
-    with the n_grid-point trapezoid rule; on the uniform periodic grid the
-    trapezoid rule is the plain sample mean.
+    with the trapezoid rule on the sample's own grid; on the uniform
+    periodic grid the trapezoid rule is the plain sample mean.
     """
     if mode.dual:
         raise ValueError(f"sampled fields pair with primal modes only, got {mode!r}")
     if mode.coord > sample.d:
         raise ValueError(f"mode coordinate {mode.coord} exceeds sample dimension {sample.d}")
-    grid, values = _grid_slice(sample, n_grid)
-    prof = mode_profile(mode.freq, grid)
-    return float(h_weight(mode.freq) * np.mean(prof * values[:, mode.coord - 1]))
+    prof = mode_profile(mode.freq, sample.grid)
+    return float(h_weight(mode.freq) * np.mean(prof * sample.values[:, mode.coord - 1]))
 
 
 def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
@@ -74,14 +56,15 @@ def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
     return total
 
 
-def chaos_eval_quadrature(F: FockVector, sample: LoopSample, n_grid: int) -> float:
+def chaos_eval_quadrature(F: FockVector, sample: LoopSample) -> float:
     """Slotwise-quadrature evaluation, independent of the stored coefficients.
 
     Each tensor slot of a monomial contributes the trapezoid integral of
-    (profile - profile'') * field; slots multiply, monomials add.
+    (profile - profile'') * field on the sample's grid; slots multiply,
+    monomials add.  `sample.coarse(n)` integrates on every (M/n)-th point.
     """
     slots: dict[ModeIndex, float] = {}
-    grid, values = _grid_slice(sample, n_grid)
+    grid, values = sample.grid, sample.values
     total = 0.0
     for mu, c in F.terms.items():
         prod = float(c)
@@ -136,8 +119,8 @@ def fd_matches_annihilation(F: FockVector, sample: LoopSample,
     """
     fd = gateaux_derivative_fd(F, sample, h, eps)
     contracted = annihilate_general({mode: Fraction(c) for mode, c in h.items()}, F)
-    xi = sample_xi_for(contracted, sample, extra=sample_xi_for(F, sample))
-    return abs(fd - chaos_eval_spectral(contracted, xi))
+    # The contraction's modes lie inside F's, so F's coefficients cover it.
+    return abs(fd - chaos_eval_spectral(contracted, sample_xi_for(F, sample)))
 
 
 def injectivity_probe(F: FockVector, seed: int) -> bool:
@@ -153,7 +136,11 @@ def injectivity_probe(F: FockVector, seed: int) -> bool:
     modes = sorted(F.support_modes())
     scale = max(abs(float(c)) for c in F.terms.values())
     n_draws = max(1, 5 * len(F))
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x1D]))
+    # An explicit uint64 key: numpy reads a list holding a word of 2**63 or
+    # more as floats, which rounds neighbouring seeds to one key and near
+    # 2**64 overflows the cast back to uint64.
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x1D], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     for _ in range(n_draws):
         xi = {mode: float(z) for mode, z in zip(modes, rng.standard_normal(len(modes)))}
         if abs(chaos_eval_spectral(F, xi)) > 1e-9 * scale:
@@ -161,20 +148,18 @@ def injectivity_probe(F: FockVector, seed: int) -> bool:
     return True
 
 
-def normal_convergence_check(sample: LoopSample, q: float,
-                             n_max: int, n0: int, n_grid: int) -> dict:
+def normal_convergence_check(sample: LoopSample) -> dict:
     """Geometric-tail surrogate for normal convergence of the chaos series.
 
-    Takes as degree-n part a single power of the frequency-1 mode, scaled
-    by a float coefficient so its derivative-sup bound is exactly
-    mu_ratio^n, evaluates each degree by quadrature, and checks every
-    contribution against q^n = (2 mu_ratio M_sup)^n with M_sup the grid sup
-    of |B|, plus the implied geometric tail bound past n0.  The caller picks
-    the ratio 0 < q < 1, which the tail needs to close, and mu_ratio is
-    q / (2 M_sup): q itself is never recomputed, so it is reported exactly.
+    Takes as degree-n part (n = 0..12) a single power of the frequency-1
+    mode, scaled by a float coefficient so its derivative-sup bound is
+    exactly mu_ratio^n, evaluates each degree by quadrature, and checks
+    every contribution against q^n = (2 mu_ratio M_sup)^n with M_sup the
+    grid sup of |B|, plus the implied geometric tail bound past n0 = 4.
+    The ratio is q = 1/2 and mu_ratio is q / (2 M_sup): q itself is never
+    recomputed, so it is reported exactly.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"need a ratio 0 < q < 1 for the tail to close, got {q}")
+    q, n_max, n0 = 0.5, 12, 4
     m_sup = float(np.max(np.abs(sample.values)))
     mu_ratio = q / (2.0 * m_sup)
     mode = ModeIndex(1, 1)
@@ -185,7 +170,7 @@ def normal_convergence_check(sample: LoopSample, q: float,
     for n in range(0, n_max + 1):
         coeff = (mu_ratio / envelope) ** n
         monomial = FockVector({MultiIndex(((mode, n),)) if n else MultiIndex(): 1})
-        contribution = abs(coeff * chaos_eval_quadrature(monomial, sample, n_grid))
+        contribution = abs(coeff * chaos_eval_quadrature(monomial, sample))
         bound = q ** n
         rows.append({"degree": n, "contribution": contribution, "bound": bound})
         if n > n0:

@@ -124,7 +124,7 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
         n_samples=_expect_int(mc_doc, "n_samples", default.mc.n_samples, f"{where}.mc", 100),
         seed=_expect_int(mc_doc, "seed", default.mc.seed, f"{where}.mc", 0),
         K_mc=_expect_int(mc_doc, "K_mc", default.mc.K_mc, f"{where}.mc", 1),
-        n_grid=_expect_int(mc_doc, "n_grid", default.mc.n_grid, f"{where}.mc", 64),
+        n_grid=_expect_int(mc_doc, "n_grid", default.mc.n_grid, f"{where}.mc", 2),
     )
     if mc.seed >= 1 << 64:
         raise ConfigError(f"{where}.mc.seed: must fit in 64 bits")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (FockVector, HbarSeries, _star_orders, _Sum, annihilate, coerce_scalar,
-                   contract_channels, wick_exponential)
+from .fock import (FockVector, HbarSeries, Scalar, _star_orders, _Sum, annihilate,
+                   coerce_scalar, contract_channels, wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
 
@@ -96,6 +96,11 @@ class DiagonalOperatorA:
         """Channels of the symmetric perturbation: weight alpha_k both ways, built once."""
         return tuple(ch for p, q, a in self.pairs if a for ch in ((p, q, a), (q, p, a)))
 
+    @functools.cached_property
+    def unit_form(self) -> SymplecticForm:
+        """The unit pairing on the operator's d and K, the bracket of `cA1`, built once."""
+        return SymplecticForm.unit_pairing(self.d, self.K)
+
 
 def deformed_channels(A: DiagonalOperatorA) -> tuple:
     """Channels of the deformed contraction: (alpha+1) primal-first, (alpha-1) dual-first."""
@@ -113,15 +118,9 @@ def apply_EA(F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
     return contract_channels(F, G, A.symmetric_channels, 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_form(d: int, K: int) -> SymplecticForm:
-    # A form is fixed at construction, so one instance per (d, K) serves every call.
-    return SymplecticForm.unit_pairing(d, K)
-
-
 def cA1(F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
     """First deformed cochain: unit-pairing bracket plus the symmetric perturbation."""
-    return poisson_bracket(F, G, _unit_form(A.d, A.K)) + apply_EA(F, G, A)
+    return poisson_bracket(F, G, A.unit_form) + apply_EA(F, G, A)
 
 
 def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
@@ -169,51 +168,34 @@ def apply_T(FS: HbarSeries, A: DiagonalOperatorA) -> HbarSeries:
     return HbarSeries(total.vector() for total in out)
 
 
-def canonical_pairing(gamma: Mapping[ModeIndex, Fraction],
-                      gamma_star: Mapping[ModeIndex, Fraction]) -> Fraction:
-    """Coefficientwise dot product between a primal map and a dual map."""
+def _shifted_pairing(gamma: Mapping[ModeIndex, Scalar], other: Mapping[ModeIndex, Scalar],
+                     A: DiagonalOperatorA, shift: int) -> Fraction:
+    """Each primal mode of gamma, weighted alpha_k + shift, against its dual in other."""
     total = Fraction(0)
     for mode, c in gamma.items():
-        if mode.dual:
-            raise ValueError(f"first argument must be primal, got {mode!r}")
-        partner = gamma_star.get(mode.as_dual)
+        partner = None if mode.dual else other.get(mode.as_dual)
         if partner is not None:
-            total += coerce_scalar(c) * coerce_scalar(partner)
+            total += coerce_scalar(c) * (A.alpha_of(mode.freq) + shift) * coerce_scalar(partner)
     return total
 
 
-def _rescaled(gamma: Mapping[ModeIndex, Fraction], A: DiagonalOperatorA,
-              shift: int) -> dict[ModeIndex, Fraction]:
-    """(A + shift * identity) applied to a coefficient map."""
-    return {mode: coerce_scalar(c) * (A.alpha_of(mode.freq) + shift)
-            for mode, c in gamma.items()}
-
-
-def _merged(a: Mapping[ModeIndex, Fraction], b: Mapping[ModeIndex, Fraction]) -> dict:
-    out = {mode: coerce_scalar(c) for mode, c in a.items()}
-    for mode, c in b.items():
-        out[mode] = out.get(mode, Fraction(0)) + coerce_scalar(c)
-    return out
-
-
-def exp_product_formula_rhs(gamma1: Mapping[ModeIndex, Fraction],
-                            gamma1_star: Mapping[ModeIndex, Fraction],
-                            gamma2: Mapping[ModeIndex, Fraction],
-                            gamma2_star: Mapping[ModeIndex, Fraction],
+def exp_product_formula_rhs(gamma1: Mapping[ModeIndex, Scalar],
+                            gamma2: Mapping[ModeIndex, Scalar],
                             A: DiagonalOperatorA, R: int, N: int) -> HbarSeries:
     """Closed form for the deformed product of two Wick exponentials.
 
-    The scalar exponent is the (A + I) pairing of the first primal map
-    with the second dual map plus the (A - I) pairing the other way
-    around; the result is that exponential's order-R truncation times the
+    Each map holds primal and dual modes.  The scalar exponent pairs the
+    primal modes of the first map with their duals in the second through
+    A + I, and those of the second with their duals in the first through
+    A - I; the result is that exponential's order-R truncation times the
     Wick exponential of the summed maps at degree cap N.  Power n of that
     Wick exponential has degree n and is built from the powers below it,
     so the result at a cap n <= N is the cap-N result truncated to degree
     n: a check compared on a degree window passes the window as N.
     """
-    lam = canonical_pairing(_rescaled(gamma1, A, +1), gamma2_star) \
-        + canonical_pairing(_rescaled(gamma2, A, -1), gamma1_star)
-    phi = wick_exponential(_merged(gamma1, gamma2), _merged(gamma1_star, gamma2_star), N)
+    lam = _shifted_pairing(gamma1, gamma2, A, +1) + _shifted_pairing(gamma2, gamma1, A, -1)
+    summed = {mode: gamma1.get(mode, 0) + gamma2.get(mode, 0) for mode in {**gamma1, **gamma2}}
+    phi = wick_exponential(summed, N)
     coeffs = []
     power = Fraction(1)
     for r in range(R + 1):

@@ -404,26 +404,15 @@ def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel],
     return _star_orders(F, G, channels, r, lowest=r)[0].scale(math.factorial(r))
 
 
-def wick_exponential(gamma: Mapping[ModeIndex, Scalar], gamma_star: Mapping[ModeIndex, Scalar],
-                     N: int) -> FockVector:
+def wick_exponential(gamma: Mapping[ModeIndex, Scalar], N: int) -> FockVector:
     """Degree-capped exponential of a degree-one element on the doubled modes.
 
-    gamma feeds primal slots and gamma_star dual slots; the result is
-    sum_{n <= N} (gamma + gamma_star)^{wick n} / n!.  Keys must carry the
-    matching dual flag so the two halves cannot be confused.
+    gamma maps primal and dual modes alike to their coefficients (each key
+    carries its own dual flag); the result is sum_{n <= N} gamma^{wick n} / n!.
     """
     if N < 0:
         raise ValueError("degree cap must be nonnegative")
-    gen_terms: dict[MultiIndex, Scalar] = {}
-    for mode, c in gamma.items():
-        if mode.dual:
-            raise ValueError(f"gamma must have primal support, got {mode!r}")
-        gen_terms[MultiIndex.single(mode)] = c
-    for mode, c in gamma_star.items():
-        if not mode.dual:
-            raise ValueError(f"gamma_star must have dual support, got {mode!r}")
-        gen_terms[MultiIndex.single(mode)] = c
-    gen = FockVector(gen_terms)
+    gen = FockVector({MultiIndex.single(mode): c for mode, c in gamma.items()})
     power = FockVector.unit()
     out = _Sum(dict(power._num))
     for n in range(1, N + 1):

@@ -15,10 +15,10 @@ of the product it extends.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fock import Channel, FockVector, HbarSeries, _star_orders, _Sum, contract_channels
+from .fock import (Channel, FockVector, HbarSeries, _star_orders, _Sum, coerce_scalar,
+                   contract_channels)
 from .modes import ModeIndex
 
 
@@ -41,13 +41,7 @@ class SymplecticForm:
     def __init__(self, d: int, K: int, weight_c, sign: int = -1):
         if d < 1 or K < 0:
             raise ValueError("need d >= 1 and K >= 0")
-        # Checked here rather than by fock.coerce_scalar, so that the engine's
-        # call counts in a run do not depend on whether a cached form
-        # (equivalence._unit_form) was built earlier in the process.
-        if isinstance(weight_c, int):
-            weight_c = Fraction(weight_c)
-        elif not isinstance(weight_c, Fraction):
-            raise TypeError(f"weight_c must be a Fraction or an int, not {weight_c!r}")
+        weight_c = coerce_scalar(weight_c)
         if weight_c < 0:
             raise ValueError("weight_c must be nonnegative")
         self.d = d
@@ -92,10 +86,9 @@ def poisson_power(r: int, F: FockVector, G: FockVector, form: SymplecticForm) ->
     return contract_channels(F, G, form.channels(), r)
 
 
-def moyal_star(F: FockVector, G: FockVector, form: SymplecticForm, R: int,
-               max_degree: Optional[int] = None) -> HbarSeries:
+def moyal_star(F: FockVector, G: FockVector, form: SymplecticForm, R: int) -> HbarSeries:
     """Deformed product: order-r coefficient is the r-fold contraction over r!."""
-    return HbarSeries(_star_orders(F, G, form.channels(), R, max_degree))
+    return HbarSeries(_star_orders(F, G, form.channels(), R))
 
 
 def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],

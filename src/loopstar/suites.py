@@ -268,7 +268,7 @@ def exp_taylor_residual(seed: int, n_instances: int, d: int, K: int, N: int) -> 
     """Chaos of the capped exponential against the scalar Taylor partial sum."""
     def instance(rng, i):
         gamma = random_gamma(rng, d, K, 2, dual=False)
-        phi = wick_exponential(gamma, {}, N)
+        phi = wick_exponential(gamma, N)
         xi = random_xi(rng, d, K)
         x = sum(float(c) * xi[m] for m, c in gamma.items())
         partial = sum(x ** n / math.factorial(n) for n in range(N + 1))
@@ -328,7 +328,7 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 4)
-        return _rel(chaos_eval_quadrature(F, samples[i // per], n_grid),
+        return _rel(chaos_eval_quadrature(F, samples[i // per]),
                     chaos_eval_spectral(F, xis[i // per]))
     n = 3 * per
     return {"residual": _worst(_instances(seed, "chaos-quadrature", n, instance)), "n": n}
@@ -338,7 +338,7 @@ def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int, n_grid: int)
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
     basis = basis_matrix(K_mc, uniform_grid(n_grid))
     samples = [sample_loop(seed + 17 + i, K_mc, n_grid, d, basis=basis) for i in range(3)]
-    gaps = [abs(stratonovich_pairing(mode, sample, n_grid) - sample.xi_value(mode))
+    gaps = [abs(stratonovich_pairing(mode, sample) - sample.xi_value(mode))
             for sample in samples for mode in mode_range(d, K)]
     return {"residual": _worst(gaps), "n": len(gaps)}
 
@@ -364,13 +364,14 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     K_mc, grids, n_instances = 600, (256, 512, 1024, 2048), 5
     sample = sample_loop(seed + 23, K_mc, max(grids) * 2, d)
     xi = sample.xi_map(K)
+    coarse = [sample.coarse(n) for n in grids]
     eps = float(np.finfo(float).eps)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3)
         value = chaos_eval_spectral(F, xi)
-        return [abs(chaos_eval_quadrature(F, sample, n_grid) - value)
-                / (eps * max(1.0, abs(value))) for n_grid in grids]
+        return [abs(chaos_eval_quadrature(F, on_grid) - value)
+                / (eps * max(1.0, abs(value))) for on_grid in coarse]
     rows = _instances(seed, "chaos-convergence-instances", n_instances, instance)
     errors = [_worst(row[g] for row in rows) for g in range(len(grids))]
     resolved = [n > K_mc + K for n in grids]
@@ -432,7 +433,7 @@ def _quadrature_order(cfg: RunConfig, seed: int) -> dict:
 def normal_convergence_failures(seed: int, d: int, K_mc: int) -> dict:
     """Per-degree chaos contributions of a sampled field stay under a q = 1/2 envelope."""
     sample = sample_loop(seed + 41, K_mc, 512, d)
-    nc = normal_convergence_check(sample, q=0.5, n_max=12, n0=4, n_grid=512)
+    nc = normal_convergence_check(sample)
     return {"failures": 0 if nc["ok"] else 1, "ratio_q": nc["ratio_q"], "n": len(nc["rows"])}
 
 
@@ -572,7 +573,7 @@ def covariance_psd_min_eig(K_mc: int) -> tuple[float, int]:
 def holder_p1_z(xi: np.ndarray) -> dict:
     """p = 1 increment-moment ratios against the Gaussian closed form."""
     pairs = [(0.1, 0.2), (0.15, 0.4), (0.3, 0.75), (0.02, 0.5), (0.6, 0.72)]
-    table = holder_moment_check(xi, 1, pairs)
+    table = holder_moment_check(xi, pairs)
     worst = _worst(_z(row["ratio"] - row["analytic"], row["stderr"]) for row in table["rows"])
     return {"worst": worst, "n": len(pairs), "max_ratio": table["max_ratio"]}
 
@@ -580,7 +581,7 @@ def holder_p1_z(xi: np.ndarray) -> dict:
 def holder_bounded_ratio(xi: np.ndarray) -> dict:
     """Ratios stay bounded on a dyadic separation sweep down to small gaps."""
     pairs = [(0.2, 0.2 + 2.0 ** (-j)) for j in range(1, 8)]
-    table = holder_moment_check(xi, 1, pairs)
+    table = holder_moment_check(xi, pairs)
     return {"max_ratio": table["max_ratio"], "n": len(pairs)}
 
 
@@ -922,10 +923,10 @@ def _poly_pair(rng, d, K, N, window) -> tuple[FockVector, FockVector]:
 
 
 def _exp_pair(rng, d, K, N) -> tuple[FockVector, FockVector]:
-    F = wick_exponential(random_gamma(rng, d, K, 1, dual=False),
-                         random_gamma(rng, d, K, 1, dual=True), N)
-    G = wick_exponential(random_gamma(rng, d, K, 1, dual=False),
-                         random_gamma(rng, d, K, 1, dual=True), N)
+    F = wick_exponential({**random_gamma(rng, d, K, 1, dual=False),
+                          **random_gamma(rng, d, K, 1, dual=True)}, N)
+    G = wick_exponential({**random_gamma(rng, d, K, 1, dual=False),
+                          **random_gamma(rng, d, K, 1, dual=True)}, N)
     return F, G
 
 
@@ -983,14 +984,11 @@ def product_formula_failures(seed: int, n_instances: int, N: int = 8, R: int = 3
 
     def instance(rng, i):
         A = DiagonalOperatorA.family(("zero", "one", "ksq")[i % 3], d, K)
-        g1 = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=False)
-        g1s = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)
-        g2 = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=False)
-        g2s = random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)
-        phi1 = wick_exponential(g1, g1s, N)
-        phi2 = wick_exponential(g2, g2s, N)
-        lhs = star_A(phi1, phi2, A, R, max_degree=window)
-        rhs = exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, window)
+        g1, g2 = ({**random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=False),
+                   **random_gamma(rng, d, K, int(rng.integers(1, 3)), dual=True)}
+                  for _ in range(2))
+        lhs = star_A(wick_exponential(g1, N), wick_exponential(g2, N), A, R, max_degree=window)
+        rhs = exp_product_formula_rhs(g1, g2, A, R, window)
         return lhs.truncate_degree(window) != rhs.truncate_degree(window)
     r = _count_failures(seed, "product-formula", n_instances, instance)
     return {**r, "window": window}

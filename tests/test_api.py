@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "loopstar"
 ALLOWED = {
     "cli.main(argv)",                               # the test hook; the console script passes none
     "modes.profile_table(order)",                   # pinned bit for bit to mode_profile(order)
-    "poisson.moyal_star(max_degree)",               # mirrors star_A(max_degree)
     "suites.product_formula_failures(N)",           # the acceptance gate sets its scale through N
     "suites.product_formula_failures(R)",           # the acceptance gate sets its scale through R
 }

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from loopstar import equivalence, suites
-from loopstar.equivalence import (FAMILIES, DiagonalOperatorA, apply_T, apply_T1, cA1,
-                                  canonical_pairing, deformed_channels, exp_product_formula_rhs,
+from loopstar.equivalence import (FAMILIES, DiagonalOperatorA, _shifted_pairing, apply_T,
+                                  apply_T1, cA1, deformed_channels, exp_product_formula_rhs,
                                   star_A)
 from loopstar.fock import FockVector, HbarSeries, _star_orders, annihilate, wick_exponential
 from loopstar.modes import ModeIndex, MultiIndex
@@ -138,10 +138,16 @@ def test_transform_generator_lowers_degree_by_two():
     assert all(key.degree == 1 for key in out.terms)
 
 
-def test_canonical_pairing_matches_modes():
-    g = {P1: Fraction(2), ModeIndex(1, 2): Fraction(5)}
-    gs = {D1: Fraction(3), ModeIndex(1, -1, dual=True): Fraction(7)}
-    assert canonical_pairing(g, gs) == Fraction(6)
+def test_shifted_pairing_matches_modes():
+    # From g to gs only P1 finds its dual; alpha_1 = 1 for ksq.
+    g = {P1: Fraction(2), ModeIndex(1, 2): Fraction(5), ModeIndex(1, -2, dual=True): Fraction(9)}
+    gs = {D1: Fraction(3), ModeIndex(1, -1, dual=True): Fraction(7), ModeIndex(1, -2): Fraction(4)}
+    assert _shifted_pairing(g, gs, DiagonalOperatorA.family("zero", 1, 2), 1) == Fraction(6)
+    ksq = DiagonalOperatorA.family("ksq", 1, 2)
+    assert _shifted_pairing(g, gs, ksq, 1) == 2 * 2 * 3
+    assert _shifted_pairing(g, gs, ksq, -1) == 0
+    # The other way round, the primal mode (1, -2) meets its dual in g: (4 - 1) * 4 * 9.
+    assert _shifted_pairing(gs, g, ksq, -1) == 3 * 4 * 9
 
 
 def test_intertwining_tiny_window():
@@ -170,26 +176,26 @@ def test_product_formula_windows():
 
 def test_product_formula_first_order_lambda():
     # single-mode exponentials: the hbar coefficient of the deformed product
-    # is lambda times the merged exponential, with lambda read off the
-    # rescaled canonical pairings.
+    # is lambda times the exponential of the summed maps, with lambda the
+    # (A + I) pairing of g1 with g2s.
     K = 2
     N = 6
     A = DiagonalOperatorA.family("ksq", 1, K)
     g1 = {P1: Fraction(1, 2)}
     g2s = {D1: Fraction(3)}
-    phi1 = wick_exponential(g1, {}, N)
-    phi2 = wick_exponential({}, g2s, N)
+    phi1 = wick_exponential(g1, N)
+    phi2 = wick_exponential(g2s, N)
     S = star_A(phi1, phi2, A, R=1, max_degree=N)
     lam = (A.alpha_of(1) + 1) * Fraction(1, 2) * Fraction(3)
-    merged = wick_exponential(g1, g2s, N)
+    merged = wick_exponential({**g1, **g2s}, N)
     assert S.coefficient(1).truncate(N - 2) == merged.scale(lam).truncate(N - 2)
 
 
 def test_exp_product_formula_rhs_order_zero():
     g1 = {P1: Fraction(1)}
     g2s = {D1: Fraction(2)}
-    rhs = exp_product_formula_rhs(g1, {}, {}, g2s, DiagonalOperatorA.family("zero", 1, 2), 2, 5)
-    assert rhs.coefficient(0) == wick_exponential(g1, g2s, 5)
+    rhs = exp_product_formula_rhs(g1, g2s, DiagonalOperatorA.family("zero", 1, 2), 2, 5)
+    assert rhs.coefficient(0) == wick_exponential({**g1, **g2s}, 5)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -205,12 +211,13 @@ def test_window_cap_is_exact(seed, N, R):
     contracted = 0
     for family in FAMILIES:
         A = DiagonalOperatorA.family(family, d, K)
-        g1, g1s, g2, g2s = (random_gamma(rng, d, K, 2, dual) for dual in (False, True, False, True))
-        phi1, phi2 = wick_exponential(g1, g1s, N), wick_exponential(g2, g2s, N)
+        g1, g2 = ({**random_gamma(rng, d, K, 2, False), **random_gamma(rng, d, K, 2, True)}
+                  for _ in range(2))
+        phi1, phi2 = wick_exponential(g1, N), wick_exponential(g2, N)
         TF, TG = (apply_T(HbarSeries.from_vector(phi, R), A) for phi in (phi1, phi2))
         for product in (lambda cap: star_A(phi1, phi2, A, R, max_degree=cap),
                         lambda cap: star_series(TF, TG, unit.channels(), max_degree=cap),
-                        lambda cap: exp_product_formula_rhs(g1, g1s, g2, g2s, A, R, cap)):
+                        lambda cap: exp_product_formula_rhs(g1, g2, A, R, cap)):
             capped, full = product(window), product(N)
             for r in range(R + 1):
                 assert capped.coefficient(r) == full.coefficient(r).truncate(window)
@@ -233,8 +240,8 @@ def test_per_order_caps_are_exact(seed, N, R):
     for family in FAMILIES:
         A = DiagonalOperatorA.family(family, d, K)
         channels = A.channels
-        exp_pair = [wick_exponential(random_gamma(rng, d, K, 2, False),
-                                     random_gamma(rng, d, K, 2, True), N) for _ in range(2)]
+        exp_pair = [wick_exponential({**random_gamma(rng, d, K, 2, False),
+                                      **random_gamma(rng, d, K, 2, True)}, N) for _ in range(2)]
         poly_pair = [random_fock(rng, d, K, N, n_terms=4, dual_fraction=0.5) for _ in range(2)]
         for F, G in (exp_pair, poly_pair):
             capped = _star_orders(F, G, channels, R, order_caps=caps)
@@ -259,15 +266,16 @@ def _compare_at_cap_N(m, N):
     m.setattr(suites, "_star_orders",
               lambda F, G, channels, R, order_caps=None: star_orders_(F, G, channels, R, N))
     m.setattr(suites, "exp_product_formula_rhs",
-              lambda g1, g1s, g2, g2s, A, R, cap: rhs_(g1, g1s, g2, g2s, A, R, N))
+              lambda g1, g2, A, R, cap: rhs_(g1, g2, A, R, N))
     m.setattr(suites, "star_series",
               lambda FS, GS, channels, max_degree=None: star_series_(FS, GS, channels, N))
 
 
 def test_window_capped_product_formula_catches_wrong_pairing(monkeypatch):
     # (A + I) on both pairings instead of (A - I) on the second one
-    rescaled = equivalence._rescaled
-    monkeypatch.setattr(equivalence, "_rescaled", lambda gamma, A, shift: rescaled(gamma, A, 1))
+    pairing = equivalence._shifted_pairing
+    monkeypatch.setattr(equivalence, "_shifted_pairing",
+                        lambda gamma, other, A, shift: pairing(gamma, other, A, 1))
     for args, N, R in (((3, 12), 8, 3), ((8, 6), 6, 3)):
         capped = product_formula_failures(*args, N=N, R=R)["failures"]
         with monkeypatch.context() as m:

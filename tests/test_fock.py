@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopstar import fock
-from loopstar.equivalence import DiagonalOperatorA, canonical_pairing, exp_product_formula_rhs
+from loopstar.equivalence import DiagonalOperatorA, _shifted_pairing, exp_product_formula_rhs
 from loopstar.fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                            contract_channels, wick_exponential, wick_product)
 from loopstar.modes import VACUUM, ModeIndex, MultiIndex
@@ -37,15 +37,17 @@ def test_constructor_validates_and_caps():
     lambda x: FockVector({MultiIndex.single(M1): x}),
     lambda x: FockVector.unit().scale(x),
     lambda x: annihilate_general({M1: x}, mono([(M1, 1)])),
-    lambda x: wick_exponential({M1: x}, {}, 2),
-    lambda x: wick_exponential({}, {D1: x}, 2),
+    lambda x: wick_exponential({M1: x}, 2),               # a primal key of gamma
+    lambda x: wick_exponential({D1: x}, 2),               # a dual (starred) key of gamma
     lambda x: _star_orders(mono([(M1, 1)]), mono([(D1, 1)]), [(M1, D1, x)], 1),
-    # The equivalence layer's entrances: an operator table, a pairing, and
-    # the maps of the closed product formula (rescaled, then merged).
+    # The equivalence layer's entrances: an operator table, the exponent's
+    # pairing, and both maps of the closed product formula: a key of the
+    # first map rescaled by A + I in the exponent, and a key of the second
+    # map that is only summed into the Wick exponential.
     lambda x: DiagonalOperatorA.from_table({0: x}, 1, 1),
-    lambda x: canonical_pairing({M1: x}, {D1: Fraction(1)}),
-    lambda x: exp_product_formula_rhs({M1: x}, {}, {}, {D1: Fraction(1)}, ONE_A, 1, 2),
-    lambda x: exp_product_formula_rhs({}, {D1: x}, {M0: Fraction(1)}, {}, ONE_A, 1, 2),
+    lambda x: _shifted_pairing({M1: x}, {D1: Fraction(1)}, ONE_A, 1),
+    lambda x: exp_product_formula_rhs({M1: x}, {D1: Fraction(1)}, ONE_A, 1, 2),
+    lambda x: exp_product_formula_rhs({M0: Fraction(1)}, {D1: x}, ONE_A, 1, 2),
 ], ids=["vector", "scale", "direction", "gamma", "gamma_star", "channel_weight",
         "alpha_table", "pairing", "rescaled_gamma", "merged_gamma_star"])
 def test_float_is_refused_at_every_entrance(enter):
@@ -179,20 +181,18 @@ def test_contract_channels_matches_ordered_tuples():
 
 def test_wick_exponential_coefficients_and_validation():
     gamma = {M1: Fraction(1, 2)}
-    phi = wick_exponential(gamma, {}, 4)
+    phi = wick_exponential(gamma, 4)
     for n in range(5):
         key = MultiIndex(((M1, n),)) if n else MultiIndex()
         assert phi.terms.get(key, Fraction(0)) == Fraction(1, 2) ** n / math.factorial(n)
     with pytest.raises(ValueError):
-        wick_exponential({D1: Fraction(1)}, {}, 3)      # dual key on the primal side
-    with pytest.raises(ValueError):
-        wick_exponential({}, {M1: Fraction(1)}, 3)      # primal key on the dual side
+        wick_exponential(gamma, -1)                     # a negative degree cap
 
 
 def test_exponential_carries_no_cap_into_products():
     # The cap of wick_exponential bounds its own terms; a later product is
     # capped only by its own argument.
-    phi = wick_exponential({M1: Fraction(1, 2)}, {D1: Fraction(3)}, 2)
+    phi = wick_exponential({M1: Fraction(1, 2), D1: Fraction(3)}, 2)
     square = wick_product(phi, phi)
     assert phi.degree() == 2 and square.degree() == 4
     assert wick_product(phi, phi, max_degree=2) == square.truncate(2)
@@ -201,7 +201,7 @@ def test_exponential_carries_no_cap_into_products():
 
 def test_wick_exponential_two_modes_cross_terms():
     gamma = {M1: Fraction(1), M2: Fraction(2)}
-    phi = wick_exponential(gamma, {}, 2)
+    phi = wick_exponential(gamma, 2)
     assert phi.terms[MultiIndex(((M1, 1), (M2, 1)))] == Fraction(2)
     assert phi.terms[MultiIndex(((M2, 2),))] == Fraction(2)
 

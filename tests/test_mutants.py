@@ -7,8 +7,6 @@ show that the failure counting no longer counts (DeMillo, Lipton &
 Sayward, *Hints on test data selection*, Computer 1978).
 """
 
-import functools
-
 import pytest
 
 import loopstar.equivalence as equivalence
@@ -43,7 +41,7 @@ def _flipped_dual_first_sign(original):
 
 def _swapped_shifts(original):
     # (A + I) on the first pairing and (A - I) on the second trade places.
-    return lambda gamma, A, shift: original(gamma, A, -shift)
+    return lambda gamma, other, A, shift: original(gamma, other, A, -shift)
 
 
 def _negated(table):
@@ -75,7 +73,7 @@ MUTANTS = {
     "(alpha - 1) channel sign flipped": (_flipped_dual_first_sign, "deformed_channels",
                                          (equivalence,), "equivalence",
                                          ("cochain.displays", "star.zero_is_moyal")),
-    "(A + I) and (A - I) swapped": (_swapped_shifts, "_rescaled", (equivalence,),
+    "(A + I) and (A - I) swapped": (_swapped_shifts, "_shifted_pairing", (equivalence,),
                                     "equivalence", ("product.formula",)),
     "every form weight negated": (_negated_form_weights, "channels",
                                   (poisson.SymplecticForm,), "poisson", ("bracket.pairs",)),
@@ -91,10 +89,6 @@ def test_exact_checks_catch_mutant(name, monkeypatch):
     mutant = make(getattr(modules[0], attr))
     for module in modules:
         monkeypatch.setattr(module, attr, mutant)
-    # A fresh unit-form cache for the run, so that a form built by a mutant
-    # is dropped with it and one cached before cannot hide it.
-    monkeypatch.setattr(equivalence, "_unit_form",
-                        functools.lru_cache(maxsize=16)(equivalence._unit_form.__wrapped__))
     records = suites.run_checks(suite, parse_config(LIGHT_DOC))
     failures = {r.check_id: r.residual for r in records if r.precision is None}
     assert set(catchers) <= set(failures)
