@@ -1,9 +1,10 @@
 """Two independent ways to evaluate a chaos polynomial on a sampled field.
 
-The spectral route multiplies out the stored Gaussian coefficients.  The
-quadrature route integrates each tensor slot against the field with the
-trapezoid rule in its integration-by-parts form and never reads the
-coefficients.  Their agreement, and the second-order decay of the
+Both routes multiply the polynomial out through one evaluator and differ
+in the coefficient of each mode they feed it.  The spectral route reads
+the stored Gaussian coefficients.  The quadrature route pairs each mode
+with the field by the trapezoid rule on the sample's grid and never reads
+the coefficients.  Their agreement, and the second-order decay of the
 finite-difference directional derivative toward the contraction, are the
 pathwise content of the calculus.
 """

@@ -1,14 +1,13 @@
 """Evaluation of chaos polynomials on sampled loop fields.
 
 A Fock vector F determines a random variable: each monomial evaluates to
-the product over its modes of the field's pairing with that mode.  Two
-independent evaluators are provided.  The spectral one reads the stored
-Gaussian coefficients and multiplies them out; the quadrature one
-integrates each tensor slot against the field on a grid, using the
-integration-by-parts form of the loop-space pairing (profile minus its
-second derivative), and never touches the stored coefficients.  Their
-agreement is the pathwise statement that multiple Stratonovich integrals
-of symmetrized kernels multiply like the polynomials they come from.
+the product over its modes of the field's pairing with that mode.  One
+evaluator multiplies the monomials out, fed by either of two coefficient
+maps.  The spectral map reads the stored Gaussian coefficients; the
+quadrature map pairs each mode with the field on the sample's grid and
+never touches the stored coefficients.  Their agreement is the pathwise
+statement that multiple Stratonovich integrals of symmetrized kernels
+multiply like the polynomials they come from.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import numpy as np
 
 from .fock import FockVector, annihilate_general
 from .gaussian import LoopSample
-from .modes import ModeIndex, MultiIndex, h_weight, mode_profile
+from .modes import ModeIndex, h_weight, mode_profile
+from .rand import philox_key
 
 
 def stratonovich_pairing(mode: ModeIndex, sample: LoopSample) -> float:
@@ -57,30 +57,15 @@ def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
 
 
 def chaos_eval_quadrature(F: FockVector, sample: LoopSample) -> float:
-    """Slotwise-quadrature evaluation, independent of the stored coefficients.
+    """Quadrature evaluation, independent of the stored coefficients.
 
-    Each tensor slot of a monomial contributes the trapezoid integral of
-    (profile - profile'') * field on the sample's grid; slots multiply,
-    monomials add.  `sample.coarse(n)` integrates on every (M/n)-th point.
+    Pairs each mode of F with the field once (`stratonovich_pairing`) and
+    multiplies the monomials out through `chaos_eval_spectral`; the sample
+    is read only through its grid and values.  `sample.coarse(n)`
+    integrates on every (M/n)-th point.
     """
-    slots: dict[ModeIndex, float] = {}
-    grid, values = sample.grid, sample.values
-    total = 0.0
-    for mu, c in F.terms.items():
-        prod = float(c)
-        for mode, mult in mu:
-            if mode.dual:
-                raise ValueError(f"sampled fields carry primal modes only, got {mode!r}")
-            if mode.coord > sample.d:
-                raise ValueError(f"mode coordinate {mode.coord} exceeds sample dimension {sample.d}")
-            slot = slots.get(mode)
-            if slot is None:
-                prof = mode_profile(mode.freq, grid) - mode_profile(mode.freq, grid, order=2)
-                slot = float(np.mean(prof * values[:, mode.coord - 1]))
-                slots[mode] = slot
-            prod *= slot ** mult
-        total += prod
-    return total
+    return chaos_eval_spectral(F, {mode: stratonovich_pairing(mode, sample)
+                                   for mode in F.support_modes()})
 
 
 def sample_xi_for(F: FockVector, sample: LoopSample,
@@ -136,11 +121,7 @@ def injectivity_probe(F: FockVector, seed: int) -> bool:
     modes = sorted(F.support_modes())
     scale = max(abs(float(c)) for c in F.terms.values())
     n_draws = max(1, 5 * len(F))
-    # An explicit uint64 key: numpy reads a list holding a word of 2**63 or
-    # more as floats, which rounds neighbouring seeds to one key and near
-    # 2**64 overflows the cast back to uint64.
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x1D], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=philox_key(seed, 0x1D)))
     for _ in range(n_draws):
         xi = {mode: float(z) for mode, z in zip(modes, rng.standard_normal(len(modes)))}
         if abs(chaos_eval_spectral(F, xi)) > 1e-9 * scale:
@@ -153,24 +134,25 @@ def normal_convergence_check(sample: LoopSample) -> dict:
 
     Takes as degree-n part (n = 0..12) a single power of the frequency-1
     mode, scaled by a float coefficient so its derivative-sup bound is
-    exactly mu_ratio^n, evaluates each degree by quadrature, and checks
-    every contribution against q^n = (2 mu_ratio M_sup)^n with M_sup the
-    grid sup of |B|, plus the implied geometric tail bound past n0 = 4.
+    exactly mu_ratio^n.  The mode is paired with the field once by
+    quadrature (`stratonovich_pairing`), so degree n contributes
+    |coeff * pairing^n|.  Every contribution is checked against
+    q^n = (2 mu_ratio M_sup)^n with M_sup the grid sup of |B|, plus the
+    implied geometric tail bound past n0 = 4.
     The ratio is q = 1/2 and mu_ratio is q / (2 M_sup): q itself is never
     recomputed, so it is reported exactly.
     """
     q, n_max, n0 = 0.5, 12, 4
     m_sup = float(np.max(np.abs(sample.values)))
     mu_ratio = q / (2.0 * m_sup)
-    mode = ModeIndex(1, 1)
-    # Largest sup-norm among the slot profile and its second derivative:
+    pairing = stratonovich_pairing(ModeIndex(1, 1), sample)
+    # Largest sup-norm among the mode profile and its second derivative:
     envelope = max(float(np.max(np.abs(mode_profile(1, sample.grid, order=o)))) for o in (0, 2))
     rows = []
     tail_sum = 0.0
     for n in range(0, n_max + 1):
         coeff = (mu_ratio / envelope) ** n
-        monomial = FockVector({MultiIndex(((mode, n),)) if n else MultiIndex(): 1})
-        contribution = abs(coeff * chaos_eval_quadrature(monomial, sample))
+        contribution = abs(coeff * pairing ** n)
         bound = q ** n
         rows.append({"degree": n, "contribution": contribution, "bound": bound})
         if n > n0:

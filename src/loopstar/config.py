@@ -151,7 +151,8 @@ def check_suite_requirements(cfg: RunConfig, where: str) -> None:
 
     The equivalence suite needs a nonnegative degree window N - 2R.  The
     chaos suite pairs and evaluates modes up to frequency K on fields
-    sampled up to K_mc, so it needs K <= mc.K_mc.
+    sampled up to K_mc, so it needs K <= mc.K_mc, and a grid on which the
+    trapezoid rule pairs them exactly, mc.n_grid > K_mc + K.
     """
     if "equivalence" in cfg.suites and cfg.N - 2 * cfg.R < 0:
         raise ConfigError(f"{where}: equivalence suite needs N - 2R >= 0, "
@@ -159,6 +160,9 @@ def check_suite_requirements(cfg: RunConfig, where: str) -> None:
     if "chaos" in cfg.suites and cfg.K > cfg.mc.K_mc:
         raise ConfigError(f"{where}.mc.K_mc: chaos suite needs K_mc >= K={cfg.K}, "
                           f"got {cfg.mc.K_mc}")
+    if "chaos" in cfg.suites and cfg.mc.n_grid <= cfg.mc.K_mc + cfg.K:
+        raise ConfigError(f"{where}.mc.n_grid: chaos suite needs n_grid > K_mc + K = "
+                          f"{cfg.mc.K_mc + cfg.K}, got {cfg.mc.n_grid}")
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:

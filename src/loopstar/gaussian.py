@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .modes import ModeIndex, profile_table
+from .rand import philox_key
 
 # Coefficients of e^{-x} and e^{x} in the closed-form kernel on one period.
 GREEN_ALPHA = 1.0 / (2.0 * (1.0 - math.exp(-1.0)))
@@ -73,10 +74,8 @@ def green_exponential_form(x):
 
 def _mode_key(seed: int, coord: int, freq: int) -> np.ndarray:
     # The second key word packs the mode so streams never collide across
-    # coordinates or frequencies.  An explicit uint64 array keeps the key
-    # exact: numpy reads a list holding a word of 2**63 or more as floats.
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, (coord << 32) | (freq & 0xFFFFFFFF)],
-                    dtype=np.uint64)
+    # coordinates or frequencies.
+    return philox_key(seed, (coord << 32) | (freq & 0xFFFFFFFF))
 
 
 def _fresh_philox_state(key: np.ndarray) -> dict:

@@ -16,14 +16,19 @@ from .fock import FockVector
 from .modes import ModeIndex, MultiIndex
 
 
-def instance_rng(seed: int, label: str) -> np.random.Generator:
-    """One stream per (seed, check label); stable across runs and platforms.
+def philox_key(seed: int, word: int) -> np.ndarray:
+    """The Philox key (seed mod 2**64, word) as an explicit uint64 array.
 
-    The key is an explicit uint64 array: numpy reads a list holding a word of
-    2**63 or more as floats, which rounds it and can collide distinct seeds.
+    numpy reads a list holding a word of 2**63 or more as floats, which
+    rounds neighbouring seeds to one key and near 2**64 overflows the cast
+    back to uint64.
     """
-    word = zlib.crc32(label.encode("utf-8"))
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+
+
+def instance_rng(seed: int, label: str) -> np.random.Generator:
+    """One stream per (seed, check label); stable across runs and platforms."""
+    key = philox_key(seed, zlib.crc32(label.encode("utf-8")))
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -57,8 +58,18 @@ def test_quadrature_matches_spectral():
     got = chaos_eval_quadrature(F, sample)
     want = chaos_eval_spectral(F, sample.xi_map(3))
     assert got == pytest.approx(want, abs=1e-9)
-    with pytest.raises(ValueError):
-        chaos_eval_quadrature(mono([(M1.as_dual, 1)]), sample)
+    for refused in (M1.as_dual, ModeIndex(3, 0)):
+        with pytest.raises(ValueError):
+            chaos_eval_quadrature(mono([(refused, 1)]), sample)
+
+
+def test_quadrature_reads_no_stored_coefficients():
+    # The quadrature route is independent of the spectral one: blanking the
+    # stored coefficients leaves its value unchanged, bit for bit.
+    sample = sample_loop(5, 16, 1024, d=2)
+    F = mono([(M1, 2), (M2, 1)], Fraction(1, 2)) + mono([(ModeIndex(2, 3), 1)], Fraction(-2))
+    blank = dataclasses.replace(sample, xi=np.full_like(sample.xi, np.nan))
+    assert chaos_eval_quadrature(F, blank) == chaos_eval_quadrature(F, sample)
 
 
 def test_gateaux_fd_contract():

@@ -82,11 +82,16 @@ def test_suite_restriction_window_guard(tmp_path):
 
 
 def test_suite_restriction_chaos_cutoff_guard(tmp_path, capsys):
-    """K > mc.K_mc is rejected before the chaos suite runs, not by a traceback inside it."""
+    """K > mc.K_mc, and a grid of at most K_mc + K points, are rejected before
+    the chaos suite runs, not by a traceback or a failed check inside it."""
     path = write_config(tmp_path, K=3, mc={"n_samples": 500, "K_mc": 2, "n_grid": 1024})
     assert main(["--config", str(path), "--suite", "chaos"]) == 2
     err = capsys.readouterr().err
     assert "mc.K_mc" in err and "Traceback" not in err
+    path = write_config(tmp_path, K=3, mc={"n_samples": 500, "K_mc": 16, "n_grid": 19})
+    assert main(["--config", str(path), "--suite", "chaos"]) == 2
+    err = capsys.readouterr().err
+    assert "mc.n_grid" in err and "Traceback" not in err
 
 
 def test_out_flag_writes_byte_identical_reports(tmp_path, capsys):

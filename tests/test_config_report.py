@@ -93,6 +93,21 @@ def test_parse_chaos_needs_K_within_K_mc():
     assert parse_config({"K": 3, "mc": {"K_mc": 3}, "suites": ["chaos"]}).K == 3
 
 
+def test_parse_chaos_needs_a_grid_that_resolves_its_field():
+    # The trapezoid rule pairs modes up to K with fields up to K_mc exactly
+    # only on more than K_mc + K points.
+    def chaos(n_grid, K_mc=64, suites=("chaos",)):
+        return parse_config({"K": 3, "mc": {"K_mc": K_mc, "n_grid": n_grid},
+                             "suites": list(suites)})
+    with pytest.raises(ConfigError, match=r"^config\.mc\.n_grid: chaos suite needs "
+                                          r"n_grid > K_mc \+ K = 67, got 67"):
+        chaos(67)
+    assert chaos(68).mc.n_grid == 68
+    assert chaos(2, suites=["algebra"]).mc.n_grid == 2
+    with pytest.raises(ConfigError, match=r"mc\.K_mc"):          # the cutoff is checked first
+        chaos(2, K_mc=2)
+
+
 _json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
