@@ -1,7 +1,7 @@
 """Driving the verification suites from Python and reading the report.
 
 The same machinery backs the `verify` command line tool.  Reports are
-canonical: sorted keys, fixed float formatting, wall times and the Python
+canonical: sorted keys, shortest round-trip floats, wall times and the Python
 and numpy versions kept out of the serialized bytes, so two runs with one
 config are byte-identical on any machine.
 """

@@ -1,7 +1,8 @@
 """Command line entry point for running verification suites.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 when the
-configuration cannot be loaded or is inconsistent.
+configuration cannot be loaded or is inconsistent, or the report path ends
+in .txt, where its text summary goes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .config import ConfigError, check_suite_requirements, load_config
-from .report import emit_report, text_summary
+from .report import emit_report, summary_path, text_summary
 from .suites import SUITE_RUNNERS, run_suites
 
 
@@ -25,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(SUITE_RUNNERS),
                         help="restrict to this suite (repeatable)")
     parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the canonical JSON report here (plus a .txt summary)")
+                        help="write the canonical JSON report here (plus a .txt summary "
+                             "beside it; PATH itself must not end in .txt)")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the configured seed")
     return parser
@@ -42,12 +44,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.suite:
             cfg = dataclasses.replace(cfg, suites=tuple(dict.fromkeys(args.suite)))  # dedupe
             check_suite_requirements(cfg, args.config)
+        out_path = args.out if args.out is not None else cfg.output_path
+        if out_path is not None:
+            summary_path(out_path)      # refuses a .txt report path before any suite runs
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     report = run_suites(cfg)
-    out_path = args.out if args.out is not None else cfg.output_path
     if out_path is not None:
         emit_report(report, out_path)
     print(text_summary(report))

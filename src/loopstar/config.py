@@ -61,7 +61,7 @@ class RunConfig:
     N: int = 6
     R: int = 4
     weight_c: Fraction = Fraction(1)
-    alpha_spec: Union[str, dict] = "ksq"
+    alpha_spec: Union[str, dict[int, Fraction]] = "ksq"
     mc: McConfig = field(default_factory=McConfig)
     suites: tuple = DEFAULT_SUITES
     output_path: Optional[str] = None
@@ -108,8 +108,7 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
             k = int(k_txt)
             if abs(k) > K:
                 raise ConfigError(f"{where}.alpha_spec: frequency {k} outside cutoff K={K}")
-            frac = parse_rational(v, f"{where}.alpha_spec[{k}]")
-            table[k] = f"{frac.numerator}/{frac.denominator}"
+            table[k] = parse_rational(v, f"{where}.alpha_spec[{k}]")
         alpha_spec = table
     else:
         raise ConfigError(f"{where}.alpha_spec: expected a family name or a table")
@@ -194,7 +193,7 @@ def config_echo(cfg: RunConfig) -> dict:
         "d": cfg.d, "K": cfg.K, "N": cfg.N, "R": cfg.R,
         "weight_c": f"{cfg.weight_c.numerator}/{cfg.weight_c.denominator}",
         "alpha_spec": cfg.alpha_spec if isinstance(cfg.alpha_spec, str)
-        else {str(k): v for k, v in sorted(cfg.alpha_spec.items())},
+        else {str(k): f"{v.numerator}/{v.denominator}" for k, v in sorted(cfg.alpha_spec.items())},
         "mc": {"n_samples": cfg.mc.n_samples, "seed": cfg.mc.seed, "K_mc": cfg.mc.K_mc,
                "n_grid": cfg.mc.n_grid},
         "suites": list(cfg.suites),

@@ -1,14 +1,15 @@
 """Deterministic verification reports.
 
 A report is a list of check records plus the config echo and version
-stamps.  Its canonical JSON rendering (sorted keys, fixed float format)
-is a pure function of the run configuration, on any machine:
+stamps.  Its canonical JSON rendering (`json.dumps`, sorted keys) is a
+pure function of the run configuration, on any machine:
 
 - wall-clock timings and the Python and numpy versions are kept out of
   the canonical body and shown only in the text summary; the body's
   `versions` names only the loopstar version;
-- floats are written at 17 significant digits, which read back to the
-  identical double;
+- a double is written as the shortest text that reads back to it, the
+  same on every IEEE-754 platform, so a value on a `Precision` grid shows
+  as that grid decimal (1e-12, not 9.9999999999999998e-13);
 - every non-exact check declares the `Precision` of its float fields, a
   decimal grid far coarser than the last-bit drift that summation order
   in a different numpy build causes, and the body writes them rounded to
@@ -35,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import _unique_keys
+from .config import ConfigError, _unique_keys
 
 CONVENTION_NOTES = (
     "covariance kernel: positive-definite hyperbolic branch; the sign-flipped "
@@ -91,7 +92,7 @@ class CheckRecord:
 
     `residual` and `observed` hold the measured values.  A non-exact check
     declares its `precision`: the canonical body then writes both rounded
-    up to it (`written`), and `passed` is decided on the written residual.
+    up to it (`written`); `passed` is set once, from the written residual.
     """
 
     suite: str
@@ -99,19 +100,18 @@ class CheckRecord:
     claim: str
     residual: float
     tolerance: float
-    passed: bool
     n_instances: int
     seed: int
     observed: float = 0.0       # headline quantity (slope, ratio, ...) when not the residual
     wall_time: float = 0.0      # text summary only; never in canonical bytes
     precision: Optional[Precision] = None
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if self.precision is not None:
-            if not self.tolerance > 0:
-                raise ValueError(f"{self.check_id}: a declared precision needs a positive "
-                                 f"tolerance, got {self.tolerance!r}")
-            self.passed = self.passed and self.written(self.residual) <= self.tolerance
+        if self.precision is not None and not self.tolerance > 0:
+            raise ValueError(f"{self.check_id}: a declared precision needs a positive "
+                             f"tolerance, got {self.tolerance!r}")
+        self.passed = self.written(self.residual) <= self.tolerance
 
     def written(self, x: float) -> float:
         """x as the canonical body writes it: rounded up to the declared precision."""
@@ -151,44 +151,9 @@ def package_versions() -> dict:
             "python": platform.python_version()}
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: parses back to the identical double."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a float")
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float {x!r} cannot enter a canonical report")
-    return "%.17g" % x
-
-
-def canonical_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: sorted object keys, fixed float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        keys = sorted(value)
-        if any(not isinstance(k, str) for k in keys):
-            raise TypeError("canonical JSON object keys must be strings")
-        body = ",\n".join(f"{inner}{json.dumps(k)}: {canonical_json(value[k], indent + 1)}"
-                          for k in keys)
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = ",\n".join(f"{inner}{canonical_json(v, indent + 1)}" for v in value)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot render {type(value).__name__} canonically")
+def canonical_json(value) -> str:
+    """Deterministic JSON: sorted keys, shortest round-trip floats; non-finite raises ValueError."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def _finite_or_null(x: float) -> Optional[float]:
@@ -232,16 +197,15 @@ def report_from_dict(doc: dict) -> VerificationReport:
     """
     records = []
     for r in doc.get("records", []):
-        residual = _null_as_inf(r["residual"])
-        passed = residual <= r["tolerance"]
-        if r["passed"] is not passed:
-            raise ValueError(f"{r['suite']}/{r['check_id']}: passed is {r['passed']!r}, but "
-                             f"residual {residual!r} against tolerance {r['tolerance']!r} "
-                             f"gives {passed}")
-        records.append(CheckRecord(suite=r["suite"], check_id=r["check_id"], claim=r["claim"],
-                                   residual=residual, tolerance=r["tolerance"], passed=passed,
-                                   n_instances=r["n_instances"], seed=r["seed"],
-                                   observed=_null_as_inf(r.get("observed", 0.0))))
+        rec = CheckRecord(suite=r["suite"], check_id=r["check_id"], claim=r["claim"],
+                          residual=_null_as_inf(r["residual"]), tolerance=r["tolerance"],
+                          n_instances=r["n_instances"], seed=r["seed"],
+                          observed=_null_as_inf(r.get("observed", 0.0)))
+        if r["passed"] is not rec.passed:
+            raise ValueError(f"{rec.suite}/{rec.check_id}: passed is {r['passed']!r}, but "
+                             f"residual {rec.residual!r} against tolerance {rec.tolerance!r} "
+                             f"gives {rec.passed}")
+        records.append(rec)
     report = VerificationReport(records=records, config=doc.get("config", {}),
                                 versions=doc.get("versions", {}),
                                 notes=tuple(doc.get("notes", ())))
@@ -269,12 +233,18 @@ def text_summary(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def summary_path(path: Union[str, Path]) -> Path:
+    """Where the text summary of a report at `path` goes; ConfigError if that is `path` itself."""
+    if Path(path).suffix == ".txt":
+        raise ConfigError(f"report path {str(path)!r} ends in .txt, where its text summary goes")
+    return Path(path).with_suffix(".txt")
+
+
 def emit_report(report: VerificationReport, path: Union[str, Path]) -> Path:
-    """Write canonical JSON at `path` and the text summary alongside (.txt)."""
-    path = Path(path)
+    """Write canonical JSON at `path` and the text summary at `summary_path(path)`."""
+    path, txt = Path(path), summary_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(report_to_dict(report)) + "\n", encoding="utf-8")
-    txt = path.with_suffix(".txt")
     txt.write_text(text_summary(report), encoding="utf-8")
     return path
 

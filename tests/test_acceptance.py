@@ -180,7 +180,7 @@ def test_criterion_10_reporting_and_cli(capsys, tmp_path, monkeypatch):
 
     def failing_runner(cfg):
         return [CheckRecord(suite="algebra", check_id="forced.failure", claim="forced",
-                            residual=1.0, tolerance=0.0, passed=False,
+                            residual=1.0, tolerance=0.0,
                             n_instances=1, seed=0)]
     monkeypatch.setitem(suites.SUITE_RUNNERS, "algebra", failing_runner)
     code1 = cli_main(["--config", str(cfg_path)])

@@ -29,7 +29,7 @@ def test_exit_one_on_failure(tmp_path, monkeypatch):
     def failing_runner(cfg):
         return [CheckRecord(suite="algebra", check_id="forced.failure",
                             claim="forced", residual=1.0, tolerance=0.0,
-                            passed=False, n_instances=1, seed=0)]
+                            n_instances=1, seed=0)]
 
     monkeypatch.setitem(suites.SUITE_RUNNERS, "algebra", failing_runner)
     path = write_config(tmp_path)
@@ -119,6 +119,23 @@ def test_seed_override_changes_report(tmp_path, capsys):
     r2 = load_report(out2)
     assert r1.records[0].seed == 7 and r2.records[0].seed == 8
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["--out", "output_path"])
+def test_txt_report_path_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, source):
+    """The summary goes to the report path with suffix .txt: for a .txt path, the path itself."""
+    def runner(cfg):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "algebra", runner)
+    dest = tmp_path / "report.txt"
+    if source == "--out":
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(dest)]
+    else:
+        argv = ["--config", str(write_config(tmp_path, output_path=str(dest)))]
+    assert main(argv) == 2
+    assert str(dest) in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_config_output_path_used_when_no_flag(tmp_path, capsys):

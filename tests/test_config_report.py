@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from loopstar.config import (ConfigError, McConfig, RunConfig, config_echo,
                              load_config, parse_config, parse_rational)
 from loopstar.report import (CheckRecord, Precision, VerificationReport, canonical_json,
-                             emit_report, format_float, load_report, package_versions,
+                             emit_report, load_report, package_versions,
                              record_to_dict, report_from_dict, report_to_dict, text_summary)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -56,7 +56,7 @@ def test_parse_rejects_bools_and_bad_values():
 
 def test_parse_alpha_table():
     cfg = parse_config(minimal_doc(alpha_spec={"1": "1/2", "-2": "3"}))
-    assert cfg.alpha_spec == {1: "1/2", -2: "3/1"}
+    assert cfg.alpha_spec == {1: Fraction(1, 2), -2: Fraction(3)}
     with pytest.raises(ConfigError):
         parse_config(minimal_doc(alpha_spec={"7": "1"}))        # |k| beyond K
     with pytest.raises(ConfigError):
@@ -182,10 +182,10 @@ def test_config_echo_is_plain_json():
 
 def sample_report():
     rec1 = CheckRecord(suite="s", check_id="a.b", claim="first", residual=0.0,
-                       tolerance=0.0, passed=True, n_instances=5, seed=1,
+                       tolerance=0.0, n_instances=5, seed=1,
                        observed=0.25, wall_time=0.5)
     rec2 = CheckRecord(suite="s", check_id="c.d", claim="second", residual=2.0,
-                       tolerance=1.0, passed=False, n_instances=3, seed=1,
+                       tolerance=1.0, n_instances=3, seed=1,
                        observed=2.0, wall_time=0.25)
     return VerificationReport(records=[rec1, rec2], config={"d": 2},
                               versions=package_versions())
@@ -227,13 +227,13 @@ def test_canonical_json_determinism():
     assert parsed["b"][1]["a"] == 0.1
 
 
-def test_format_float_contract():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert float(format_float(1 / 3)) == 1 / 3
-    with pytest.raises(ValueError):
-        format_float(math.inf)
-    with pytest.raises(ValueError):
-        format_float(math.nan)
+def test_canonical_json_writes_shortest_round_trip_floats():
+    for x in (0.1, 1 / 3, 1e-12, 2.9999999999999996):
+        assert float(json.loads(canonical_json(x))).hex() == x.hex()
+    assert canonical_json([0.1, 1e-12]) == "[\n  0.1,\n  1e-12\n]"
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            canonical_json(x)
 
 
 def test_text_summary_lines():
@@ -253,6 +253,9 @@ def test_emit_and_load_report(tmp_path):
     # byte determinism of the canonical form
     emit_report(report, tmp_path / "second.json")
     assert out.read_bytes() == (tmp_path / "second.json").read_bytes()
+    with pytest.raises(ValueError, match="other.txt"):      # it would be its own summary
+        emit_report(report, tmp_path / "other.txt")
+    assert not (tmp_path / "other.txt").exists()
 
 
 def test_package_versions_keys():
@@ -262,8 +265,7 @@ def test_package_versions_keys():
 
 def rendered(residual, tolerance, precision, observed=None):
     rec = CheckRecord(suite="s", check_id="x", claim="c", residual=residual,
-                      tolerance=tolerance, passed=residual <= tolerance, n_instances=1,
-                      seed=0, observed=residual if observed is None else observed,
+                      tolerance=tolerance, n_instances=1, seed=0, observed=residual if observed is None else observed,
                       precision=precision)
     return rec, canonical_json(record_to_dict(rec))
 
@@ -283,6 +285,7 @@ def test_declared_precision_absorbs_last_bit_drift():
     rec, text = rendered(1.2169339756956075, 3.0, Precision.STATISTIC, observed=-0.5)
     written = json.loads(text)
     assert written["residual"] == 1.216934 and written["observed"] == -0.5
+    assert '"residual": 1.216934,' in text
     # The record keeps the measured value for the text summary.
     assert rec.residual == 1.2169339756956075
     assert "residual 1.217e+00" in text_summary(VerificationReport(records=[rec]))
@@ -299,9 +302,15 @@ def test_precision_rounds_toward_failing():
         assert rec.passed and json.loads(text)["residual"] == tol
     # The verdict is taken on the written value even when the raw one passes.
     rec = CheckRecord(suite="s", check_id="x", claim="c", residual=2.9999999999,
-                      tolerance=2.99999999995, passed=True, n_instances=1, seed=0,
+                      tolerance=2.99999999995, n_instances=1, seed=0,
                       precision=Precision.STATISTIC)
     assert record_to_dict(rec)["residual"] == 3.0 and not rec.passed
+
+
+def test_a_verdict_is_derived_not_given():
+    with pytest.raises(TypeError):
+        CheckRecord(suite="s", check_id="x", claim="c", residual=2.0, tolerance=1.0,
+                    passed=True, n_instances=1, seed=0)
 
 
 def test_golden_verdicts_recompute_from_the_bytes():

@@ -122,7 +122,11 @@ def test_suite_registry_matches_config_names():
 
 
 def test_default_config_report_matches_golden():
-    """Full default-scale run reproduces the checked-in canonical report."""
+    """Full default-scale run reproduces the checked-in canonical report.
+
+    Regenerate it with `verify --config configs/default.json --out
+    tests/golden/default_report.json` and delete the .txt summary written beside it.
+    """
     cfg = parse_config(json.loads((REPO / "configs" / "default.json").read_text()))
     report = run_suites(cfg)
     got = canonical_json(report_to_dict(report)).encode() + b"\n"
@@ -132,7 +136,12 @@ def test_default_config_report_matches_golden():
 
 
 def test_equivalence_config_report_matches_golden():
-    """The equivalence suite of its shipped config reproduces its canonical report."""
+    """The equivalence suite of its shipped config reproduces its canonical report.
+
+    Regenerate it with `verify --config configs/equivalence.json --suite equivalence
+    --out tests/golden/equivalence_report.json` and delete the .txt summary written
+    beside it.
+    """
     doc = json.loads((REPO / "configs" / "equivalence.json").read_text())
     report = run_suites(parse_config({**doc, "suites": ["equivalence"]}))
     got = canonical_json(report_to_dict(report)).encode() + b"\n"
@@ -145,18 +154,18 @@ def test_equivalence_config_report_matches_golden():
 # the goldens' 42: a change that should leave every exact result alone must
 # leave these unchanged too.
 EXACT_BODY_HASHES = [
-    ("default", ("algebra", "poisson", "moyal"), 7, "0c321415ef36599c"),
-    ("default", ("algebra", "poisson", "moyal"), 3, "25f077ecd5c00a29"),
-    ("equivalence", ("equivalence",), 7, "1eff7b80118fac87"),
-    ("equivalence", ("equivalence",), 3, "ded0e772a8797527"),
+    ("default", ("algebra", "poisson", "moyal"), 7, "1b7eda221f7fb350"),
+    ("default", ("algebra", "poisson", "moyal"), 3, "135f83a6a7ec9883"),
+    ("equivalence", ("equivalence",), 7, "9a49ee52ae97d4f6"),
+    ("equivalence", ("equivalence",), 3, "f7905c5f545423c9"),
 ]
 
 
 # The same for the float suites of the default config: a refactor of the
 # Monte-Carlo and residual checks must leave these bodies alone too.
 FLOAT_BODY_HASHES = [
-    ("default", ("chaos", "gaussian"), 7, "e1b1f55cc32560a2"),
-    ("default", ("chaos", "gaussian"), 3, "8406cda0248f81af"),
+    ("default", ("chaos", "gaussian"), 7, "b60b0cee66ddc235"),
+    ("default", ("chaos", "gaussian"), 3, "415daa1f26812145"),
 ]
 
 
