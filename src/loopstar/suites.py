@@ -345,7 +345,8 @@ def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int, n_grid: int)
 def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     """Trapezoid quadrature is exact once the grid resolves the integrand.
 
-    Five instances run on the grids 256, 512, 1024 and 2048.  Each slot
+    Five instances run on the grids 256, 512, 1024 and 2048, all read from
+    one field drawn on the finest of them through `LoopSample.coarse`.  Each slot
     integrates the field (frequencies up to K_mc = 600) against a mode
     profile (frequencies up to K), so the integrand carries frequencies up
     to K_mc + K, and the n-point trapezoid rule integrates it exactly iff
@@ -361,7 +362,7 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     error in units of eps * max(1, |value|).
     """
     K_mc, grids, n_instances = 600, (256, 512, 1024, 2048), 5
-    sample = sample_loop(seed + 23, K_mc, max(grids) * 2, d)
+    sample = sample_loop(seed + 23, K_mc, max(grids), d)
     xi = sample.xi_map(K)
     coarse = [sample.coarse(n) for n in grids]
     eps = float(np.finfo(float).eps)

@@ -9,6 +9,8 @@ in `run_checks`, is not seen.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "loopstar"
@@ -119,3 +121,28 @@ def test_no_unread_imports():
              if p.name != "__init__.py"]
     assert {str(p.relative_to(root)): names for p in files
             if (names := _unread_imports(p))} == {}
+
+
+# Modules that importing loopstar loads beyond what numpy has loaded.  Each
+# one is set-up time of every `verify` run; `concurrent.futures`, for one,
+# costs 5-8 ms after numpy (`python -X importtime`) and is not on the list.
+IMPORT_ALLOWED = {"__future__", "_csv", "_decimal", "_json", "copy", "csv", "dataclasses",
+                  "decimal", "fractions", "json", "json.decoder", "json.encoder", "json.scanner"}
+
+IMPORT_CHILD = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+before = set(sys.modules)
+import loopstar
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_only_allowed_modules():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHILD, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "loopstar" in loaded
+    assert sorted(m for m in loaded - IMPORT_ALLOWED
+                  if m != "loopstar" and not m.startswith("loopstar.")) == []

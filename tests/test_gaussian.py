@@ -1,11 +1,14 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape,
-                               export_loop_csv, green_diagonal,
+from loopstar import gaussian
+from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, THREADED_DRAW_FLOOR, basis_matrix,
+                               batch_shape, export_loop_csv, green_diagonal,
                                green_exponential_form, green_kernel, holder_moment_check,
                                increment_variance, loop_eval, sample_loop, sample_xi_batch,
                                spectral_green_sum, uniform_grid)
@@ -104,6 +107,93 @@ def test_rekeyed_streams_match_fresh_philox(seed):
                 listed = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
                 assert np.array_equal(listed, fresh)
     assert np.array_equal(one, big[:1])
+
+
+def _fresh_streams(seed, n, K, d):
+    """The reference batch: every mode from a newly built Philox of its own."""
+    out = np.empty((n, d, 2 * K + 1))
+    for c in range(1, d + 1):
+        for k in range(-K, K + 1):
+            key = np.array([seed & (2 ** 64 - 1), (c << 32) | (k & 0xFFFFFFFF)], dtype=np.uint64)
+            out[:, c - 1, k + K] = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    return out
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 5, 9])
+def test_threaded_draw_matches_fresh_philox(monkeypatch, cores):
+    # Above the floor the 9 streams of a coordinate split into `cores`
+    # contiguous ranges (5 gives 1, 2, 2, 2, 2), each drawn on its own
+    # thread; with a short switch interval the threads interleave often.
+    K, d, n = 4, 2, THREADED_DRAW_FLOOR
+    calls = []
+    draw = gaussian._draw_rows
+
+    def recording(states, rows, out, lo, hi):
+        calls.append((lo, hi, threading.get_ident()))
+        draw(states, rows, out, lo, hi)
+    monkeypatch.setattr(gaussian, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(gaussian, "_draw_rows", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        xi = sample_xi_batch(11, n, K, d)
+    finally:
+        sys.setswitchinterval(interval)
+    assert xi.flags.c_contiguous
+    assert np.array_equal(xi, _fresh_streams(11, n, K, d))
+    ranges = sorted((lo, hi) for lo, hi, _ in calls)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == 2 * K + 1 and len(ranges) == cores
+    # The calling thread draws the first range; each other range is a worker's.
+    here = threading.get_ident()
+    assert [(lo, ident == here) for lo, _, ident in sorted(calls)] == \
+        [(lo, lo == 0) for lo, _ in ranges]
+
+
+@pytest.mark.parametrize("m", [1, 100, THREADED_DRAW_FLOOR - 1])
+def test_threaded_batch_prefix_is_the_unthreaded_batch(monkeypatch, m):
+    monkeypatch.setattr(gaussian, "_usable_cores", lambda: 2)
+    K, d = 3, 2
+    assert np.array_equal(sample_xi_batch(5, THREADED_DRAW_FLOOR, K, d)[:m],
+                          sample_xi_batch(5, m, K, d))
+
+
+@pytest.mark.parametrize("failing_lo", [0, 3])
+def test_draw_exception_reaches_caller_after_join(monkeypatch, failing_lo):
+    # The range at 0 is the calling thread's own; the one at 3 a worker's.
+    # A failure in either is raised in the caller once every thread is joined.
+    draw = gaussian._draw_rows
+
+    def failing(states, rows, out, lo, hi):
+        if lo == failing_lo:
+            raise RuntimeError(f"range at {lo}")
+        draw(states, rows, out, lo, hi)
+    monkeypatch.setattr(gaussian, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(gaussian, "_draw_rows", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"range at {failing_lo}"):
+        sample_xi_batch(2, THREADED_DRAW_FLOOR, 4, 1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("args, name", [((0, 4, 2), "n_samples"), ((-1, 4, 2), "n_samples"),
+                                        ((3, -1, 2), "K_mc"), ((3, 4, 0), "d")])
+def test_sample_xi_batch_rejects_empty_shapes(monkeypatch, args, name):
+    def no_draw(*_):
+        raise AssertionError("drew before checking its arguments")
+    monkeypatch.setattr(gaussian, "_draw_rows", no_draw)
+    with pytest.raises(ValueError, match=name):
+        sample_xi_batch(1, *args)
+
+
+def test_quadrature_field_on_2048_points_is_every_other_of_4096():
+    # `quadrature.order` draws its field on its finest grid, 2048 points; the
+    # values are those a 4096-point field stores at its even points.
+    fine, half = sample_loop(26, 600, 4096, 2), sample_loop(26, 600, 2048, 2)
+    assert np.array_equal(half.grid, fine.grid[::2])
+    assert np.array_equal(half.values, fine.values[::2])
+    for n in (256, 512, 1024, 2048):
+        assert np.array_equal(half.coarse(n).values, fine.coarse(n).values)
 
 
 def test_high_seeds_draw_distinct_streams():
