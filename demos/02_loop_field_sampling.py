@@ -7,14 +7,12 @@ covariance of the sampler converges to it.
 """
 
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from loopstar import (green_exponential_form, green_kernel, sample_loop, sample_xi_batch,
                       spectral_green_sum)
-from loopstar.gaussian import GREEN_ALPHA, GREEN_BETA, export_loop_csv, green_diagonal
+from loopstar.gaussian import GREEN_ALPHA, GREEN_BETA, green_diagonal
 
 print("kernel at coincident points:", green_diagonal())
 print("exponential coefficients alpha, beta:", GREEN_ALPHA, GREEN_BETA)
@@ -42,7 +40,3 @@ se = float(np.std(prod, ddof=1)) / math.sqrt(n)
 truth = spectral_green_sum(0.1, 0.3, 32)
 print(f"\nMC covariance at (0.1, 0.3): {emp:.6f} +- {se:.6f}, "
       f"spectral truth {truth:.6f}, z = {abs(emp - truth) / se:.2f}")
-
-with tempfile.TemporaryDirectory() as tmp:
-    meta = export_loop_csv(a, Path(tmp) / "loop.csv")
-    print("\nexported grid values plus sidecar:", meta.name, meta.read_text().strip())

@@ -308,20 +308,13 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
 
 
 def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
-    """Contraction against one basis mode: mu -> mult(mode) * (mu minus one unit)."""
-    out: dict[MultiIndex, int] = {}
-    for mu, c in F._num.items():
-        m = mu.multiplicity(mode)
-        if not m:
-            continue
-        key = mu.remove(mode)
-        v = out.get(key)
-        v = m * c if v is None else v + m * c
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return _reduced(out, F._den)
+    """Contraction against one basis mode: mu -> mult(mode) * (mu minus one unit).
+
+    Removing one unit of the mode is one-to-one on the monomials that hold
+    it, so no two terms meet and every numerator stays nonzero.
+    """
+    return _reduced({mu.remove(mode): m * c for mu, c in F._num.items()
+                     if (m := mu.multiplicity(mode))}, F._den)
 
 
 def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVector:

@@ -17,12 +17,9 @@ and hands it to every check that reads it.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -215,7 +212,6 @@ class LoopSample:
     the grid is never sampled independently of xi.
     """
 
-    seed: int
     xi: np.ndarray                      # (d, 2 K_mc + 1)
     grid: np.ndarray = field(repr=False)     # (M,)
     values: np.ndarray = field(repr=False)   # (M, d)
@@ -256,8 +252,7 @@ class LoopSample:
         if n < 1 or self.M % n:
             raise ValueError(f"grid size {n} must divide the sample resolution M={self.M}")
         step = self.M // n
-        return LoopSample(seed=self.seed, xi=self.xi, grid=self.grid[::step],
-                          values=self.values[::step])
+        return LoopSample(xi=self.xi, grid=self.grid[::step], values=self.values[::step])
 
 
 def sample_loop(seed: int, K_mc: int, M: int, d: int, *,
@@ -277,7 +272,7 @@ def sample_loop(seed: int, K_mc: int, M: int, d: int, *,
         raise ValueError(f"basis of shape {basis.shape} is not the ({2 * K_mc + 1}, {M}) "
                          f"table of K_mc={K_mc} on {M} points")
     values = (xi @ basis).T
-    return LoopSample(seed=seed, xi=xi, grid=grid, values=values)
+    return LoopSample(xi=xi, grid=grid, values=values)
 
 
 def loop_eval(sample: LoopSample, s) -> np.ndarray:
@@ -311,10 +306,10 @@ def increment_variance(s, t, K: int):
 def holder_moment_check(xi: np.ndarray, pairs: Sequence[tuple[float, float]]) -> dict:
     """Monte-Carlo increment moments E|B(t) - B(s)|^2 / |t - s| over the batch `xi`.
 
-    Pairs must satisfy 0 < |t - s| <= 1/2 (a coincident pair contributes
-    ratio 0 by convention).  Returns the rows and the largest ratio; each
-    row carries its standard error and the analytic value d Var / |t - s|
-    implied by the truncated spectral covariance.
+    Every pair must satisfy 0 < |t - s| <= 1/2; any other pair raises
+    ValueError.  Returns the rows and the largest ratio; each row carries
+    its standard error and the analytic value d Var / |t - s| implied by
+    the truncated spectral covariance.
     """
     n_samples, d, K_mc = batch_shape(xi)
     s_pts = np.array([s for s, _ in pairs], dtype=float)
@@ -325,11 +320,8 @@ def holder_moment_check(xi: np.ndarray, pairs: Sequence[tuple[float, float]]) ->
     max_ratio = 0.0
     for j, (s, t) in enumerate(pairs):
         gap = abs(t - s)
-        if gap == 0.0:
-            rows.append({"s": s, "t": t, "ratio": 0.0, "stderr": 0.0, "analytic": 0.0})
-            continue
-        if gap > 0.5:
-            raise ValueError(f"pair separation {gap} exceeds 1/2")
+        if not 0.0 < gap <= 0.5:
+            raise ValueError(f"pair separation {gap} is not in (0, 1/2]")
         delta = E_t[:, j] - E_s[:, j]
         incr = xi @ delta                      # (n_samples, d)
         power = np.sum(incr * incr, axis=1)
@@ -339,24 +331,3 @@ def holder_moment_check(xi: np.ndarray, pairs: Sequence[tuple[float, float]]) ->
         rows.append({"s": s, "t": t, "ratio": est, "stderr": stderr, "analytic": analytic})
         max_ratio = max(max_ratio, est)
     return {"rows": rows, "max_ratio": max_ratio}
-
-
-def export_loop_csv(sample: LoopSample, csv_path: Union[str, Path]) -> Path:
-    """Write the grid values as CSV (s, B_1..B_d) plus a JSON sidecar.
-
-    The sidecar (same stem, .json suffix) records seed, K_mc and M, which
-    is everything needed to regenerate the sample exactly.
-    """
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s"] + [f"B_{c}" for c in range(1, sample.d + 1)])
-        for m in range(sample.M):
-            writer.writerow([repr(float(sample.grid[m]))] +
-                            [repr(float(v)) for v in sample.values[m]])
-    meta_path = csv_path.with_suffix(".json")
-    with open(meta_path, "w") as fh:
-        json.dump({"seed": sample.seed, "K_mc": sample.K_mc, "M": sample.M, "d": sample.d},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return meta_path

@@ -52,10 +52,9 @@ def slot_envelope(freq: int, k: int) -> float:
         raise ValueError("derivative order must be >= 0")
     if freq == 0:
         return 1.0
-    w = TWO_PI * abs(freq)
-    a = norm_const(freq)
-    # (w^o * a) is monotone in o once w >= 1, but check all orders anyway.
-    return max(a * w ** o for o in range(k + 1))
+    # The profile's o-th derivative has sup norm_const * w^o, largest at o = k
+    # since w = 2 pi |freq| > 1.
+    return norm_const(freq) * (TWO_PI * abs(freq)) ** k
 
 
 def connes_norm_upper(F: FockVector, k: int, C: float) -> float:

@@ -8,15 +8,16 @@ instance counts; each suite's `CHECKS` table fixes the counts and
 Seeded checks walk their instances through one loop, `_instances`, which
 returns `instance(rng, i)` for i < n on the check's (seed, label) stream.
 An exact check sums what its instances return, the identities each breaks
-(`_count_failures`); a float check folds its values with `_worst`, which is
-inf once any value is NaN or infinite, so a broken evaluation FAILs instead
-of vanishing.  Three checks keep their own stream, since one loop would
-reorder their draws: `perturbation_bound_search` (family, then pairs),
-`kernel_constant_residuals` and `loop_eval_consistency` (vectorized
-batches).  The continuity-constant searches walk one grid in
-`_constant_search`.  Paired identities always go through two structurally
-different routes (engine vs direct expansion, spectral vs quadrature,
-closed form vs eigen-sum), never through the same code twice.
+(`_count_failures`); a float check folds its values with `_worst`
+(`_worst_residual`), which is inf once any value is NaN or infinite, so a
+broken evaluation FAILs instead of vanishing.  Three checks keep their own
+stream, since one loop would reorder their draws:
+`perturbation_bound_search` (family, then pairs), `kernel_constant_residuals`
+and `loop_eval_consistency` (vectorized batches).  The continuity-constant
+searches walk one grid in `_constant_search`.  Paired identities always go
+through two structurally different routes (engine vs direct expansion,
+spectral vs quadrature, closed form vs eigen-sum), never through the same
+code twice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,11 +37,11 @@ from .chaos import (chaos_eval_quadrature, chaos_eval_spectral, fd_matches_annih
 from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           exp_product_formula_rhs, star_A)
-from .fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
-                   wick_exponential, wick_product)
+from .fock import (Channel, FockVector, HbarSeries, _star_orders, annihilate,
+                   annihilate_general, wick_exponential, wick_product)
 from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape, green_diagonal,
-                       green_exponential_form, green_kernel, holder_moment_check, sample_loop,
-                       sample_xi_batch, spectral_green_sum, uniform_grid)
+                       green_exponential_form, green_kernel, holder_moment_check, loop_eval,
+                       sample_loop, sample_xi_batch, spectral_green_sum, uniform_grid)
 from .modes import LAMBDA, ModeIndex, MultiIndex, mode_range
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
@@ -145,6 +146,12 @@ def _count_failures(seed: int, label: str, n: int,
                     instance: Callable[[np.random.Generator, int], int]) -> dict:
     """An exact check: the identities its n instances break, summed."""
     return {"failures": sum(_instances(seed, label, n, instance)), "n": n}
+
+
+def _worst_residual(seed: int, label: str, n: int,
+                    instance: Callable[[np.random.Generator, int], float]) -> dict:
+    """A float check: the worst value its n instances return."""
+    return {"residual": _worst(_instances(seed, label, n, instance)), "n": n}
 
 
 # C0 values of the continuity-constant grid; the norm search walks the first three.
@@ -272,8 +279,7 @@ def exp_taylor_residual(seed: int, n_instances: int, d: int, K: int, N: int) -> 
         x = sum(float(c) * xi[m] for m, c in gamma.items())
         partial = sum(x ** n / math.factorial(n) for n in range(N + 1))
         return _rel(chaos_eval_spectral(phi, xi), partial)
-    return {"residual": _worst(_instances(seed, "exp-taylor", n_instances, instance)),
-            "n": n_instances}
+    return _worst_residual(seed, "exp-taylor", n_instances, instance)
 
 
 CHECKS["algebra"] = (
@@ -309,8 +315,7 @@ def chaos_spectral_residual(seed: int, n_instances: int, d: int, K: int) -> dict
         xi = random_xi(rng, d, K)
         lhs = chaos_eval_spectral(wick_product(F, G), xi)
         return _rel(lhs, chaos_eval_spectral(F, xi) * chaos_eval_spectral(G, xi))
-    return {"residual": _worst(_instances(seed, "chaos-spectral", n_instances, instance)),
-            "n": n_instances}
+    return _worst_residual(seed, "chaos-spectral", n_instances, instance)
 
 
 def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
@@ -329,8 +334,7 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
         F = random_fock(rng, d, K, 4)
         return _rel(chaos_eval_quadrature(F, samples[i // per]),
                     chaos_eval_spectral(F, xis[i // per]))
-    n = 3 * per
-    return {"residual": _worst(_instances(seed, "chaos-quadrature", n, instance)), "n": n}
+    return _worst_residual(seed, "chaos-quadrature", 3 * per, instance)
 
 
 def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int, n_grid: int) -> dict:
@@ -359,7 +363,8 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     (c/f)^2, so the claim is never weaker than second-order convergence.
     `violations` counts the grids that break their side of the claim plus
     the (c, f) pairs that break the drop; `errors` is each grid's worst
-    error in units of eps * max(1, |value|).
+    error in units of eps * max(1, |value|), and `within` counts the grids
+    whose error is at most the bound.
     """
     K_mc, grids, n_instances = 600, (256, 512, 1024, 2048), 5
     sample = sample_loop(seed + 23, K_mc, max(grids), d)
@@ -380,7 +385,9 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
                       for c, ec, rc in zip(grids, errors, resolved) if not rc
                       for f, ef, rf in zip(grids, errors, resolved) if rf)
     return {"violations": violations, "errors": errors, "grids": list(grids),
-            "resolved": resolved, "bound": QUADRATURE_EPS_BOUND, "n": n_instances}
+            "grid_list": "/".join(map(str, grids)), "resolved": resolved,
+            "within": sum(e <= QUADRATURE_EPS_BOUND for e in errors),
+            "bound": QUADRATURE_EPS_BOUND, "n": n_instances}
 
 
 def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int, K_mc: int) -> dict:
@@ -411,7 +418,7 @@ def fd_linear_residual(seed: int, d: int, K: int, K_mc: int) -> dict:
         mode = random_mode(rng, d, K)
         F = FockVector({MultiIndex(((mode, 1),)): random_fraction(rng), MultiIndex(): Fraction(1)})
         return fd_matches_annihilation(F, sample, {mode: 1.0}, 1e-3)
-    return {"residual": _worst(_instances(seed, "gateaux-linear", 20, instance)), "n": 20}
+    return _worst_residual(seed, "gateaux-linear", 20, instance)
 
 
 def injectivity_stats(seed: int, n_instances: int, d: int, K: int) -> dict:
@@ -422,12 +429,6 @@ def injectivity_stats(seed: int, n_instances: int, d: int, K: int) -> dict:
     r = _count_failures(seed, "injectivity", n_instances, instance)
     r["failures"] += not injectivity_probe(FockVector.zero(), seed)
     return r
-
-
-def _quadrature_order(cfg: RunConfig, seed: int) -> dict:
-    r = quadrature_convergence(seed, cfg.d, cfg.K)
-    return {**r, "grid_list": "/".join(map(str, r["grids"])),
-            "within": sum(e <= r["bound"] for e in r["errors"])}
 
 
 def normal_convergence_failures(seed: int, d: int, K_mc: int) -> dict:
@@ -454,7 +455,8 @@ CHECKS["chaos"] = (
           "within {bound:g} eps where the grid resolves the integrand, shows aliasing error "
           "above that where it does not, and drops the error at least by (n_coarse/n_fine)^2 "
           "from each non-resolving to each resolving grid",
-          _quadrature_order, residual="violations", observed="within"),
+          lambda cfg, seed: quadrature_convergence(seed, cfg.d, cfg.K),
+          residual="violations", observed="within"),
     Check("gateaux.slope", "finite-difference error slope toward the contraction chaos is 2 +- 0.1",
           lambda cfg, seed: gateaux_slope_deviation(seed, 15, cfg.d, cfg.K, cfg.mc.K_mc),
           0.1, Precision.STATISTIC, "deviation"),
@@ -494,7 +496,7 @@ def kernel_spectral_residual(seed: int) -> dict:
         s = float(rng.uniform(0.0, 1.0))
         t = (s + float(rng.uniform(0.05, 0.5))) % 1.0
         return abs(green_kernel(s, t) - spectral_green_sum(s, t, 200))
-    return {"residual": _worst(_instances(seed, "kernel-spectral", 25, instance)), "n": 25}
+    return _worst_residual(seed, "kernel-spectral", 25, instance)
 
 
 def kernel_stationarity_residual(seed: int) -> dict:
@@ -503,7 +505,7 @@ def kernel_stationarity_residual(seed: int) -> dict:
         s, t, u = (float(x) for x in rng.uniform(0.0, 1.0, size=3))
         return _worst((abs(green_kernel(s, t) - green_kernel((s + u) % 1.0, (t + u) % 1.0)),
                        abs(green_kernel(s, t) - green_kernel(t, s))))
-    return {"residual": _worst(_instances(seed, "kernel-stationarity", 25, instance)), "n": 25}
+    return _worst_residual(seed, "kernel-stationarity", 25, instance)
 
 
 def sampler_determinism_failures(seed: int, d: int) -> dict:
@@ -561,14 +563,16 @@ def stationarity_z_score(xi: np.ndarray) -> dict:
     return {"worst": _worst(zs), "n": len(base_pairs)}
 
 
-def covariance_psd_min_eig(K_mc: int) -> tuple[float, int]:
+def covariance_psd_min_eig(K_mc: int) -> dict:
     """Smallest eigenvalue of the spectral covariance matrix on the 64-point grid.
 
-    Returns it with the number of grid points it was measured on.
+    `n` is the number of grid points; the residual is how far the eigenvalue
+    falls below 0.
     """
     E = basis_matrix(K_mc, uniform_grid(64))
     cov = E.T @ E
-    return float(np.min(np.linalg.eigvalsh(cov))), len(cov)
+    min_eig = float(np.min(np.linalg.eigvalsh(cov)))
+    return {"residual": _worst([-min_eig]), "min_eig": min_eig, "n": len(cov)}
 
 
 def holder_p1_z(xi: np.ndarray) -> dict:
@@ -580,10 +584,11 @@ def holder_p1_z(xi: np.ndarray) -> dict:
 
 
 def holder_bounded_ratio(xi: np.ndarray) -> dict:
-    """Ratios stay bounded on a dyadic separation sweep down to small gaps."""
+    """Ratios stay bounded, below 2d, on a dyadic separation sweep down to small gaps."""
+    _, d, _ = batch_shape(xi)
     pairs = [(0.2, 0.2 + 2.0 ** (-j)) for j in range(1, 8)]
     table = holder_moment_check(xi, pairs)
-    return {"max_ratio": table["max_ratio"], "n": len(pairs)}
+    return {"max_ratio": table["max_ratio"], "tolerance": 2.0 * d, "n": len(pairs)}
 
 
 def loop_eval_consistency(seed: int, d: int) -> dict:
@@ -591,7 +596,6 @@ def loop_eval_consistency(seed: int, d: int) -> dict:
 
     The field has K_mc = 32 on a 128-point grid.
     """
-    from .gaussian import loop_eval
     rng = instance_rng(seed, "loop-eval")
     sample = sample_loop(seed + 3, 32, 128, d)
     gaps = [np.max(np.abs(loop_eval(sample, j / 128) - sample.values[j]))
@@ -607,16 +611,6 @@ def _covariance(xi: np.ndarray) -> dict:
     # It and the `lambda xi:` entries look their check up when called, so that a
     # tracer replacing the module attribute (perfbench/layers.py) sees the call.
     return covariance_z_scores(xi)
-
-
-def _covariance_psd(cfg: RunConfig, seed: int) -> dict:
-    min_eig, n = covariance_psd_min_eig(cfg.mc.K_mc)
-    return {"residual": _worst([-min_eig]), "min_eig": min_eig, "n": n}
-
-
-def _holder_bounded(xi: np.ndarray) -> dict:
-    _, d, _ = batch_shape(xi)
-    return {**holder_bounded_ratio(xi), "tolerance": 2.0 * d}
 
 
 CHECKS["gaussian"] = (
@@ -639,12 +633,14 @@ CHECKS["gaussian"] = (
     Check("covariance.stationary", "translated pairs share their covariance within joint MC error",
           lambda xi: stationarity_z_score(xi), 3.0, Precision.STATISTIC, "worst", batch=True),
     Check("covariance.psd", "grid covariance matrix has no eigenvalue below -1e-10",
-          _covariance_psd, 1e-10, Precision.RESIDUAL, "residual", observed="min_eig"),
+          lambda cfg, seed: covariance_psd_min_eig(cfg.mc.K_mc),
+          1e-10, Precision.RESIDUAL, "residual", observed="min_eig"),
     Check("holder.p1", "p=1 increment-moment ratios match the Gaussian closed form within 3 SE",
           lambda xi: holder_p1_z(xi), 3.0, Precision.STATISTIC, "worst", observed="max_ratio",
           batch=True),
     Check("holder.bounded", "increment-moment ratios stay bounded down dyadic separations",
-          _holder_bounded, precision=Precision.STATISTIC, residual="max_ratio", batch=True),
+          lambda xi: holder_bounded_ratio(xi), precision=Precision.STATISTIC,
+          residual="max_ratio", batch=True),
     Check("loop_eval.consistent", "grid hits come from storage and off-grid matches the spectral "
           "dot", lambda cfg, seed: loop_eval_consistency(seed, cfg.d),
           1e-12, Precision.RESIDUAL, "residual"),
@@ -655,7 +651,10 @@ CHECKS["gaussian"] = (
 
 
 def poisson_axiom_failures(seed: int, n_triples: int, form: SymplecticForm) -> dict:
-    """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets."""
+    """Antisymmetry, Leibniz and Jacobi, exact; counts nontrivial brackets.
+
+    Fewer than n_triples // 5 nontrivial brackets counts as one more failure.
+    """
     def instance(rng, i):      # (identities broken, whether {F, G} is nonzero)
         F, G, H = (random_fock(rng, form.d, form.K, 3, dual_fraction=0.5) for _ in range(3))
         fg = poisson_bracket(F, G, form)
@@ -668,8 +667,9 @@ def poisson_axiom_failures(seed: int, n_triples: int, form: SymplecticForm) -> d
             + (not (fg + poisson_bracket(G, F, form)).is_zero()) \
             + (lhs != rhs) + (not jac.is_zero()), not fg.is_zero()
     results = _instances(seed, "poisson-axioms", n_triples, instance)
-    return {"failures": sum(broken for broken, _ in results),
-            "nonzero": sum(nontrivial for _, nontrivial in results), "n": n_triples}
+    nonzero = sum(nontrivial for _, nontrivial in results)
+    return {"failures": sum(broken for broken, _ in results) + (nonzero < n_triples // 5),
+            "nonzero": nonzero, "n": n_triples}
 
 
 def bracket_pair_example_failures(form: SymplecticForm) -> dict:
@@ -726,8 +726,7 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
             rhs += w * _poly_partial_eval(f_terms, mode_f, xi) \
                 * _poly_partial_eval(g_terms, mode_g, xi)
         return _rel(lhs, rhs)
-    return {"residual": _worst(_instances(seed, "chaos-compat", n_instances, instance)),
-            "n": n_instances}
+    return _worst_residual(seed, "chaos-compat", n_instances, instance)
 
 
 def bracket_bound_search(seed: int, n_pairs: int, form: SymplecticForm) -> dict:
@@ -740,14 +739,10 @@ def bracket_bound_search(seed: int, n_pairs: int, form: SymplecticForm) -> dict:
                                     for F, G in pairs], _pair_bound, _SCALES)
 
 
-def _bracket_axioms(cfg: RunConfig, seed: int) -> dict:
-    r = poisson_axiom_failures(seed, 100, resolve_form(cfg))
-    return {**r, "failures": r["failures"] + (r["nonzero"] < r["n"] // 5)}
-
-
 CHECKS["poisson"] = (
     Check("bracket.axioms", "antisymmetry, Leibniz and Jacobi exact (and most brackets nontrivial)",
-          _bracket_axioms, observed="nonzero"),
+          lambda cfg, seed: poisson_axiom_failures(seed, 100, resolve_form(cfg)),
+          observed="nonzero"),
     Check("bracket.pairs",
           "matched primal/dual degree-1 pairs bracket to minus the frequency weight",
           lambda cfg, seed: bracket_pair_example_failures(resolve_form(cfg))),
@@ -781,16 +776,20 @@ def power_law_failures(seed: int, n_instances: int, form: SymplecticForm) -> dic
     return r
 
 
-def moyal_assoc_failures(seed: int, n_triples: int, form: SymplecticForm, R: int) -> dict:
-    """Coefficientwise associativity of the truncated star-product."""
-    channels = form.channels()
+def star_assoc_failures(seed: int, label: str, n_triples: int, channels: Sequence[Channel],
+                        d: int, K: int, R: int) -> dict:
+    """Coefficientwise associativity of the truncated star-product of a channel table.
 
+    Each vector is extended to a series, so every product is `star_series`;
+    on such series it is the star-product itself (`star.series` pins that
+    for the Moyal table).  `label` names the instance stream.
+    """
     def instance(rng, i):
-        F, G, H = (random_fock(rng, form.d, form.K, 3, dual_fraction=0.5) for _ in range(3))
-        left = star_series(moyal_star(F, G, form, R), HbarSeries.from_vector(H, R), channels)
-        right = star_series(HbarSeries.from_vector(F, R), moyal_star(G, H, form, R), channels)
-        return left != right
-    return _count_failures(seed, "moyal-assoc", n_triples, instance)
+        F, G, H = (HbarSeries.from_vector(random_fock(rng, d, K, 3, dual_fraction=0.5), R)
+                   for _ in range(3))
+        return star_series(star_series(F, G, channels), H, channels) \
+            != star_series(F, star_series(G, H, channels), channels)
+    return _count_failures(seed, label, n_triples, instance)
 
 
 def star_series_failures(seed: int, n_instances: int, form: SymplecticForm, R: int) -> dict:
@@ -819,7 +818,9 @@ CHECKS["moyal"] = (
           lambda cfg, seed: power_law_failures(seed, 40, resolve_form(cfg))),
     Check("star.associative", "star-product associativity, coefficientwise and exact, random "
           "triples",
-          lambda cfg, seed: moyal_assoc_failures(seed, 12, resolve_form(cfg), cfg.R)),
+          lambda cfg, seed: star_assoc_failures(seed, "moyal-assoc", 12,
+                                                resolve_form(cfg).channels(), cfg.d, cfg.K,
+                                                cfg.R)),
     Check("star.series", "series product has the unit, reduces to the star, and stays associative",
           lambda cfg, seed: star_series_failures(seed, 8, resolve_form(cfg), min(cfg.R, 3))),
 )
@@ -888,18 +889,6 @@ def zero_is_moyal_failures(seed: int, n_instances: int, d: int, K: int, R: int) 
         G = random_fock(rng, d, K, 3, dual_fraction=0.5)
         return star_A(F, G, zero_A, R) != moyal_star(F, G, unit, R)
     return _count_failures(seed, "zero-moyal", n_instances, instance)
-
-
-def star_A_assoc_failures(seed: int, n_triples: int, A: DiagonalOperatorA, R: int) -> dict:
-    """Associativity of the deformed star via its bilinear series extension."""
-    channels = A.channels
-
-    def instance(rng, i):
-        F, G, H = (random_fock(rng, A.d, A.K, 3, dual_fraction=0.5) for _ in range(3))
-        left = star_series(star_A(F, G, A, R), HbarSeries.from_vector(H, R), channels)
-        right = star_series(HbarSeries.from_vector(F, R), star_A(G, H, A, R), channels)
-        return left != right
-    return _count_failures(seed, "starA-assoc", n_triples, instance)
 
 
 def transform_basics_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
@@ -1026,7 +1015,9 @@ CHECKS["equivalence"] = (
     Check("star.zero_is_moyal", "alpha=0 deformed star equals the unit-pairing star-product",
           lambda cfg, seed: zero_is_moyal_failures(seed, 10, cfg.d, cfg.K, min(cfg.R, 3))),
     Check("star.associative", "deformed star associativity via its series extension, exact",
-          lambda cfg, seed: star_A_assoc_failures(seed, 8, resolve_alpha(cfg), min(cfg.R, 3))),
+          lambda cfg, seed: star_assoc_failures(seed, "starA-assoc", 8,
+                                                resolve_alpha(cfg).channels, cfg.d, cfg.K,
+                                                min(cfg.R, 3))),
     Check("transform.basics", "transform is identity at alpha=0, depth-2, and formally "
           "invertible",
           lambda cfg, seed: transform_basics_failures(seed, 10, resolve_alpha(cfg),

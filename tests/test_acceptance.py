@@ -20,10 +20,10 @@ from loopstar.suites import (chaos_quadrature_residual, chaos_spectral_residual,
                              covariance_z_scores, derivation_failures,
                              gateaux_slope_deviation, holder_p1_z,
                              intertwining_failures, kernel_constant_residuals,
-                             kernel_spectral_residual, moyal_assoc_failures,
-                             poisson_axiom_failures, power_law_failures,
-                             product_formula_failures, quadrature_convergence,
-                             sample_xi_batch, wick_axiom_failures)
+                             kernel_spectral_residual, poisson_axiom_failures,
+                             power_law_failures, product_formula_failures,
+                             quadrature_convergence, sample_xi_batch,
+                             star_assoc_failures, wick_axiom_failures)
 
 SEED = 42
 
@@ -101,7 +101,7 @@ def test_criterion_06_star_product(capsys):
     t0 = time.perf_counter()
     form = SymplecticForm(d=2, K=3, weight_c=Fraction(1))
     laws = power_law_failures(SEED, 50, form)
-    assoc = moyal_assoc_failures(SEED, 50, form, R=4)
+    assoc = star_assoc_failures(SEED, "moyal-assoc", 50, form.channels(), 2, 3, R=4)
     dt = time.perf_counter() - t0
     ok = laws["failures"] == 0 and assoc["failures"] == 0 and dt <= 120.0
     announce(capsys, 6, ok,

@@ -1,11 +1,14 @@
-"""The package keeps no knob that no caller turns, and exports what it imports.
+"""The package keeps no knob that no caller turns, no function that nothing
+reads, and exports what it imports.
 
 A defaulted parameter stays only if a call inside `src/loopstar` sets it
 and another leaves it, or if it is one of the few kept for a stated reason
 below.  Calls are matched by the called name alone (a plain name or the
 attribute after the last dot), so a call of any function of that name
 counts, and a call through a stored reference, such as `check.run(*args)`
-in `run_checks`, is not seen.
+in `run_checks`, is not seen.  A function or method stays only if
+`src/loopstar` reads its name, matched the same way, or `loopstar.__all__`
+exports it.
 """
 
 import ast
@@ -105,6 +108,35 @@ def test_public_names_resolve():
                   if not name.startswith("_") and name not in loopstar.__all__) == []
 
 
+def _defined(module: str, tree: ast.Module):
+    """(label, name) of each function and method `tree` defines, nested ones too."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                yield f"{prefix}{child.name}", child.name
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, f"{module}.")
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names `tree` reads: a plain name, or the attribute after the last dot."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_function_is_read():
+    """A function or method that the package never reads and does not export is dead."""
+    import loopstar
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()), loopstar.__all__)
+    assert sorted(label for module, tree in trees.items() for label, name in _defined(module, tree)
+                  if not (name.startswith("__") and name.endswith("__")) and name not in read) == []
+
+
 def _unread_imports(path: Path) -> list[str]:
     """Names `path` imports and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -126,8 +158,8 @@ def test_no_unread_imports():
 # Modules that importing loopstar loads beyond what numpy has loaded.  Each
 # one is set-up time of every `verify` run; `concurrent.futures`, for one,
 # costs 5-8 ms after numpy (`python -X importtime`) and is not on the list.
-IMPORT_ALLOWED = {"__future__", "_csv", "_decimal", "_json", "copy", "csv", "dataclasses",
-                  "decimal", "fractions", "json", "json.decoder", "json.encoder", "json.scanner"}
+IMPORT_ALLOWED = {"__future__", "_decimal", "_json", "copy", "dataclasses", "decimal",
+                  "fractions", "json", "json.decoder", "json.encoder", "json.scanner"}
 
 IMPORT_CHILD = """\
 import sys

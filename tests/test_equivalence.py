@@ -13,7 +13,7 @@ from loopstar.poisson import SymplecticForm, poisson_bracket, star_series
 from loopstar.rand import instance_rng, random_fock, random_gamma
 from loopstar.suites import (ea_cochain_failures, intertwining_failures,
                              normal_one_sided_failures, product_formula_failures,
-                             star_A_assoc_failures, transform_basics_failures,
+                             star_assoc_failures, transform_basics_failures,
                              zero_is_moyal_failures)
 
 P1 = ModeIndex(1, 1)
@@ -95,7 +95,7 @@ def test_zero_family_star_is_moyal():
 
 def test_star_A_associative_small():
     A = DiagonalOperatorA.family("one", 2, 2)
-    assert star_A_assoc_failures(4, 4, A, 2)["failures"] == 0
+    assert star_assoc_failures(4, "starA-assoc", 4, A.channels, 2, 2, 2)["failures"] == 0
 
 
 def test_transform_alternating_display():

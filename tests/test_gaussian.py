@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 import threading
@@ -8,7 +7,7 @@ import pytest
 
 from loopstar import gaussian
 from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, THREADED_DRAW_FLOOR, basis_matrix,
-                               batch_shape, export_loop_csv, green_diagonal,
+                               batch_shape, green_diagonal,
                                green_exponential_form, green_kernel, holder_moment_check,
                                increment_variance, loop_eval, sample_loop, sample_xi_batch,
                                spectral_green_sum, uniform_grid)
@@ -278,25 +277,14 @@ def test_increment_variance_and_moments():
 def test_holder_moment_check_contract():
     xi = sample_xi_batch(1, 500, 16, 2)
     assert batch_shape(xi) == (500, 2, 16)
-    with pytest.raises(ValueError):
-        holder_moment_check(xi, [(0.0, 0.7)])
-    table = holder_moment_check(xi, [(0.1, 0.1), (0.1, 0.3)])
-    assert len(table["rows"]) == 2 and table["rows"][0]["ratio"] == 0.0
-    row = table["rows"][1]
+    for pair in ((0.0, 0.7), (0.1, 0.1)):
+        with pytest.raises(ValueError):
+            holder_moment_check(xi, [pair])
+    table = holder_moment_check(xi, [(0.1, 0.3)])
+    [row] = table["rows"]
     assert table["max_ratio"] == row["ratio"]
     assert abs(row["ratio"] - row["analytic"]) <= 4 * row["stderr"]
     gap = abs(0.3 - 0.1)
     # E|Z|^2 = d Var for Z ~ N(0, Var I_d), here d = 2.
     assert row["analytic"] == increment_variance(0.1, 0.3, 16) * 2 / gap
 
-
-def test_export_loop_csv_round_trip(tmp_path):
-    sample = sample_loop(4, 4, 8, d=2)
-    meta_path = export_loop_csv(sample, tmp_path / "loop.csv")
-    meta = json.loads(meta_path.read_text())
-    assert meta == {"seed": 4, "K_mc": 4, "M": 8, "d": 2}
-    lines = (tmp_path / "loop.csv").read_text().strip().splitlines()
-    assert lines[0] == "s,B_1,B_2"
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(sample.values[0, 0])

@@ -41,11 +41,11 @@ def test_partition_block_count_against_brute_force(n, k):
 
 def test_slot_envelope_values():
     assert slot_envelope(0, 3) == 1.0
-    f = 2
-    want = max(norm_const(f) * (TWO_PI * f) ** o for o in range(4))
-    assert slot_envelope(f, 3) == pytest.approx(want)
-    assert slot_envelope(-f, 3) == slot_envelope(f, 3)
-    assert slot_envelope(f, 5) >= slot_envelope(f, 3)
+    # Bit for bit the largest envelope over the derivative orders 0..k.
+    for f in range(1, 1001):
+        for k in range(12):
+            want = max(norm_const(f) * (TWO_PI * f) ** o for o in range(k + 1))
+            assert slot_envelope(f, k) == want == slot_envelope(-f, k), (f, k)
 
 
 def test_norm_upper_single_monomial_closed_form():

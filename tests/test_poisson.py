@@ -7,8 +7,8 @@ from loopstar.modes import LAMBDA, VACUUM, ModeIndex, MultiIndex
 from loopstar.poisson import (SymplecticForm, moyal_star, poisson_bracket,
                               poisson_power, star_series)
 from loopstar.suites import (bracket_pair_example_failures, chaos_compatibility_residual,
-                             moyal_assoc_failures, poisson_axiom_failures,
-                             power_law_failures, star_series_failures)
+                             poisson_axiom_failures, power_law_failures,
+                             star_assoc_failures, star_series_failures)
 
 P1 = ModeIndex(1, 1)
 D1 = ModeIndex(1, 1, dual=True)
@@ -142,7 +142,8 @@ def test_moyal_star_structure():
 
 
 def test_moyal_associativity_small():
-    assert moyal_assoc_failures(2, 5, SymplecticForm(2, 2, 1), 3)["failures"] == 0
+    form = SymplecticForm(2, 2, 1)
+    assert star_assoc_failures(2, "moyal-assoc", 5, form.channels(), 2, 2, 3)["failures"] == 0
 
 
 def test_star_series_reduction_and_assoc():
