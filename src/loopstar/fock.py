@@ -213,7 +213,10 @@ class FockVector:
         return FockVector._raw({mu: -c for mu, c in self._num.items()}, self._den)
 
     def scale(self, scalar: Scalar) -> "FockVector":
+        """The vector times `scalar`; the vector itself for 1, as vectors are never mutated."""
         s = coerce_scalar(scalar)
+        if s == 1:
+            return self
         if not s:
             return FockVector.zero()
         p, q = s.numerator, s.denominator

@@ -78,10 +78,6 @@ class MultiIndex(tuple):
     def single(cls, mode: ModeIndex) -> "MultiIndex":
         return cls._raw(((mode, 1),))
 
-    @classmethod
-    def from_modes(cls, modes: Iterable[ModeIndex]) -> "MultiIndex":
-        return cls((m, 1) for m in modes)
-
     @property
     def degree(self) -> int:
         return sum(m for _, m in self)

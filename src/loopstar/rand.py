@@ -7,6 +7,7 @@ independent of execution order.
 
 from __future__ import annotations
 
+import math
 import zlib
 from fractions import Fraction
 
@@ -39,11 +40,6 @@ def random_mode(rng: np.random.Generator, d: int, K: int, dual_fraction: float =
     return ModeIndex(coord, freq, dual)
 
 
-def random_multi_index(rng: np.random.Generator, d: int, K: int, degree: int,
-                       dual_fraction: float) -> MultiIndex:
-    return MultiIndex.from_modes(random_mode(rng, d, K, dual_fraction) for _ in range(degree))
-
-
 def random_fraction(rng: np.random.Generator) -> Fraction:
     num = int(rng.integers(-9, 10))
     if num == 0:
@@ -54,13 +50,26 @@ def random_fraction(rng: np.random.Generator) -> Fraction:
 
 def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
                 n_terms: int = 4, dual_fraction: float = 0.0) -> FockVector:
-    """Random rational vector with small coefficients; never the zero vector."""
+    """Random rational vector with small coefficients; never the zero vector.
+
+    Each term draws its degree, then that many modes as `random_mode` draws
+    them, then its coefficient (`random_fraction`); a monomial drawn again
+    takes the later coefficient.  Modes, monomials and the vector are built
+    through their fast paths, from values that are valid by construction.
+    """
     terms: dict[MultiIndex, Fraction] = {}
     while len(terms) < n_terms:
-        degree = int(rng.integers(0, max_degree + 1))
-        mu = random_multi_index(rng, d, K, degree, dual_fraction)
-        terms[mu] = random_fraction(rng)
-    return FockVector(terms)
+        counts: dict[ModeIndex, int] = {}
+        for _ in range(int(rng.integers(0, max_degree + 1))):
+            mode = tuple.__new__(ModeIndex, (int(rng.integers(1, d + 1)),
+                                             int(rng.integers(-K, K + 1)),
+                                             bool(rng.random() < dual_fraction)))
+            counts[mode] = counts.get(mode, 0) + 1
+        terms[MultiIndex._raw(tuple(sorted(counts.items())))] = random_fraction(rng)
+    # Over the lcm of reduced denominators the numerators share no factor with it.
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return FockVector._raw({mu: c.numerator * (den // c.denominator) for mu, c in terms.items()},
+                           den)
 
 
 def random_xi(rng: np.random.Generator, d: int, K: int,

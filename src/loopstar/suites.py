@@ -18,6 +18,16 @@ searches walk one grid in `_constant_search`.  Paired identities always go
 through two structurally different routes (engine vs direct expansion,
 spectral vs quadrature, closed form vs eigen-sum), never through the same
 code twice.
+
+Where the checks run: the exact suites (`FORKED_SUITES`: algebra, poisson,
+moyal, equivalence) are pure interpreter work, so `run_checks` spreads
+their table over every usable core, one forked child per extra core with
+a fixed share each; since every check opens its own stream, the records
+are the ones a single process makes.  `gaussian` and `chaos` run in the
+calling process: the batch draw already uses every core, and on a 2-vCPU
+machine `chaos` over 6 seeds took 1.43-1.49 s in one process against
+1.68-2.11 s in two, whose BLAS thread pools oversubscribed the cores
+(with one BLAS thread per process the two were about equal).
 """
 
 from __future__ import annotations
@@ -39,9 +49,10 @@ from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, c
                           exp_product_formula_rhs, star_A)
 from .fock import (Channel, FockVector, HbarSeries, _star_orders, annihilate,
                    annihilate_general, wick_exponential, wick_product)
-from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape, green_diagonal,
-                       green_exponential_form, green_kernel, holder_moment_check, loop_eval,
-                       sample_loop, sample_xi_batch, spectral_green_sum, uniform_grid)
+from .gaussian import (GREEN_ALPHA, GREEN_BETA, _usable_cores, basis_matrix, batch_shape,
+                       green_diagonal, green_exponential_form, green_kernel,
+                       holder_moment_check, loop_eval, sample_loop, sample_xi_batch,
+                       spectral_green_sum, uniform_grid)
 from .modes import LAMBDA, ModeIndex, MultiIndex, mode_range
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
@@ -1044,26 +1055,158 @@ CHECKS["equivalence"] = (
 # ------------------------------------------------------------------ runner
 
 
+# Suites whose checks run on every usable core; the module docstring says why these.
+FORKED_SUITES = ("algebra", "poisson", "moyal", "equivalence")
+
+
+def _groups(table: Sequence[Check]) -> list[list[Check]]:
+    """The table cut into runs of entries that share one `run`."""
+    groups: list[list[Check]] = []
+    for check in table:
+        if groups and check.run is groups[-1][0].run:
+            groups[-1].append(check)
+        else:
+            groups.append([check])
+    return groups
+
+
+def _forked(jobs: Sequence[tuple[str, Callable[[], Any]]], processes: int) -> list:
+    """`[job() for _, job in jobs]`, with job k run in process k mod `processes`.
+
+    Process 0 is the caller, so it runs the same jobs on every call; each
+    other is a child forked here, which sends its results through a pipe
+    (`_child`).  Every child is reaped before this returns or raises, and
+    killed first if the caller raises (a job's exception, or
+    KeyboardInterrupt).  A job that raises in a child is raised here,
+    caused by a RuntimeError that names the job and holds the child's
+    traceback text, or as that RuntimeError alone if the exception cannot
+    be pickled.
+    """
+    import os
+    import pickle
+    import signal
+    results = [None] * len(jobs)
+    children: list[tuple[int, int, range]] = []        # (pid, read end, its jobs)
+    payloads = []
+    try:
+        for p in range(1, processes):
+            share = range(p, len(jobs), processes)
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child([jobs[k] for k in share], write)      # never returns
+            os.close(write)
+            children.append((pid, read, share))
+        for k in range(0, len(jobs), processes):
+            results[k] = jobs[k][1]()
+        for _, read, _ in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    for (pid, _, share), payload in zip(children, payloads):
+        if not payload:
+            raise RuntimeError(f"forked worker {pid} sent no results; see its standard error")
+        done, failure = pickle.loads(payload)
+        for k, result in zip(share, done):
+            results[k] = result
+        if failure is not None:
+            name, exc, text = failure
+            remote = RuntimeError(f"{name} raised in forked worker {pid}:\n{text}")
+            if exc is None:
+                raise remote
+            raise exc from remote
+    return results
+
+
+def _child(jobs: Sequence[tuple[str, Callable[[], Any]]], fd: int) -> None:
+    """A forked worker: run `jobs` in turn, send (results, failure) to `fd`, exit.
+
+    A failing job ends the share; `failure` is (job name, exception or None
+    if it does not survive pickling, traceback text).
+    """
+    import os
+    import pickle
+    import traceback
+    status = 1
+    try:
+        done, failure = [], None
+        for name, job in jobs:
+            try:
+                done.append(job())
+            except BaseException as exc:
+                failure = (name, exc, traceback.format_exc())
+                break
+        try:
+            payload = pickle.dumps((done, failure))
+            pickle.loads(payload)      # an exception may pickle and still fail to load
+        except Exception:          # results are plain numbers, so it is the exception
+            name, _, text = failure
+            payload = pickle.dumps((done, (name, None, text)))
+        with os.fdopen(fd, "wb") as out:
+            out.write(payload)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
 def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
     """Run one suite's table: each entry is timed and becomes one record.
+
+    Entries whose `run` is the previous entry's form a group and share its
+    result.  A suite of `FORKED_SUITES` runs its groups through `_forked` on
+    P = min(usable cores, groups) processes when P > 1, `os.fork` exists and
+    no other Python thread is alive (a child forked while another thread
+    holds a lock can deadlock on it); otherwise they run here in turn.  The
+    records are built here in table order and are the same either way,
+    since each check opens its own (seed, label) stream.  A record's
+    `wall_time` is measured in the process that ran it, and a run traced in
+    this process sees only this process's share.
 
     The Monte-Carlo batch is drawn inside the first `batch` entry's time and
     lives only as long as this call.
     """
-    seed, records, previous = cfg.mc.seed, [], None
+    import os
+    import threading
+    seed = cfg.mc.seed
     batch = functools.cache(lambda: sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d))
-    for check in CHECKS[suite]:
-        t0 = time.perf_counter()
-        if check.run is not previous:
-            args = (batch(),) if check.batch else (cfg, seed)
-            previous, result = check.run, check.run(*args)
-        residual = float(result[check.residual])
-        tolerance = result.get("tolerance", check.tolerance)
-        records.append(CheckRecord(
-            suite=suite, check_id=check.id, claim=check.claim.format(**result),
-            residual=residual, tolerance=tolerance, n_instances=result["n"], seed=seed,
-            observed=float(result[check.observed or check.residual]),
-            wall_time=time.perf_counter() - t0, precision=check.precision))
+    groups = _groups(CHECKS[suite])
+
+    def timed(group: list[Check]) -> list[tuple[dict, float]]:
+        """(result, seconds) of each entry of `group`; the entries share one run."""
+        out, result = [], None
+        for check in group:
+            t0 = time.perf_counter()
+            if result is None:
+                result = check.run(*((batch(),) if check.batch else (cfg, seed)))
+            out.append((result, time.perf_counter() - t0))
+        return out
+
+    jobs = [(f"check {suite}/{group[0].id}", functools.partial(timed, group))
+            for group in groups]
+    processes = 1
+    if suite in FORKED_SUITES and hasattr(os, "fork") and threading.active_count() == 1:
+        processes = min(_usable_cores(), len(jobs))
+    # In one process each group's records are made as soon as it has run.
+    results = _forked(jobs, processes) if processes > 1 else (job() for _, job in jobs)
+    records = []
+    for group, outcomes in zip(groups, results):
+        for check, (result, seconds) in zip(group, outcomes):
+            records.append(CheckRecord(
+                suite=suite, check_id=check.id, claim=check.claim.format(**result),
+                residual=float(result[check.residual]),
+                tolerance=result.get("tolerance", check.tolerance), n_instances=result["n"],
+                seed=seed, observed=float(result[check.observed or check.residual]),
+                wall_time=seconds, precision=check.precision))
     return records
 
 
