@@ -113,6 +113,16 @@ class _Terms(Mapping):
         return repr(self._dict())
 
 
+def _common_denominator(terms: dict[MultiIndex, Fraction]) -> tuple[dict, int]:
+    """(numerators, denominator) of nonzero reduced `terms` over the lcm of their denominators.
+
+    Over that lcm the numerators share no factor with it, so the pair is
+    already the canonical storage of `FockVector`.
+    """
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}, den
+
+
 class FockVector:
     """Sparse element of the symmetric algebra: numerators over one denominator.
 
@@ -132,12 +142,8 @@ class FockVector:
             c = coerce_scalar(c)
             if c:
                 clean[mu] = c
-        # Over the lcm of reduced denominators the numerators share no factor with it.
-        den = math.lcm(*(c.denominator for c in clean.values()))
-        num = {mu: c.numerator * (den // c.denominator) for mu, c in clean.items()}
-        self._num = num
-        self._den = den
-        self._terms = _Terms(num, den, clean)
+        self._num, self._den = _common_denominator(clean)
+        self._terms = _Terms(self._num, self._den, clean)
 
     @classmethod
     def _raw(cls, num: dict, den: int) -> "FockVector":

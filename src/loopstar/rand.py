@@ -7,13 +7,12 @@ independent of execution order.
 
 from __future__ import annotations
 
-import math
 import zlib
 from fractions import Fraction
 
 import numpy as np
 
-from .fock import FockVector
+from .fock import FockVector, _common_denominator
 from .modes import ModeIndex, MultiIndex
 
 
@@ -34,10 +33,9 @@ def instance_rng(seed: int, label: str) -> np.random.Generator:
 
 
 def random_mode(rng: np.random.Generator, d: int, K: int, dual_fraction: float = 0.0) -> ModeIndex:
-    coord = int(rng.integers(1, d + 1))
-    freq = int(rng.integers(-K, K + 1))
-    dual = bool(rng.random() < dual_fraction)
-    return ModeIndex(coord, freq, dual)
+    """Draws coord, then freq, then dual; built past `ModeIndex`'s checks, which it passes."""
+    return tuple.__new__(ModeIndex, (int(rng.integers(1, d + 1)), int(rng.integers(-K, K + 1)),
+                                     bool(rng.random() < dual_fraction)))
 
 
 def random_fraction(rng: np.random.Generator) -> Fraction:
@@ -52,24 +50,19 @@ def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
                 n_terms: int = 4, dual_fraction: float = 0.0) -> FockVector:
     """Random rational vector with small coefficients; never the zero vector.
 
-    Each term draws its degree, then that many modes as `random_mode` draws
-    them, then its coefficient (`random_fraction`); a monomial drawn again
-    takes the later coefficient.  Modes, monomials and the vector are built
-    through their fast paths, from values that are valid by construction.
+    Each term draws its degree, then that many modes (`random_mode`), then
+    its coefficient (`random_fraction`); a monomial drawn again takes the
+    later coefficient.  Monomials and the vector are built through their
+    fast paths, from values that are valid by construction.
     """
     terms: dict[MultiIndex, Fraction] = {}
     while len(terms) < n_terms:
         counts: dict[ModeIndex, int] = {}
         for _ in range(int(rng.integers(0, max_degree + 1))):
-            mode = tuple.__new__(ModeIndex, (int(rng.integers(1, d + 1)),
-                                             int(rng.integers(-K, K + 1)),
-                                             bool(rng.random() < dual_fraction)))
+            mode = random_mode(rng, d, K, dual_fraction)
             counts[mode] = counts.get(mode, 0) + 1
         terms[MultiIndex._raw(tuple(sorted(counts.items())))] = random_fraction(rng)
-    # Over the lcm of reduced denominators the numerators share no factor with it.
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return FockVector._raw({mu: c.numerator * (den // c.denominator) for mu, c in terms.items()},
-                           den)
+    return FockVector._raw(*_common_denominator(terms))
 
 
 def random_xi(rng: np.random.Generator, d: int, K: int,

@@ -19,15 +19,18 @@ through two structurally different routes (engine vs direct expansion,
 spectral vs quadrature, closed form vs eigen-sum), never through the same
 code twice.
 
-Where the checks run: the exact suites (`FORKED_SUITES`: algebra, poisson,
-moyal, equivalence) are pure interpreter work, so `run_checks` spreads
-their table over every usable core, one forked child per extra core with
-a fixed share each; since every check opens its own stream, the records
-are the ones a single process makes.  `gaussian` and `chaos` run in the
-calling process: the batch draw already uses every core, and on a 2-vCPU
-machine `chaos` over 6 seeds took 1.43-1.49 s in one process against
-1.68-2.11 s in two, whose BLAS thread pools oversubscribed the cores
-(with one BLAS thread per process the two were about equal).
+Where the checks run: in the calling process, unless `run_suites` is asked
+for more processes (`verify --jobs N`).  Then the exact suites
+(`FORKED_SUITES`: algebra, poisson, moyal, equivalence), which are pure
+interpreter work, spread their table over N processes, N - 1 of them
+forked children, each with a fixed share; since every check opens its own
+stream, the records are the ones a single process makes.  `gaussian` and
+`chaos` stay in the calling process: the batch draw already uses every
+core, and on a 2-vCPU machine `chaos` over 6 seeds took 1.43-1.49 s in one
+process against 1.68-2.11 s in two, whose BLAS thread pools oversubscribed
+the cores (with one BLAS thread per process the two were about equal).
+One process is the default because a tracer that wraps functions in the
+calling process, as perfbench's does, would miss every child's calls.
 """
 
 from __future__ import annotations
@@ -49,10 +52,9 @@ from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, c
                           exp_product_formula_rhs, star_A)
 from .fock import (Channel, FockVector, HbarSeries, _star_orders, annihilate,
                    annihilate_general, wick_exponential, wick_product)
-from .gaussian import (GREEN_ALPHA, GREEN_BETA, _usable_cores, basis_matrix, batch_shape,
-                       green_diagonal, green_exponential_form, green_kernel,
-                       holder_moment_check, loop_eval, sample_loop, sample_xi_batch,
-                       spectral_green_sum, uniform_grid)
+from .gaussian import (GREEN_ALPHA, GREEN_BETA, basis_matrix, batch_shape, green_diagonal,
+                       green_exponential_form, green_kernel, holder_moment_check, loop_eval,
+                       sample_loop, sample_xi_batch, spectral_green_sum, uniform_grid)
 from .modes import LAMBDA, ModeIndex, MultiIndex, mode_range
 from .norms import connes_norm_upper
 from .poisson import SymplecticForm, moyal_star, poisson_bracket, poisson_power, star_series
@@ -1055,7 +1057,8 @@ CHECKS["equivalence"] = (
 # ------------------------------------------------------------------ runner
 
 
-# Suites whose checks run on every usable core; the module docstring says why these.
+# Suites whose checks `run_checks` may spread over processes; the module
+# docstring says why these.
 FORKED_SUITES = ("algebra", "poisson", "moyal", "equivalence")
 
 
@@ -1075,17 +1078,19 @@ def _forked(jobs: Sequence[tuple[str, Callable[[], Any]]], processes: int) -> li
 
     Process 0 is the caller, so it runs the same jobs on every call; each
     other is a child forked here, which sends its results through a pipe
-    (`_child`).  Every child is reaped before this returns or raises, and
-    killed first if the caller raises (a job's exception, or
-    KeyboardInterrupt).  A job that raises in a child is raised here,
-    caused by a RuntimeError that names the job and holds the child's
-    traceback text, or as that RuntimeError alone if the exception cannot
-    be pickled.
+    (`_child`).  A process stops at its first job that raises, and of the
+    jobs that raised, the first in `jobs` order is raised here once every
+    child has been reaped, as a one-process loop would raise it.  One from
+    a child is caused by a RuntimeError that names the job and holds the
+    child's traceback text, or is that RuntimeError alone if the exception
+    cannot be pickled.  Anything else the caller raises (KeyboardInterrupt)
+    kills the children, reaps them and propagates.
     """
     import os
     import pickle
     import signal
     results = [None] * len(jobs)
+    raised: dict[int, BaseException] = {}              # job index -> its exception
     children: list[tuple[int, int, range]] = []        # (pid, read end, its jobs)
     payloads = []
     try:
@@ -1099,7 +1104,11 @@ def _forked(jobs: Sequence[tuple[str, Callable[[], Any]]], processes: int) -> li
             os.close(write)
             children.append((pid, read, share))
         for k in range(0, len(jobs), processes):
-            results[k] = jobs[k][1]()
+            try:
+                results[k] = jobs[k][1]()
+            except Exception as exc:
+                raised[k] = exc
+                break
         for _, read, _ in children:
             with open(read, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
@@ -1113,16 +1122,20 @@ def _forked(jobs: Sequence[tuple[str, Callable[[], Any]]], processes: int) -> li
             os.waitpid(pid, 0)
     for (pid, _, share), payload in zip(children, payloads):
         if not payload:
-            raise RuntimeError(f"forked worker {pid} sent no results; see its standard error")
+            raised[share[0]] = RuntimeError(
+                f"forked worker {pid} sent no results; see its standard error")
+            continue
         done, failure = pickle.loads(payload)
         for k, result in zip(share, done):
             results[k] = result
         if failure is not None:
             name, exc, text = failure
             remote = RuntimeError(f"{name} raised in forked worker {pid}:\n{text}")
-            if exc is None:
-                raise remote
-            raise exc from remote
+            if exc is not None:
+                exc.__cause__ = remote
+            raised[share[len(done)]] = remote if exc is None else exc
+    if raised:
+        raise raised[min(raised)]
     return results
 
 
@@ -1159,24 +1172,23 @@ def _child(jobs: Sequence[tuple[str, Callable[[], Any]]], fd: int) -> None:
         os._exit(status)
 
 
-def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
+def run_checks(suite: str, cfg: RunConfig, processes: int = 1) -> list[CheckRecord]:
     """Run one suite's table: each entry is timed and becomes one record.
 
     Entries whose `run` is the previous entry's form a group and share its
-    result.  A suite of `FORKED_SUITES` runs its groups through `_forked` on
-    P = min(usable cores, groups) processes when P > 1, `os.fork` exists and
-    no other Python thread is alive (a child forked while another thread
-    holds a lock can deadlock on it); otherwise they run here in turn.  The
-    records are built here in table order and are the same either way,
-    since each check opens its own (seed, label) stream.  A record's
-    `wall_time` is measured in the process that ran it, and a run traced in
-    this process sees only this process's share.
+    result.  Asked for `processes` > 1, a suite of `FORKED_SUITES` runs its
+    groups through `_forked` on min(`processes`, groups) processes, provided
+    `os.fork` exists and no other Python thread is alive (a child forked
+    while another thread holds a lock can deadlock on it).  Otherwise every
+    group runs here in turn and its records are made as soon as it has run,
+    so a per-check clock in this process reads each check as it ends (the
+    module docstring says why one process is the default).  The records
+    are the same either way, since each check opens its own (seed, label)
+    stream; a record's `wall_time` is measured in the process that ran it.
 
     The Monte-Carlo batch is drawn inside the first `batch` entry's time and
     lives only as long as this call.
     """
-    import os
-    import threading
     seed = cfg.mc.seed
     batch = functools.cache(lambda: sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d))
     groups = _groups(CHECKS[suite])
@@ -1193,9 +1205,12 @@ def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
 
     jobs = [(f"check {suite}/{group[0].id}", functools.partial(timed, group))
             for group in groups]
-    processes = 1
-    if suite in FORKED_SUITES and hasattr(os, "fork") and threading.active_count() == 1:
-        processes = min(_usable_cores(), len(jobs))
+    processes = min(processes, len(jobs)) if suite in FORKED_SUITES else 1
+    if processes > 1:
+        import os
+        import threading
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            processes = 1
     # In one process each group's records are made as soon as it has run.
     results = _forked(jobs, processes) if processes > 1 else (job() for _, job in jobs)
     records = []
@@ -1213,15 +1228,20 @@ def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
 SUITE_RUNNERS = {suite: functools.partial(run_checks, suite) for suite in CHECKS}
 
 
-def run_suites(cfg: RunConfig) -> VerificationReport:
+def run_suites(cfg: RunConfig, processes: int = 1) -> VerificationReport:
     """Execute the configured suites, one record per check.
 
-    A check that does not hold becomes a FAIL record; a zero-variance
-    Monte-Carlo batch is one (its z-scores are inf).  An exception raised
-    inside a check is not caught and ends the run.
+    `processes` > 1 spreads the exact suites' checks over that many
+    processes (`run_checks`); the report is the same.  A check that does
+    not hold becomes a FAIL record; a zero-variance Monte-Carlo batch is
+    one (its z-scores are inf).  An exception raised inside a check is not
+    caught and ends the run.
     """
+    # A runner gets the config alone unless more processes are asked for,
+    # so a wrapper of the one-argument runner (perfbench's tracer) still fits.
+    extra = (processes,) if processes > 1 else ()
     records = []
     for name in cfg.suites:
-        records.extend(SUITE_RUNNERS[name](cfg))
+        records.extend(SUITE_RUNNERS[name](cfg, *extra))
     return VerificationReport(records=records, config=config_echo(cfg),
                               versions=package_versions())

@@ -24,11 +24,13 @@ ALLOWED = {
     "modes.profile_table(order)",                   # pinned bit for bit to mode_profile(order)
     "suites.product_formula_failures(N)",           # the acceptance gate sets its scale through N
     "suites.product_formula_failures(R)",           # the acceptance gate sets its scale through R
+    "suites.run_checks(processes)",                 # run_suites sets it through SUITE_RUNNERS
 }
 
 # Defaulted parameters that every call inside the package sets, each with its reason.
 KEPT = {
     "config.parse_config(where)",                   # a document read from no file has no path
+    "suites.run_suites(processes)",                 # library callers and perfbench run in one
 }
 
 

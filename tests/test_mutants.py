@@ -99,14 +99,13 @@ def test_mutant_patched_here_is_caught_in_a_forked_child(monkeypatch):
     """A mutant patched in this process reaches the copy of the engine a child runs."""
     make, attr, modules, suite, catchers = MUTANTS["every form weight negated"]
     ids = [group[0].id for group in suites._groups(suites.CHECKS[suite])]
-    # With two cores group k runs in process k mod 2; process 1 is the child.
+    # On two processes group k runs in process k mod 2; process 1 is the child.
     assert all(ids.index(c) % 2 == 1 for c in catchers)
     mutant = make(getattr(modules[0], attr))
     for module in modules:
         monkeypatch.setattr(module, attr, mutant)
-    monkeypatch.setattr(suites, "_usable_cores", lambda: 2)
     forks = _counting_forks(monkeypatch)
-    records = suites.run_checks(suite, parse_config(LIGHT_DOC))
+    records = suites.run_checks(suite, parse_config(LIGHT_DOC), 2)
     _assert_no_child_left()
     assert len(forks) == 1
     failures = {r.check_id: r.residual for r in records if r.precision is None}

@@ -251,45 +251,51 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_bodies_are_byte_identical_at_every_core_count(monkeypatch):
-    """The exact suites fork one worker per extra core and write the same body at 1, 2, 3."""
+def test_forked_bodies_are_byte_identical_at_every_process_count(monkeypatch):
+    """The exact suites fork one worker per extra process and write the same body at 1, 2, 3."""
     cfg = parse_config({**LIGHT_DOC, "suites": list(suites.FORKED_SUITES)})
     bodies = []
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(suites, "_usable_cores", lambda: cores)
+    for processes in (1, 2, 3):
         forks = _counting_forks(monkeypatch)
-        bodies.append(canonical_json(report_to_dict(run_suites(cfg))))
+        bodies.append(canonical_json(report_to_dict(run_suites(cfg, processes))))
         _assert_no_child_left()
-        assert len(forks) == sum(min(cores, len(suites._groups(suites.CHECKS[name]))) - 1
+        assert len(forks) == sum(min(processes, len(suites._groups(suites.CHECKS[name]))) - 1
                                  for name in cfg.suites)
     assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
 
 
+def test_one_process_unless_asked_and_for_the_float_suites(monkeypatch):
+    """No fork by default, nor for gaussian and chaos, whatever is asked."""
+    forks = _counting_forks(monkeypatch)
+    run_suites(parse_config({**LIGHT_DOC, "suites": ["moyal"]}))
+    run_suites(parse_config({**LIGHT_DOC, "suites": ["gaussian", "chaos"]}), 3)
+    assert forks == []
+
+
 def test_another_live_thread_keeps_the_checks_in_this_process(monkeypatch):
     """A child forked while another thread holds a lock could deadlock on it."""
-    monkeypatch.setattr(suites, "_usable_cores", lambda: 2)
     forks = _counting_forks(monkeypatch)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        records = suites.run_checks("moyal", parse_config(LIGHT_DOC))
+        records = suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
     finally:
         release.set()
         waiter.join()
     assert forks == [] and len(records) == len(suites.CHECKS["moyal"])
 
 
-def _raising_table(monkeypatch, failing: int, raised: BaseException, slow: int = -1):
-    """Replace the moyal table by three trivial checks; entry `failing` raises `raised`.
+def _raising_table(monkeypatch, failing: dict, slow: int = -1):
+    """Replace the moyal table by three trivial checks; entry k raises `failing[k]`.
 
-    With two cores, entries 0 and 2 run in this process and entry 1 in a
-    forked child.  Entry `slow` sleeps far longer than any test may take.
+    Run on two processes, entries 0 and 2 run in this process and entry 1 in
+    a forked child.  Entry `slow` sleeps far longer than any test may take.
     """
     def run(k):
         def check(cfg, seed):
-            if k == failing:
-                raise raised
+            if k in failing:
+                raise failing[k]
             if k == slow:
                 time.sleep(60)
             return {"failures": 0, "n": 1}
@@ -297,16 +303,17 @@ def _raising_table(monkeypatch, failing: int, raised: BaseException, slow: int =
 
     monkeypatch.setitem(suites.CHECKS, "moyal",
                         tuple(suites.Check(f"c{k}", "trivial", run(k)) for k in range(3)))
-    monkeypatch.setattr(suites, "_usable_cores", lambda: 2)
 
 
-@pytest.mark.parametrize("failing", [0, 1], ids=["in-parent", "in-child"])
+@pytest.mark.parametrize("failing", [[0], [1], [1, 2], [0, 1]],
+                         ids=["in-parent", "in-child", "child-first", "parent-first"])
 def test_check_exception_reaches_caller_after_every_child_is_reaped(monkeypatch, failing):
-    _raising_table(monkeypatch, failing, ValueError(f"boom {failing}"))
-    with pytest.raises(ValueError, match=f"boom {failing}") as caught:
-        suites.run_checks("moyal", parse_config(LIGHT_DOC))
+    """The first raising entry in table order wins, wherever each one ran."""
+    _raising_table(monkeypatch, {k: ValueError(f"boom {k}") for k in failing})
+    with pytest.raises(ValueError, match=f"boom {failing[0]}") as caught:
+        suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
     _assert_no_child_left()
-    if failing == 1:        # the child's traceback text rides along as the cause
+    if failing[0] == 1:        # the child's traceback text rides along as the cause
         cause = str(caught.value.__cause__)
         assert "check moyal/c1 raised in forked worker" in cause and "Traceback" in cause
 
@@ -327,17 +334,17 @@ def _local_error():
 @pytest.mark.parametrize("raised", [_local_error(), _TwoArgError("loads", "fails")],
                          ids=["no-dump", "no-load"])
 def test_unpicklable_child_exception_arrives_named_with_its_traceback(monkeypatch, raised):
-    _raising_table(monkeypatch, 1, raised)
+    _raising_table(monkeypatch, {1: raised})
     with pytest.raises(RuntimeError, match="check moyal/c1 raised in forked worker") as caught:
-        suites.run_checks("moyal", parse_config(LIGHT_DOC))
+        suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
     _assert_no_child_left()
     assert f"{type(raised).__name__}: {raised}" in str(caught.value)
 
 
 def test_keyboard_interrupt_kills_and_reaps_the_children(monkeypatch):
-    _raising_table(monkeypatch, 0, KeyboardInterrupt(), slow=1)
+    _raising_table(monkeypatch, {0: KeyboardInterrupt()}, slow=1)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        suites.run_checks("moyal", parse_config(LIGHT_DOC))
+        suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
     _assert_no_child_left()
     assert time.perf_counter() - t0 < 30         # the sleeping child was killed
