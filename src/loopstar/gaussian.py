@@ -12,18 +12,20 @@ shared buffer of one coordinate, 1/d of the result's memory.
 The Monte-Carlo diagnostics take an already drawn batch `xi` as their
 only sample input and read its size, dimension and cutoff from its shape
 (`batch_shape`), so one verification run draws each Monte-Carlo batch once
-and hands it to every check that reads it.
+and hands it to every check that reads it.  A sampled field's grid values
+are its spectral sum computed by one inverse FFT, equal to the product of
+its coefficients with the profile table to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .modes import ModeIndex, profile_table
+from .modes import ModeIndex, norm_const, profile_table
 from .rand import philox_key
 
 # Coefficients of e^{-x} and e^{x} in the closed-form kernel on one period.
@@ -208,8 +210,10 @@ def uniform_grid(M: int) -> np.ndarray:
 class LoopSample:
     """One realized field: spectral coefficients plus derived grid values.
 
-    values[m] is exactly the spectral recombination at grid point m / M;
-    the grid is never sampled independently of xi.
+    values[m] is the spectral recombination at grid point m / M, summed by
+    one inverse FFT (`sample_loop`), so it equals the product of xi with
+    the profile table to rounding; the grid is never sampled independently
+    of xi.
     """
 
     xi: np.ndarray                      # (d, 2 K_mc + 1)
@@ -255,24 +259,34 @@ class LoopSample:
         return LoopSample(xi=self.xi, grid=self.grid[::step], values=self.values[::step])
 
 
-def sample_loop(seed: int, K_mc: int, M: int, d: int, *,
-                basis: Optional[np.ndarray] = None) -> LoopSample:
+def sample_loop(seed: int, K_mc: int, M: int, d: int) -> LoopSample:
     """Draw one field and materialize it on the uniform M-point grid.
 
-    `basis`, if given, is `basis_matrix(K_mc, uniform_grid(M))` already
-    built, so that several fields on one grid share one table.
+    The values are the spectral sum by one inverse FFT.  With c_k =
+    norm_const(k), the profiles c_k cos(2 pi k s) and c_k sin(2 pi k s)
+    of frequencies k and -k give e^{2 pi i k s} the coefficient
+    a_k = c_k (xi_k - i xi_{-k}) / 2 and e^{-2 pi i k s} its conjugate;
+    a_0 = xi_0.  On the grid, e^{2 pi i k m / M} depends on k mod M only,
+    so each a_k is added into bin k mod M (any M >= 2, aliased or not),
+    and the half spectrum goes through an unscaled inverse real FFT.  The
+    values equal `(xi @ basis_matrix(K_mc, grid)).T` to rounding, without
+    building that (2 K_mc + 1, M) table.
     """
     if K_mc < 1 or M < 2 or d < 1:
         raise ValueError("need K_mc >= 1, M >= 2, d >= 1")
     xi = sample_xi_batch(seed, 1, K_mc, d)[0]
-    grid = uniform_grid(M)
-    if basis is None:
-        basis = basis_matrix(K_mc, grid)
-    elif basis.shape != (2 * K_mc + 1, M):
-        raise ValueError(f"basis of shape {basis.shape} is not the ({2 * K_mc + 1}, {M}) "
-                         f"table of K_mc={K_mc} on {M} points")
-    values = (xi @ basis).T
-    return LoopSample(xi=xi, grid=grid, values=values)
+    half = 0.5 * np.array([norm_const(k) for k in range(1, K_mc + 1)])
+    positive = (xi[:, K_mc + 1:] - 1j * xi[:, K_mc - 1::-1]) * half    # a_1..a_K_mc
+    # Frequencies -K_mc..K_mc in order, padded to whole periods of M bins.
+    width = 2 * K_mc + 1
+    spectrum = np.zeros((d, -(-width // M) * M), dtype=complex)
+    spectrum[:, K_mc] = xi[:, K_mc]
+    spectrum[:, K_mc + 1:width] = positive
+    spectrum[:, K_mc - 1::-1] = positive.conj()
+    # Entry j holds frequency j - K_mc, so bin b sums the column (b + K_mc) mod M.
+    bins = np.roll(spectrum.reshape(d, -1, M).sum(axis=1), -K_mc, axis=1)
+    values = np.fft.irfft(bins[:, :M // 2 + 1], n=M, axis=1, norm="forward").T
+    return LoopSample(xi=xi, grid=uniform_grid(M), values=values)
 
 
 def loop_eval(sample: LoopSample, s) -> np.ndarray:
@@ -307,27 +321,32 @@ def holder_moment_check(xi: np.ndarray, pairs: Sequence[tuple[float, float]]) ->
     """Monte-Carlo increment moments E|B(t) - B(s)|^2 / |t - s| over the batch `xi`.
 
     Every pair must satisfy 0 < |t - s| <= 1/2; any other pair raises
-    ValueError.  Returns the rows and the largest ratio; each row carries
-    its standard error and the analytic value d Var / |t - s| implied by
-    the truncated spectral covariance.
+    ValueError before anything is computed.  Returns the rows and the
+    largest ratio; each row carries its standard error and the analytic
+    value d Var / |t - s| implied by the truncated spectral covariance.
+    The increments of all pairs come from one product of the batch with
+    the (2 K_mc + 1, P) table of profile differences.
     """
+    gaps = [abs(t - s) for s, t in pairs]
+    for gap in gaps:
+        if not 0.0 < gap <= 0.5:
+            raise ValueError(f"pair separation {gap} is not in (0, 1/2]")
     n_samples, d, K_mc = batch_shape(xi)
     s_pts = np.array([s for s, _ in pairs], dtype=float)
     t_pts = np.array([t for _, t in pairs], dtype=float)
-    E_s, E_t = basis_matrix(K_mc, s_pts), basis_matrix(K_mc, t_pts)
+    delta = basis_matrix(K_mc, t_pts) - basis_matrix(K_mc, s_pts)
+    incr = (xi.reshape(-1, 2 * K_mc + 1) @ delta).reshape(n_samples, d, len(pairs))
+    # One contiguous row of n_samples per pair, as a per-pair reduction reads it.
+    power = np.ascontiguousarray(np.sum(incr * incr, axis=1).T)
+    means = np.mean(power, axis=1)
+    stds = np.std(power, axis=1, ddof=1)
     variances = increment_variance(s_pts, t_pts, K_mc)
     rows = []
     max_ratio = 0.0
-    for j, (s, t) in enumerate(pairs):
-        gap = abs(t - s)
-        if not 0.0 < gap <= 0.5:
-            raise ValueError(f"pair separation {gap} is not in (0, 1/2]")
-        delta = E_t[:, j] - E_s[:, j]
-        incr = xi @ delta                      # (n_samples, d)
-        power = np.sum(incr * incr, axis=1)
-        est = float(np.mean(power)) / gap
-        stderr = float(np.std(power, ddof=1)) / math.sqrt(n_samples) / gap
-        analytic = float(variances[j]) * d / gap
+    for (s, t), gap, mean, std, variance in zip(pairs, gaps, means, stds, variances):
+        est = float(mean) / gap
+        stderr = float(std) / math.sqrt(n_samples) / gap
+        analytic = float(variance) * d / gap
         rows.append({"s": s, "t": t, "ratio": est, "stderr": stderr, "analytic": analytic})
         max_ratio = max(max_ratio, est)
     return {"rows": rows, "max_ratio": max_ratio}

@@ -13,7 +13,8 @@ import pytest
 import loopstar
 import loopstar.suites as suites
 from loopstar.config import parse_config
-from loopstar.report import canonical_json, report_to_dict, text_summary
+from loopstar.gaussian import basis_matrix, batch_shape, increment_variance, sample_xi_batch
+from loopstar.report import Precision, canonical_json, report_to_dict, text_summary
 from loopstar.suites import SUITE_RUNNERS, run_suites
 
 REPO = Path(__file__).resolve().parents[1]
@@ -111,6 +112,55 @@ def test_monte_carlo_gates_catch_a_perturbed_batch():
     assert over_gate("covariance.same_coord", 1.05 * xi) > 3.0
     assert over_gate("holder.p1", 1.05 * xi) > 3.0
     assert over_gate("covariance.cross_coord", mixed) > 3.0
+
+
+def _holder_per_pair(xi, pairs):
+    """`holder_moment_check` as one product per pair, the route it replaced."""
+    n_samples, d, K_mc = batch_shape(xi)
+    s_pts = numpy.array([s for s, _ in pairs])
+    t_pts = numpy.array([t for _, t in pairs])
+    E_s, E_t = basis_matrix(K_mc, s_pts), basis_matrix(K_mc, t_pts)
+    variances = increment_variance(s_pts, t_pts, K_mc)
+    rows = []
+    for j, (s, t) in enumerate(pairs):
+        gap = abs(t - s)
+        incr = xi @ (E_t[:, j] - E_s[:, j])
+        power = numpy.sum(incr * incr, axis=1)
+        rows.append({"ratio": float(numpy.mean(power)) / gap,
+                     "stderr": float(numpy.std(power, ddof=1)) / math.sqrt(n_samples) / gap,
+                     "analytic": float(variances[j]) * d / gap})
+    return {"rows": rows, "max_ratio": max(row["ratio"] for row in rows)}
+
+
+def _stationarity_per_pair(xi):
+    """`stationarity_z_score` as one tensordot over both coordinates per base pair."""
+    n_samples, _, K_mc = batch_shape(xi)
+    zs = []
+    for s, t in [(0.05, 0.25), (0.1, 0.45), (0.3, 0.62)]:
+        E = basis_matrix(K_mc, numpy.array([s, t, (s + 0.31) % 1.0, (t + 0.31) % 1.0]))
+        vals = numpy.tensordot(xi, E, axes=([2], [0]))
+        p1 = vals[:, 0, 0] * vals[:, 0, 1]
+        p2 = vals[:, 0, 2] * vals[:, 0, 3]
+        se = math.sqrt(numpy.var(p1, ddof=1) / n_samples + numpy.var(p2, ddof=1) / n_samples)
+        zs.append(suites._z(float(numpy.mean(p1) - numpy.mean(p2)), se))
+    return suites._worst(zs)
+
+
+@pytest.mark.parametrize("seed", [42, 3, 7, 1000, 1001])
+def test_one_product_statistics_write_the_per_pair_values(monkeypatch, seed):
+    """The Hölder and stationarity statistics, formed in one product, write what
+    one product per pair writes: their routes differ by rounding only."""
+    write = Precision.STATISTIC.write
+    xi = sample_xi_batch(seed, 20000, 64, 2)
+    new = (suites.holder_p1_z(xi), suites.holder_bounded_ratio(xi),
+           suites.stationarity_z_score(xi)["worst"])
+    monkeypatch.setattr(suites, "holder_moment_check", _holder_per_pair)
+    old = (suites.holder_p1_z(xi), suites.holder_bounded_ratio(xi), _stationarity_per_pair(xi))
+    pairs = [(new[0]["worst"], old[0]["worst"]), (new[0]["max_ratio"], old[0]["max_ratio"]),
+             (new[1]["max_ratio"], old[1]["max_ratio"]), (new[2], old[2])]
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-12)
+        assert write(got, 3.0) == write(want, 3.0)
 
 
 def test_report_embeds_config_echo(light_report):
