@@ -225,7 +225,12 @@ def test_sample_loop_values_are_the_table_product(K_mc, M):
         assert (sample.M, sample.d, sample.K_mc) == (M, 2, K_mc)
 
 
-def test_sample_loop_rejects_empty_shapes():
+def test_sample_loop_values_are_spectral():
+    sample = sample_loop(3, 8, 64, d=2)
+    E = basis_matrix(8, sample.grid)
+    assert np.max(np.abs(sample.values - (sample.xi @ E).T)) <= FIELD_ABS_TOL
+    assert sample.M == 64
+    assert (sample.d, sample.K_mc) == (2, 8)
     with pytest.raises(ValueError):
         sample_loop(3, 0, 64, d=2)
     with pytest.raises(ValueError):
