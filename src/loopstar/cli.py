@@ -30,17 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "beside it; PATH itself must not end in .txt)")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the configured seed")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run the exact suites' checks on N processes (default 1); "
-                             "the report is the same")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -57,7 +51,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_suites(cfg, args.jobs)
+    report = run_suites(cfg)
     if out_path is not None:
         emit_report(report, out_path)
     print(text_summary(report))

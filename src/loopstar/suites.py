@@ -18,19 +18,6 @@ searches walk one grid in `_constant_search`.  Paired identities always go
 through two structurally different routes (engine vs direct expansion,
 spectral vs quadrature, closed form vs eigen-sum), never through the same
 code twice.
-
-Where the checks run: in the calling process, unless `run_suites` is asked
-for more processes (`verify --jobs N`).  Then the exact suites
-(`FORKED_SUITES`: algebra, poisson, moyal, equivalence), which are pure
-interpreter work, spread their table over N processes, N - 1 of them
-forked children, each with a fixed share; since every check opens its own
-stream, the records are the ones a single process makes.  `gaussian` and
-`chaos` stay in the calling process: the batch draw already uses every
-core, and on a 2-vCPU machine `chaos` over 6 seeds took 1.43-1.49 s in one
-process against 1.68-2.11 s in two, whose BLAS thread pools oversubscribed
-the cores (with one BLAS thread per process the two were about equal).
-One process is the default because a tracer that wraps functions in the
-calling process, as perfbench's does, would miss every child's calls.
 """
 
 from __future__ import annotations
@@ -1056,191 +1043,41 @@ CHECKS["equivalence"] = (
 # ------------------------------------------------------------------ runner
 
 
-# Suites whose checks `run_checks` may spread over processes; the module
-# docstring says why these.
-FORKED_SUITES = ("algebra", "poisson", "moyal", "equivalence")
-
-
-def _groups(table: Sequence[Check]) -> list[list[Check]]:
-    """The table cut into runs of entries that share one `run`."""
-    groups: list[list[Check]] = []
-    for check in table:
-        if groups and check.run is groups[-1][0].run:
-            groups[-1].append(check)
-        else:
-            groups.append([check])
-    return groups
-
-
-def _forked(jobs: Sequence[tuple[str, Callable[[], Any]]], processes: int) -> list:
-    """`[job() for _, job in jobs]`, with job k run in process k mod `processes`.
-
-    Process 0 is the caller, so it runs the same jobs on every call; each
-    other is a child forked here, which sends its results through a pipe
-    (`_child`).  A process stops at its first job that raises, and of the
-    jobs that raised, the first in `jobs` order is raised here once every
-    child has been reaped, as a one-process loop would raise it.  One from
-    a child is caused by a RuntimeError that names the job and holds the
-    child's traceback text, or is that RuntimeError alone if the exception
-    cannot be pickled.  Anything else the caller raises (KeyboardInterrupt)
-    kills the children, reaps them and propagates.
-    """
-    import os
-    import pickle
-    import signal
-    results = [None] * len(jobs)
-    raised: dict[int, BaseException] = {}              # job index -> its exception
-    children: list[tuple[int, int, range]] = []        # (pid, read end, its jobs)
-    payloads = []
-    try:
-        for p in range(1, processes):
-            share = range(p, len(jobs), processes)
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                _child([jobs[k] for k in share], write)      # never returns
-            os.close(write)
-            children.append((pid, read, share))
-        for k in range(0, len(jobs), processes):
-            try:
-                results[k] = jobs[k][1]()
-            except Exception as exc:
-                raised[k] = exc
-                break
-        for _, read, _ in children:
-            with open(read, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read, _ in children:
-            os.close(read)
-            os.waitpid(pid, 0)
-    for (pid, _, share), payload in zip(children, payloads):
-        if not payload:
-            raised[share[0]] = RuntimeError(
-                f"forked worker {pid} sent no results; see its standard error")
-            continue
-        done, failure = pickle.loads(payload)
-        for k, result in zip(share, done):
-            results[k] = result
-        if failure is not None:
-            name, exc, text = failure
-            remote = RuntimeError(f"{name} raised in forked worker {pid}:\n{text}")
-            if exc is not None:
-                exc.__cause__ = remote
-            raised[share[len(done)]] = remote if exc is None else exc
-    if raised:
-        raise raised[min(raised)]
-    return results
-
-
-def _child(jobs: Sequence[tuple[str, Callable[[], Any]]], fd: int) -> None:
-    """A forked worker: run `jobs` in turn, send (results, failure) to `fd`, exit.
-
-    A failing job ends the share; `failure` is (job name, exception or None
-    if it does not survive pickling, traceback text).
-    """
-    import os
-    import pickle
-    import traceback
-    status = 1
-    try:
-        done, failure = [], None
-        for name, job in jobs:
-            try:
-                done.append(job())
-            except BaseException as exc:
-                failure = (name, exc, traceback.format_exc())
-                break
-        try:
-            payload = pickle.dumps((done, failure))
-            pickle.loads(payload)      # an exception may pickle and still fail to load
-        except Exception:          # results are plain numbers, so it is the exception
-            name, _, text = failure
-            payload = pickle.dumps((done, (name, None, text)))
-        with os.fdopen(fd, "wb") as out:
-            out.write(payload)
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(status)
-
-
-def run_checks(suite: str, cfg: RunConfig, processes: int = 1) -> list[CheckRecord]:
+def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
     """Run one suite's table: each entry is timed and becomes one record.
-
-    Entries whose `run` is the previous entry's form a group and share its
-    result.  Asked for `processes` > 1, a suite of `FORKED_SUITES` runs its
-    groups through `_forked` on min(`processes`, groups) processes, provided
-    `os.fork` exists and no other Python thread is alive (a child forked
-    while another thread holds a lock can deadlock on it).  Otherwise every
-    group runs here in turn and its records are made as soon as it has run,
-    so a per-check clock in this process reads each check as it ends (the
-    module docstring says why one process is the default).  The records
-    are the same either way, since each check opens its own (seed, label)
-    stream; a record's `wall_time` is measured in the process that ran it.
 
     The Monte-Carlo batch is drawn inside the first `batch` entry's time and
     lives only as long as this call.
     """
-    seed = cfg.mc.seed
+    seed, records, previous = cfg.mc.seed, [], None
     batch = functools.cache(lambda: sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d))
-    groups = _groups(CHECKS[suite])
-
-    def timed(group: list[Check]) -> list[tuple[dict, float]]:
-        """(result, seconds) of each entry of `group`; the entries share one run."""
-        out, result = [], None
-        for check in group:
-            t0 = time.perf_counter()
-            if result is None:
-                result = check.run(*((batch(),) if check.batch else (cfg, seed)))
-            out.append((result, time.perf_counter() - t0))
-        return out
-
-    jobs = [(f"check {suite}/{group[0].id}", functools.partial(timed, group))
-            for group in groups]
-    processes = min(processes, len(jobs)) if suite in FORKED_SUITES else 1
-    if processes > 1:
-        import os
-        import threading
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            processes = 1
-    # In one process each group's records are made as soon as it has run.
-    results = _forked(jobs, processes) if processes > 1 else (job() for _, job in jobs)
-    records = []
-    for group, outcomes in zip(groups, results):
-        for check, (result, seconds) in zip(group, outcomes):
-            records.append(CheckRecord(
-                suite=suite, check_id=check.id, claim=check.claim.format(**result),
-                residual=float(result[check.residual]),
-                tolerance=result.get("tolerance", check.tolerance), n_instances=result["n"],
-                seed=seed, observed=float(result[check.observed or check.residual]),
-                wall_time=seconds, precision=check.precision))
+    for check in CHECKS[suite]:
+        t0 = time.perf_counter()
+        if check.run is not previous:
+            args = (batch(),) if check.batch else (cfg, seed)
+            previous, result = check.run, check.run(*args)
+        residual = float(result[check.residual])
+        tolerance = result.get("tolerance", check.tolerance)
+        records.append(CheckRecord(
+            suite=suite, check_id=check.id, claim=check.claim.format(**result),
+            residual=residual, tolerance=tolerance, n_instances=result["n"], seed=seed,
+            observed=float(result[check.observed or check.residual]),
+            wall_time=time.perf_counter() - t0, precision=check.precision))
     return records
 
 
 SUITE_RUNNERS = {suite: functools.partial(run_checks, suite) for suite in CHECKS}
 
 
-def run_suites(cfg: RunConfig, processes: int = 1) -> VerificationReport:
+def run_suites(cfg: RunConfig) -> VerificationReport:
     """Execute the configured suites, one record per check.
 
-    `processes` > 1 spreads the exact suites' checks over that many
-    processes (`run_checks`); the report is the same.  A check that does
-    not hold becomes a FAIL record; a zero-variance Monte-Carlo batch is
-    one (its z-scores are inf).  An exception raised inside a check is not
-    caught and ends the run.
+    A check that does not hold becomes a FAIL record; a zero-variance
+    Monte-Carlo batch is one (its z-scores are inf).  An exception raised
+    inside a check is not caught and ends the run.
     """
-    # A runner gets the config alone unless more processes are asked for,
-    # so a wrapper of the one-argument runner (perfbench's tracer) still fits.
-    extra = (processes,) if processes > 1 else ()
     records = []
     for name in cfg.suites:
-        records.extend(SUITE_RUNNERS[name](cfg, *extra))
+        records.extend(SUITE_RUNNERS[name](cfg))
     return VerificationReport(records=records, config=config_echo(cfg),
                               versions=package_versions())

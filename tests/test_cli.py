@@ -121,23 +121,6 @@ def test_seed_override_changes_report(tmp_path, capsys):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_jobs_flag_writes_the_same_report(tmp_path, capsys, monkeypatch):
-    import os
-    path = write_config(tmp_path, suites=["algebra", "moyal"])
-    fork, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    out1, out2 = tmp_path / "j1.json", tmp_path / "j2.json"
-    assert main(["--config", str(path), "--out", str(out1)]) == 0
-    assert forks == []
-    assert main(["--config", str(path), "--out", str(out2), "--jobs", "2"]) == 0
-    assert len(forks) == 2          # one child per forked suite
-    assert out1.read_bytes() == out2.read_bytes()
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(path), "--jobs", "0"])
-    assert exc.value.code == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("source", ["--out", "output_path"])
 def test_txt_report_path_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, source):
     """The summary goes to the report path with suffix .txt: for a .txt path, the path itself."""

@@ -14,7 +14,7 @@ import loopstar.fock as fock
 import loopstar.poisson as poisson
 import loopstar.suites as suites
 from loopstar.config import parse_config
-from test_suites import LIGHT_DOC, _assert_no_child_left, _counting_forks
+from test_suites import LIGHT_DOC
 
 
 def _negated_T1(original):
@@ -92,21 +92,4 @@ def test_exact_checks_catch_mutant(name, monkeypatch):
     records = suites.run_checks(suite, parse_config(LIGHT_DOC))
     failures = {r.check_id: r.residual for r in records if r.precision is None}
     assert set(catchers) <= set(failures)
-    assert all(failures[c] > 0 for c in catchers), failures
-
-
-def test_mutant_patched_here_is_caught_in_a_forked_child(monkeypatch):
-    """A mutant patched in this process reaches the copy of the engine a child runs."""
-    make, attr, modules, suite, catchers = MUTANTS["every form weight negated"]
-    ids = [group[0].id for group in suites._groups(suites.CHECKS[suite])]
-    # On two processes group k runs in process k mod 2; process 1 is the child.
-    assert all(ids.index(c) % 2 == 1 for c in catchers)
-    mutant = make(getattr(modules[0], attr))
-    for module in modules:
-        monkeypatch.setattr(module, attr, mutant)
-    forks = _counting_forks(monkeypatch)
-    records = suites.run_checks(suite, parse_config(LIGHT_DOC), 2)
-    _assert_no_child_left()
-    assert len(forks) == 1
-    failures = {r.check_id: r.residual for r in records if r.precision is None}
     assert all(failures[c] > 0 for c in catchers), failures

@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import platform
-import threading
-import time
 from pathlib import Path
 
 import numpy
@@ -289,112 +286,37 @@ def test_canonical_body_is_independent_of_the_environment(light_report, monkeypa
     assert "numpy 0.0.fake" in summary and "python 9.9.9" in summary
 
 
-def _counting_forks(monkeypatch) -> list:
-    """Patch `os.fork` to note each call; returns the list of notes."""
-    fork, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_forked_bodies_are_byte_identical_at_every_process_count(monkeypatch):
-    """The exact suites fork one worker per extra process and write the same body at 1, 2, 3."""
-    cfg = parse_config({**LIGHT_DOC, "suites": list(suites.FORKED_SUITES)})
-    bodies = []
-    for processes in (1, 2, 3):
-        forks = _counting_forks(monkeypatch)
-        bodies.append(canonical_json(report_to_dict(run_suites(cfg, processes))))
-        _assert_no_child_left()
-        assert len(forks) == sum(min(processes, len(suites._groups(suites.CHECKS[name]))) - 1
-                                 for name in cfg.suites)
-    assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
-
-
-def test_one_process_unless_asked_and_for_the_float_suites(monkeypatch):
-    """No fork by default, nor for gaussian and chaos, whatever is asked."""
-    forks = _counting_forks(monkeypatch)
-    run_suites(parse_config({**LIGHT_DOC, "suites": ["moyal"]}))
-    run_suites(parse_config({**LIGHT_DOC, "suites": ["gaussian", "chaos"]}), 3)
-    assert forks == []
-
-
-def test_another_live_thread_keeps_the_checks_in_this_process(monkeypatch):
-    """A child forked while another thread holds a lock could deadlock on it."""
-    forks = _counting_forks(monkeypatch)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        records = suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
-    finally:
-        release.set()
-        waiter.join()
-    assert forks == [] and len(records) == len(suites.CHECKS["moyal"])
-
-
-def _raising_table(monkeypatch, failing: dict, slow: int = -1):
+def _raising_table(monkeypatch, failing: dict) -> list:
     """Replace the moyal table by three trivial checks; entry k raises `failing[k]`.
 
-    Run on two processes, entries 0 and 2 run in this process and entry 1 in
-    a forked child.  Entry `slow` sleeps far longer than any test may take.
+    Returns the list that each entry appends its index to when it runs.
     """
+    ran = []
+
     def run(k):
         def check(cfg, seed):
+            ran.append(k)
             if k in failing:
                 raise failing[k]
-            if k == slow:
-                time.sleep(60)
             return {"failures": 0, "n": 1}
         return check
 
     monkeypatch.setitem(suites.CHECKS, "moyal",
                         tuple(suites.Check(f"c{k}", "trivial", run(k)) for k in range(3)))
+    return ran
 
 
 @pytest.mark.parametrize("failing", [[0], [1], [1, 2], [0, 1]],
                          ids=["in-parent", "in-child", "child-first", "parent-first"])
 def test_check_exception_reaches_caller_after_every_child_is_reaped(monkeypatch, failing):
-    """The first raising entry in table order wins, wherever each one ran."""
-    _raising_table(monkeypatch, {k: ValueError(f"boom {k}") for k in failing})
-    with pytest.raises(ValueError, match=f"boom {failing[0]}") as caught:
-        suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
-    _assert_no_child_left()
-    if failing[0] == 1:        # the child's traceback text rides along as the cause
-        cause = str(caught.value.__cause__)
-        assert "check moyal/c1 raised in forked worker" in cause and "Traceback" in cause
+    """The first raising entry's own exception ends the suite, unwrapped.
 
-
-class _TwoArgError(Exception):
-    """Pickles, but cannot load: unpickling calls it with its one message argument."""
-
-    def __init__(self, what, why):
-        super().__init__(f"{what}: {why}")
-
-
-def _local_error():
-    class Local(Exception):     # a class local to a function cannot be pickled
-        pass
-    return Local("not picklable")
-
-
-@pytest.mark.parametrize("raised", [_local_error(), _TwoArgError("loads", "fails")],
-                         ids=["no-dump", "no-load"])
-def test_unpicklable_child_exception_arrives_named_with_its_traceback(monkeypatch, raised):
-    _raising_table(monkeypatch, {1: raised})
-    with pytest.raises(RuntimeError, match="check moyal/c1 raised in forked worker") as caught:
-        suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
-    _assert_no_child_left()
-    assert f"{type(raised).__name__}: {raised}" in str(caught.value)
-
-
-def test_keyboard_interrupt_kills_and_reaps_the_children(monkeypatch):
-    _raising_table(monkeypatch, {0: KeyboardInterrupt()}, slow=1)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        suites.run_checks("moyal", parse_config(LIGHT_DOC), 2)
-    _assert_no_child_left()
-    assert time.perf_counter() - t0 < 30         # the sleeping child was killed
+    Every entry runs in the calling process, so no child is left to reap;
+    id `in-parent` names entry c0 and `in-child` entry c1.
+    """
+    errors = {k: ValueError(f"boom {k}") for k in failing}
+    ran = _raising_table(monkeypatch, errors)
+    with pytest.raises(ValueError) as caught:
+        suites.run_checks("moyal", parse_config(LIGHT_DOC))
+    assert caught.value is errors[failing[0]] and caught.value.__cause__ is None
+    assert ran == list(range(failing[0] + 1))       # no entry after it ran
