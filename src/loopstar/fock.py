@@ -13,10 +13,24 @@ vector is evaluated on a sampled field (`chaos`).
 A vector stores integer numerators over one positive denominator, as
 FLINT's fmpq_poly does.  Every operation reduces its result once, by
 gcd(D, *numerators), so equal vectors have equal storage, and the kernels
-below run on plain int multiply and add.  `.terms` is the read path: a
-mapping from monomial to reduced Fraction, in the order the terms were
-formed.  Its keys and length come from the numerators; the Fractions are
-built once per vector, on the first read of a value.
+below run on plain int multiply and add.
+
+Each monomial is stored as one packed int, as in Monagan & Pearce's packed
+exponent vectors (CASC 2007): the low WIDTH bits hold its degree, and each
+mode owns the next WIDTH-bit field, which holds its multiplicity.  A Wick
+union is then one integer addition, and removing one unit of a mode is one
+subtraction.  A mode gets its field the first time this module meets it,
+from the table `_OFFSET` and its inverse `_MODES`; the tables grow only with
+the distinct modes the process meets.  Offsets therefore depend on the
+order in which a process meets the modes, so packed keys never leave the
+process: the public API takes and gives MultiIndexes, and a pickled vector
+carries its decoded terms.  A monomial or a formed product pair of degree
+above MASK raises OverflowError rather than spilling into the next field.
+
+`.terms` is the read path: a mapping from MultiIndex to reduced Fraction,
+in the order the terms were formed.  Its length reads the numerators; the
+keys are decoded and the Fractions built once per vector, on the first read
+of a key or value.
 
 A degree cap belongs to a multiplication, not to a vector: a product
 formed with `max_degree=n` is the product of the quotient algebra where
@@ -30,11 +44,12 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from collections.abc import Mapping
 from typing import Iterable, Optional, Sequence, Union
 
-from .modes import VACUUM, ModeIndex, MultiIndex
+from .modes import ModeIndex, MultiIndex
 
 Scalar = Union[Fraction, int]
 Channel = tuple[ModeIndex, ModeIndex, Scalar]     # (mode on F, mode on G, weight)
@@ -72,13 +87,58 @@ def rational_from_text(text: str) -> Fraction:
     return Fraction(text)
 
 
+# -- packed monomial keys -------------------------------------------------
+
+WIDTH = 16                          # bits per field: the degree, then one per mode
+MASK = (1 << WIDTH) - 1
+_OFFSET: dict[ModeIndex, int] = {}  # mode -> bit offset of its field
+_MODES: list[ModeIndex] = []        # the mode of the field at offset WIDTH * (i + 1)
+
+
+def _encode(entries: Iterable[tuple[ModeIndex, int]]) -> int:
+    """Packed key of (mode, multiplicity) pairs with distinct modes."""
+    key = degree = 0
+    for mode, mult in entries:
+        off = _OFFSET.get(mode)
+        if off is None:
+            _MODES.append(mode)
+            off = _OFFSET[mode] = WIDTH * len(_MODES)
+        key += mult << off
+        degree += mult
+    if degree > MASK:
+        raise OverflowError(f"monomial degree {degree} exceeds the packed limit {MASK}")
+    return key + degree
+
+
+def _decode(key: int) -> MultiIndex:
+    """The MultiIndex of a packed key, read from its highest nonzero field down."""
+    entries = []
+    key >>= WIDTH
+    while key:
+        slot = (key.bit_length() - 1) // WIDTH
+        off = slot * WIDTH
+        mult = key >> off                   # no field is left above this one
+        entries.append((_MODES[slot], mult))
+        key -= mult << off
+    entries.sort()
+    return MultiIndex._raw(tuple(entries))
+
+
+def _joined(num: dict) -> int:
+    """OR of the keys: a mode's field is nonzero in it iff some monomial holds the mode."""
+    out = 0
+    for key in num:
+        out |= key
+    return out
+
+
 class _Terms(Mapping):
     """Read-only coefficients of one vector, keyed by monomial in term order.
 
-    Length, keys and membership read the numerators.  The values are
-    `values` if given (the Fractions a vector was built from); otherwise
-    the reduced Fractions num / D, built on the first value read and kept.
-    Every other method comes from `Mapping`.
+    Length reads the numerators.  The mapping is `values` if given (the
+    Fractions a vector was built from); otherwise the decoded monomials
+    with the reduced Fractions num / D, built on the first key or value
+    read and kept.  Every other method comes from `Mapping`.
     """
 
     __slots__ = ("_num", "_den", "_values")
@@ -91,17 +151,14 @@ class _Terms(Mapping):
     def _dict(self) -> dict:
         if self._values is None:
             den = self._den
-            self._values = {mu: Fraction(n, den) for mu, n in self._num.items()}
+            self._values = {_decode(k): Fraction(n, den) for k, n in self._num.items()}
         return self._values
 
     def __len__(self) -> int:
         return len(self._num)
 
     def __iter__(self):
-        return iter(self._num)
-
-    def __contains__(self, mu) -> bool:
-        return mu in self._num
+        return iter(self._dict())
 
     def __getitem__(self, mu):
         return self._dict()[mu]
@@ -113,7 +170,7 @@ class _Terms(Mapping):
         return repr(self._dict())
 
 
-def _common_denominator(terms: dict[MultiIndex, Fraction]) -> tuple[dict, int]:
+def _common_denominator(terms: dict[int, Fraction]) -> tuple[dict, int]:
     """(numerators, denominator) of nonzero reduced `terms` over the lcm of their denominators.
 
     Over that lcm the numerators share no factor with it, so the pair is
@@ -126,8 +183,8 @@ def _common_denominator(terms: dict[MultiIndex, Fraction]) -> tuple[dict, int]:
 class FockVector:
     """Sparse element of the symmetric algebra: numerators over one denominator.
 
-    `_num` maps each monomial to a nonzero numerator and `_den` is the
-    positive shared denominator, with gcd(_den, *numerators) == 1.
+    `_num` maps each packed monomial key to a nonzero numerator and `_den`
+    is the positive shared denominator, with gcd(_den, *numerators) == 1.
     `terms` is the public view of the coefficients (see `_Terms`).  A
     vector carries no degree cap; products take one as an argument.
     """
@@ -142,7 +199,7 @@ class FockVector:
             c = coerce_scalar(c)
             if c:
                 clean[mu] = c
-        self._num, self._den = _common_denominator(clean)
+        self._num, self._den = _common_denominator({_encode(mu): c for mu, c in clean.items()})
         self._terms = _Terms(self._num, self._den, clean)
 
     @classmethod
@@ -161,7 +218,7 @@ class FockVector:
     @classmethod
     def unit(cls) -> "FockVector":
         """The vacuum monomial with coefficient 1: the algebra unit."""
-        return cls._raw({VACUUM: 1}, 1)
+        return cls._raw({0: 1}, 1)
 
     # -- queries ---------------------------------------------------------
 
@@ -177,14 +234,10 @@ class FockVector:
 
     def degree(self) -> int:
         """Largest monomial degree present; 0 for the zero vector."""
-        return max((mu.degree for mu in self._num), default=0)
+        return max((k & MASK for k in self._num), default=0)
 
     def support_modes(self) -> set[ModeIndex]:
-        out: set[ModeIndex] = set()
-        for mu in self._num:
-            for m, _ in mu:
-                out.add(m)
-        return out
+        return {mode for mode, _ in _decode(_joined(self._num))}
 
     def __len__(self) -> int:
         return len(self._num)
@@ -196,6 +249,10 @@ class FockVector:
 
     def __hash__(self):
         raise TypeError("FockVector is mutable bookkeeping; not hashable")
+
+    def __reduce__(self):
+        # Packed keys mean nothing in another process: pickle the decoded terms.
+        return FockVector, (dict(self.terms),)
 
     def __repr__(self) -> str:
         if not self._num:
@@ -235,7 +292,7 @@ class FockVector:
 
     def truncate(self, n: int) -> "FockVector":
         """Project onto degrees <= n."""
-        kept = {mu: c for mu, c in self._num.items() if mu.degree <= n}
+        kept = {k: c for k, c in self._num.items() if (k & MASK) <= n}
         return _reduced(kept, self._den)
 
 
@@ -297,16 +354,20 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
 
     With `max_degree` this is the product of the algebra truncated above
     that degree: pairs whose degrees sum past it are skipped before any
-    union is built.
+    union is built.  A pair that is formed and whose degree exceeds MASK
+    raises OverflowError.
     """
-    acc: dict[MultiIndex, int] = {}
-    fitems = [(mu.degree, mu, c) for mu, c in F._num.items()]
-    gitems = sorted(((mu.degree, mu, c) for mu, c in G._num.items()), key=lambda t: t[0])
-    for dF, muF, cF in fitems:
-        for dG, muG, cG in gitems:
-            if max_degree is not None and dF + dG > max_degree:
-                break       # gitems sorted by degree
-            key = muF.union(muG)
+    acc: dict[int, int] = {}
+    gitems = sorted(G._num.items(), key=lambda kc: kc[0] & MASK)
+    gdeg = [k & MASK for k, _ in gitems]
+    top = MASK if max_degree is None else min(max_degree, MASK)
+    for kF, cF in F._num.items():
+        dF = kF & MASK
+        n = bisect_right(gdeg, top - dF)        # the G terms that fit, gitems sorted by degree
+        if n < len(gdeg) and (max_degree is None or dF + gdeg[n] <= max_degree):
+            raise OverflowError(f"product degree {dF + gdeg[n]} exceeds the packed limit {MASK}")
+        for kG, cG in gitems[:n]:
+            key = kF + kG
             v = acc.get(key)
             v = cF * cG if v is None else v + cF * cG
             if v:
@@ -322,8 +383,12 @@ def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
     Removing one unit of the mode is one-to-one on the monomials that hold
     it, so no two terms meet and every numerator stays nonzero.
     """
-    return _reduced({mu.remove(mode): m * c for mu, c in F._num.items()
-                     if (m := mu.multiplicity(mode))}, F._den)
+    off = _OFFSET.get(mode)
+    if off is None:
+        return FockVector.zero()
+    unit = (1 << off) + 1                   # one unit of the mode and of the degree
+    return _reduced({k - unit: m * c for k, c in F._num.items()
+                     if (m := (k >> off) & MASK)}, F._den)
 
 
 def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVector:
@@ -363,9 +428,11 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
         caps = order_caps
     else:
         raise ValueError(f"need one cap per order 0..{R}, got {len(order_caps)}")
-    suppF, suppG = F.support_modes(), G.support_modes()
+    # A channel is live if both operands hold its modes.  No field sits at
+    # offset 0, so a mode never met (offset None) fails its own test.
+    joinF, joinG, off = _joined(F._num), _joined(G._num), _OFFSET.get
     live = [(fm, gm, coerce_scalar(w)) for fm, gm, w in channels
-            if fm in suppF and gm in suppG]
+            if (f := off(fm)) and (joinF >> f) & MASK and (g := off(gm)) and (joinG >> g) & MASK]
     orders = [_Sum() for _ in range(R + 1)]
 
     def walk(aF, aG, weight, depth, last, run):

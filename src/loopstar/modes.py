@@ -90,40 +90,6 @@ class MultiIndex(tuple):
                 return 0
         return 0
 
-    def union(self, other: "MultiIndex") -> "MultiIndex":
-        if not other:
-            return self
-        if not self:
-            return other
-        out = []
-        i = j = 0
-        na, nb = len(self), len(other)
-        while i < na and j < nb:
-            ma, ca = self[i]
-            mb, cb = other[j]
-            if ma == mb:
-                out.append((ma, ca + cb))
-                i += 1
-                j += 1
-            elif ma < mb:
-                out.append(self[i])
-                i += 1
-            else:
-                out.append(other[j])
-                j += 1
-        out.extend(self[i:])
-        out.extend(other[j:])
-        return MultiIndex._raw(tuple(out))
-
-    def remove(self, mode: ModeIndex) -> "MultiIndex":
-        """One unit less of `mode`; KeyError if absent."""
-        for i, (m, c) in enumerate(self):
-            if m == mode:
-                if c == 1:
-                    return MultiIndex._raw(self[:i] + self[i + 1:])
-                return MultiIndex._raw(self[:i] + ((m, c - 1),) + self[i + 1:])
-        raise KeyError(mode)
-
     def sort_key(self):
         """Degree-major canonical order for serialization."""
         return (self.degree, tuple(self))

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import FockVector, _common_denominator
-from .modes import ModeIndex, MultiIndex
+from .fock import FockVector, _common_denominator, _encode
+from .modes import ModeIndex
 
 
 def philox_key(seed: int, word: int) -> np.ndarray:
@@ -52,16 +52,17 @@ def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
 
     Each term draws its degree, then that many modes (`random_mode`), then
     its coefficient (`random_fraction`); a monomial drawn again takes the
-    later coefficient.  Monomials and the vector are built through their
-    fast paths, from values that are valid by construction.
+    later coefficient.  Each monomial is packed straight from its counts and
+    the vector built through its fast path, from values that are valid by
+    construction.
     """
-    terms: dict[MultiIndex, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     while len(terms) < n_terms:
         counts: dict[ModeIndex, int] = {}
         for _ in range(int(rng.integers(0, max_degree + 1))):
             mode = random_mode(rng, d, K, dual_fraction)
             counts[mode] = counts.get(mode, 0) + 1
-        terms[MultiIndex._raw(tuple(sorted(counts.items())))] = random_fraction(rng)
+        terms[_encode(counts.items())] = random_fraction(rng)
     return FockVector._raw(*_common_denominator(terms))
 
 

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .fock import FockVector, rational_from_text
+from .fock import MASK, FockVector, rational_from_text
 from .modes import ModeIndex, MultiIndex
 
 _MODE_RE = re.compile(r"^\((-?\d+),(-?\d+),([01])\)\^(\d+)$")
@@ -84,6 +84,8 @@ def deserialize_fock(data: Union[bytes, str]) -> FockVector:
         mu = MultiIndex(entries)
         if mu.degree != degree:
             raise FockParseError(f"declared degree {degree} != actual degree {mu.degree}", lineno)
+        if degree > MASK:
+            raise FockParseError(f"degree {degree} exceeds the packed limit {MASK}", lineno)
         if not coeff_txt:
             raise FockParseError("empty coefficient", lineno)
         try:

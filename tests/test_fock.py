@@ -1,6 +1,10 @@
 import math
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +16,7 @@ from loopstar.equivalence import DiagonalOperatorA, _shifted_pairing, exp_produc
 from loopstar.fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                            contract_channels, wick_exponential, wick_product)
 from loopstar.modes import VACUUM, ModeIndex, MultiIndex
+from loopstar.serialization import serialize_fock
 
 M0 = ModeIndex(1, 0)
 M1 = ModeIndex(1, 1)
@@ -232,6 +237,32 @@ def test_series_helpers():
 # -- the kernels against their Fraction-dict form ------------------------
 
 
+def merge_union(a, b):
+    """Multiset union of two sorted labels by a merge walk, never through packed keys."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ma, ca), (mb, cb) = a[i], b[j]
+        if ma == mb:
+            out.append((ma, ca + cb))
+            i += 1
+            j += 1
+        elif ma < mb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return MultiIndex._raw(tuple(out) + a[i:] + b[j:])
+
+
+def remove_unit(mu, mode):
+    """The label with one unit less of `mode`, which it holds."""
+    i = next(i for i, (m, _) in enumerate(mu) if m == mode)
+    m, c = mu[i]
+    return MultiIndex._raw(mu[:i] + (((m, c - 1),) if c > 1 else ()) + mu[i + 1:])
+
+
 def reference_wick_product(F_terms, G_terms, max_degree):
     """The product on plain coefficient dicts, in the kernel's loop order."""
     acc = {}
@@ -240,7 +271,7 @@ def reference_wick_product(F_terms, G_terms, max_degree):
         for dG, muG, cG in gitems:
             if max_degree is not None and muF.degree + dG > max_degree:
                 break
-            key = muF.union(muG)
+            key = merge_union(muF, muG)
             v = acc.get(key)
             v = cF * cG if v is None else v + cF * cG
             if v:
@@ -257,7 +288,7 @@ def reference_annihilate(mode, F_terms):
         m = mu.multiplicity(mode)
         if not m:
             continue
-        key = mu.remove(mode)
+        key = remove_unit(mu, mode)
         v = out.get(key)
         v = m * c if v is None else v + m * c
         if v:
@@ -307,3 +338,91 @@ def test_kernels_match_fraction_reference(f, g, cap):
         want = reference_annihilate(mode, f)
         assert size == len(want)
         assert _as_read(got.terms) == _as_read(want)
+
+
+# -- packed keys: overflow, the order modes are met in, pickling -----------
+
+
+def fresh_modes(n):
+    """`n` modes this process has not met yet, on a coordinate no other test uses."""
+    coord = 1000 + len(fock._MODES)
+    return [ModeIndex(coord, k) for k in range(n)]
+
+
+def test_monomial_above_the_degree_field_overflows():
+    FockVector({MultiIndex(((M1, 2 ** 16 - 1),)): 1})
+    with pytest.raises(OverflowError):
+        FockVector({MultiIndex(((M1, 2 ** 16),)): 1})
+    with pytest.raises(OverflowError):
+        FockVector({MultiIndex(((M1, 2 ** 15), (M2, 2 ** 15))): 1})
+
+
+def test_product_pair_above_the_degree_field_overflows_unless_capped():
+    a, b = mono([(M1, 2 ** 15)]), mono([(M2, 2 ** 15)])
+    with pytest.raises(OverflowError):
+        wick_product(a, b)
+    with pytest.raises(OverflowError):
+        wick_product(a, b, max_degree=2 ** 16)      # a cap above the field forms the pair
+    assert wick_product(a, b, max_degree=6).is_zero()
+    assert wick_product(a, mono([(M2, 2 ** 15 - 1)])).degree() == 2 ** 16 - 1
+
+
+def test_vectors_agree_across_a_newly_met_mode():
+    x, y, z = fresh_modes(3)
+    terms = {MultiIndex(((y, 2),)): Fraction(1, 2), MultiIndex(((x, 1), (y, 1))): Fraction(-3)}
+    before = FockVector(terms)
+    mono([(z, 1)])                                  # z takes the next field
+    after = FockVector(dict(reversed(terms.items())))
+    assert before == after
+    assert serialize_fock(before) == serialize_fock(after)
+    built = wick_product(FockVector({MultiIndex.single(y): 1}),
+                         FockVector({MultiIndex.single(y): Fraction(1, 2),
+                                     MultiIndex.single(x): -3}))
+    assert built == before
+    assert wick_product(before, mono([(z, 1)])) == wick_product(mono([(z, 1)]), after)
+
+
+def test_key_fields_above_64_bits():
+    modes = fresh_modes(6)
+    FockVector({MultiIndex.single(m): 1 for m in modes})
+    low, high = modes[-2:]
+    assert fock._OFFSET[high] >= 64
+    F = FockVector({MultiIndex(((low, 1), (high, 3))): 2, MultiIndex.single(low): 5,
+                    MultiIndex(): 1})
+    assert F.support_modes() == {low, high}
+    assert F.degree() == 4
+    assert F.truncate(3) == FockVector({MultiIndex.single(low): 5, MultiIndex(): 1})
+    assert annihilate(high, F) == FockVector({MultiIndex(((low, 1), (high, 2))): 6})
+
+
+UNPICKLE_CHILD = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import pickle
+from loopstar.fock import FockVector, _OFFSET, wick_product
+from loopstar.modes import ModeIndex, MultiIndex
+modes = [ModeIndex(*m) for m in eval(sys.argv[2])]
+FockVector({MultiIndex.single(m): 1 for m in modes})      # meet them in this order
+F = pickle.loads(sys.stdin.buffer.read())
+print(repr(list(F.terms.items())))
+print(repr(list(wick_product(F, FockVector.unit()).terms.items())))   # read through the keys
+print(repr([_OFFSET[m] for m in modes]))
+"""
+
+
+def test_pickled_vector_reads_the_same_in_another_process():
+    modes = fresh_modes(3)
+    F = wick_product(FockVector({MultiIndex(((modes[0], 2),)): Fraction(3, 4),
+                                 MultiIndex.single(modes[1]): -2, MultiIndex(): Fraction(1, 7)}),
+                     FockVector({MultiIndex.single(modes[2]): 1, MultiIndex(): 1}))
+    data = pickle.dumps(F)                          # before any read of F.terms
+    assert pickle.loads(data) == F
+    # The child meets the modes in the reverse order, after others of its own.
+    met = [(999, 0)] + [tuple(m) for m in reversed(modes)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", UNPICKLE_CHILD, str(src), repr(met)],
+                          input=data, capture_output=True, timeout=60, check=True)
+    terms, product_terms, offsets = proc.stdout.decode().splitlines()
+    assert terms == product_terms == repr(list(F.terms.items()))
+    # The child packed these modes into other fields than this process did.
+    assert offsets != repr([fock._OFFSET.get(ModeIndex(*m)) for m in met])

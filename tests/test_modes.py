@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from loopstar.fock import FockVector, annihilate, wick_product
 from loopstar.modes import (LAMBDA, VACUUM, ModeIndex, MultiIndex, h_weight,
                             mode_profile, mode_range, norm_const, profile_table)
 
@@ -31,17 +32,20 @@ def test_multi_index_merge_and_degree():
 
 
 def test_multi_index_union_remove():
+    # Union and removal stated on the validating constructor, against the
+    # packed kernels of `fock` that now form them.
     m = ModeIndex(1, 1)
     n = ModeIndex(1, 2)
     a = MultiIndex.single(m)
     b = MultiIndex(((m, 1), (n, 2)))
-    u = a.union(b)
-    assert u.multiplicity(m) == 2 and u.multiplicity(n) == 2
-    r = b.remove(n)
+    u = MultiIndex(tuple(a) + tuple(b))             # the constructor merges repeated modes
+    assert u == MultiIndex(((m, 2), (n, 2))) and u.degree == a.degree + b.degree
+    assert wick_product(FockVector({a: 1}), FockVector({b: 1})) == FockVector({u: 1})
+    r = MultiIndex(((m, 1), (n, 1)))
     assert r.multiplicity(n) == 1 and r.degree == 2
-    with pytest.raises(KeyError):
-        a.remove(n)
-    assert MultiIndex.single(m).remove(m) == VACUUM
+    assert annihilate(n, FockVector({b: 1})) == FockVector({r: 2})
+    assert annihilate(n, FockVector({a: 1})).is_zero()
+    assert annihilate(m, FockVector({a: 1})) == FockVector({VACUUM: 1})
 
 
 def test_multi_index_validation():

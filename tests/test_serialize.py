@@ -61,6 +61,9 @@ def test_bad_coordinate_and_multiplicity():
         deserialize_fock(b"1; (0,2,0)^1; 1/1\n")
     with pytest.raises(FockParseError):
         deserialize_fock(b"1; (1,2,0)^0; 1/1\n")
+    assert deserialize_fock(b"65535; (1,2,0)^65535; 1/1\n").degree() == 65535
+    with pytest.raises(FockParseError, match="line 2"):       # above the packed degree field
+        deserialize_fock(b"0; ; 1/1\n65536; (1,2,0)^65536; 1/1\n")
 
 
 def test_malformed_line_reports_position():
