@@ -13,7 +13,9 @@ vector is evaluated on a sampled field (`chaos`).
 A vector stores integer numerators over one positive denominator, as
 FLINT's fmpq_poly does.  Every operation reduces its result once, by
 gcd(D, *numerators), so equal vectors have equal storage, and the kernels
-below run on plain int multiply and add.
+below run on plain int multiply and add.  The contraction walk of
+`_star_orders` builds no vector at its nodes: it carries numerators over
+its operands' fixed denominators, and reduces each order once.
 
 Each monomial is stored as one packed int, as in Monagan & Pearce's packed
 exponent vectors (CASC 2007): the low WIDTH bits hold its degree, and each
@@ -322,17 +324,23 @@ class _Sum:
         self.den = den
 
     def add(self, F: FockVector) -> None:
-        acc, den = self.num, self.den
-        items = F._num.items()
-        if F._den != den:
-            lcm = den // math.gcd(den, F._den) * F._den
-            if lcm != den:
-                up = lcm // den
+        self.add_terms(F._num, F._den)
+
+    def add_terms(self, num: dict, den: int) -> None:
+        """Add num / den: numerators by packed key over a positive denominator, not reduced."""
+        if not num:
+            return
+        acc = self.num
+        items = num.items()
+        if den != self.den:
+            lcm = self.den // math.gcd(self.den, den) * den
+            if lcm != self.den:
+                up = lcm // self.den
                 for mu in acc:
                     acc[mu] *= up
                 self.den = lcm
-            if lcm != F._den:
-                up = lcm // F._den
+            if lcm != den:
+                up = lcm // den
                 items = [(mu, c * up) for mu, c in items]
         for mu, c in items:
             v = acc.get(mu)
@@ -349,6 +357,35 @@ class _Sum:
 # -- products and contractions ------------------------------------------
 
 
+def _pairs(f_items: Iterable[tuple[int, int]], g_items: Sequence[tuple[int, int]], scale: int,
+           cap: Optional[int]) -> dict:
+    """Numerators of the Wick product of two term lists, each F numerator times `scale`.
+
+    `g_items` is sorted by degree.  Pairs are formed F term by F term, each
+    over the G terms in that order, and a key whose sum cancels is dropped.
+    Pairs whose degrees sum past `cap` are skipped before any union is
+    built; a formed pair of degree above MASK raises OverflowError.
+    """
+    acc: dict[int, int] = {}
+    gdeg = [k & MASK for k, _ in g_items]
+    top = MASK if cap is None else min(cap, MASK)
+    for kF, cF in f_items:
+        dF = kF & MASK
+        n = bisect_right(gdeg, top - dF)        # the G terms that fit
+        if n < len(gdeg) and (cap is None or dF + gdeg[n] <= cap):
+            raise OverflowError(f"product degree {dF + gdeg[n]} exceeds the packed limit {MASK}")
+        cF *= scale
+        for kG, cG in g_items[:n]:
+            key = kF + kG
+            v = acc.get(key)
+            v = cF * cG if v is None else v + cF * cG
+            if v:
+                acc[key] = v
+            elif key in acc:
+                del acc[key]
+    return acc
+
+
 def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None) -> FockVector:
     """Symmetrized product: multiset union of monomial labels, coefficient 1.
 
@@ -357,24 +394,8 @@ def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None)
     union is built.  A pair that is formed and whose degree exceeds MASK
     raises OverflowError.
     """
-    acc: dict[int, int] = {}
     gitems = sorted(G._num.items(), key=lambda kc: kc[0] & MASK)
-    gdeg = [k & MASK for k, _ in gitems]
-    top = MASK if max_degree is None else min(max_degree, MASK)
-    for kF, cF in F._num.items():
-        dF = kF & MASK
-        n = bisect_right(gdeg, top - dF)        # the G terms that fit, gitems sorted by degree
-        if n < len(gdeg) and (max_degree is None or dF + gdeg[n] <= max_degree):
-            raise OverflowError(f"product degree {dF + gdeg[n]} exceeds the packed limit {MASK}")
-        for kG, cG in gitems[:n]:
-            key = kF + kG
-            v = acc.get(key)
-            v = cF * cG if v is None else v + cF * cG
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-    return _reduced(acc, F._den * G._den)
+    return _reduced(_pairs(F._num.items(), gitems, 1, max_degree), F._den * G._den)
 
 
 def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
@@ -415,6 +436,14 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     parent's contracted operands by one annihilation per side, and a branch
     whose operand vanishes is dropped with everything below it.
 
+    The walk runs on integers, as fraction-free elimination does (Bareiss,
+    Math. Comp. 22, 1968): a node holds the (key, numerator) pairs of its
+    operands over their fixed denominators F._den and G._den, G's sorted by
+    degree once at the root (an annihilation lowers every degree by 1, so
+    they stay sorted), and its weight as an integer pair p / q.  Its Wick
+    product goes into its order as numerators over F._den * G._den * q,
+    and each order is reduced once, when the walk is done.
+
     Every order is formed at cap `max_degree`, or, if `order_caps` is
     given, order r at cap `order_caps[r]` instead (one cap per order
     0..R).  Order r then equals the uncapped order truncated to its cap,
@@ -428,36 +457,37 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
         caps = order_caps
     else:
         raise ValueError(f"need one cap per order 0..{R}, got {len(order_caps)}")
-    # A channel is live if both operands hold its modes.  No field sits at
-    # offset 0, so a mode never met (offset None) fails its own test.
+    # A channel is live if both operands hold its modes and its weight is
+    # not 0.  No field sits at offset 0, so a mode never met (offset None)
+    # fails its own test.  Each side keeps its mode's offset and unit (one
+    # unit of the mode and of the degree); the weight is kept as (wp, wq).
     joinF, joinG, off = _joined(F._num), _joined(G._num), _OFFSET.get
-    live = [(fm, gm, coerce_scalar(w)) for fm, gm, w in channels
-            if (f := off(fm)) and (joinF >> f) & MASK and (g := off(gm)) and (joinG >> g) & MASK]
+    live = [(f, (1 << f) + 1, g, (1 << g) + 1, *w.as_integer_ratio())
+            for fm, gm, weight in channels
+            if (f := off(fm)) and (joinF >> f) & MASK and (g := off(gm)) and (joinG >> g) & MASK
+            and (w := coerce_scalar(weight))]
     orders = [_Sum() for _ in range(R + 1)]
+    den = F._den * G._den
 
-    def walk(aF, aG, weight, depth, last, run):
+    def walk(nF, nG, p, q, depth, last, run):
         # `last` is the channel that reached this node and `run` how often
         # it occurs in the multiset, so a repeat divides the weight by c.
         if depth >= lowest:
-            if len(aF) <= len(aG):
-                product = wick_product(aF.scale(weight), aG, caps[depth])
-            else:
-                product = wick_product(aF, aG.scale(weight), caps[depth])
-            orders[depth].add(product)
+            orders[depth].add_terms(_pairs(nF, nG, p, caps[depth]), den * q)
         if depth == R:
             return
         for i in range(last, len(live)):
-            fm, gm, w = live[i]
-            bF = annihilate(fm, aF)
-            if bF.is_zero():
+            f, unitF, g, unitG, wp, wq = live[i]
+            bF = [(k - unitF, m * n) for k, n in nF if (m := (k >> f) & MASK)]
+            if not bF:
                 continue
-            bG = annihilate(gm, aG)
-            if bG.is_zero():
+            bG = [(k - unitG, m * n) for k, n in nG if (m := (k >> g) & MASK)]
+            if not bG:
                 continue
             c = run + 1 if i == last else 1
-            walk(bF, bG, weight * w / c, depth + 1, i, c)
+            walk(bF, bG, p * wp, q * wq * c, depth + 1, i, c)
 
-    walk(F, G, 1, 0, 0, 0)
+    walk(list(F._num.items()), sorted(G._num.items(), key=lambda kc: kc[0] & MASK), 1, 1, 0, 0, 0)
     return [orders[r].vector() for r in range(lowest, R + 1)]
 
 

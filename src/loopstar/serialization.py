@@ -17,10 +17,16 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .fock import MASK, FockVector, rational_from_text
+from .fock import MASK, MAX_RATIONAL_DIGITS, FockVector, rational_from_text
 from .modes import ModeIndex, MultiIndex
 
-_MODE_RE = re.compile(r"^\((-?\d+),(-?\d+),([01])\)\^(\d+)$")
+# Integers are canonical ASCII text, as `serialize_fock` writes them: no
+# sign on 0, no leading zero, "+" or "_", and at most MAX_RATIONAL_DIGITS
+# digits.  The degree, coordinate and multiplicity take no sign.
+_NATURAL = r"0|[1-9][0-9]{0,%d}" % (MAX_RATIONAL_DIGITS - 1)
+_NATURAL_RE = re.compile(_NATURAL)
+_MODE_RE = re.compile(r"\((%s),(0|-?[1-9][0-9]{0,%d}),([01])\)\^(%s)"
+                      % (_NATURAL, MAX_RATIONAL_DIGITS - 1, _NATURAL))
 
 
 class FockParseError(ValueError):
@@ -62,19 +68,15 @@ def deserialize_fock(data: Union[bytes, str]) -> FockVector:
             raise FockParseError(f"expected 'degree; modes; coefficient', got {len(fields)} fields",
                                  lineno)
         deg_txt, modes_txt, coeff_txt = (f.strip() for f in fields)
-        try:
-            degree = int(deg_txt)
-        except ValueError:
-            raise FockParseError(f"bad degree {deg_txt!r}", lineno, raw.find(deg_txt)) from None
+        if not _NATURAL_RE.fullmatch(deg_txt):
+            raise FockParseError(f"bad degree {deg_txt[:40]!r}", lineno, raw.find(deg_txt))
+        degree = int(deg_txt)
         entries = []
         for tok in modes_txt.split():
-            m = _MODE_RE.match(tok)
+            m = _MODE_RE.fullmatch(tok)
             if not m:
-                raise FockParseError(f"bad mode factor {tok!r}", lineno, raw.find(tok))
-            try:
-                coord, freq, mult = int(m.group(1)), int(m.group(2)), int(m.group(4))
-            except ValueError:      # beyond the interpreter's integer-string limit
-                raise FockParseError(f"integer too long in {tok!r}", lineno, raw.find(tok)) from None
+                raise FockParseError(f"bad mode factor {tok[:40]!r}", lineno, raw.find(tok))
+            coord, freq, mult = int(m.group(1)), int(m.group(2)), int(m.group(4))
             dual = m.group(3) == "1"
             if coord < 1:
                 raise FockParseError(f"coordinate must be >= 1 in {tok!r}", lineno, raw.find(tok))

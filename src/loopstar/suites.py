@@ -661,7 +661,7 @@ def poisson_axiom_failures(seed: int, n_triples: int, form: SymplecticForm) -> d
         rhs = wick_product(fg, H) + wick_product(G, poisson_bracket(F, H, form))
         jac = poisson_bracket(F, poisson_bracket(G, H, form), form) \
             + poisson_bracket(G, poisson_bracket(H, F, form), form) \
-            + poisson_bracket(H, poisson_bracket(F, G, form), form)
+            + poisson_bracket(H, fg, form)
         return (not poisson_bracket(F, F, form).is_zero()) \
             + (not (fg + poisson_bracket(G, F, form)).is_zero()) \
             + (lhs != rhs) + (not jac.is_zero()), not fg.is_zero()

@@ -16,6 +16,7 @@ from loopstar.equivalence import DiagonalOperatorA, _shifted_pairing, exp_produc
 from loopstar.fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
                            contract_channels, wick_exponential, wick_product)
 from loopstar.modes import VACUUM, ModeIndex, MultiIndex
+from loopstar.poisson import SymplecticForm
 from loopstar.serialization import serialize_fock
 
 M0 = ModeIndex(1, 0)
@@ -338,6 +339,110 @@ def test_kernels_match_fraction_reference(f, g, cap):
         want = reference_annihilate(mode, f)
         assert size == len(want)
         assert _as_read(got.terms) == _as_read(want)
+
+
+# -- the contraction engine against its FockVector-level walk --------------
+
+
+def reference_star_orders(F, G, channels, R, max_degree=None, lowest=0, order_caps=None):
+    """The engine's walk on vectors: annihilated operands, a scaled operand
+    and a reduced Wick product at every node, added into its order's sum."""
+    caps = [max_degree] * (R + 1) if order_caps is None else order_caps
+    orders = [fock._Sum() for _ in range(R + 1)]
+
+    def walk(aF, aG, weight, depth, last, run):
+        if depth >= lowest:
+            if len(aF) <= len(aG):
+                product = wick_product(aF.scale(weight), aG, caps[depth])
+            else:
+                product = wick_product(aF, aG.scale(weight), caps[depth])
+            orders[depth].add(product)
+        if depth == R:
+            return
+        for i in range(last, len(channels)):
+            fm, gm, w = channels[i]
+            bF, bG = annihilate(fm, aF), annihilate(gm, aG)
+            if not (bF.is_zero() or bG.is_zero()):
+                c = run + 1 if i == last else 1
+                walk(bF, bG, weight * w / c, depth + 1, i, c)
+
+    walk(F, G, Fraction(1), 0, 0, 0)
+    return [orders[r].vector() for r in range(lowest, R + 1)]
+
+
+def _storage(F):
+    # Keys in term order, numerators and the denominator; canonical storage.
+    assert F._den > 0 and math.gcd(F._den, *F._num.values()) == 1
+    return list(F._num.items()), F._den
+
+
+# The tables' modes at frequencies 0 and 1, M2 and D2, which only the hand
+# table contracts, and a coordinate-3 mode, which no table does.
+_STAR_MODES = [M0, M0.as_dual, M1, D1, M2, D2, ModeIndex(2, 0), ModeIndex(3, 0)]
+_star_monomial = st.lists(st.tuples(st.sampled_from(_STAR_MODES), st.integers(1, 3)),
+                          max_size=4).map(MultiIndex)
+_star_operand = st.lists(st.tuples(_star_monomial, _coeff), min_size=1, max_size=6).map(
+    lambda terms: FockVector({mu: c for mu, c in terms if c}))
+_A = {name: DiagonalOperatorA.family(name, 1, 1) for name in ("zero", "one", "ksq")}
+# Repeated modes: M1 on F in three channels, (M1, D1) twice with two weights.
+HAND_CHANNELS = CHANNELS + [(M1, D1, Fraction(5, 6)), (M2, D2, Fraction(-7, 2))]
+STAR_TABLES = {
+    **{f"moyal_{c}": SymplecticForm(1, 1, c).channels() for c in (0, 1, Fraction(7, 3))},
+    **{f"deformed_{n}": A.channels for n, A in _A.items()},
+    **{f"symmetric_{n}": A.symmetric_channels for n, A in _A.items()},
+    "hand": HAND_CHANNELS,
+}
+
+
+# (R, lowest, max_degree, order_caps) run on every example, besides one drawn.
+_STAR_ARGS = [(4, 0, None, None), (4, 2, 7, None), (3, 1, None, [12, 9, 6, 3])]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_star_operand, _star_operand, st.sampled_from(sorted(STAR_TABLES)), st.integers(0, 4),
+       st.data())
+def test_star_orders_match_the_vector_walk(F, G, table, R, data):
+    channels = STAR_TABLES[table]
+    if data.draw(st.booleans()):        # G also holds the partners of F's modes
+        G = G + FockVector({MultiIndex([(ModeIndex(m.coord, m.freq, not m.dual), n)
+                                        for m, n in mu]): c for mu, c in F.terms.items()})
+    drawn = (R, data.draw(st.integers(0, R)), data.draw(st.none() | st.integers(0, 12)),
+             data.draw(st.none() | st.lists(st.integers(0, 12), min_size=R + 1, max_size=R + 1)))
+    for R, lowest, cap, caps in _STAR_ARGS + [drawn]:
+        got = _star_orders(F, G, channels, R, cap, lowest, caps)
+        want = reference_star_orders(F, G, channels, R, cap, lowest, caps)
+        assert len(got) == R + 1 - lowest
+        assert [_storage(V) for V in got] == [_storage(V) for V in want]
+
+
+def test_a_key_cancelled_in_a_product_is_added_again_at_the_end():
+    # At order 1 the pair (b, a) cancels the ab of (a, b), and (ab, 1)
+    # forms ab again, so it is inserted after b^2; order 0 does the same.
+    a, b, m, dm = ModeIndex(2, 1), ModeIndex(2, 2), ModeIndex(1, 0), ModeIndex(1, 0, dual=True)
+    F = FockVector({MultiIndex(((m, 1), (a, 1))): 1, MultiIndex(((m, 1), (b, 1))): -1,
+                    MultiIndex(((m, 1), (a, 1), (b, 1))): 1})
+    G = FockVector({MultiIndex.single(dm): 1, MultiIndex(((dm, 1), (a, 1))): 1,
+                    MultiIndex(((dm, 1), (b, 1))): 1})
+    channels = [(m, dm, Fraction(1, 3))]
+    got = _star_orders(F, G, channels, 1)
+    assert [_storage(V) for V in got] == [_storage(V) for V in
+                                          reference_star_orders(F, G, channels, 1)]
+    assert list(got[1].terms) == [MultiIndex(e) for e in (
+        ((a, 1),), ((a, 2),), ((b, 1),), ((b, 2),), ((a, 1), (b, 1)), ((a, 2), (b, 1)),
+        ((a, 1), (b, 2)))]
+
+
+def test_sum_drops_a_cancelled_key_and_appends_it_again():
+    # Numerators over unreduced denominators, as the walk adds them.
+    total = fock._Sum()
+    total.add_terms({1: 2, 2: 2}, 4)                # 1/2 each
+    total.add_terms({}, 7)                          # nothing, and no new denominator
+    assert total.den == 4
+    total.add_terms({1: -3, 3: 3}, 6)               # cancels key 1
+    assert list(total.num) == [2, 3]
+    total.add(FockVector._raw({1: 1}, 3))           # key 1 again, now last
+    F = total.vector()
+    assert (list(F._num.items()), F._den) == ([(2, 3), (3, 3), (1, 2)], 6)
 
 
 # -- packed keys: overflow, the order modes are met in, pickling -----------

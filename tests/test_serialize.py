@@ -94,6 +94,33 @@ def test_rational_coefficients_are_bounded_text():
     assert F.terms[MultiIndex.single(M1)] == 10 ** 4300 - 1
 
 
+@pytest.mark.parametrize("text, column", [
+    ("1; (\u0661,\u0662,0)^\u0661; 1/2", 3),
+    ("0_1; (1,2,0)^1; 1/2", 0),
+    ("1; (1,2_0,0)^1; 1/2", 3),
+    ("+1; (1,2,0)^1; 1/2", 0),
+    ("1; (1,+2,0)^1; 1/2", 3),
+    ("01; (01,-0,0)^01; 1/2", 0),
+    ("1; (01,2,0)^1; 1/2", 3),
+    ("1; (1,-0,0)^1; 1/2", 3),
+    ("1; (1,2,0)^01; 1/2", 3),
+    ("-1; (1,2,0)^1; 1/2", 0),
+    ("1; (-1,2,0)^1; 1/2", 3),
+    ("1; (1,2,0)^-1; 1/2", 3),
+    ("1; (1,-" + "9" * 4301 + ",0)^1; 1/2", 3),
+], ids=["arabic_indic_digits", "underscore_degree", "underscore_frequency", "plus_degree",
+        "plus_frequency", "leading_zeros_and_negative_zero", "leading_zero_coordinate",
+        "negative_zero_frequency", "leading_zero_multiplicity", "negative_degree",
+        "negative_coordinate", "negative_multiplicity", "too_many_digits"])
+def test_integers_are_canonical_ascii_text(text, column):
+    # `int` reads every one of these; the wire format has one spelling per integer.
+    with pytest.raises(FockParseError) as exc:
+        deserialize_fock("0; ; 1/1\n" + text)
+    assert (exc.value.line, exc.value.column) == (2, column)
+    F = deserialize_fock("1; (1,-" + "9" * 4300 + ",0)^1; 1/2\n0; ; 1/2")
+    assert F.terms[MultiIndex.single(ModeIndex(1, 1 - 10 ** 4300))] == Fraction(1, 2)
+
+
 def test_invalid_utf8_is_located():
     with pytest.raises(FockParseError) as exc:
         deserialize_fock(b"0; ; 1/1\n1; (1,\xff2,0)^1; 1/1\n")
