@@ -40,7 +40,7 @@ for r in range(4):
     degs = sorted({mu.degree for mu in c.terms}) if not c.is_zero() else []
     print(f"  hbar^{r}: {len(c)} terms, degrees {degs}")
 
-channels = form.channels()
+channels = form.channels
 left = star_series(moyal_star(F, G, form, 3), HbarSeries.from_vector(H, 3), channels)
 right = star_series(HbarSeries.from_vector(F, 3), moyal_star(G, H, form, 3), channels)
 print("\nassociativity, coefficient by coefficient:", left == right)

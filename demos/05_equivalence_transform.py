@@ -31,7 +31,7 @@ phi2 = wick_exponential(g2, N)
 lhs = apply_T(star_A(phi1, phi2, A, R, max_degree=N), A)
 rhs = star_series(apply_T(HbarSeries.from_vector(phi1, R), A),
                   apply_T(HbarSeries.from_vector(phi2, R), A),
-                  unit.channels(), max_degree=N)
+                  unit.channels, max_degree=N)
 print(f"\nT(phi1 *_A phi2) == T(phi1) *_0 T(phi2) on degree window {window}:",
       lhs.truncate_degree(window) == rhs.truncate_degree(window))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .equivalence import FAMILIES
-from .fock import MAX_RATIONAL_DIGITS, rational_from_text
+from .serialization import INTEGER_TEXT, rational_from_text
 
 SUITE_NAMES = ("algebra", "chaos", "gaussian", "poisson", "moyal", "equivalence")
 
@@ -21,9 +21,8 @@ DEFAULT_SUITES = ("algebra", "chaos", "gaussian", "poisson", "moyal")
 
 
 # A frequency key of an alpha_spec table is its canonical integer text, as
-# `config_echo` writes it: no sign on 0, no leading zero, space, "+" or "_",
-# so two keys never name one frequency.
-_FREQUENCY_KEY = re.compile(r"0|-?[1-9][0-9]{0,%d}" % (MAX_RATIONAL_DIGITS - 1))
+# `config_echo` writes it, so two keys never name one frequency.
+_FREQUENCY_KEY = re.compile(INTEGER_TEXT)
 
 
 class ConfigError(ValueError):
@@ -31,7 +30,7 @@ class ConfigError(ValueError):
 
 
 def parse_rational(text, where: str) -> Fraction:
-    """An int, or text `fock.rational_from_text` reads once stripped of whitespace."""
+    """An int, or text `serialization.rational_from_text` reads once stripped of whitespace."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):

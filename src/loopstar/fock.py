@@ -45,7 +45,6 @@ projection onto degrees <= n.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_right
 from fractions import Fraction
 from collections.abc import Mapping
@@ -68,25 +67,6 @@ def coerce_scalar(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"the exact layer takes Fraction or int, not {type(value).__name__} {value!r}")
-
-
-# Longest digit run accepted in rational text: the interpreter's default
-# integer-string limit, so every coefficient `serialize_fock` writes reads back.
-MAX_RATIONAL_DIGITS = 4300
-_RATIONAL_TEXT = re.compile(r"-?[0-9]{1,%d}(?:[./][0-9]{1,%d})?" % ((MAX_RATIONAL_DIGITS,) * 2))
-
-
-def rational_from_text(text: str) -> Fraction:
-    """Exact value of `[-]digits`, `[-]digits.digits` or `[-]digits/digits`.
-
-    Digits are ASCII.  Anything else raises ValueError, as does a digit run
-    longer than MAX_RATIONAL_DIGITS; a zero denominator raises ZeroDivisionError.
-    `Fraction` alone also takes underscores, a leading "+" and exponents: the
-    11 bytes "1e10000000" build a 33-million-bit numerator.
-    """
-    if not _RATIONAL_TEXT.fullmatch(text):
-        raise ValueError(f"not a bounded rational: {text[:40]!r}")
-    return Fraction(text)
 
 
 # -- packed monomial keys -------------------------------------------------

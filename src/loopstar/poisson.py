@@ -32,11 +32,11 @@ class SymplecticForm:
     exact checks pin it: `bracket.pairs` states the bracket's value and
     `star.zero_is_moyal` the unit pairing's, and `tests/test_mutants.py`
     shows that negating either table is caught.  weight_c is a Fraction or
-    an int; a float raises TypeError here.  Every product over the form
-    shares its table.
+    an int; a float raises TypeError here.  `channels` is the table, one
+    tuple shared by every product over the form.
     """
 
-    __slots__ = ("d", "K", "weight_c", "_channels")
+    __slots__ = ("d", "K", "weight_c", "channels")
 
     def __init__(self, d: int, K: int, weight_c, sign: int = -1):
         if d < 1 or K < 0:
@@ -53,7 +53,7 @@ class SymplecticForm:
             primal = [ModeIndex(c, k) for c in range(1, d + 1)]
             table += [(p, p.as_dual, sign * w) for p in primal]
             table += [(p.as_dual, p, -sign * w) for p in primal]
-        self._channels = tuple(table)
+        self.channels = tuple(table)
 
     @classmethod
     def unit_pairing(cls, d: int, K: int) -> "SymplecticForm":
@@ -68,27 +68,23 @@ class SymplecticForm:
         """Frequency weight weight_c * k^2 + 1, exactly."""
         return self.weight_c * freq * freq + 1
 
-    def channels(self) -> tuple[Channel, ...]:
-        """Contraction channels (mode on F, mode on G, weight); one tuple for every call."""
-        return self._channels
-
     def __repr__(self) -> str:
         return f"SymplecticForm(d={self.d}, K={self.K}, weight_c={self.weight_c})"
 
 
 def poisson_bracket(F: FockVector, G: FockVector, form: SymplecticForm) -> FockVector:
     """Weighted single contraction across the form; antisymmetric and bilinear."""
-    return contract_channels(F, G, form.channels(), 1)
+    return contract_channels(F, G, form.channels, 1)
 
 
 def poisson_power(r: int, F: FockVector, G: FockVector, form: SymplecticForm) -> FockVector:
     """r-fold iterate of the bracket's channel sum; r = 0 is the plain product."""
-    return contract_channels(F, G, form.channels(), r)
+    return contract_channels(F, G, form.channels, r)
 
 
 def moyal_star(F: FockVector, G: FockVector, form: SymplecticForm, R: int) -> HbarSeries:
     """Deformed product: order-r coefficient is the r-fold contraction over r!."""
-    return HbarSeries(_star_orders(F, G, form.channels(), R))
+    return HbarSeries(_star_orders(F, G, form.channels, R))
 
 
 def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
@@ -97,7 +93,7 @@ def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
 
     Order r collects order c of the star-product of FS_a and GS_b over
     a + b + c = r, each formed at cap `max_degree`.  `channels` is the
-    product's channel table, such as `form.channels()` for the Moyal product.
+    product's channel table, such as `form.channels` for the Moyal product.
     """
     FS._check_compatible(GS)
     R = FS.order

@@ -17,16 +17,36 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .fock import MASK, MAX_RATIONAL_DIGITS, FockVector, rational_from_text
+from .fock import MASK, FockVector
 from .modes import ModeIndex, MultiIndex
 
-# Integers are canonical ASCII text, as `serialize_fock` writes them: no
-# sign on 0, no leading zero, "+" or "_", and at most MAX_RATIONAL_DIGITS
-# digits.  The degree, coordinate and multiplicity take no sign.
+# Longest digit run accepted in rational text: the interpreter's default
+# integer-string limit, so every coefficient `serialize_fock` writes reads back.
+MAX_RATIONAL_DIGITS = 4300
+_RATIONAL_TEXT = re.compile(r"-?[0-9]{1,%d}(?:[./][0-9]{1,%d})?" % ((MAX_RATIONAL_DIGITS,) * 2))
+
+
+def rational_from_text(text: str) -> Fraction:
+    """Exact value of `[-]digits`, `[-]digits.digits` or `[-]digits/digits`.
+
+    Digits are ASCII.  Anything else raises ValueError, as does a digit run
+    longer than MAX_RATIONAL_DIGITS; a zero denominator raises ZeroDivisionError.
+    `Fraction` alone also takes underscores, a leading "+" and exponents: the
+    11 bytes "1e10000000" build a 33-million-bit numerator.
+    """
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not a bounded rational: {text[:40]!r}")
+    return Fraction(text)
+
+
+# Integers are canonical ASCII text, as `serialize_fock` and `config_echo`
+# write them: no sign on 0, no leading zero, "+" or "_", and at most
+# MAX_RATIONAL_DIGITS digits.  A frequency, here and as an `alpha_spec` key,
+# is signed; the degree, coordinate and multiplicity take no sign.
+INTEGER_TEXT = r"0|-?[1-9][0-9]{0,%d}" % (MAX_RATIONAL_DIGITS - 1)
 _NATURAL = r"0|[1-9][0-9]{0,%d}" % (MAX_RATIONAL_DIGITS - 1)
 _NATURAL_RE = re.compile(_NATURAL)
-_MODE_RE = re.compile(r"\((%s),(0|-?[1-9][0-9]{0,%d}),([01])\)\^(%s)"
-                      % (_NATURAL, MAX_RATIONAL_DIGITS - 1, _NATURAL))
+_MODE_RE = re.compile(r"\((%s),(%s),([01])\)\^(%s)" % (_NATURAL, INTEGER_TEXT, _NATURAL))
 
 
 class FockParseError(ValueError):

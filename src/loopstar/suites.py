@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,37 +51,47 @@ from .serialization import deserialize_fock, serialize_fock
 
 
 @dataclass(frozen=True)
+class Exact:
+    """An exact count: the result's `failures`, passing at 0 and written as it is."""
+
+    field, tolerance, precision = "failures", 0.0, None
+
+
+@dataclass(frozen=True)
+class Rounding:
+    """The `residual` of an identity that holds to rounding, at most `tolerance`."""
+
+    tolerance: float
+    field, precision = "residual", Precision.RESIDUAL
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """A Monte-Carlo, fitted or searched `field` at most `tolerance`, or `tolerance(cfg)`."""
+
+    field: str
+    tolerance: Union[float, Callable[[RunConfig], float]]
+    precision = Precision.STATISTIC
+
+
+@dataclass(frozen=True)
 class Check:
     """One entry of a suite's check table.
 
-    `run(cfg, seed)` returns a dict with the instance count `n`.  The record
-    passes when the field named by `residual` is at most `tolerance` (or at
-    most the result's own `tolerance`, where the config sets the gate).
-    `claim` is a `str.format` template over the result; `observed` names its
-    headline field if that is not the residual.  Exact checks count failures
-    through `_count_failures`: tolerance 0, no `precision`.  An entry whose `run` is the previous
-    entry's reuses that result.  An entry marked `batch` reads only the
-    suite's Monte-Carlo batch xi = sample_xi_batch(seed, cfg.mc.n_samples,
-    cfg.mc.K_mc, cfg.d): `run_checks` draws it once per call and runs the
-    entry as `run(xi)`.
+    `run(cfg, seed)` returns a dict with the instance count `n` and the
+    field its `gate` reads; `claim` is a `str.format` template over it, and
+    `observed` names its headline field if that is not the gate's.  An entry
+    whose `run` is the previous entry's reuses that result.  A `batch` entry
+    runs as `run(xi)` on the Monte-Carlo batch that `run_checks` draws once
+    per call, sample_xi_batch(seed, cfg.mc.n_samples, cfg.mc.K_mc, cfg.d).
     """
 
     id: str
     claim: str
     run: Callable[..., dict]
-    tolerance: float = 0.0
-    precision: Optional[Precision] = None
-    residual: str = "failures"
+    gate: Union[Exact, Rounding, Statistic] = Exact()
     observed: Optional[str] = None
     batch: bool = False
-
-
-def _search(check_id: str, claim: str, search: Callable[[RunConfig, int], dict]) -> Check:
-    """A grid search for continuity constants: residual max_ratio if found, else 2.0."""
-    def run(cfg, seed):
-        r = search(cfg, seed)
-        return {**r, "residual": r["max_ratio"] if r["found"] else 2.0}
-    return Check(check_id, claim, run, 1.0, Precision.STATISTIC, "residual", "max_ratio")
 
 
 CHECKS: dict[str, tuple[Check, ...]] = {}      # suite -> its entries, in report order
@@ -156,6 +166,8 @@ def _worst_residual(seed: int, label: str, n: int,
 
 # C0 values of the continuity-constant grid; the norm search walks the first three.
 _SCALES = (1.0, 2.0, 4.0, 8.0)
+# The gate of every grid search: the residual of `_constant_search` at most 1.
+_SEARCH = Statistic("residual", 1.0)
 
 
 def _constant_search(operands: list, numerators: list[float],
@@ -164,8 +176,9 @@ def _constant_search(operands: list, numerators: list[float],
 
     The ratio at a point is the largest numerators[i] / bound(operands[i], k0, C0).
     The numerators do not depend on the point, so they are computed once by
-    the caller, at the norm bound (k, C) = (1, 1.0).  If no grid point
-    qualifies, `max_ratio` is the least ratio on the grid.
+    the caller, at the norm bound (k, C) = (1, 1.0).  `residual`, which the
+    gate reads, is `max_ratio` at the point found; with none found it is 2.0
+    and `max_ratio` is the least ratio on the grid.
     """
     n = len(operands)
     least = math.inf
@@ -173,9 +186,9 @@ def _constant_search(operands: list, numerators: list[float],
         for C0 in scales:
             r = _worst(num / bound(x, k0, C0) for x, num in zip(operands, numerators))
             if r <= 1.0:
-                return {"found": True, "k0": k0, "C0": C0, "max_ratio": r, "n": n}
+                return {"found": True, "k0": k0, "C0": C0, "max_ratio": r, "residual": r, "n": n}
             least = min(least, r)
-    return {"found": False, "k0": -1, "C0": 0.0, "max_ratio": least, "n": n}
+    return {"found": False, "k0": -1, "C0": 0.0, "max_ratio": least, "residual": 2.0, "n": n}
 
 
 def _pair_bound(pair: tuple[FockVector, FockVector], k0: int, C0: float) -> float:
@@ -293,14 +306,13 @@ CHECKS["algebra"] = (
           lambda cfg, seed: series_ring_failures(seed, 12, cfg.d, cfg.K, min(cfg.R, 3))),
     Check("norm.monotone", "norm bound is 1 on the unit and monotone in C and k",
           lambda cfg, seed: norm_monotone_failures(seed, 40, cfg.d, cfg.K)),
-    _search("norm.submultiplicative", "norm bound of a product is below the factor bounds at "
-            "grid-searched constants (k0={k0}, C0={C0:g})",
-            lambda cfg, seed: norm_submult_search(seed, 50, cfg.d, cfg.K)),
+    Check("norm.submultiplicative", "norm bound of a product is below the factor bounds at "
+          "grid-searched constants (k0={k0}, C0={C0:g})",
+          lambda cfg, seed: norm_submult_search(seed, 50, cfg.d, cfg.K), _SEARCH, "max_ratio"),
     Check("serialize.roundtrip", "serialization round-trips and is canonical under reordering",
           lambda cfg, seed: serialization_roundtrip_failures(seed, 40, cfg.d, cfg.K)),
     Check("exp.taylor", "chaos of the capped exponential equals the scalar Taylor partial sum",
-          lambda cfg, seed: exp_taylor_residual(seed, 30, cfg.d, cfg.K, cfg.N),
-          1e-12, Precision.RESIDUAL, "residual"),
+          lambda cfg, seed: exp_taylor_residual(seed, 30, cfg.d, cfg.K, cfg.N), Rounding(1e-12)),
 )
 
 
@@ -359,7 +371,7 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     instance must show aliasing error above that.  Going from a non-resolving
     grid c to a resolving grid f must also drop the worst error at least by
     (c/f)^2, so the claim is never weaker than second-order convergence.
-    `violations` counts the grids that break their side of the claim plus
+    `failures` counts the grids that break their side of the claim plus
     the (c, f) pairs that break the drop; `errors` is each grid's worst
     error in units of eps * max(1, |value|), and `within` counts the grids
     whose error is at most the bound.
@@ -378,11 +390,11 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     rows = _instances(seed, "chaos-convergence-instances", n_instances, instance)
     errors = [_worst(row[g] for row in rows) for g in range(len(grids))]
     resolved = [n > K_mc + K for n in grids]
-    violations = sum((e <= QUADRATURE_EPS_BOUND) != res for e, res in zip(errors, resolved))
-    violations += sum(ef > ec * (c / f) ** 2
-                      for c, ec, rc in zip(grids, errors, resolved) if not rc
-                      for f, ef, rf in zip(grids, errors, resolved) if rf)
-    return {"violations": violations, "errors": errors, "grids": list(grids),
+    failures = sum((e <= QUADRATURE_EPS_BOUND) != res for e, res in zip(errors, resolved))
+    failures += sum(ef > ec * (c / f) ** 2
+                    for c, ec, rc in zip(grids, errors, resolved) if not rc
+                    for f, ef, rf in zip(grids, errors, resolved) if rf)
+    return {"failures": failures, "errors": errors, "grids": list(grids),
             "grid_list": "/".join(map(str, grids)), "resolved": resolved,
             "within": sum(e <= QUADRATURE_EPS_BOUND for e in errors),
             "bound": QUADRATURE_EPS_BOUND, "n": n_instances}
@@ -438,29 +450,24 @@ def normal_convergence_failures(seed: int, d: int, K_mc: int) -> dict:
 
 CHECKS["chaos"] = (
     Check("factorization.spectral", "spectral chaos of a product equals the product of chaoses",
-          lambda cfg, seed: chaos_spectral_residual(seed, 100, cfg.d, cfg.K),
-          1e-12, Precision.RESIDUAL, "residual"),
+          lambda cfg, seed: chaos_spectral_residual(seed, 100, cfg.d, cfg.K), Rounding(1e-12)),
     Check("pairing.recovery", "quadrature pairing of each mode recovers its stored coefficient",
           lambda cfg, seed: pairing_recovery_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc,
-                                                      cfg.mc.n_grid),
-          1e-8, Precision.RESIDUAL, "residual"),
+                                                      cfg.mc.n_grid), Rounding(1e-8)),
     Check("factorization.quadrature", "quadrature evaluation (one trapezoid pairing per mode, "
           "multiplied out) matches the spectral one",
           lambda cfg, seed: chaos_quadrature_residual(seed, 30, cfg.d, cfg.K, cfg.mc.K_mc,
-                                                      cfg.mc.n_grid),
-          1e-6, Precision.RESIDUAL, "residual"),
+                                                      cfg.mc.n_grid), Rounding(1e-6)),
     Check("quadrature.order", "trapezoid rule on grids {grid_list} matches the spectral value "
           "within {bound:g} eps where the grid resolves the integrand, shows aliasing error "
           "above that where it does not, and drops the error at least by (n_coarse/n_fine)^2 "
           "from each non-resolving to each resolving grid",
-          lambda cfg, seed: quadrature_convergence(seed, cfg.d, cfg.K),
-          residual="violations", observed="within"),
+          lambda cfg, seed: quadrature_convergence(seed, cfg.d, cfg.K), observed="within"),
     Check("gateaux.slope", "finite-difference error slope toward the contraction chaos is 2 +- 0.1",
           lambda cfg, seed: gateaux_slope_deviation(seed, 15, cfg.d, cfg.K, cfg.mc.K_mc),
-          0.1, Precision.STATISTIC, "deviation"),
+          Statistic("deviation", 0.1)),
     Check("gateaux.linear", "central difference is exact on degree <= 1 vectors",
-          lambda cfg, seed: fd_linear_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc),
-          1e-9, Precision.RESIDUAL, "residual"),
+          lambda cfg, seed: fd_linear_residual(seed, cfg.d, cfg.K, cfg.mc.K_mc), Rounding(1e-9)),
     Check("injectivity.probe", "identity-test probe accepts the zero vector and no random "
           "nonzero one", lambda cfg, seed: injectivity_stats(seed, 40, cfg.d, cfg.K)),
     Check("normal.convergence", "per-degree contributions and tail respect the geometric envelope",
@@ -584,10 +591,9 @@ def holder_p1_z(xi: np.ndarray) -> dict:
 
 def holder_bounded_ratio(xi: np.ndarray) -> dict:
     """Ratios stay bounded, below 2d, on a dyadic separation sweep down to small gaps."""
-    _, d, _ = batch_shape(xi)
     pairs = [(0.2, 0.2 + 2.0 ** (-j)) for j in range(1, 8)]
     table = holder_moment_check(xi, pairs)
-    return {"max_ratio": table["max_ratio"], "tolerance": 2.0 * d, "n": len(pairs)}
+    return {"max_ratio": table["max_ratio"], "n": len(pairs)}
 
 
 def loop_eval_consistency(seed: int, d: int) -> dict:
@@ -614,35 +620,28 @@ def _covariance(xi: np.ndarray) -> dict:
 
 CHECKS["gaussian"] = (
     Check("kernel.constants", "exponential coefficients and constant diagonal match rearranged "
-          "closed forms", lambda cfg, seed: kernel_constant_residuals(seed),
-          1e-14, Precision.RESIDUAL, "residual"),
+          "closed forms", lambda cfg, seed: kernel_constant_residuals(seed), Rounding(1e-14)),
     Check("kernel.spectral", "closed-form kernel matches the 200-frequency eigenfunction sum",
-          lambda cfg, seed: kernel_spectral_residual(seed), 1e-4, Precision.STATISTIC, "residual"),
+          lambda cfg, seed: kernel_spectral_residual(seed), Statistic("residual", 1e-4)),
     Check("kernel.stationary", "kernel is symmetric and translation invariant on the circle",
-          lambda cfg, seed: kernel_stationarity_residual(seed),
-          1e-14, Precision.RESIDUAL, "residual"),
+          lambda cfg, seed: kernel_stationarity_residual(seed), Rounding(1e-14)),
     Check("sampler.deterministic", "same seed reproduces bits; seeds differ; batch prefixes agree",
           lambda cfg, seed: sampler_determinism_failures(seed, cfg.d)),
-    # The `batch` entries read one drawn batch, and one z-score computation
-    # serves both covariance records.
     Check("covariance.same_coord", "MC covariance within 3 standard errors of the spectral truth",
-          _covariance, 3.0, Precision.STATISTIC, "worst_same", batch=True),
+          _covariance, Statistic("worst_same", 3.0), batch=True),
     Check("covariance.cross_coord", "cross-coordinate covariance vanishes within 3 standard errors",
-          _covariance, 3.0, Precision.STATISTIC, "worst_cross", batch=True),
+          _covariance, Statistic("worst_cross", 3.0), batch=True),
     Check("covariance.stationary", "translated pairs share their covariance within joint MC error",
-          lambda xi: stationarity_z_score(xi), 3.0, Precision.STATISTIC, "worst", batch=True),
+          lambda xi: stationarity_z_score(xi), Statistic("worst", 3.0), batch=True),
     Check("covariance.psd", "grid covariance matrix has no eigenvalue below -1e-10",
-          lambda cfg, seed: covariance_psd_min_eig(cfg.mc.K_mc),
-          1e-10, Precision.RESIDUAL, "residual", observed="min_eig"),
+          lambda cfg, seed: covariance_psd_min_eig(cfg.mc.K_mc), Rounding(1e-10), "min_eig"),
     Check("holder.p1", "p=1 increment-moment ratios match the Gaussian closed form within 3 SE",
-          lambda xi: holder_p1_z(xi), 3.0, Precision.STATISTIC, "worst", observed="max_ratio",
-          batch=True),
+          lambda xi: holder_p1_z(xi), Statistic("worst", 3.0), "max_ratio", batch=True),
     Check("holder.bounded", "increment-moment ratios stay bounded down dyadic separations",
-          lambda xi: holder_bounded_ratio(xi), precision=Precision.STATISTIC,
-          residual="max_ratio", batch=True),
+          lambda xi: holder_bounded_ratio(xi), Statistic("max_ratio", lambda cfg: 2.0 * cfg.d),
+          batch=True),
     Check("loop_eval.consistent", "grid hits come from storage and off-grid matches the spectral "
-          "dot", lambda cfg, seed: loop_eval_consistency(seed, cfg.d),
-          1e-12, Precision.RESIDUAL, "residual"),
+          "dot", lambda cfg, seed: loop_eval_consistency(seed, cfg.d), Rounding(1e-12)),
 )
 
 
@@ -711,7 +710,7 @@ def chaos_compatibility_residual(seed: int, n_instances: int, d: int, K: int) ->
     """
     form = SymplecticForm(d, K, Fraction(LAMBDA))
     # The oracle's (weight, mode on F, mode on G) per channel of the form.
-    pairings = [(float(w), mode_f, mode_g) for mode_f, mode_g, w in form.channels()]
+    pairings = [(float(w), mode_f, mode_g) for mode_f, mode_g, w in form.channels]
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
@@ -747,11 +746,11 @@ CHECKS["poisson"] = (
           lambda cfg, seed: bracket_pair_example_failures(resolve_form(cfg))),
     Check("bracket.chaos_compat", "chaos of the bracket equals the classical bracket of evaluation "
           "polynomials (float weight 4 pi^2)",
-          lambda cfg, seed: chaos_compatibility_residual(seed, 30, cfg.d, cfg.K),
-          1e-10, Precision.RESIDUAL, "residual"),
-    _search("bracket.bounded", "bracket norm bound below the factor bounds at grid-searched "
-            "constants (k3={k0}, C3={C0:g})",
-            lambda cfg, seed: bracket_bound_search(seed, 25, resolve_form(cfg))),
+          lambda cfg, seed: chaos_compatibility_residual(seed, 30, cfg.d, cfg.K), Rounding(1e-10)),
+    Check("bracket.bounded", "bracket norm bound below the factor bounds at grid-searched "
+          "constants (k3={k0}, C3={C0:g})",
+          lambda cfg, seed: bracket_bound_search(seed, 25, resolve_form(cfg)), _SEARCH,
+          "max_ratio"),
 )
 
 
@@ -794,7 +793,7 @@ def star_assoc_failures(seed: int, label: str, n_triples: int, channels: Sequenc
 def star_series_failures(seed: int, n_instances: int, form: SymplecticForm, R: int) -> dict:
     """Series product reduces to the star on concentrated series; associativity."""
     d, K = form.d, form.K
-    channels = form.channels()
+    channels = form.channels
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3, dual_fraction=0.5)
@@ -818,8 +817,7 @@ CHECKS["moyal"] = (
     Check("star.associative", "star-product associativity, coefficientwise and exact, random "
           "triples",
           lambda cfg, seed: star_assoc_failures(seed, "moyal-assoc", 12,
-                                                resolve_form(cfg).channels(), cfg.d, cfg.K,
-                                                cfg.R)),
+                                                resolve_form(cfg).channels, cfg.d, cfg.K, cfg.R)),
     Check("star.series", "series product has the unit, reduces to the star, and stays associative",
           lambda cfg, seed: star_series_failures(seed, 8, resolve_form(cfg), min(cfg.R, 3))),
 )
@@ -951,7 +949,7 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
         lhs = apply_T(HbarSeries(_star_orders(F, G, A.channels, R, order_caps=order_caps)), A)
         TF = apply_T(HbarSeries.from_vector(F, R), A)
         TG = apply_T(HbarSeries.from_vector(G, R), A)
-        rhs = star_series(TF, TG, unit.channels(), max_degree=window)
+        rhs = star_series(TF, TG, unit.channels, max_degree=window)
         return lhs.truncate_degree(window) != rhs.truncate_degree(window)
     r = _count_failures(seed, f"intertwine-{kind}-{A.name}", n_instances, instance)
     return {**r, "window": window}
@@ -1031,12 +1029,14 @@ CHECKS["equivalence"] = (
                                                   kind="exp"), observed="window"),
     Check("product.formula", "deformed product of capped exponentials matches the closed formula "
           "(d=1, K=2)", lambda cfg, seed: product_formula_failures(seed, 12), observed="window"),
-    _search("transform.bounded", "generator norm bound below the input bound at grid-searched "
-            "constants (k1={k0}, C1={C0:g})",
-            lambda cfg, seed: generator_bound_search(seed, 15, resolve_alpha(cfg))),
-    _search("perturbation.bounded", "perturbation norm bound below the factor bounds at "
-            "grid-searched constants (k1={k0}, C1={C0:g})",
-            lambda cfg, seed: perturbation_bound_search(seed, 15, resolve_alpha(cfg))),
+    Check("transform.bounded", "generator norm bound below the input bound at grid-searched "
+          "constants (k1={k0}, C1={C0:g})",
+          lambda cfg, seed: generator_bound_search(seed, 15, resolve_alpha(cfg)), _SEARCH,
+          "max_ratio"),
+    Check("perturbation.bounded", "perturbation norm bound below the factor bounds at "
+          "grid-searched constants (k1={k0}, C1={C0:g})",
+          lambda cfg, seed: perturbation_bound_search(seed, 15, resolve_alpha(cfg)), _SEARCH,
+          "max_ratio"),
 )
 
 
@@ -1056,13 +1056,13 @@ def run_checks(suite: str, cfg: RunConfig) -> list[CheckRecord]:
         if check.run is not previous:
             args = (batch(),) if check.batch else (cfg, seed)
             previous, result = check.run, check.run(*args)
-        residual = float(result[check.residual])
-        tolerance = result.get("tolerance", check.tolerance)
+        gate = check.gate
+        tolerance = gate.tolerance(cfg) if callable(gate.tolerance) else gate.tolerance
         records.append(CheckRecord(
             suite=suite, check_id=check.id, claim=check.claim.format(**result),
-            residual=residual, tolerance=tolerance, n_instances=result["n"], seed=seed,
-            observed=float(result[check.observed or check.residual]),
-            wall_time=time.perf_counter() - t0, precision=check.precision))
+            residual=float(result[gate.field]), tolerance=tolerance, n_instances=result["n"],
+            seed=seed, observed=float(result[check.observed or gate.field]),
+            wall_time=time.perf_counter() - t0, precision=gate.precision))
     return records
 
 

@@ -65,7 +65,7 @@ def test_criterion_03_chaos_factorization(capsys):
     # Both sides of the claim, and hence its order-2 drop, are exercised.
     both_sides = 0 < len(fine) < len(conv["grids"])
     ok = (spec["residual"] <= 1e-12 and quad["residual"] <= 1e-6
-          and conv["violations"] == 0 and both_sides and dt <= 60.0)
+          and conv["failures"] == 0 and both_sides and dt <= 60.0)
     announce(capsys, 3, ok,
              f"chaos factorization: spectral {spec['residual']:.2e} <= 1e-12 on 100, "
              f"quadrature {quad['residual']:.2e} <= 1e-6 at n_grid=4096, "
@@ -101,7 +101,7 @@ def test_criterion_06_star_product(capsys):
     t0 = time.perf_counter()
     form = SymplecticForm(d=2, K=3, weight_c=Fraction(1))
     laws = power_law_failures(SEED, 50, form)
-    assoc = star_assoc_failures(SEED, "moyal-assoc", 50, form.channels(), 2, 3, R=4)
+    assoc = star_assoc_failures(SEED, "moyal-assoc", 50, form.channels, 2, 3, R=4)
     dt = time.perf_counter() - t0
     ok = laws["failures"] == 0 and assoc["failures"] == 0 and dt <= 120.0
     announce(capsys, 6, ok,

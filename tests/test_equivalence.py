@@ -216,7 +216,7 @@ def test_window_cap_is_exact(seed, N, R):
         phi1, phi2 = wick_exponential(g1, N), wick_exponential(g2, N)
         TF, TG = (apply_T(HbarSeries.from_vector(phi, R), A) for phi in (phi1, phi2))
         for product in (lambda cap: star_A(phi1, phi2, A, R, max_degree=cap),
-                        lambda cap: star_series(TF, TG, unit.channels(), max_degree=cap),
+                        lambda cap: star_series(TF, TG, unit.channels, max_degree=cap),
                         lambda cap: exp_product_formula_rhs(g1, g2, A, R, cap)):
             capped, full = product(window), product(N)
             for r in range(R + 1):

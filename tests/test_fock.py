@@ -387,7 +387,7 @@ _A = {name: DiagonalOperatorA.family(name, 1, 1) for name in ("zero", "one", "ks
 # Repeated modes: M1 on F in three channels, (M1, D1) twice with two weights.
 HAND_CHANNELS = CHANNELS + [(M1, D1, Fraction(5, 6)), (M2, D2, Fraction(-7, 2))]
 STAR_TABLES = {
-    **{f"moyal_{c}": SymplecticForm(1, 1, c).channels() for c in (0, 1, Fraction(7, 3))},
+    **{f"moyal_{c}": SymplecticForm(1, 1, c).channels for c in (0, 1, Fraction(7, 3))},
     **{f"deformed_{n}": A.channels for n, A in _A.items()},
     **{f"symmetric_{n}": A.symmetric_channels for n, A in _A.items()},
     "hand": HAND_CHANNELS,

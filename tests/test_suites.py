@@ -46,6 +46,34 @@ def test_all_suites_pass_on_light_config(light_report):
         assert (r.tolerance == 0.0) == (r.precision is None), r.check_id
 
 
+def test_every_gate_states_how_its_record_passes(light_report):
+    """An exact gate counts `failures` against 0 and writes them as they are; a
+    rounding gate reads `residual` and a statistic gate its own field, each at
+    its precision against a positive tolerance, which the record carries."""
+    cfg = parse_config(LIGHT_DOC)
+    records = {(r.suite, r.check_id): r for r in light_report.records}
+    kinds = []
+    for suite, table in suites.CHECKS.items():
+        for check in table:
+            gate = check.gate
+            tolerance = gate.tolerance(cfg) if callable(gate.tolerance) else gate.tolerance
+            if isinstance(gate, suites.Exact):
+                assert (gate.field, tolerance, gate.precision) == ("failures", 0.0, None)
+            elif isinstance(gate, suites.Rounding):
+                assert gate.field == "residual" and gate.precision is Precision.RESIDUAL
+                assert tolerance > 0, check.id
+            else:
+                assert isinstance(gate, suites.Statistic), check.id
+                assert gate.precision is Precision.STATISTIC and tolerance > 0, check.id
+            record = records[suite, check.id]
+            assert (record.tolerance, record.precision) == (tolerance, gate.precision)
+            kinds.append(type(gate).__name__)
+    assert [kinds.count(k) for k in ("Exact", "Rounding", "Statistic")] == [23, 10, 11]
+    # The one tolerance that the config sets: 2d for the bounded Hölder ratios.
+    holder = next(c for c in suites.CHECKS["gaussian"] if c.id == "holder.bounded")
+    assert holder.gate.tolerance(cfg) == 2.0 * LIGHT_DOC["d"]
+
+
 def test_covariance_records_share_one_z_score_run(monkeypatch):
     """covariance.cross_coord reuses the z-scores computed for covariance.same_coord."""
     original, calls = suites.covariance_z_scores, []
@@ -92,14 +120,16 @@ def test_monte_carlo_gates_catch_a_perturbed_batch():
     A 1.05 amplitude scale moves every variance by about 10%.  Mixing 0.312
     of coordinate 1 into coordinate 2, scaled by 0.95 so its variance stays
     within 0.1% of 1, correlates the coordinates alone.  The gates pass the
-    batch as drawn and catch each defect at three times their threshold.
-    The stationarity gate reads a translation defect, which neither is.
+    batch as drawn and catch each defect at three times their threshold.  A
+    1.05 variance scale, half the amplitude defect, is caught too, at about
+    twice the threshold.  The stationarity gate reads a translation defect,
+    which none of these is.
     """
     checks = {check.id: check for check in suites.CHECKS["gaussian"]}
 
     def over_gate(check_id, xi):
-        check = checks[check_id]
-        return check.run(xi)[check.residual] / check.tolerance
+        gate = checks[check_id].gate
+        return checks[check_id].run(xi)[gate.field] / gate.tolerance
 
     xi = suites.sample_xi_batch(42, 20000, 64, 2)
     mixed = xi.copy()
@@ -108,6 +138,8 @@ def test_monte_carlo_gates_catch_a_perturbed_batch():
     assert all(over_gate(gate, xi) <= 1.0 for gate in gates)
     assert over_gate("covariance.same_coord", 1.05 * xi) > 3.0
     assert over_gate("holder.p1", 1.05 * xi) > 3.0
+    assert over_gate("covariance.same_coord", math.sqrt(1.05) * xi) > 1.0
+    assert over_gate("holder.p1", math.sqrt(1.05) * xi) > 1.0
     assert over_gate("covariance.cross_coord", mixed) > 3.0
 
 
