@@ -131,7 +131,7 @@ def cAr(r: int, F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVecto
 def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, R: int,
            max_degree: Optional[int] = None) -> HbarSeries:
     """Deformed star-product: order-r coefficient cAr / r!."""
-    return HbarSeries(_star_orders(F, G, A.channels, R, max_degree))
+    return HbarSeries(_star_orders(F, G, A.channels, [max_degree] * (R + 1)))
 
 
 def apply_T1(F: FockVector, A: DiagonalOperatorA) -> FockVector:

@@ -117,18 +117,17 @@ def _joined(num: dict) -> int:
 class _Terms(Mapping):
     """Read-only coefficients of one vector, keyed by monomial in term order.
 
-    Length reads the numerators.  The mapping is `values` if given (the
-    Fractions a vector was built from); otherwise the decoded monomials
-    with the reduced Fractions num / D, built on the first key or value
-    read and kept.  Every other method comes from `Mapping`.
+    Length reads the numerators.  The mapping is the decoded monomials with
+    the reduced Fractions num / D, built on the first key or value read and
+    kept.  Every other method comes from `Mapping`.
     """
 
     __slots__ = ("_num", "_den", "_values")
 
-    def __init__(self, num: dict, den: int, values: Optional[dict]):
+    def __init__(self, num: dict, den: int):
         self._num = num
         self._den = den
-        self._values = values
+        self._values = None
 
     def _dict(self) -> dict:
         if self._values is None:
@@ -174,15 +173,15 @@ class FockVector:
     __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms: Mapping[MultiIndex, Scalar]):
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for mu, c in terms.items():
             if not isinstance(mu, MultiIndex):
                 mu = MultiIndex(mu)
             c = coerce_scalar(c)
             if c:
-                clean[mu] = c
-        self._num, self._den = _common_denominator({_encode(mu): c for mu, c in clean.items()})
-        self._terms = _Terms(self._num, self._den, clean)
+                clean[_encode(mu)] = c
+        self._num, self._den = _common_denominator(clean)
+        self._terms = None
 
     @classmethod
     def _raw(cls, num: dict, den: int) -> "FockVector":
@@ -208,7 +207,7 @@ class FockVector:
     def terms(self) -> Mapping[MultiIndex, Fraction]:
         """Coefficient by monomial, as reduced Fractions."""
         if self._terms is None:
-            self._terms = _Terms(self._num, self._den, None)
+            self._terms = _Terms(self._num, self._den)
         return self._terms
 
     def is_zero(self) -> bool:
@@ -266,11 +265,6 @@ class FockVector:
             return FockVector.zero()
         p, q = s.numerator, s.denominator
         return _reduced({mu: c * p for mu, c in self._num.items()}, self._den * q)
-
-    def __mul__(self, scalar: Scalar) -> "FockVector":
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
 
     def truncate(self, n: int) -> "FockVector":
         """Project onto degrees <= n."""
@@ -402,9 +396,8 @@ def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVect
     return out.vector()
 
 
-def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: int,
-                 max_degree: Optional[int] = None, lowest: int = 0,
-                 order_caps: Optional[Sequence[int]] = None) -> list[FockVector]:
+def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel],
+                 caps: Sequence[Optional[int]], lowest: int = 0) -> list[FockVector]:
     """Orders lowest..R of the channel star-product of F and G: the one contraction engine.
 
     A channel (m_F, m_G, w) contributes w * :a_{m_F}F . a_{m_G}G:.  Order r
@@ -424,19 +417,14 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel], R: i
     product goes into its order as numerators over F._den * G._den * q,
     and each order is reduced once, when the walk is done.
 
-    Every order is formed at cap `max_degree`, or, if `order_caps` is
-    given, order r at cap `order_caps[r]` instead (one cap per order
-    0..R).  Order r then equals the uncapped order truncated to its cap,
-    since each Wick product adds degrees.
+    `caps` holds one cap per order 0..R, so R = len(caps) - 1; order r is
+    formed at cap `caps[r]`, None for no cap.  Order r then equals the
+    uncapped order truncated to its cap, since each Wick product adds
+    degrees.
     """
+    R = len(caps) - 1
     if R < 0:
         raise ValueError("contraction order must be >= 0")
-    if order_caps is None:
-        caps = [max_degree] * (R + 1)
-    elif len(order_caps) == R + 1:
-        caps = order_caps
-    else:
-        raise ValueError(f"need one cap per order 0..{R}, got {len(order_caps)}")
     # A channel is live if both operands hold its modes and its weight is
     # not 0.  No field sits at offset 0, so a mode never met (offset None)
     # fails its own test.  Each side keeps its mode's offset and unit (one
@@ -480,7 +468,7 @@ def contract_channels(F: FockVector, G: FockVector, channels: Iterable[Channel],
     the channel sum as a bidifferential operator, without any 1/r!
     normalization.  It is r! times order r of the shared engine.
     """
-    return _star_orders(F, G, channels, r, lowest=r)[0].scale(math.factorial(r))
+    return _star_orders(F, G, channels, [None] * (r + 1), lowest=r)[0].scale(math.factorial(r))
 
 
 def wick_exponential(gamma: Mapping[ModeIndex, Scalar], N: int) -> FockVector:

@@ -194,9 +194,8 @@ def batch_shape(xi: np.ndarray) -> tuple[int, int, int]:
 def basis_matrix(K: int, s_points: np.ndarray) -> np.ndarray:
     """Profiles of frequencies -K..K at the given points, shape (2K+1,) + s_points.shape.
 
-    `modes.profile_table` at order 0.  Every table of the sampler and of the
-    checks in `suites` is built under this name, and the demos use it;
-    `profile_table` is the builder, which also gives derivative orders.
+    `modes.profile_table`.  Every table of the sampler and of the checks in
+    `suites` is built under this name, and the demos use it.
     """
     return profile_table(K, s_points)
 

@@ -130,28 +130,25 @@ def mode_profile(freq: int, s, order: int = 0) -> np.ndarray:
     return norm_const(freq) * (w ** order) * base
 
 
-def profile_table(K: int, s, order: int = 0) -> np.ndarray:
+def profile_table(K: int, s) -> np.ndarray:
     """Profiles of frequencies -K..K at parameter(s) s, shape (2K+1,) + s.shape.
 
-    Row k + K is bit-identical to `mode_profile(k, s, order)`: every element
-    goes through the same floating-point operations, only broadcast over
-    the frequency axis.  Frequencies +k and -k share one phase array, whose
+    Row k + K is bit-identical to `mode_profile(k, s)`: every element goes
+    through the same floating-point operations, only broadcast over the
+    frequency axis.  Frequencies +k and -k share one phase array, whose
     cosine gives row K + k and whose sine gives row K - k.
     """
     if K < 0:
         raise ValueError(f"cutoff K must be >= 0, got {K}")
     s = np.asarray(s, dtype=float)
     w = TWO_PI * np.arange(1, K + 1, dtype=float)
-    # Python floats per frequency, as mode_profile computes its scale; numpy's
-    # array power takes other routes (w * w for order 2).
-    scale = np.array([norm_const(k) * x ** order for k, x in enumerate(w.tolist(), 1)])
     axis = (K,) + (1,) * s.ndim
-    scale = scale.reshape(axis)
+    scale = np.array([norm_const(k) for k in range(1, K + 1)]).reshape(axis)
     out = np.empty((2 * K + 1,) + s.shape)
-    out[K] = 1.0 if order == 0 else 0.0
+    out[K] = 1.0
     # In place, so that one (K,) + s.shape temporary is alive at a time.
     phase = w.reshape(axis) * s
-    phase += order * (math.pi / 2.0)
+    phase += 0.0            # mode_profile's phase offset at order 0: -0.0 turns +0.0
     cos = np.cos(phase, out=out[K + 1:])
     cos *= scale
     sin = np.sin(phase, out=phase)

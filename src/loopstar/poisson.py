@@ -84,7 +84,7 @@ def poisson_power(r: int, F: FockVector, G: FockVector, form: SymplecticForm) ->
 
 def moyal_star(F: FockVector, G: FockVector, form: SymplecticForm, R: int) -> HbarSeries:
     """Deformed product: order-r coefficient is the r-fold contraction over r!."""
-    return HbarSeries(_star_orders(F, G, form.channels, R))
+    return HbarSeries(_star_orders(F, G, form.channels, [None] * (R + 1)))
 
 
 def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
@@ -103,6 +103,6 @@ def star_series(FS: HbarSeries, GS: HbarSeries, channels: Sequence[Channel],
             F, G = FS.coefficient(a), GS.coefficient(b)
             if F.is_zero() or G.is_zero():
                 continue
-            for c, part in enumerate(_star_orders(F, G, channels, R - a - b, max_degree)):
+            for c, part in enumerate(_star_orders(F, G, channels, [max_degree] * (R + 1 - a - b))):
                 out[a + b + c].add(part)
     return HbarSeries(total.vector() for total in out)

@@ -10,14 +10,11 @@ returns `instance(rng, i)` for i < n on the check's (seed, label) stream.
 An exact check sums what its instances return, the identities each breaks
 (`_count_failures`); a float check folds its values with `_worst`
 (`_worst_residual`), which is inf once any value is NaN or infinite, so a
-broken evaluation FAILs instead of vanishing.  Three checks keep their own
-stream, since one loop would reorder their draws:
-`perturbation_bound_search` (family, then pairs), `kernel_constant_residuals`
-and `loop_eval_consistency` (vectorized batches).  The continuity-constant
-searches walk one grid in `_constant_search`.  Paired identities always go
-through two structurally different routes (engine vs direct expansion,
-spectral vs quadrature, closed form vs eigen-sum), never through the same
-code twice.
+broken evaluation FAILs instead of vanishing.  No check opens a stream of
+its own.  The continuity-constant searches walk one grid in
+`_constant_search`.  Paired identities always go through two structurally
+different routes (engine vs direct expansion, spectral vs quadrature,
+closed form vs eigen-sum), never through the same code twice.
 """
 
 from __future__ import annotations
@@ -481,17 +478,17 @@ CHECKS["chaos"] = (
 
 def kernel_constant_residuals(seed: int) -> dict:
     """Closed-form kernel constants and shape identities, at 25 random points."""
-    rng = instance_rng(seed, "kernel-constants")
     # Independently rearranged forms of the same magnitudes.
     alpha_ref = math.e / (2.0 * (math.e - 1.0))
     beta_ref = math.exp(-1.0) / (2.0 * (1.0 - math.exp(-1.0)))
     diag_ref = 0.5 / math.tanh(0.5)
+
+    def instance(rng, i):
+        s, x = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
+        return _worst((abs(green_kernel(s, s) - diag_ref),
+                       abs(green_exponential_form(x) - green_kernel(x, 0.0))))
     gaps = [abs(GREEN_ALPHA - alpha_ref), abs(GREEN_BETA - beta_ref),
-            abs(green_diagonal() - diag_ref)]
-    for s in rng.uniform(0.0, 1.0, size=25):
-        x = float(rng.uniform(0.0, 1.0))
-        gaps += [abs(green_kernel(float(s), float(s)) - diag_ref),
-                 abs(green_exponential_form(x) - green_kernel(x, 0.0))]
+            abs(green_diagonal() - diag_ref), *_instances(seed, "kernel-constants", 25, instance)]
     return {"residual": _worst(gaps), "n": 25}
 
 
@@ -601,13 +598,14 @@ def loop_eval_consistency(seed: int, d: int) -> dict:
 
     The field has K_mc = 32 on a 128-point grid.
     """
-    rng = instance_rng(seed, "loop-eval")
     sample = sample_loop(seed + 3, 32, 128, d)
+
+    def instance(rng, i):
+        s = float(rng.uniform(0.0, 1.0))
+        direct = sample.xi @ basis_matrix(32, np.array([s]))[:, 0]
+        return np.max(np.abs(loop_eval(sample, s) - direct))
     gaps = [np.max(np.abs(loop_eval(sample, j / 128) - sample.values[j]))
-            for j in (0, 1, 64, 127)]
-    for s in rng.uniform(0.0, 1.0, size=10):
-        direct = sample.xi @ basis_matrix(32, np.array([float(s)]))[:, 0]
-        gaps.append(np.max(np.abs(loop_eval(sample, float(s)) - direct)))
+            for j in (0, 1, 64, 127)] + _instances(seed, "loop-eval", 10, instance)
     return {"residual": _worst(gaps), "n": len(gaps)}
 
 
@@ -942,11 +940,11 @@ def intertwining_failures(seed: int, n_instances: int, A: DiagonalOperatorA,
         raise ValueError(f"need N - 2R >= 0, got N={N}, R={R}")
     d, K = A.d, A.K
     unit = SymplecticForm.unit_pairing(d, K)
-    order_caps = [N - 2 * a for a in range(R + 1)]
+    caps = [N - 2 * a for a in range(R + 1)]
 
     def instance(rng, i):
         F, G = _exp_pair(rng, d, K, N) if kind == "exp" else _poly_pair(rng, d, K, N, window)
-        lhs = apply_T(HbarSeries(_star_orders(F, G, A.channels, R, order_caps=order_caps)), A)
+        lhs = apply_T(HbarSeries(_star_orders(F, G, A.channels, caps)), A)
         TF = apply_T(HbarSeries.from_vector(F, R), A)
         TG = apply_T(HbarSeries.from_vector(G, R), A)
         rhs = star_series(TF, TG, unit.channels, max_degree=window)
@@ -990,16 +988,11 @@ def generator_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA) ->
 
 
 def perturbation_bound_search(seed: int, n_instances: int, A: DiagonalOperatorA) -> dict:
-    """Continuity constants for the perturbation.
-
-    Its stream draws a family first, as the generator's does, then the pairs.
-    """
+    """Continuity constants for the perturbation."""
     d, K = A.d, A.K
-    rng = instance_rng(seed, "bound-ea")
-    for _ in range(n_instances):
-        random_fock(rng, d, K, 4, dual_fraction=0.5)
-    pairs = [(random_fock(rng, d, K, 3, dual_fraction=0.5),
-              random_fock(rng, d, K, 3, dual_fraction=0.5)) for _ in range(n_instances)]
+    pairs = _instances(seed, "bound-ea", n_instances,
+                       lambda rng, i: (random_fock(rng, d, K, 3, dual_fraction=0.5),
+                                       random_fock(rng, d, K, 3, dual_fraction=0.5)))
     return _constant_search(pairs, [connes_norm_upper(apply_EA(F, G, A), 1, 1.0)
                                     for F, G in pairs], _pair_bound, _SCALES)
 

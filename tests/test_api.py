@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "loopstar"
 # Defaulted parameters that no call inside the package sets, each with its reason.
 ALLOWED = {
     "cli.main(argv)",                               # the test hook; the console script passes none
-    "modes.profile_table(order)",                   # pinned bit for bit to mode_profile(order)
     "suites.product_formula_failures(N)",           # the acceptance gate sets its scale through N
     "suites.product_formula_failures(R)",           # the acceptance gate sets its scale through R
 }

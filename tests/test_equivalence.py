@@ -244,8 +244,8 @@ def test_per_order_caps_are_exact(seed, N, R):
                                       **random_gamma(rng, d, K, 2, True)}, N) for _ in range(2)]
         poly_pair = [random_fock(rng, d, K, N, n_terms=4, dual_fraction=0.5) for _ in range(2)]
         for F, G in (exp_pair, poly_pair):
-            capped = _star_orders(F, G, channels, R, order_caps=caps)
-            full = _star_orders(F, G, channels, R, max_degree=N)
+            capped = _star_orders(F, G, channels, caps)
+            full = _star_orders(F, G, channels, [N] * (R + 1))
             for a in range(R + 1):
                 assert capped[a] == full[a].truncate(caps[a])
                 dropped += capped[a] != full[a]
@@ -253,8 +253,6 @@ def test_per_order_caps_are_exact(seed, N, R):
             assert lhs == apply_T(HbarSeries(full), A).truncate_degree(window)
             contracted += any(not part.is_zero() for part in lhs.coeffs[1:])
     assert dropped and contracted
-    with pytest.raises(ValueError):
-        _star_orders(F, G, channels, R, order_caps=caps[:-1])
 
 
 def _compare_at_cap_N(m, N):
@@ -264,7 +262,7 @@ def _compare_at_cap_N(m, N):
     m.setattr(suites, "star_A",
               lambda F, G, A, R, max_degree=None: star_A_(F, G, A, R, N))
     m.setattr(suites, "_star_orders",
-              lambda F, G, channels, R, order_caps=None: star_orders_(F, G, channels, R, N))
+              lambda F, G, channels, caps: star_orders_(F, G, channels, [N] * len(caps)))
     m.setattr(suites, "exp_product_formula_rhs",
               lambda g1, g2, A, R, cap: rhs_(g1, g2, A, R, N))
     m.setattr(suites, "star_series",
@@ -291,9 +289,9 @@ def test_window_capped_intertwining_catches_wrong_sign(monkeypatch):
     star_orders_ = suites._star_orders
     caps_seen = []
 
-    def star_orders_spy(*args, order_caps, **kwargs):
-        caps_seen.append(order_caps)
-        return star_orders_(*args, order_caps=order_caps, **kwargs)
+    def star_orders_spy(F, G, channels, caps):
+        caps_seen.append(caps)
+        return star_orders_(F, G, channels, caps)
 
     for d, K, N, R in ((2, 3, 10, 2), (1, 2, 6, 3)):
         A = DiagonalOperatorA.family("ksq", d, K)

@@ -45,7 +45,7 @@ def test_constructor_validates_and_caps():
     lambda x: annihilate_general({M1: x}, mono([(M1, 1)])),
     lambda x: wick_exponential({M1: x}, 2),               # a primal key of gamma
     lambda x: wick_exponential({D1: x}, 2),               # a dual (starred) key of gamma
-    lambda x: _star_orders(mono([(M1, 1)]), mono([(D1, 1)]), [(M1, D1, x)], 1),
+    lambda x: _star_orders(mono([(M1, 1)]), mono([(D1, 1)]), [(M1, D1, x)], [None, None]),
     # The equivalence layer's entrances: an operator table, the exponent's
     # pairing, and both maps of the closed product formula: a key of the
     # first map rescaled by A + I in the exponent, and a key of the second
@@ -177,7 +177,7 @@ def ordered_tuple_contraction(F, G, channels, r):
 
 def test_contract_channels_matches_ordered_tuples():
     F, G = ENGINE_F, ENGINE_G
-    orders = _star_orders(F, G, CHANNELS, 3)
+    orders = _star_orders(F, G, CHANNELS, [None] * 4)
     for r in range(4):
         want = ordered_tuple_contraction(F, G, CHANNELS, r)
         assert not want.is_zero()
@@ -344,10 +344,10 @@ def test_kernels_match_fraction_reference(f, g, cap):
 # -- the contraction engine against its FockVector-level walk --------------
 
 
-def reference_star_orders(F, G, channels, R, max_degree=None, lowest=0, order_caps=None):
+def reference_star_orders(F, G, channels, caps, lowest=0):
     """The engine's walk on vectors: annihilated operands, a scaled operand
     and a reduced Wick product at every node, added into its order's sum."""
-    caps = [max_degree] * (R + 1) if order_caps is None else order_caps
+    R = len(caps) - 1
     orders = [fock._Sum() for _ in range(R + 1)]
 
     def walk(aF, aG, weight, depth, last, run):
@@ -394,8 +394,8 @@ STAR_TABLES = {
 }
 
 
-# (R, lowest, max_degree, order_caps) run on every example, besides one drawn.
-_STAR_ARGS = [(4, 0, None, None), (4, 2, 7, None), (3, 1, None, [12, 9, 6, 3])]
+# (caps, lowest) run on every example, besides one drawn: one cap per order 0..R.
+_STAR_ARGS = [([None] * 5, 0), ([7] * 5, 2), ([12, 9, 6, 3], 1)]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -406,12 +406,12 @@ def test_star_orders_match_the_vector_walk(F, G, table, R, data):
     if data.draw(st.booleans()):        # G also holds the partners of F's modes
         G = G + FockVector({MultiIndex([(ModeIndex(m.coord, m.freq, not m.dual), n)
                                         for m, n in mu]): c for mu, c in F.terms.items()})
-    drawn = (R, data.draw(st.integers(0, R)), data.draw(st.none() | st.integers(0, 12)),
-             data.draw(st.none() | st.lists(st.integers(0, 12), min_size=R + 1, max_size=R + 1)))
-    for R, lowest, cap, caps in _STAR_ARGS + [drawn]:
-        got = _star_orders(F, G, channels, R, cap, lowest, caps)
-        want = reference_star_orders(F, G, channels, R, cap, lowest, caps)
-        assert len(got) == R + 1 - lowest
+    drawn = (data.draw(st.lists(st.none() | st.integers(0, 12), min_size=R + 1, max_size=R + 1)),
+             data.draw(st.integers(0, R)))
+    for caps, lowest in _STAR_ARGS + [drawn]:
+        got = _star_orders(F, G, channels, caps, lowest)
+        want = reference_star_orders(F, G, channels, caps, lowest)
+        assert len(got) == len(caps) - lowest
         assert [_storage(V) for V in got] == [_storage(V) for V in want]
 
 
@@ -424,9 +424,9 @@ def test_a_key_cancelled_in_a_product_is_added_again_at_the_end():
     G = FockVector({MultiIndex.single(dm): 1, MultiIndex(((dm, 1), (a, 1))): 1,
                     MultiIndex(((dm, 1), (b, 1))): 1})
     channels = [(m, dm, Fraction(1, 3))]
-    got = _star_orders(F, G, channels, 1)
+    got = _star_orders(F, G, channels, [None, None])
     assert [_storage(V) for V in got] == [_storage(V) for V in
-                                          reference_star_orders(F, G, channels, 1)]
+                                          reference_star_orders(F, G, channels, [None, None])]
     assert list(got[1].terms) == [MultiIndex(e) for e in (
         ((a, 1),), ((a, 2),), ((b, 1),), ((b, 2),), ((a, 1), (b, 1)), ((a, 2), (b, 1)),
         ((a, 1), (b, 2)))]
@@ -531,3 +531,10 @@ def test_pickled_vector_reads_the_same_in_another_process():
     assert terms == product_terms == repr(list(F.terms.items()))
     # The child packed these modes into other fields than this process did.
     assert offsets != repr([fock._OFFSET.get(ModeIndex(*m)) for m in met])
+
+
+def test_annihilating_a_mode_never_met_gives_zero_and_meets_no_mode():
+    (mode,) = fresh_modes(1)
+    F = mono([(M1, 2)], Fraction(3, 4)) + mono([(D1, 1)])
+    assert annihilate(mode, F) == FockVector.zero()
+    assert mode not in fock._OFFSET

@@ -72,26 +72,18 @@ def test_profile_normalization_constants():
     assert h_weight(-k) == h_weight(k)
 
 
-@pytest.mark.parametrize("order", [0, 2])
+# The table is the order-0 profile; `order` names the reference's derivative order.
+@pytest.mark.parametrize("order", [0])
 @pytest.mark.parametrize("K", [0, 1, 64, 600])
 @pytest.mark.parametrize("s", [0.37, np.linspace(-0.5, 1.5, 33),
-                               np.random.default_rng(4).uniform(0.0, 1.0, (5, 7))],
-                         ids=["scalar", "1d", "2d"])
+                               np.random.default_rng(4).uniform(0.0, 1.0, (5, 7)),
+                               np.array([-0.0, 0.0])],
+                         ids=["scalar", "1d", "2d", "signed-zeros"])
 def test_profile_table_rows_are_mode_profiles(order, K, s):
-    table = profile_table(K, s, order)
+    table = profile_table(K, s)
     assert table.shape == (2 * K + 1,) + np.shape(s)
     for k in range(-K, K + 1):
-        assert np.array_equal(table[k + K], mode_profile(k, s, order)), k
-
-
-def test_profile_table_scales_with_python_float_powers():
-    # numpy's array power rounds (2 pi k)^2 differently from Python's float
-    # power at k = 2207, and (2 pi k)^3 at k = 31; the rows must follow
-    # mode_profile, which uses the latter.
-    for K, order in ((2207, 2), (31, 3)):
-        table = profile_table(K, 0.3, order)
-        assert table[-1] == mode_profile(K, 0.3, order)
-        assert table[0] == mode_profile(-K, 0.3, order)
+        assert table[k + K].tobytes() == mode_profile(k, s, order).tobytes(), k
 
 
 def test_profile_table_rejects_negative_cutoff():

@@ -22,9 +22,9 @@ def _negated_T1(original):
 
 
 def _doubled_order_2(original):
-    def orders(F, G, channels, R, max_degree=None, lowest=0, order_caps=None):
-        out = original(F, G, channels, R, max_degree, lowest, order_caps)
-        if lowest <= 2 <= R:
+    def orders(F, G, channels, caps, lowest=0):
+        out = original(F, G, channels, caps, lowest)
+        if lowest <= 2 < len(caps):
             out[2 - lowest] = out[2 - lowest].scale(2)
         return out
     return orders

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import math
 import platform
+from fractions import Fraction
 from pathlib import Path
 
 import numpy
@@ -238,8 +240,8 @@ def test_equivalence_config_report_matches_golden():
 EXACT_BODY_HASHES = [
     ("default", ("algebra", "poisson", "moyal"), 7, "1b7eda221f7fb350"),
     ("default", ("algebra", "poisson", "moyal"), 3, "135f83a6a7ec9883"),
-    ("equivalence", ("equivalence",), 7, "9a49ee52ae97d4f6"),
-    ("equivalence", ("equivalence",), 3, "f7905c5f545423c9"),
+    ("equivalence", ("equivalence",), 7, "e912b6c0db899220"),
+    ("equivalence", ("equivalence",), 3, "f3c9dd2d60777f6e"),
 ]
 
 
@@ -352,3 +354,40 @@ def test_check_exception_reaches_caller_after_every_child_is_reaped(monkeypatch,
         suites.run_checks("moyal", parse_config(LIGHT_DOC))
     assert caught.value is errors[failing[0]] and caught.value.__cause__ is None
     assert ran == list(range(failing[0] + 1))       # no entry after it ran
+
+
+def test_only_the_instance_loop_opens_a_stream():
+    """Every seeded check draws through `_instances`, so each record is rebuilt
+    from its (seed, label) stream by one loop."""
+    tree = ast.parse((REPO / "src" / "loopstar" / "suites.py").read_text(encoding="utf-8"))
+
+    def uses(node):
+        return [n for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and n.id == "instance_rng")
+                or (isinstance(n, ast.Attribute) and n.attr == "instance_rng")]
+    users = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for _ in uses(fn)]
+    assert users == ["_instances"] and len(uses(tree)) == 1
+
+
+def test_a_search_that_finds_no_constant_fails(monkeypatch):
+    """No grid point bounds the numerator: `found` is False, the residual 2.0,
+    `max_ratio` the least ratio on the grid, and the record a FAIL."""
+    out = suites._constant_search(["F"], [100.0], lambda F, k0, C0: k0 * C0, suites._SCALES)
+    assert out == {"found": False, "k0": -1, "C0": 0.0, "max_ratio": 100.0 / (5 * 8.0),
+                   "residual": 2.0, "n": 1}
+    generator = suites.apply_T1
+    monkeypatch.setattr(suites, "apply_T1", lambda F, A: generator(F, A).scale(10 ** 24))
+    record = next(r for r in suites.run_checks("equivalence", parse_config(LIGHT_DOC))
+                  if r.check_id == "transform.bounded")
+    assert not record.passed and record.residual == 2.0 and record.observed > 1.0
+
+
+def test_equivalence_suite_runs_on_an_alpha_table():
+    """An `alpha_spec` table reaches the suite through `DiagonalOperatorA.from_table`."""
+    table = {"0": "1", "-1": "3/4", "1": "1/2", "2": "-2"}
+    cfg = parse_config({**LIGHT_DOC, "alpha_spec": table, "suites": ["equivalence"]})
+    A = suites.resolve_alpha(cfg)
+    assert A.alpha == {0: 1, -1: Fraction(3, 4), 1: Fraction(1, 2), 2: -2}
+    records = suites.run_checks("equivalence", cfg)
+    assert len(records) == len(suites.CHECKS["equivalence"])
+    assert all(r.passed for r in records), [r.check_id for r in records if not r.passed]
