@@ -4,10 +4,10 @@ A Fock vector F determines a random variable: each monomial evaluates to
 the product over its modes of the field's pairing with that mode.  One
 evaluator multiplies the monomials out, fed by either of two coefficient
 maps.  The spectral map reads the stored Gaussian coefficients; the
-quadrature map pairs each mode with the field on the sample's grid and
-never touches the stored coefficients.  Their agreement is the pathwise
-statement that multiple Stratonovich integrals of symmetrized kernels
-multiply like the polynomials they come from.
+quadrature map pairs each mode with the field on the sample's grid, once
+per field, and never touches the stored coefficients.  Their agreement
+is the pathwise statement that multiple Stratonovich integrals of
+symmetrized kernels multiply like the polynomials they come from.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import FockVector, annihilate_general
+from .fock import MASK, FockVector, _fields, annihilate_general
 from .gaussian import LoopSample
-from .modes import ModeIndex, h_weight, mode_profile
+from .modes import ModeIndex, h_weight, mode_profile, mode_range
 from .rand import philox_key
 
 
@@ -39,21 +39,39 @@ def stratonovich_pairing(mode: ModeIndex, sample: LoopSample) -> float:
 
 
 def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
-    """Monomial evaluation: sum of coeff * prod xi[mode]^mult.
+    """Monomial evaluation: sum of coeff * prod xi[mode]^mult, off F's packed keys.
 
-    Dual modes are independent formal variables and need their own xi
-    entries; a missing mode raises rather than defaulting.
+    Each term is its numerator over F's denominator (int / int rounds
+    correctly, as `float(Fraction)` does) times xi[mode] ** mult in
+    ascending mode order; terms add in term order.  `xi` may hold floats or
+    1-D arrays of one length, which evaluate every sample at once (a vector
+    with no mode stays a float).  Dual modes are independent formal
+    variables with their own entries; a missing mode raises rather than
+    defaulting.
     """
+    fields = []
+    for mode, off in _fields(F._num):
+        try:
+            fields.append((off, xi[mode]))
+        except KeyError:
+            raise ValueError(f"no coefficient supplied for mode {mode!r}") from None
+    den = F._den
     total = 0.0
-    for mu, c in F.terms.items():
-        prod = float(c)
-        for mode, mult in mu:
-            try:
-                prod *= xi[mode] ** mult
-            except KeyError:
-                raise ValueError(f"no coefficient supplied for mode {mode!r}") from None
+    for key, n in F._num.items():
+        prod = n / den
+        for off, x in fields:
+            if mult := (key >> off) & MASK:
+                prod *= x ** mult
         total += prod
     return total
+
+
+def quadrature_map(sample: LoopSample, K: int) -> dict[ModeIndex, float]:
+    """Quadrature pairing of every primal mode with |freq| <= K: `xi_map`'s counterpart.
+
+    A field's map is built once and read by every evaluation on it.
+    """
+    return {mode: stratonovich_pairing(mode, sample) for mode in mode_range(sample.d, K)}
 
 
 def chaos_eval_quadrature(F: FockVector, sample: LoopSample) -> float:
@@ -111,22 +129,19 @@ def fd_matches_annihilation(F: FockVector, sample: LoopSample,
 def injectivity_probe(F: FockVector, seed: int) -> bool:
     """Polynomial identity test: does F evaluate to ~0 on random draws?
 
-    Draws 5 standard-normal coefficient maps per monomial (at least one)
-    and returns True iff every evaluation is below 1e-9 times the largest
-    coefficient magnitude.  A True verdict is the probe's claim that F is
-    the zero vector.
+    Draws 5 standard-normal coefficient maps per monomial, the rows of one
+    (draws, modes) block, evaluates them in one array pass and returns True
+    iff none exceeds 1e-9 times the largest coefficient magnitude.  A True
+    verdict is the probe's claim that F is the zero vector.
     """
     if F.is_zero():
         return True
     modes = sorted(F.support_modes())
-    scale = max(abs(float(c)) for c in F.terms.values())
-    n_draws = max(1, 5 * len(F))
+    scale = max(abs(n) for n in F._num.values()) / F._den
     rng = np.random.Generator(np.random.Philox(key=philox_key(seed, 0x1D)))
-    for _ in range(n_draws):
-        xi = {mode: float(z) for mode, z in zip(modes, rng.standard_normal(len(modes)))}
-        if abs(chaos_eval_spectral(F, xi)) > 1e-9 * scale:
-            return False
-    return True
+    draws = rng.standard_normal((5 * len(F), len(modes)))
+    values = chaos_eval_spectral(F, dict(zip(modes, draws.T)))
+    return not np.any(np.abs(values) > 1e-9 * scale)
 
 
 def normal_convergence_check(sample: LoopSample) -> dict:

@@ -29,10 +29,13 @@ process: the public API takes and gives MultiIndexes, and a pickled vector
 carries its decoded terms.  A monomial or a formed product pair of degree
 above MASK raises OverflowError rather than spilling into the next field.
 
-`.terms` is the read path: a mapping from MultiIndex to reduced Fraction,
-in the order the terms were formed.  Its length reads the numerators; the
-keys are decoded and the Fractions built once per vector, on the first read
-of a key or value.
+Chaos evaluation (`chaos`) reads the packed fields through `_fields`, the
+(mode, offset) of each mode a vector holds, and decodes no key.  `.terms`
+is the boundary view: a mapping from MultiIndex to reduced Fraction, in
+the order the terms were formed, for the wire format (`serialize_fock`
+and its parser), the norm bound, repr and pickling.  Its length reads the
+numerators; the keys are decoded and the Fractions built once per vector,
+on the first read of a key or value.
 
 A degree cap belongs to a multiplication, not to a vector: a product
 formed with `max_degree=n` is the product of the quotient algebra where
@@ -111,6 +114,18 @@ def _joined(num: dict) -> int:
     out = 0
     for key in num:
         out |= key
+    return out
+
+
+def _fields(num: dict) -> list[tuple[ModeIndex, int]]:
+    """(mode, bit offset) of every mode some key of `num` holds, in ModeIndex order."""
+    out = []
+    key = _joined(num) >> WIDTH
+    while key:
+        slot = (key.bit_length() - 1) // WIDTH
+        out.append((_MODES[slot], WIDTH * (slot + 1)))
+        key &= (1 << WIDTH * slot) - 1     # drop this field, the top one
+    out.sort()
     return out
 
 
@@ -218,7 +233,7 @@ class FockVector:
         return max((k & MASK for k in self._num), default=0)
 
     def support_modes(self) -> set[ModeIndex]:
-        return {mode for mode, _ in _decode(_joined(self._num))}
+        return {mode for mode, _ in _fields(self._num)}
 
     def __len__(self) -> int:
         return len(self._num)

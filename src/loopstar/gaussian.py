@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .modes import ModeIndex, norm_const, profile_table
-from .rand import philox_key
 
 # Coefficients of e^{-x} and e^{x} in the closed-form kernel on one period.
 GREEN_ALPHA = 1.0 / (2.0 * (1.0 - math.exp(-1.0)))
@@ -85,22 +84,16 @@ def green_exponential_form(x):
 THREADED_DRAW_FLOOR = 4096
 
 
-def _mode_key(seed: int, coord: int, freq: int) -> np.ndarray:
-    # The second key word packs the mode so streams never collide across
-    # coordinates or frequencies.
-    return philox_key(seed, (coord << 32) | (freq & 0xFFFFFFFF))
+def _fresh_state(seed: int, coord: int, freq: int) -> dict:
+    """State of a newly built Philox for one mode's stream: counter 0, buffer empty.
 
-
-# The zero counter and empty buffer of every fresh state.  Setting a
-# generator's state copies the words out, so all states share one array.
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
-_ZERO_WORDS.flags.writeable = False
-
-
-def _fresh_philox_state(key: np.ndarray) -> dict:
-    """State of a newly built `Philox(key=key)`: counter 0, buffer empty."""
-    return {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
-            "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    The key is (seed mod 2**64, word), the word packing the mode so streams
+    never collide across coordinates or frequencies.  It is built from
+    plain ints, which the state setter reads as uint64 words exactly.
+    """
+    key = (seed & 0xFFFFFFFFFFFFFFFF, (coord << 32) | (freq & 0xFFFFFFFF))
+    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _usable_cores() -> int:
@@ -133,11 +126,11 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
 
     Shape (n_samples, d, 2 K_mc + 1); frequency k sits in column k + K_mc.
     Sample j of any batch equals draw j of the mode's stream, a `Philox`
-    keyed by `_mode_key(seed, coord, freq)`, so batches of different sizes
-    agree on their common prefix.  A generator is re-keyed to each mode's
-    stream in turn and draws what a newly built `Philox` would: building
-    one from a key also draws OS entropy for a seed it never uses, which
-    costs several times the re-keying.  Each mode's draws fill one
+    with the key of `_fresh_state(seed, coord, freq)`, so batches of
+    different sizes agree on their common prefix.  A generator is re-keyed
+    to each mode's stream in turn and draws what a newly built `Philox`
+    would: building one from a key also draws OS entropy for a seed it
+    never uses, which costs several times the re-keying.  Each mode's draws fill one
     contiguous row of a buffer holding one coordinate, which is copied
     transposed into the C-contiguous result, so the extra memory is 1/d of
     the result's.
@@ -157,7 +150,7 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
     width = 2 * K_mc + 1
     out = np.empty((n_samples, d, width))
     rows = np.empty((width, n_samples))
-    states = [[_fresh_philox_state(_mode_key(seed, c, k)) for k in range(-K_mc, K_mc + 1)]
+    states = [[_fresh_state(seed, c, k) for k in range(-K_mc, K_mc + 1)]
               for c in range(1, d + 1)]
     parts = min(width, _usable_cores()) if n_samples >= THREADED_DRAW_FLOOR else 1
     bounds = [width * p // parts for p in range(parts + 1)]

@@ -29,8 +29,8 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .chaos import (chaos_eval_quadrature, chaos_eval_spectral, fd_matches_annihilation,
-                    injectivity_probe, normal_convergence_check, stratonovich_pairing)
+from .chaos import (chaos_eval_spectral, fd_matches_annihilation, injectivity_probe,
+                    normal_convergence_check, quadrature_map)
 from .config import RunConfig, config_echo
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           exp_product_formula_rhs, star_A)
@@ -331,25 +331,25 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
                               K_mc: int, n_grid: int) -> dict:
     """Quadrature evaluator against the spectral one on three sampled fields.
 
-    Each field serves max(1, n_instances // 3) instances, and `n` counts the
-    instances run.
+    Each field pairs its modes once and serves max(1, n_instances // 3)
+    instances, and `n` counts the instances run.
     """
     samples = [sample_loop(seed + j, K_mc, n_grid, d) for j in range(3)]
-    xis = [sample.xi_map(K) for sample in samples]
+    maps = [(quadrature_map(sample, K), sample.xi_map(K)) for sample in samples]
     per = max(1, n_instances // 3)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 4)
-        return _rel(chaos_eval_quadrature(F, samples[i // per]),
-                    chaos_eval_spectral(F, xis[i // per]))
+        quad, xi = maps[i // per]
+        return _rel(chaos_eval_spectral(F, quad), chaos_eval_spectral(F, xi))
     return _worst_residual(seed, "chaos-quadrature", 3 * per, instance)
 
 
 def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int, n_grid: int) -> dict:
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
     samples = [sample_loop(seed + 17 + i, K_mc, n_grid, d) for i in range(3)]
-    gaps = [abs(stratonovich_pairing(mode, sample) - sample.xi_value(mode))
-            for sample in samples for mode in mode_range(d, K)]
+    gaps = [abs(pairing - sample.xi_value(mode))
+            for sample in samples for mode, pairing in quadrature_map(sample, K).items()]
     return {"residual": _worst(gaps), "n": len(gaps)}
 
 
@@ -357,10 +357,11 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     """Trapezoid quadrature is exact once the grid resolves the integrand.
 
     Five instances run on the grids 256, 512, 1024 and 2048, all read from
-    one field drawn on the finest of them through `LoopSample.coarse`.  Each slot
-    integrates the field (frequencies up to K_mc = 600) against a mode
-    profile (frequencies up to K), so the integrand carries frequencies up
-    to K_mc + K, and the n-point trapezoid rule integrates it exactly iff
+    one field drawn on the finest of them through `LoopSample.coarse`, and
+    each grid's quadrature map is built once.  Each slot integrates the
+    field (frequencies up to K_mc = 600) against a mode profile
+    (frequencies up to K), so the integrand carries frequencies up to
+    K_mc + K, and the n-point trapezoid rule integrates it exactly iff
     n > K_mc + K (Trefethen & Weideman, SIAM Review 2014).  The field
     deliberately carries content above the coarse grids' resolution.  On a
     resolving grid every instance must match the spectral evaluation within
@@ -376,14 +377,14 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
     K_mc, grids, n_instances = 600, (256, 512, 1024, 2048), 5
     sample = sample_loop(seed + 23, K_mc, max(grids), d)
     xi = sample.xi_map(K)
-    coarse = [sample.coarse(n) for n in grids]
+    maps = [quadrature_map(sample.coarse(n), K) for n in grids]
     eps = float(np.finfo(float).eps)
 
     def instance(rng, i):
         F = random_fock(rng, d, K, 3)
         value = chaos_eval_spectral(F, xi)
-        return [abs(chaos_eval_quadrature(F, on_grid) - value)
-                / (eps * max(1.0, abs(value))) for on_grid in coarse]
+        return [abs(chaos_eval_spectral(F, quad) - value)
+                / (eps * max(1.0, abs(value))) for quad in maps]
     rows = _instances(seed, "chaos-convergence-instances", n_instances, instance)
     errors = [_worst(row[g] for row in rows) for g in range(len(grids))]
     resolved = [n > K_mc + K for n in grids]
@@ -533,18 +534,22 @@ def covariance_z_scores(xi: np.ndarray) -> dict:
     """
     points = np.array([0.0, 0.11, 0.23, 0.37, 0.52, 0.68, 0.81, 0.94])
     n_samples, d, K_mc = batch_shape(xi)
-    E = basis_matrix(K_mc, points)                    # (2K+1, P)
-    vals = np.tensordot(xi, E, axes=([2], [0]))       # (n, d, P)
-    same, cross = [], []
-    pair_a, pair_b = np.triu_indices(len(points))     # every a <= b, row by row
+    P = len(points)
+    vals = np.tensordot(xi, basis_matrix(K_mc, points), axes=([2], [0]))      # (n, d, P)
+    # Row c * P + a: coordinate c + 1 at point a, one contiguous row of n values.
+    rows = np.ascontiguousarray(vals.reshape(n_samples, d * P).T)
+    pair_a, pair_b = np.triu_indices(P)               # every a <= b, row by row
     truths = spectral_green_sum(points[pair_a], points[pair_b], K_mc)
-    for a, b, truth in zip(pair_a, pair_b, truths):
-        for i in range(d):
-            prod = vals[:, i, a] * vals[:, i, b]
-            same.append(_z(np.mean(prod) - truth, np.std(prod, ddof=1) / math.sqrt(n_samples)))
-        if d >= 2:
-            prod = vals[:, 0, a] * vals[:, 1, b]
-            cross.append(_z(np.mean(prod), np.std(prod, ddof=1) / math.sqrt(n_samples)))
+
+    def z_scores(a, b, truth):
+        prod = rows[a] * rows[b]
+        se = prod.std(axis=1, ddof=1) / math.sqrt(n_samples)
+        return [_z(diff, s) for diff, s in zip(prod.mean(axis=1) - truth, se)]
+    # Each pair (a, b) at every coordinate, then coordinate 1 at a against 2 at b.
+    shift = np.arange(d) * P
+    same = z_scores((pair_a[:, None] + shift).ravel(), (pair_b[:, None] + shift).ravel(),
+                    np.repeat(truths, d))
+    cross = z_scores(pair_a, pair_b + P, 0.0) if d >= 2 else []
     return {"worst_same": _worst(same), "worst_cross": _worst(cross),
             "n": len(same) + len(cross)}
 

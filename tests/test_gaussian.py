@@ -12,7 +12,7 @@ from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, THREADED_DRAW_FLOOR, bas
                                increment_variance, loop_eval, sample_loop, sample_xi_batch,
                                spectral_green_sum, uniform_grid)
 from loopstar.modes import ModeIndex, mode_profile
-from loopstar.rand import instance_rng
+from loopstar.rand import instance_rng, philox_key
 
 
 # Largest |sample_loop values - table product| allowed.  The gaps measured
@@ -90,12 +90,14 @@ def test_sampler_shapes_and_determinism():
     assert np.array_equal(xi[:3], sample_xi_batch(5, 3, 8, 2))
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -3])
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, -3])
 def test_rekeyed_streams_match_fresh_philox(seed):
     # Every column is draw for draw the stream of a newly built Philox keyed
     # by (seed, mode), and a batch of 1 is the prefix of a batch of 20000.
-    # The key goes in as a uint64 array: numpy reads a plain list holding a
-    # word of 2**63 or more as floats, so 2**64 - 1 and -3 would both become 0.
+    # The reference key goes in as `philox_key`'s uint64 array: numpy reads a
+    # plain list holding a word of 2**63 or more as floats, so 2**64 - 1 and
+    # -3 would both become 0, and 2**63 - 1 and 2**63 would meet.  The
+    # sampler's states carry the key as plain ints, on both sides of 2**63.
     K, d, n = 4, 2, 20000
     big = sample_xi_batch(seed, n, K, d)
     one = sample_xi_batch(seed, 1, K, d)
@@ -104,7 +106,7 @@ def test_rekeyed_streams_match_fresh_philox(seed):
     for c in range(1, d + 1):
         for k in range(-K, K + 1):
             key = [seed & (2 ** 64 - 1), (c << 32) | (k & 0xFFFFFFFF)]
-            bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+            bits = np.random.Philox(key=philox_key(seed, key[1]))
             fresh = np.random.Generator(bits).standard_normal(n)
             assert np.array_equal(big[:, c - 1, k + K], fresh), (c, k)
             assert one[0, c - 1, k + K] == fresh[0]

@@ -12,7 +12,8 @@ import pytest
 import loopstar
 import loopstar.suites as suites
 from loopstar.config import parse_config
-from loopstar.gaussian import basis_matrix, batch_shape, increment_variance, sample_xi_batch
+from loopstar.gaussian import (basis_matrix, batch_shape, increment_variance, sample_xi_batch,
+                               spectral_green_sum)
 from loopstar.report import Precision, canonical_json, report_to_dict, text_summary
 from loopstar.suites import SUITE_RUNNERS, run_suites
 
@@ -114,6 +115,34 @@ def test_zero_variance_batch_fails_instead_of_raising():
     assert suites.covariance_z_scores(xi)["worst_same"] == math.inf
     assert suites.stationarity_z_score(xi)["worst"] == math.inf
     assert suites.holder_p1_z(xi)["worst"] == math.inf
+
+
+def _covariance_per_statistic(xi):
+    """`covariance_z_scores` one statistic at a time, on strided columns of the point values."""
+    points = numpy.array([0.0, 0.11, 0.23, 0.37, 0.52, 0.68, 0.81, 0.94])
+    n_samples, d, K_mc = batch_shape(xi)
+    vals = numpy.tensordot(xi, basis_matrix(K_mc, points), axes=([2], [0]))
+    same, cross = [], []
+    pair_a, pair_b = numpy.triu_indices(len(points))
+    truths = spectral_green_sum(points[pair_a], points[pair_b], K_mc)
+    for a, b, truth in zip(pair_a, pair_b, truths):
+        for i in range(d):
+            prod = vals[:, i, a] * vals[:, i, b]
+            same.append(suites._z(numpy.mean(prod) - truth,
+                                  numpy.std(prod, ddof=1) / math.sqrt(n_samples)))
+        if d >= 2:
+            prod = vals[:, 0, a] * vals[:, 1, b]
+            cross.append(suites._z(numpy.mean(prod),
+                                   numpy.std(prod, ddof=1) / math.sqrt(n_samples)))
+    return {"worst_same": suites._worst(same), "worst_cross": suites._worst(cross),
+            "n": len(same) + len(cross)}
+
+
+@pytest.mark.parametrize("seed", [42, 3, 1000])
+@pytest.mark.parametrize("d", [1, 2])
+def test_covariance_rows_equal_the_per_statistic_loop(seed, d):
+    xi = sample_xi_batch(seed, 2000, 8, d)
+    assert suites.covariance_z_scores(xi) == _covariance_per_statistic(xi)
 
 
 def test_monte_carlo_gates_catch_a_perturbed_batch():
