@@ -1,10 +1,11 @@
 """Two independent ways to evaluate a chaos polynomial on a sampled field.
 
 Both routes multiply the polynomial out through one evaluator and differ
-in the coefficient of each mode they feed it.  The spectral route reads
-the stored Gaussian coefficients.  The quadrature route pairs each mode
-with the field by the trapezoid rule on the sample's grid and never reads
-the coefficients.  Their agreement, and the second-order decay of the
+in the coefficient map they feed it, built once per field.  The spectral
+map, `sample.xi_map(K)`, reads the stored Gaussian coefficients.  The
+quadrature map, `quadrature_map(sample, K)`, pairs every mode with the
+field by the trapezoid rule on the sample's grid and never reads the
+coefficients.  Their agreement, and the second-order decay of the
 finite-difference directional derivative toward the contraction, are the
 pathwise content of the calculus.
 """
@@ -14,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from loopstar import FockVector, ModeIndex, MultiIndex, sample_loop
-from loopstar.chaos import (chaos_eval_quadrature, chaos_eval_spectral,
-                            fd_matches_annihilation, stratonovich_pairing)
+from loopstar.chaos import chaos_eval_spectral, fd_matches_annihilation, quadrature_map
 
 m1 = ModeIndex(1, 1)
 m2 = ModeIndex(2, -2)
@@ -28,22 +28,24 @@ F = FockVector({
 
 sample = sample_loop(seed=5, K_mc=64, M=4096, d=2)
 
-spectral = chaos_eval_spectral(F, sample.xi_map(2))
-quadrature = chaos_eval_quadrature(F, sample)
+xi = sample.xi_map(2)
+quad = quadrature_map(sample, 2)
+
+spectral = chaos_eval_spectral(F, xi)
+quadrature = chaos_eval_spectral(F, quad)
 print(f"spectral evaluation   {spectral:.12f}")
 print(f"quadrature evaluation {quadrature:.12f}")
 print(f"difference            {abs(spectral - quadrature):.2e}")
 
 print("\npairing each mode recovers its sampled coefficient:")
 for mode in (m1, m2):
-    got = stratonovich_pairing(mode, sample)
-    print(f"  {mode!r}: pairing {got:+.8f}  stored {sample.xi_value(mode):+.8f}")
+    print(f"  {mode!r}: pairing {quad[mode]:+.8f}  stored {xi[mode]:+.8f}")
 
 print("\ncentral-difference error decays at second order:")
 h = {m1: 1.0}
 errs = []
 for eps in (1e-2, 1e-3, 1e-4):
-    err = fd_matches_annihilation(F, sample, h, eps)
+    err = fd_matches_annihilation(F, xi, h, eps)
     errs.append(err)
     print(f"  eps={eps:.0e}  |FD - contraction chaos| = {err:.3e}")
 slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(np.maximum(errs, 1e-16)), 1)[0]

@@ -2,8 +2,7 @@
 quantizations and a verification harness that checks every structural
 identity either exactly over the rationals or by seeded Monte Carlo."""
 
-from .chaos import (chaos_eval_quadrature, chaos_eval_spectral, gateaux_derivative_fd,
-                    injectivity_probe, stratonovich_pairing)
+from .chaos import chaos_eval_spectral, gateaux_derivative_fd, injectivity_probe
 from .config import ConfigError, McConfig, RunConfig, load_config, parse_config
 from .equivalence import (DiagonalOperatorA, apply_EA, apply_T, apply_T1, cA1, cAr,
                           exp_product_formula_rhs, star_A)
@@ -27,7 +26,7 @@ __all__ = [
     "VACUUM", "VerificationReport",
     "annihilate", "annihilate_general", "apply_EA", "apply_T", "apply_T1",
     "cA1", "cAr", "canonical_json",
-    "chaos_eval_quadrature", "chaos_eval_spectral", "connes_norm_upper",
+    "chaos_eval_spectral", "connes_norm_upper",
     "deserialize_fock", "emit_report", "exp_product_formula_rhs",
     "gateaux_derivative_fd", "green_exponential_form", "green_kernel",
     "h_weight", "holder_moment_check",
@@ -35,5 +34,5 @@ __all__ = [
     "mode_profile", "moyal_star", "parse_config",
     "poisson_bracket", "poisson_power", "run_suites", "sample_loop",
     "sample_xi_batch", "serialize_fock", "spectral_green_sum", "star_A",
-    "star_series", "stratonovich_pairing", "wick_exponential", "wick_product",
+    "star_series", "wick_exponential", "wick_product",
 ]

@@ -2,10 +2,11 @@
 
 A Fock vector F determines a random variable: each monomial evaluates to
 the product over its modes of the field's pairing with that mode.  One
-evaluator multiplies the monomials out, fed by either of two coefficient
-maps.  The spectral map reads the stored Gaussian coefficients; the
-quadrature map pairs each mode with the field on the sample's grid, once
-per field, and never touches the stored coefficients.  Their agreement
+evaluator, `chaos_eval_spectral`, multiplies the monomials out from a
+coefficient map built once per field, and two builders supply that map.
+`LoopSample.xi_map(K)` reads the stored Gaussian coefficients;
+`quadrature_map(sample, K)` pairs every mode with the field on the
+sample's grid and never touches the stored coefficients.  Their agreement
 is the pathwise statement that multiple Stratonovich integrals of
 symmetrized kernels multiply like the polynomials they come from.
 """
@@ -19,23 +20,8 @@ import numpy as np
 
 from .fock import MASK, FockVector, _fields, annihilate_general
 from .gaussian import LoopSample
-from .modes import ModeIndex, h_weight, mode_profile, mode_range
+from .modes import ModeIndex, h_weight, mode_profile, mode_range, profile_table
 from .rand import philox_key
-
-
-def stratonovich_pairing(mode: ModeIndex, sample: LoopSample) -> float:
-    """Loop-space pairing of one basis mode with the field, by quadrature.
-
-    Computes (1 + lambda k^2) times the circle integral of profile * field
-    with the trapezoid rule on the sample's own grid; on the uniform
-    periodic grid the trapezoid rule is the plain sample mean.
-    """
-    if mode.dual:
-        raise ValueError(f"sampled fields pair with primal modes only, got {mode!r}")
-    if mode.coord > sample.d:
-        raise ValueError(f"mode coordinate {mode.coord} exceeds sample dimension {sample.d}")
-    prof = mode_profile(mode.freq, sample.grid)
-    return float(h_weight(mode.freq) * np.mean(prof * sample.values[:, mode.coord - 1]))
 
 
 def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
@@ -69,61 +55,50 @@ def chaos_eval_spectral(F: FockVector, xi: Mapping[ModeIndex, float]) -> float:
 def quadrature_map(sample: LoopSample, K: int) -> dict[ModeIndex, float]:
     """Quadrature pairing of every primal mode with |freq| <= K: `xi_map`'s counterpart.
 
-    A field's map is built once and read by every evaluation on it.
+    Mode (c, k) pairs to (1 + lambda k^2) times the circle integral of its
+    profile against coordinate c of the field, by the trapezoid rule on the
+    sample's own grid, which on the uniform periodic grid is the plain mean.
+    Every pairing comes from one product of the profile table with the grid
+    values; the sample is read only through its grid and values, and
+    `sample.coarse(n)` integrates on every (M/n)-th point.
     """
-    return {mode: stratonovich_pairing(mode, sample) for mode in mode_range(sample.d, K)}
+    weights = h_weight(np.arange(-K, K + 1))[:, None]
+    pairings = weights * (profile_table(K, sample.grid) @ sample.values / sample.M)
+    return dict(zip(mode_range(sample.d, K), pairings.T.ravel().tolist()))
 
 
-def chaos_eval_quadrature(F: FockVector, sample: LoopSample) -> float:
-    """Quadrature evaluation, independent of the stored coefficients.
-
-    Pairs each mode of F with the field once (`stratonovich_pairing`) and
-    multiplies the monomials out through `chaos_eval_spectral`; the sample
-    is read only through its grid and values.  `sample.coarse(n)`
-    integrates on every (M/n)-th point.
-    """
-    return chaos_eval_spectral(F, {mode: stratonovich_pairing(mode, sample)
-                                   for mode in F.support_modes()})
-
-
-def sample_xi_for(F: FockVector, sample: LoopSample,
-                  extra: Mapping[ModeIndex, float] = ()) -> dict[ModeIndex, float]:
-    """The stored coefficients for every mode F (and optionally extra keys) uses."""
-    needed = set(F.support_modes())
-    needed.update(extra)
-    return {mode: sample.xi_value(mode) for mode in needed}
-
-
-def gateaux_derivative_fd(F: FockVector, sample: LoopSample,
+def gateaux_derivative_fd(F: FockVector, xi: Mapping[ModeIndex, float],
                           h: Mapping[ModeIndex, float], eps: float) -> float:
-    """Central difference of the chaos along direction h.
+    """Central difference of the chaos at coefficient map xi along direction h.
 
     Perturbing the field by eps * h shifts each spectral coefficient by
     eps times h's coefficient, so both evaluations are spectral and the
-    only error is the O(eps^2) finite-difference one.
+    only error is the O(eps^2) finite-difference one.  A direction off the
+    map raises, naming the mode.
     """
     if eps <= 0:
         raise ValueError("finite-difference step must be positive")
-    xi0 = sample_xi_for(F, sample, extra=h)
-    xi_plus = dict(xi0)
-    xi_minus = dict(xi0)
+    xi_plus = dict(xi)
+    xi_minus = dict(xi)
     for mode, coeff in h.items():
-        xi_plus[mode] = xi0[mode] + eps * float(coeff)
-        xi_minus[mode] = xi0[mode] - eps * float(coeff)
+        if mode not in xi:
+            raise ValueError(f"no coefficient supplied for mode {mode!r}")
+        xi_plus[mode] = xi[mode] + eps * float(coeff)
+        xi_minus[mode] = xi[mode] - eps * float(coeff)
     return (chaos_eval_spectral(F, xi_plus) - chaos_eval_spectral(F, xi_minus)) / (2.0 * eps)
 
 
-def fd_matches_annihilation(F: FockVector, sample: LoopSample,
+def fd_matches_annihilation(F: FockVector, xi: Mapping[ModeIndex, float],
                             h: Mapping[ModeIndex, float], eps: float) -> float:
     """|FD derivative - chaos of the h-contraction|, the residual the slope fit uses.
 
     The contraction is exact: each entry of h is taken at its exact value
     (a float is a dyadic rational), so only the chaos evaluation rounds.
     """
-    fd = gateaux_derivative_fd(F, sample, h, eps)
+    fd = gateaux_derivative_fd(F, xi, h, eps)
     contracted = annihilate_general({mode: Fraction(c) for mode, c in h.items()}, F)
-    # The contraction's modes lie inside F's, so F's coefficients cover it.
-    return abs(fd - chaos_eval_spectral(contracted, sample_xi_for(F, sample)))
+    # The contraction's modes lie inside F's, so xi covers it.
+    return abs(fd - chaos_eval_spectral(contracted, xi))
 
 
 def injectivity_probe(F: FockVector, seed: int) -> bool:
@@ -149,8 +124,8 @@ def normal_convergence_check(sample: LoopSample) -> dict:
 
     Takes as degree-n part (n = 0..12) a single power of the frequency-1
     mode, scaled by a float coefficient so its derivative-sup bound is
-    exactly mu_ratio^n.  The mode is paired with the field once by
-    quadrature (`stratonovich_pairing`), so degree n contributes
+    exactly mu_ratio^n.  The mode's pairing is read from the field's
+    quadrature map, `quadrature_map(sample, 1)`, so degree n contributes
     |coeff * pairing^n|.  Every contribution is checked against
     q^n = (2 mu_ratio M_sup)^n with M_sup the grid sup of |B|, plus the
     implied geometric tail bound past n0 = 4.
@@ -160,9 +135,10 @@ def normal_convergence_check(sample: LoopSample) -> dict:
     q, n_max, n0 = 0.5, 12, 4
     m_sup = float(np.max(np.abs(sample.values)))
     mu_ratio = q / (2.0 * m_sup)
-    pairing = stratonovich_pairing(ModeIndex(1, 1), sample)
+    pairing = quadrature_map(sample, 1)[ModeIndex(1, 1)]
     # Largest sup-norm among the mode profile and its second derivative:
-    envelope = max(float(np.max(np.abs(mode_profile(1, sample.grid, order=o)))) for o in (0, 2))
+    envelope = max(float(np.max(np.abs(prof))) for prof in (
+        mode_profile(1, sample.grid), mode_profile(1, sample.grid, order=2)))
     rows = []
     tail_sum = 0.0
     for n in range(0, n_max + 1):

@@ -224,14 +224,6 @@ class LoopSample:
     def K_mc(self) -> int:
         return (self.xi.shape[1] - 1) // 2
 
-    def xi_value(self, mode: ModeIndex) -> float:
-        """Coefficient of one primal mode; duals carry no sampled coefficient."""
-        if mode.dual:
-            raise ValueError(f"sampled fields have primal modes only, got {mode!r}")
-        if not (1 <= mode.coord <= self.d) or abs(mode.freq) > self.K_mc:
-            raise ValueError(f"mode {mode!r} outside sampled range d={self.d}, K_mc={self.K_mc}")
-        return float(self.xi[mode.coord - 1, mode.freq + self.K_mc])
-
     def xi_map(self, K: int) -> dict[ModeIndex, float]:
         """Coefficients of all primal modes with |freq| <= K, as a plain map."""
         if K > self.K_mc:

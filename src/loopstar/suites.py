@@ -348,8 +348,8 @@ def chaos_quadrature_residual(seed: int, n_instances: int, d: int, K: int,
 def pairing_recovery_residual(seed: int, d: int, K: int, K_mc: int, n_grid: int) -> dict:
     """Quadrature pairing of each basis mode recovers its stored coefficient."""
     samples = [sample_loop(seed + 17 + i, K_mc, n_grid, d) for i in range(3)]
-    gaps = [abs(pairing - sample.xi_value(mode))
-            for sample in samples for mode, pairing in quadrature_map(sample, K).items()]
+    maps = [(quadrature_map(sample, K), sample.xi_map(K)) for sample in samples]
+    gaps = [abs(quad[mode] - xi[mode]) for quad, xi in maps for mode in quad]
     return {"residual": _worst(gaps), "n": len(gaps)}
 
 
@@ -401,7 +401,7 @@ def quadrature_convergence(seed: int, d: int, K: int) -> dict:
 def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int, K_mc: int) -> dict:
     """Central-difference error decays at order 2 toward the contraction chaos."""
     eps_list = (1e-2, 1e-3, 1e-4)
-    sample = sample_loop(seed + 31, K_mc, 256, d)
+    xi = sample_loop(seed + 31, K_mc, 256, d).xi_map(K)
 
     def instance(rng, i):
         for _attempt in range(10):
@@ -410,7 +410,7 @@ def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int, K_mc: i
             # Force a cubic in the probe direction so the eps^2 term cannot vanish.
             F = F + FockVector({MultiIndex(((h_mode, 3),)): random_fraction(rng)})
             h = {h_mode: 1.0, random_mode(rng, d, K): float(rng.uniform(-1, 1))}
-            errs = [fd_matches_annihilation(F, sample, h, eps) for eps in eps_list]
+            errs = [fd_matches_annihilation(F, xi, h, eps) for eps in eps_list]
             if errs[0] >= 1e-5:
                 break
         return abs(_fit_loglog_slope(eps_list, errs) - 2.0)
@@ -420,12 +420,12 @@ def gateaux_slope_deviation(seed: int, n_instances: int, d: int, K: int, K_mc: i
 
 def fd_linear_residual(seed: int, d: int, K: int, K_mc: int) -> dict:
     """On degree <= 1 vectors the central difference is exact."""
-    sample = sample_loop(seed + 37, K_mc, 256, d)
+    xi = sample_loop(seed + 37, K_mc, 256, d).xi_map(K)
 
     def instance(rng, i):
         mode = random_mode(rng, d, K)
         F = FockVector({MultiIndex(((mode, 1),)): random_fraction(rng), MultiIndex(): Fraction(1)})
-        return fd_matches_annihilation(F, sample, {mode: 1.0}, 1e-3)
+        return fd_matches_annihilation(F, xi, {mode: 1.0}, 1e-3)
     return _worst_residual(seed, "gateaux-linear", 20, instance)
 
 

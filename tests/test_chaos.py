@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopstar import chaos, fock
-from loopstar.chaos import (chaos_eval_quadrature, chaos_eval_spectral,
-                            fd_matches_annihilation, gateaux_derivative_fd,
-                            injectivity_probe, normal_convergence_check,
-                            quadrature_map, stratonovich_pairing)
+from loopstar.chaos import (chaos_eval_spectral, fd_matches_annihilation,
+                            gateaux_derivative_fd, injectivity_probe,
+                            normal_convergence_check, quadrature_map)
 from loopstar.fock import FockVector
 from loopstar.gaussian import sample_loop
-from loopstar.modes import ModeIndex, MultiIndex, mode_range
+from loopstar.modes import ModeIndex, MultiIndex, h_weight, mode_profile, mode_range
 from loopstar.rand import philox_key, random_fock
 
 M1 = ModeIndex(1, 1)
@@ -48,45 +47,48 @@ def test_spectral_eval_monomials():
 
 def test_pairing_recovers_coefficient():
     sample = sample_loop(2, 16, 1024, d=2)
+    quad, xi = quadrature_map(sample, 2), sample.xi_map(2)
     for mode in (M1, M2, ModeIndex(1, 0)):
-        assert stratonovich_pairing(mode, sample) == pytest.approx(
-            sample.xi_value(mode), abs=1e-10)
-    with pytest.raises(ValueError):
-        stratonovich_pairing(M1.as_dual, sample)
-    with pytest.raises(ValueError):
-        stratonovich_pairing(ModeIndex(3, 0), sample)
+        assert quad[mode] == pytest.approx(xi[mode], abs=1e-10)
+    # Neither map holds a dual mode, a coordinate past d or a frequency past K.
+    for refused in (M1.as_dual, ModeIndex(3, 0), ModeIndex(1, 3)):
+        for coefficients in (quad, xi):
+            with pytest.raises(ValueError, match=re.escape(repr(refused))):
+                chaos_eval_spectral(mono([(refused, 1)]), coefficients)
 
 
 def test_quadrature_matches_spectral():
     sample = sample_loop(5, 16, 1024, d=2)
     F = mono([(M1, 2), (M2, 1)], Fraction(1, 2)) + mono([(ModeIndex(2, 3), 1)], Fraction(-2))
-    got = chaos_eval_quadrature(F, sample)
+    got = chaos_eval_spectral(F, quadrature_map(sample, 3))
     want = chaos_eval_spectral(F, sample.xi_map(3))
     assert got == pytest.approx(want, abs=1e-9)
-    for refused in (M1.as_dual, ModeIndex(3, 0)):
-        with pytest.raises(ValueError):
-            chaos_eval_quadrature(mono([(refused, 1)]), sample)
 
 
 def test_quadrature_reads_no_stored_coefficients():
     # The quadrature route is independent of the spectral one: blanking the
-    # stored coefficients leaves its value unchanged, bit for bit.
+    # stored coefficients leaves its map unchanged, bit for bit.
     sample = sample_loop(5, 16, 1024, d=2)
-    F = mono([(M1, 2), (M2, 1)], Fraction(1, 2)) + mono([(ModeIndex(2, 3), 1)], Fraction(-2))
     blank = dataclasses.replace(sample, xi=np.full_like(sample.xi, np.nan))
-    assert chaos_eval_quadrature(F, blank) == chaos_eval_quadrature(F, sample)
+    quad, blanked = quadrature_map(sample, 5), quadrature_map(blank, 5)
+    assert list(blanked) == list(quad)
+    assert np.array(list(blanked.values())).tobytes() == np.array(list(quad.values())).tobytes()
 
 
 def test_gateaux_fd_contract():
-    sample = sample_loop(6, 8, 256, d=2)
+    xi = sample_loop(6, 8, 256, d=2).xi_map(2)
     F = mono([(M1, 1)], Fraction(2)) + FockVector.unit()
     with pytest.raises(ValueError):
-        gateaux_derivative_fd(F, sample, {M1: 1.0}, 0.0)
+        gateaux_derivative_fd(F, xi, {M1: 1.0}, 0.0)
+    # A direction off the map is refused by name: a dual mode, a frequency past K.
+    for refused in (M1.as_dual, ModeIndex(1, 3)):
+        with pytest.raises(ValueError, match=re.escape(repr(refused))):
+            gateaux_derivative_fd(F, xi, {refused: 1.0}, 1e-3)
     # exact on affine vectors regardless of step
-    assert fd_matches_annihilation(F, sample, {M1: 1.0}, 1e-2) <= 1e-10
+    assert fd_matches_annihilation(F, xi, {M1: 1.0}, 1e-2) <= 1e-10
     # second-order decay on a cubic
     C = mono([(M1, 3)])
-    errs = [fd_matches_annihilation(C, sample, {M1: 1.0}, eps) for eps in (1e-2, 1e-3)]
+    errs = [fd_matches_annihilation(C, xi, {M1: 1.0}, eps) for eps in (1e-2, 1e-3)]
     assert errs[1] <= errs[0] * 1e-1
 
 
@@ -173,7 +175,7 @@ def test_evaluation_decodes_no_key(monkeypatch):
         raise AssertionError("a packed key was decoded")
     monkeypatch.setattr(fock, "_decode", no_decode)
     chaos_eval_spectral(F, {mode: 0.5 for mode in F.support_modes()})
-    chaos_eval_quadrature(G, sample)
+    chaos_eval_spectral(G, quadrature_map(sample, 1))
     injectivity_probe(F, 0)
     assert F._terms is None and G._terms is None
 
@@ -228,8 +230,23 @@ def test_injectivity_probe_matches_the_per_draw_route():
     assert sum(injectivity_probe(F, seed) for seed, F in enumerate(vectors)) == 51
 
 
+def _pairing(mode, sample):
+    """One mode's trapezoid pairing: (1 + lambda k^2) times the grid mean of profile * field.
+
+    Returns the pairing and the same mean taken of |profile * field|, the
+    magnitude its rounding is relative to.
+    """
+    prod = mode_profile(mode.freq, sample.grid) * sample.values[:, mode.coord - 1]
+    return (float(h_weight(mode.freq) * np.mean(prod)),
+            float(h_weight(mode.freq) * np.mean(np.abs(prod))))
+
+
 def test_quadrature_map_is_the_per_mode_pairing():
+    # The map's one product sums each pairing in another order than the
+    # per-mode mean, so the two agree within a few ulp of the summands' size.
     sample = sample_loop(4, 16, 512, d=2)
     qmap = quadrature_map(sample, 5)
     assert list(qmap) == mode_range(2, 5)
-    assert qmap == {mode: stratonovich_pairing(mode, sample) for mode in mode_range(2, 5)}
+    for mode, got in qmap.items():
+        want, size = _pairing(mode, sample)
+        assert abs(got - want) <= 4 * math.ulp(size), mode

@@ -239,18 +239,14 @@ def test_sample_loop_values_are_spectral():
         sample_loop(3, 8, 1, d=2)
 
 
-def test_xi_value_and_map_guards():
+def test_xi_map_guards():
     sample = sample_loop(3, 8, 64, d=2)
-    mode = ModeIndex(1, 2)
-    assert sample.xi_value(mode) == sample.xi[0, 2 + 8]
-    with pytest.raises(ValueError):
-        sample.xi_value(mode.as_dual)
-    with pytest.raises(ValueError):
-        sample.xi_value(ModeIndex(3, 0))
-    with pytest.raises(ValueError):
-        sample.xi_value(ModeIndex(1, 9))
     xi_map = sample.xi_map(2)
     assert len(xi_map) == 2 * 5
+    assert xi_map[ModeIndex(1, 2)] == sample.xi[0, 2 + 8]
+    # A dual mode, a coordinate past d and a frequency past K have no entry.
+    for refused in (ModeIndex(1, 2, True), ModeIndex(3, 0), ModeIndex(1, 3)):
+        assert refused not in xi_map
     with pytest.raises(ValueError):
         sample.xi_map(9)
 

@@ -9,11 +9,13 @@ Sayward, *Hints on test data selection*, Computer 1978).
 
 import pytest
 
+import loopstar.chaos as chaos
 import loopstar.equivalence as equivalence
 import loopstar.fock as fock
 import loopstar.poisson as poisson
 import loopstar.suites as suites
 from loopstar.config import parse_config
+from loopstar.modes import ModeIndex
 from test_suites import LIGHT_DOC
 
 
@@ -66,6 +68,15 @@ def _negated_unit_pairing(original):
     return staticmethod(unit_pairing)
 
 
+def _mirrored_quadrature(original):
+    # Each mode reads its pairing off the row of its negated frequency, so
+    # cosine and sine profiles trade places in every quadrature evaluation.
+    def quadrature_map(sample, K):
+        qmap = original(sample, K)
+        return {mode: qmap[ModeIndex(mode.coord, -mode.freq)] for mode in qmap}
+    return quadrature_map
+
+
 # name -> (mutant factory, patched attribute, its bindings, suite run, exact checks that catch it)
 MUTANTS = {
     "apply_T1 negated": (_negated_T1, "apply_T1", (equivalence, suites), "equivalence",
@@ -83,6 +94,8 @@ MUTANTS = {
     "unit pairing negated": (_negated_unit_pairing, "unit_pairing", (poisson.SymplecticForm,),
                              "equivalence", ("cochain.displays", "star.zero_is_moyal",
                                              "intertwine.poly", "intertwine.exp")),
+    "quadrature rows mirrored": (_mirrored_quadrature, "quadrature_map", (chaos, suites),
+                                 "chaos", ("quadrature.order",)),
 }
 
 
