@@ -6,10 +6,13 @@ on primal-first terms and (alpha_k - 1) on dual-first terms, giving a
 family of star-products: alpha = 0 is the Moyal member, alpha = 1 the
 normal product with one-sided contractions.  The operator carries the loop
 dimension d and the cutoff K, so each function here reads A alone, and A
-builds its channel tables once.  The transform T = exp of
-(hbar times a second-order contraction) intertwines any member with the
-Moyal one; the checks here verify that, plus the closed product formula on
-Wick exponentials, degree window by degree window in exact arithmetic.
+builds its channel tables once, each a `ChannelTable` packed once for the
+kernels.  The transform T = exp of (hbar times a second-order contraction)
+intertwines any member with the Moyal one; its generator is one more table
+of A, (primal, dual, -alpha_k), which `apply_T1` contracts on integer
+numerators and reduces once.  The checks here verify the intertwining,
+plus the closed product formula on Wick exponentials, degree window by
+degree window in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .fock import (FockVector, HbarSeries, Scalar, _star_orders, _Sum, annihilate,
-                   coerce_scalar, contract_channels, wick_exponential)
+from .fock import (ChannelTable, FockVector, HbarSeries, Scalar, _contract_pairs, _star_orders,
+                   _Sum, coerce_scalar, contract_channels, wick_exponential)
 from .modes import ModeIndex
 from .poisson import SymplecticForm, poisson_bracket
 
@@ -35,8 +38,8 @@ class DiagonalOperatorA:
     alpha maps each retained frequency |k| <= K to its eigenvalue; a
     frequency it omits has eigenvalue 0.  The operator alone fixes its
     deformed product: it walks the (primal, dual, alpha_k) triples of its
-    d coordinates once, and builds its deformed and symmetric channel
-    tables from that walk on first use.
+    d coordinates once, and builds its deformed, symmetric and generator
+    channel tables from that walk on first use.
     """
 
     alpha: Mapping[int, Fraction]
@@ -87,14 +90,19 @@ class DiagonalOperatorA:
                      for c in range(1, self.d + 1) for k in range(-self.K, self.K + 1))
 
     @functools.cached_property
-    def channels(self) -> tuple:
+    def channels(self) -> ChannelTable:
         """The deformed contraction table, `deformed_channels(self)`, built once."""
         return deformed_channels(self)
 
     @functools.cached_property
-    def symmetric_channels(self) -> tuple:
+    def symmetric_channels(self) -> ChannelTable:
         """Channels of the symmetric perturbation: weight alpha_k both ways, built once."""
-        return tuple(ch for p, q, a in self.pairs if a for ch in ((p, q, a), (q, p, a)))
+        return ChannelTable(ch for p, q, a in self.pairs for ch in ((p, q, a), (q, p, a)))
+
+    @functools.cached_property
+    def generator(self) -> ChannelTable:
+        """The transform generator's table (p, q, -alpha_k), built once; `apply_T1` reads it."""
+        return ChannelTable((p, q, -a) for p, q, a in self.pairs)
 
     @functools.cached_property
     def unit_form(self) -> SymplecticForm:
@@ -102,15 +110,9 @@ class DiagonalOperatorA:
         return SymplecticForm.unit_pairing(self.d, self.K)
 
 
-def deformed_channels(A: DiagonalOperatorA) -> tuple:
+def deformed_channels(A: DiagonalOperatorA) -> ChannelTable:
     """Channels of the deformed contraction: (alpha+1) primal-first, (alpha-1) dual-first."""
-    out = []
-    for p, q, a in A.pairs:
-        if a + 1:
-            out.append((p, q, a + 1))
-        if a - 1:
-            out.append((q, p, a - 1))
-    return tuple(out)
+    return ChannelTable(ch for p, q, a in A.pairs for ch in ((p, q, a + 1), (q, p, a - 1)))
 
 
 def apply_EA(F: FockVector, G: FockVector, A: DiagonalOperatorA) -> FockVector:
@@ -136,15 +138,7 @@ def star_A(F: FockVector, G: FockVector, A: DiagonalOperatorA, R: int,
 
 def apply_T1(F: FockVector, A: DiagonalOperatorA) -> FockVector:
     """Transform generator: minus the alpha-weighted primal-dual double contraction."""
-    support = F.support_modes()
-    total = _Sum()
-    for p, q, a in A.pairs:
-        if not a or p not in support or q not in support:
-            continue
-        part = annihilate(p, annihilate(q, F))
-        if not part.is_zero():
-            total.add(part.scale(-a))
-    return total.vector()
+    return _contract_pairs(F, A.generator.rows)
 
 
 def apply_T(FS: HbarSeries, A: DiagonalOperatorA) -> HbarSeries:

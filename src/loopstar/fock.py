@@ -13,9 +13,14 @@ vector is evaluated on a sampled field (`chaos`).
 A vector stores integer numerators over one positive denominator, as
 FLINT's fmpq_poly does.  Every operation reduces its result once, by
 gcd(D, *numerators), so equal vectors have equal storage, and the kernels
-below run on plain int multiply and add.  The contraction walk of
-`_star_orders` builds no vector at its nodes: it carries numerators over
-its operands' fixed denominators, and reduces each order once.
+below run on plain int multiply and add.  The multi-step kernels build no
+vector between their steps, as fraction-free elimination does (Bareiss,
+Math. Comp. 1968): the contraction walk of `_star_orders` carries
+numerators over its operands' fixed denominators and reduces each order
+once; `_contract_pairs` (the transform generator) adds each row's
+numerators over D times the row's weight denominator and reduces once;
+`wick_exponential` carries each power's numerators over a growing
+denominator and reduces the sum once.
 
 Each monomial is stored as one packed int, as in Monagan & Pearce's packed
 exponent vectors (CASC 2007): the low WIDTH bits hold its degree, and each
@@ -37,12 +42,18 @@ and its parser), the norm bound, repr and pickling.  Its length reads the
 numerators; the keys are decoded and the Fractions built once per vector,
 on the first read of a key or value.
 
+A channel table is packed once: a `ChannelTable` coerces its weights and
+keeps, beside its (mode, mode, weight) triples, one row per channel of
+field offsets, units and the weight as an integer pair, which the kernels
+read on every call.  Like packed keys, its rows never leave the process:
+a pickled table carries its triples.
+
 A degree cap belongs to a multiplication, not to a vector: a product
-formed with `max_degree=n` is the product of the quotient algebra where
-all monomials of degree above n are identified with zero, so dropping
-terms above the cap is the correct multiplication in that quotient, not
-an approximation.  Vectors carry no cap; `truncate(n)` is the plain
-projection onto degrees <= n.
+formed at cap n (an order of `_star_orders`) is the product of the
+quotient algebra where all monomials of degree above n are identified
+with zero, so dropping terms above the cap is the correct multiplication
+in that quotient, not an approximation.  Vectors carry no cap;
+`truncate(n)` is the plain projection onto degrees <= n.
 """
 
 from __future__ import annotations
@@ -80,14 +91,20 @@ _OFFSET: dict[ModeIndex, int] = {}  # mode -> bit offset of its field
 _MODES: list[ModeIndex] = []        # the mode of the field at offset WIDTH * (i + 1)
 
 
+def _field(mode: ModeIndex) -> int:
+    """Bit offset of the mode's field, assigned the first time this module meets the mode."""
+    off = _OFFSET.get(mode)
+    if off is None:
+        _MODES.append(mode)
+        off = _OFFSET[mode] = WIDTH * len(_MODES)
+    return off
+
+
 def _encode(entries: Iterable[tuple[ModeIndex, int]]) -> int:
     """Packed key of (mode, multiplicity) pairs with distinct modes."""
     key = degree = 0
     for mode, mult in entries:
-        off = _OFFSET.get(mode)
-        if off is None:
-            _MODES.append(mode)
-            off = _OFFSET[mode] = WIDTH * len(_MODES)
+        off = _OFFSET.get(mode) or _field(mode)     # no field sits at offset 0
         key += mult << off
         degree += mult
     if degree > MASK:
@@ -375,16 +392,15 @@ def _pairs(f_items: Iterable[tuple[int, int]], g_items: Sequence[tuple[int, int]
     return acc
 
 
-def wick_product(F: FockVector, G: FockVector, max_degree: Optional[int] = None) -> FockVector:
+def wick_product(F: FockVector, G: FockVector) -> FockVector:
     """Symmetrized product: multiset union of monomial labels, coefficient 1.
 
-    With `max_degree` this is the product of the algebra truncated above
-    that degree: pairs whose degrees sum past it are skipped before any
-    union is built.  A pair that is formed and whose degree exceeds MASK
-    raises OverflowError.
+    A pair whose degree exceeds MASK raises OverflowError.  The product of
+    the algebra truncated above a degree n is order 0 of `_star_orders` at
+    cap n.
     """
     gitems = sorted(G._num.items(), key=lambda kc: kc[0] & MASK)
-    return _reduced(_pairs(F._num.items(), gitems, 1, max_degree), F._den * G._den)
+    return _reduced(_pairs(F._num.items(), gitems, 1, None), F._den * G._den)
 
 
 def annihilate(mode: ModeIndex, F: FockVector) -> FockVector:
@@ -411,6 +427,52 @@ def annihilate_general(h: Mapping[ModeIndex, Scalar], F: FockVector) -> FockVect
     return out.vector()
 
 
+class ChannelTable(tuple):
+    """A channel table, packed once: (mode on F, mode on G, weight) triples.
+
+    Construction coerces every weight (a float raises TypeError) and drops
+    the zero ones.  `rows` holds each channel as the kernels read it,
+    (f, unitF, g, unitG, wp, wq): the bit offset of each mode's field, its
+    unit (one unit of the mode and of the degree), and the weight as the
+    integer pair wp / wq.  Building the rows meets the table's modes.
+    Offsets belong to the process, so a pickled table carries its triples
+    only and packs its rows again where it is loaded.
+    """
+
+    def __new__(cls, channels: Iterable[Channel]):
+        table = super().__new__(cls, [(fm, gm, w) for fm, gm, weight in channels
+                                      if (w := coerce_scalar(weight))])
+        table.rows = tuple((f, (1 << f) + 1, g, (1 << g) + 1, *w.as_integer_ratio())
+                           for fm, gm, w in table for f, g in [(_field(fm), _field(gm))])
+        return table
+
+    def __reduce__(self):
+        return ChannelTable, (tuple(self),)
+
+
+def _contract_pairs(F: FockVector, rows: Sequence[tuple]) -> FockVector:
+    """The sum over `rows` of wp / wq * a_f a_g F: both modes of a row contract F.
+
+    One pass over F's terms per row whose two fields F holds.  The
+    multiplicity of f is read after one unit of g is removed, so a row
+    whose two modes are one mode m contributes m(m - 1).  Each row adds its
+    numerators over F._den * wq, and the sum is reduced once.
+    """
+    join = _joined(F._num)
+    total = _Sum()
+    for f, unitF, g, unitG, wp, wq in rows:
+        if not ((join >> f) & MASK and (join >> g) & MASK):
+            continue
+        part = {}
+        for k, n in F._num.items():
+            if mg := (k >> g) & MASK:
+                k -= unitG
+                if mf := (k >> f) & MASK:
+                    part[k - unitF] = mf * mg * wp * n
+        total.add_terms(part, F._den * wq)
+    return total.vector()
+
+
 def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel],
                  caps: Sequence[Optional[int]], lowest: int = 0) -> list[FockVector]:
     """Orders lowest..R of the channel star-product of F and G: the one contraction engine.
@@ -435,20 +497,20 @@ def _star_orders(F: FockVector, G: FockVector, channels: Iterable[Channel],
     `caps` holds one cap per order 0..R, so R = len(caps) - 1; order r is
     formed at cap `caps[r]`, None for no cap.  Order r then equals the
     uncapped order truncated to its cap, since each Wick product adds
-    degrees.
+    degrees; with an empty table, order 0 at cap n is the product of the
+    algebra truncated above degree n.
+
+    The walk reads the packed `rows` of a `ChannelTable`; any other
+    iterable of triples is packed into one on entry.  A row is live if F
+    holds its F-mode and G its G-mode.
     """
     R = len(caps) - 1
     if R < 0:
         raise ValueError("contraction order must be >= 0")
-    # A channel is live if both operands hold its modes and its weight is
-    # not 0.  No field sits at offset 0, so a mode never met (offset None)
-    # fails its own test.  Each side keeps its mode's offset and unit (one
-    # unit of the mode and of the degree); the weight is kept as (wp, wq).
-    joinF, joinG, off = _joined(F._num), _joined(G._num), _OFFSET.get
-    live = [(f, (1 << f) + 1, g, (1 << g) + 1, *w.as_integer_ratio())
-            for fm, gm, weight in channels
-            if (f := off(fm)) and (joinF >> f) & MASK and (g := off(gm)) and (joinG >> g) & MASK
-            and (w := coerce_scalar(weight))]
+    if not isinstance(channels, ChannelTable):
+        channels = ChannelTable(channels)
+    joinF, joinG = _joined(F._num), _joined(G._num)
+    live = [row for row in channels.rows if (joinF >> row[0]) & MASK and (joinG >> row[2]) & MASK]
     orders = [_Sum() for _ in range(R + 1)]
     den = F._den * G._den
 
@@ -491,17 +553,21 @@ def wick_exponential(gamma: Mapping[ModeIndex, Scalar], N: int) -> FockVector:
 
     gamma maps primal and dual modes alike to their coefficients (each key
     carries its own dual flag); the result is sum_{n <= N} gamma^{wick n} / n!.
+    Power n is carried as numerators over gen._den^n * n!, unreduced, and
+    the sum is reduced once.
     """
     if N < 0:
         raise ValueError("degree cap must be nonnegative")
     gen = FockVector({MultiIndex.single(mode): c for mode, c in gamma.items()})
-    power = FockVector.unit()
-    out = _Sum(dict(power._num))
+    gitems = list(gen._num.items())             # all of degree 1, so sorted by degree
+    power, den = {0: 1}, 1
+    out = _Sum(dict(power))
     for n in range(1, N + 1):
-        power = wick_product(power, gen, max_degree=N).scale(Fraction(1, n))
-        if power.is_zero():
+        power = _pairs(power.items(), gitems, 1, N)
+        if not power:
             break
-        out.add(power)
+        den *= gen._den * n
+        out.add_terms(power, den)
     return out.vector()
 
 

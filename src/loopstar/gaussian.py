@@ -226,6 +226,8 @@ class LoopSample:
 
     def xi_map(self, K: int) -> dict[ModeIndex, float]:
         """Coefficients of all primal modes with |freq| <= K, as a plain map."""
+        if K < 0:
+            raise ValueError(f"cutoff K must be >= 0, got {K}")
         if K > self.K_mc:
             raise ValueError(f"requested cutoff {K} exceeds sampled cutoff {self.K_mc}")
         return {ModeIndex(c, k): float(self.xi[c - 1, k + self.K_mc])

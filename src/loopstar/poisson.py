@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .fock import (Channel, FockVector, HbarSeries, _star_orders, _Sum, coerce_scalar,
-                   contract_channels)
+from .fock import (Channel, ChannelTable, FockVector, HbarSeries, _star_orders, _Sum,
+                   coerce_scalar, contract_channels)
 from .modes import ModeIndex
 
 
@@ -33,7 +33,7 @@ class SymplecticForm:
     `star.zero_is_moyal` the unit pairing's, and `tests/test_mutants.py`
     shows that negating either table is caught.  weight_c is a Fraction or
     an int; a float raises TypeError here.  `channels` is the table, one
-    tuple shared by every product over the form.
+    `ChannelTable` packed once and shared by every product over the form.
     """
 
     __slots__ = ("d", "K", "weight_c", "channels")
@@ -53,7 +53,7 @@ class SymplecticForm:
             primal = [ModeIndex(c, k) for c in range(1, d + 1)]
             table += [(p, p.as_dual, sign * w) for p in primal]
             table += [(p.as_dual, p, -sign * w) for p in primal]
-        self.channels = tuple(table)
+        self.channels = ChannelTable(table)
 
     @classmethod
     def unit_pairing(cls, d: int, K: int) -> "SymplecticForm":

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopstar import fock
-from loopstar.equivalence import DiagonalOperatorA, _shifted_pairing, exp_product_formula_rhs
-from loopstar.fock import (FockVector, HbarSeries, _star_orders, annihilate, annihilate_general,
-                           contract_channels, wick_exponential, wick_product)
+from loopstar.equivalence import (DiagonalOperatorA, _shifted_pairing, apply_T1,
+                                  exp_product_formula_rhs)
+from loopstar.fock import (ChannelTable, FockVector, HbarSeries, _star_orders, annihilate,
+                           annihilate_general, contract_channels, wick_exponential, wick_product)
 from loopstar.modes import VACUUM, ModeIndex, MultiIndex
 from loopstar.poisson import SymplecticForm
 from loopstar.serialization import serialize_fock
@@ -28,6 +29,11 @@ ONE_A = DiagonalOperatorA.family("one", 1, 1)
 
 def mono(pairs, coeff=Fraction(1)):
     return FockVector({MultiIndex(tuple(pairs)): coeff})
+
+
+def capped_product(F, G, cap):
+    """The product of the algebra truncated above degree `cap`: order 0 of the engine."""
+    return _star_orders(F, G, ChannelTable(()), [cap])[0]
 
 
 def test_constructor_validates_and_caps():
@@ -102,7 +108,7 @@ def test_product_respects_quotient_cap():
     a = mono([(M1, 2)])
     b = mono([(M1, 2)])
     full = wick_product(a, b)
-    capped = wick_product(a, b, max_degree=3)
+    capped = capped_product(a, b, 3)
     assert capped.is_zero()
     assert full.truncate(3) == capped
 
@@ -201,7 +207,7 @@ def test_exponential_carries_no_cap_into_products():
     phi = wick_exponential({M1: Fraction(1, 2), D1: Fraction(3)}, 2)
     square = wick_product(phi, phi)
     assert phi.degree() == 2 and square.degree() == 4
-    assert wick_product(phi, phi, max_degree=2) == square.truncate(2)
+    assert capped_product(phi, phi, 2) == square.truncate(2)
     assert square.truncate(2) != square
 
 
@@ -325,12 +331,12 @@ def test_kernels_match_fraction_reference(f, g, cap):
     f = {mu: c for mu, c in f.items() if c}
     g = {mu: c for mu, c in g.items() if c}
     F, G = FockVector(f), FockVector(g)
-    out = wick_product(F, G, cap)
-    with mock.patch.object(fock, "Fraction", _no_fraction):
-        sizes = len(F.terms), len(G.terms), len(out.terms)
-    want = reference_wick_product(f, g, cap)
-    assert sizes == (len(f), len(g), len(want))
-    assert _as_read(out.terms) == _as_read(want)
+    for out, at in ((wick_product(F, G), None), (capped_product(F, G, cap), cap)):
+        with mock.patch.object(fock, "Fraction", _no_fraction):
+            sizes = len(F.terms), len(G.terms), len(out.terms)
+        want = reference_wick_product(f, g, at)
+        assert sizes == (len(f), len(g), len(want))
+        assert _as_read(out.terms) == _as_read(want)
     assert _as_read(F.terms) == _as_read(f)
     for mode in _MODES:
         got = annihilate(mode, F)
@@ -346,16 +352,19 @@ def test_kernels_match_fraction_reference(f, g, cap):
 
 def reference_star_orders(F, G, channels, caps, lowest=0):
     """The engine's walk on vectors: annihilated operands, a scaled operand
-    and a reduced Wick product at every node, added into its order's sum."""
+    and a reduced Wick product, truncated to its order's cap, at every node,
+    added into its order's sum."""
     R = len(caps) - 1
     orders = [fock._Sum() for _ in range(R + 1)]
 
     def walk(aF, aG, weight, depth, last, run):
         if depth >= lowest:
             if len(aF) <= len(aG):
-                product = wick_product(aF.scale(weight), aG, caps[depth])
+                product = wick_product(aF.scale(weight), aG)
             else:
-                product = wick_product(aF, aG.scale(weight), caps[depth])
+                product = wick_product(aF, aG.scale(weight))
+            if caps[depth] is not None:
+                product = product.truncate(caps[depth])
             orders[depth].add(product)
         if depth == R:
             return
@@ -394,6 +403,12 @@ STAR_TABLES = {
 }
 
 
+def partners(F):
+    """F with each mode traded for its primal or dual partner."""
+    return FockVector({MultiIndex([(ModeIndex(m.coord, m.freq, not m.dual), n) for m, n in mu]): c
+                       for mu, c in F.terms.items()})
+
+
 # (caps, lowest) run on every example, besides one drawn: one cap per order 0..R.
 _STAR_ARGS = [([None] * 5, 0), ([7] * 5, 2), ([12, 9, 6, 3], 1)]
 
@@ -404,8 +419,7 @@ _STAR_ARGS = [([None] * 5, 0), ([7] * 5, 2), ([12, 9, 6, 3], 1)]
 def test_star_orders_match_the_vector_walk(F, G, table, R, data):
     channels = STAR_TABLES[table]
     if data.draw(st.booleans()):        # G also holds the partners of F's modes
-        G = G + FockVector({MultiIndex([(ModeIndex(m.coord, m.freq, not m.dual), n)
-                                        for m, n in mu]): c for mu, c in F.terms.items()})
+        G = G + partners(F)
     drawn = (data.draw(st.lists(st.none() | st.integers(0, 12), min_size=R + 1, max_size=R + 1)),
              data.draw(st.integers(0, R)))
     for caps, lowest in _STAR_ARGS + [drawn]:
@@ -430,6 +444,65 @@ def test_a_key_cancelled_in_a_product_is_added_again_at_the_end():
     assert list(got[1].terms) == [MultiIndex(e) for e in (
         ((a, 1),), ((a, 2),), ((b, 1),), ((b, 2),), ((a, 1), (b, 1)), ((a, 2), (b, 1)),
         ((a, 1), (b, 2)))]
+
+
+# -- the equivalence kernels against their vector-level form ---------------
+
+
+def reference_contract_pairs(F, table):
+    """Each row's double contraction, g's mode first, scaled and added into one sum."""
+    total = fock._Sum()
+    for fm, gm, w in table:
+        part = annihilate(fm, annihilate(gm, F))
+        if not part.is_zero():
+            total.add(part.scale(w))
+    return total.vector()
+
+
+def _read(F):
+    # Value, storage and the term order of the boundary view.
+    return _storage(F), list(F.terms.items())
+
+
+_pair_row = st.tuples(st.sampled_from(_STAR_MODES), st.sampled_from(_STAR_MODES), _coeff)
+# alpha tables of d = 2, K = 2 with fractional and zero eigenvalues.
+_alpha = st.dictionaries(st.integers(-2, 2), _coeff)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_star_operand, st.lists(_pair_row, max_size=6), st.sampled_from(_STAR_MODES), _coeff,
+       _alpha)
+def test_contract_pairs_matches_the_annihilation_sum(F, rows, m, w, alpha):
+    F = F + partners(F)                               # F holds primal-dual pairs
+    table = ChannelTable(rows + [(m, m, w)])          # one row contracts one mode twice
+    assert _read(fock._contract_pairs(F, table.rows)) == _read(reference_contract_pairs(F, table))
+    A = DiagonalOperatorA.from_table(alpha, 2, 2)
+    want = reference_contract_pairs(F, [(p, q, -a) for p, q, a in A.pairs if a])
+    assert _read(apply_T1(F, A)) == _read(want)
+
+
+def test_contract_pairs_reads_a_repeated_mode_as_a_falling_factorial():
+    F = mono([(M1, 3), (D1, 1)], Fraction(1, 2)) + mono([(M1, 1)], Fraction(5))
+    got = fock._contract_pairs(F, ChannelTable([(M1, M1, Fraction(2, 3))]).rows)
+    assert got == mono([(M1, 1), (D1, 1)], Fraction(2))     # 3 * 2 * 1/2 * 2/3
+
+
+def reference_wick_exponential(gamma, N):
+    """Power by power: a reduced Wick product with the generator, scaled by 1/n."""
+    gen = FockVector({MultiIndex.single(mode): c for mode, c in gamma.items()})
+    power = out = FockVector.unit()
+    for n in range(1, N + 1):
+        power = wick_product(power, gen).scale(Fraction(1, n))
+        if power.is_zero():
+            break
+        out = out + power
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(_STAR_MODES), _coeff, max_size=6), st.integers(0, 6))
+def test_wick_exponential_matches_the_power_by_power_sum(gamma, N):
+    assert _read(wick_exponential(gamma, N)) == _read(reference_wick_exponential(gamma, N))
 
 
 def test_sum_drops_a_cancelled_key_and_appends_it_again():
@@ -467,8 +540,8 @@ def test_product_pair_above_the_degree_field_overflows_unless_capped():
     with pytest.raises(OverflowError):
         wick_product(a, b)
     with pytest.raises(OverflowError):
-        wick_product(a, b, max_degree=2 ** 16)      # a cap above the field forms the pair
-    assert wick_product(a, b, max_degree=6).is_zero()
+        capped_product(a, b, 2 ** 16)               # a cap above the field forms the pair
+    assert capped_product(a, b, 6).is_zero()
     assert wick_product(a, mono([(M2, 2 ** 15 - 1)])).degree() == 2 ** 16 - 1
 
 
@@ -531,6 +604,74 @@ def test_pickled_vector_reads_the_same_in_another_process():
     assert terms == product_terms == repr(list(F.terms.items()))
     # The child packed these modes into other fields than this process did.
     assert offsets != repr([fock._OFFSET.get(ModeIndex(*m)) for m in met])
+
+
+TABLE_CHILD = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import pickle
+from loopstar.fock import FockVector, _OFFSET, contract_channels
+from loopstar.modes import ModeIndex, MultiIndex
+modes = [ModeIndex(*m) for m in eval(sys.argv[2])]
+FockVector({MultiIndex.single(m): 1 for m in modes})      # meet them in this order
+table, F, G = pickle.loads(sys.stdin.buffer.read())
+print(repr(list(table)))
+print(repr(list(contract_channels(F, G, table, 1).terms.items())))
+print(repr(table.rows == tuple((_OFFSET[f], (1 << _OFFSET[f]) + 1, _OFFSET[g], (1 << _OFFSET[g]) + 1,
+                                *w.as_integer_ratio()) for f, g, w in table)))
+print(repr(table.rows))
+"""
+
+
+def test_pickled_table_rebuilds_its_rows_in_another_process():
+    modes = fresh_modes(4)
+    duals = [m.as_dual for m in modes]
+    table = ChannelTable([(modes[0], duals[0], Fraction(3, 2)), (duals[1], modes[1], -2),
+                          (modes[2], duals[2], 0), (modes[3], modes[3], Fraction(-1, 5))])
+    F = FockVector({MultiIndex(((modes[0], 2), (duals[1], 1))): Fraction(1, 3),
+                    MultiIndex(((modes[3], 2),)): 1})
+    G = FockVector({MultiIndex(((duals[0], 1), (modes[1], 2))): Fraction(-3, 4),
+                    MultiIndex(((modes[3], 1), (modes[2], 1))): 2})
+    data = pickle.dumps((table, F, G))
+    copy = pickle.loads(data)[0]
+    assert type(copy) is ChannelTable and copy == table and copy.rows == table.rows
+    bracket = contract_channels(F, G, table, 1)
+    assert not bracket.is_zero()
+    met = [(999, 1)] + [tuple(m) for m in reversed(modes + duals)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", TABLE_CHILD, str(src), repr(met)],
+                          input=data, capture_output=True, timeout=60, check=True)
+    triples, terms, packed, rows = proc.stdout.decode().splitlines()
+    assert triples == repr(list(table)) and len(table) == 3      # the zero weight is dropped
+    assert terms == repr(list(bracket.terms.items()))
+    # The child packed the rows from its own fields, which are not this process's.
+    assert packed == "True" and rows != repr(table.rows)
+
+
+def test_a_float_weight_anywhere_in_a_table_is_refused():
+    ChannelTable([(M1, D1, Fraction(1, 2)), (M2, D2, 3)])
+    for at in range(3):
+        rows = [(M1, D1, Fraction(1, 2)), (M2, D2, 3), (D1, M1, -1)]
+        rows[at] = rows[at][:2] + (0.5,)
+        with pytest.raises(TypeError):
+            ChannelTable(rows)
+    with pytest.raises(TypeError):
+        ChannelTable([(M1, D1, 1), (M2, D2, 0.0)])      # a float zero is refused, not dropped
+
+
+def test_tables_compare_as_plain_tuples():
+    A = DiagonalOperatorA.from_table({-1: 1, 0: Fraction(1, 2)}, 1, 1)
+    form = SymplecticForm(1, 1, Fraction(7, 3))
+    for table in (A.channels, A.symmetric_channels, A.generator, form.channels):
+        assert type(table) is ChannelTable
+        assert table == tuple(table) and tuple(table) == table
+        assert table == ChannelTable(tuple(table)) and table.rows == ChannelTable(table).rows
+    Mm1 = ModeIndex(1, -1)
+    # alpha_-1 = 1 drops the (alpha - 1) channel at k = -1, and alpha_1 = 0 the
+    # generator's row at k = 1.
+    assert A.channels == ((Mm1, Mm1.as_dual, 2), (M0, M0.as_dual, Fraction(3, 2)),
+                          (M0.as_dual, M0, Fraction(-1, 2)), (M1, D1, 1), (D1, M1, -1))
+    assert A.generator == ((Mm1, Mm1.as_dual, -1), (M0, M0.as_dual, Fraction(-1, 2)))
 
 
 def test_annihilating_a_mode_never_met_gives_zero_and_meets_no_mode():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loopstar import gaussian
+from loopstar.chaos import quadrature_map
 from loopstar.gaussian import (GREEN_ALPHA, GREEN_BETA, THREADED_DRAW_FLOOR, basis_matrix,
                                batch_shape, green_diagonal,
                                green_exponential_form, green_kernel, holder_moment_check,
@@ -248,7 +249,11 @@ def test_xi_map_guards():
     for refused in (ModeIndex(1, 2, True), ModeIndex(3, 0), ModeIndex(1, 3)):
         assert refused not in xi_map
     with pytest.raises(ValueError):
-        sample.xi_map(9)
+        sample.xi_map(9)                            # past the sampled cutoff
+    # A negative cutoff is refused as `quadrature_map` refuses it, not read as no mode.
+    for build in (sample.xi_map, lambda K: quadrature_map(sample, K)):
+        with pytest.raises(ValueError, match="cutoff K must be >= 0, got -1"):
+            build(-1)
 
 
 def test_loop_eval_grid_and_off_grid():

@@ -7,6 +7,8 @@ show that the failure counting no longer counts (DeMillo, Lipton &
 Sayward, *Hints on test data selection*, Computer 1978).
 """
 
+import math
+
 import pytest
 
 import loopstar.chaos as chaos
@@ -15,6 +17,7 @@ import loopstar.fock as fock
 import loopstar.poisson as poisson
 import loopstar.suites as suites
 from loopstar.config import parse_config
+from loopstar.fock import FockVector
 from loopstar.modes import ModeIndex
 from test_suites import LIGHT_DOC
 
@@ -39,6 +42,14 @@ def _flipped_dual_first_sign(original):
     def channels(A):
         return tuple((fm, gm, -w if fm.dual else w) for fm, gm, w in original(A))
     return channels
+
+
+def _exponential_without_factorials(original):
+    # Power n of the generator enters with weight 1, not 1/n!.
+    def wick_exponential(gamma, N):
+        phi = original(gamma, N)
+        return FockVector({mu: c * math.factorial(mu.degree) for mu, c in phi.terms.items()})
+    return wick_exponential
 
 
 def _swapped_shifts(original):
@@ -87,6 +98,9 @@ MUTANTS = {
     "(alpha - 1) channel sign flipped": (_flipped_dual_first_sign, "deformed_channels",
                                          (equivalence,), "equivalence",
                                          ("cochain.displays", "star.zero_is_moyal")),
+    "Wick exponential without its 1/n!": (_exponential_without_factorials, "wick_exponential",
+                                          (fock, equivalence, suites), "equivalence",
+                                          ("product.formula",)),
     "(A + I) and (A - I) swapped": (_swapped_shifts, "_shifted_pairing", (equivalence,),
                                     "equivalence", ("product.formula",)),
     "every form weight negated": (_negated_form_weights, "__init__",
