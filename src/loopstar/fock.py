@@ -34,13 +34,13 @@ process: the public API takes and gives MultiIndexes, and a pickled vector
 carries its decoded terms.  A monomial or a formed product pair of degree
 above MASK raises OverflowError rather than spilling into the next field.
 
-Chaos evaluation (`chaos`) reads the packed fields through `_fields`, the
-(mode, offset) of each mode a vector holds, and decodes no key.  `.terms`
-is the boundary view: a mapping from MultiIndex to reduced Fraction, in
-the order the terms were formed, for the wire format (`serialize_fock`
-and its parser), the norm bound, repr and pickling.  Its length reads the
-numerators; the keys are decoded and the Fractions built once per vector,
-on the first read of a key or value.
+Chaos evaluation (`chaos`) and the norm bound (`norms`) read the packed
+fields through `_fields`, the (mode, offset) of each mode a vector holds,
+and decode no key.  `.terms` is the boundary view: a mapping from
+MultiIndex to reduced Fraction, in the order the terms were formed, for
+the wire format (`serialize_fock` and its parser), repr and pickling.
+Its length reads the numerators; the keys are decoded and the Fractions
+built once per vector, on the first read of a key or value.
 
 A channel table is packed once: a `ChannelTable` coerces its weights and
 keeps, beside its (mode, mode, weight) triples, one row per channel of

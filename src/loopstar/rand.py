@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .fock import FockVector, _encode
+from .fock import MASK, FockVector, _field
 from .modes import ModeIndex
 
 
@@ -85,16 +85,24 @@ def random_fraction(rng: np.random.Generator) -> Fraction:
     return Fraction(*_coefficient(_draws(rng)[0]))
 
 
+# (d, K) -> the unit 1 << offset of each mode a draw reaches, by draw index
+# 2 * (coord draw * (2K + 1) + freq draw) + dual; 0 until the mode is drawn.
+_UNITS: dict[tuple[int, int], list[int]] = {}
+
+
 def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
                 n_terms: int = 4, dual_fraction: float = 0.0) -> FockVector:
     """Random rational vector with small coefficients; never the zero vector.
 
     Each term draws its degree, then that many modes (as `random_mode`),
     then its coefficient; a monomial drawn again takes the later
-    coefficient.  Each monomial is packed straight from its counts and the
-    vector built through its fast path, from values valid by construction.
-    Raises ValueError, before any draw, unless 1 <= `n_terms` <= the number
-    of distinct monomials of degree at most `max_degree`.
+    coefficient.  Each monomial is packed as it is drawn: its key starts at
+    its degree and each drawn mode adds its unit, read from `_UNITS` (a
+    mode gets its field through `fock._field` the first time it is drawn).
+    The vector is built through its fast path, from values valid by
+    construction.  Raises ValueError, before any draw, unless 1 <=
+    `n_terms` <= the number of distinct monomials of degree at most
+    `max_degree`.
     """
     modes = _mode_count(d, K, dual_fraction)
     if max_degree < 0 or not 1 <= n_terms <= math.comb(modes + max_degree, max_degree):
@@ -102,14 +110,20 @@ def random_fock(rng: np.random.Generator, d: int, K: int, max_degree: int,
                          f"{max_degree} on {modes} modes")
     below, uniform = _draws(rng)
     freqs = 2 * K + 1
+    units = _UNITS.get((d, K)) or _UNITS.setdefault((d, K), [0] * (2 * d * freqs))
     terms: dict[int, tuple[int, int]] = {}
     while len(terms) < n_terms:
-        counts: dict[ModeIndex, int] = {}
-        for _ in range(below(max_degree + 1)):
-            mode = tuple.__new__(ModeIndex, (below(d) + 1, below(freqs) - K,
-                                             uniform() < dual_fraction))
-            counts[mode] = counts.get(mode, 0) + 1
-        terms[_encode(counts.items())] = _coefficient(below)
+        key = degree = below(max_degree + 1)
+        for _ in range(degree):
+            i = 2 * (below(d) * freqs + below(freqs)) + (uniform() < dual_fraction)
+            unit = units[i]
+            if not unit:
+                mode = (i // (2 * freqs) + 1, i // 2 % freqs - K, bool(i & 1))
+                unit = units[i] = 1 << _field(tuple.__new__(ModeIndex, mode))
+            key += unit
+        if degree > MASK:
+            raise OverflowError(f"monomial degree {degree} exceeds the packed limit {MASK}")
+        terms[key] = _coefficient(below)
     den = math.lcm(*(q for _, q in terms.values()))
     return FockVector._raw({mu: p * (den // q) for mu, (p, q) in terms.items()}, den)
 

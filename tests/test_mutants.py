@@ -14,6 +14,7 @@ import pytest
 import loopstar.chaos as chaos
 import loopstar.equivalence as equivalence
 import loopstar.fock as fock
+import loopstar.norms as norms
 import loopstar.poisson as poisson
 import loopstar.suites as suites
 from loopstar.config import parse_config
@@ -88,6 +89,11 @@ def _mirrored_quadrature(original):
     return quadrature_map
 
 
+def _vacuum_weighed_by_C(original):
+    # Every bound times C, as if each degree n weighed C^(n + 1): the unit's bound is C, not 1.
+    return lambda F, k, C: original(F, k, C) * C
+
+
 # name -> (mutant factory, patched attribute, its bindings, suite run, exact checks that catch it)
 MUTANTS = {
     "apply_T1 negated": (_negated_T1, "apply_T1", (equivalence, suites), "equivalence",
@@ -108,6 +114,8 @@ MUTANTS = {
     "unit pairing negated": (_negated_unit_pairing, "unit_pairing", (poisson.SymplecticForm,),
                              "equivalence", ("cochain.displays", "star.zero_is_moyal",
                                              "intertwine.poly", "intertwine.exp")),
+    "norm bound weighs the vacuum by C": (_vacuum_weighed_by_C, "connes_norm_upper",
+                                          (norms, suites), "algebra", ("norm.monotone",)),
     "quadrature rows mirrored": (_mirrored_quadrature, "quadrature_map", (chaos, suites),
                                  "chaos", ("quadrature.order",)),
 }

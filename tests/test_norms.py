@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopstar import fock
 from loopstar.fock import FockVector, wick_product
 from loopstar.modes import ModeIndex, MultiIndex, norm_const
 from loopstar.norms import connes_norm_upper, partition_block_count, slot_envelope
@@ -63,8 +66,18 @@ def test_norm_upper_unit_and_errors():
     F = FockVector({MultiIndex.single(ModeIndex(1, 1)): Fraction(1)})
     with pytest.raises(ValueError):
         connes_norm_upper(F, -1, 1.0)
-    with pytest.raises(ValueError):
-        connes_norm_upper(F, 2, 0.0)
+    for C in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            connes_norm_upper(F, 2, C)
+    # A float k is refused, also where an equal int k is already cached.
+    assert connes_norm_upper(F, 2, 1.0) > 0 and partition_block_count(2, 2) == 21
+    for k in (1.5, 2.0):
+        with pytest.raises(TypeError, match="must be an int"):
+            connes_norm_upper(F, k, 1.0)
+        with pytest.raises(TypeError, match="must be an int"):
+            partition_block_count(2, k)
+        with pytest.raises(TypeError, match="must be an int"):
+            slot_envelope(1, k)
 
 
 def test_norm_upper_triangle_inequality():
@@ -85,3 +98,46 @@ def test_norm_upper_dominates_product_at_larger_constants():
         lhs = connes_norm_upper(wick_product(F, G), 1, 1.0)
         rhs = connes_norm_upper(F, 4, 4.0) * connes_norm_upper(G, 4, 4.0)
         assert lhs <= rhs * (1 + 1e-12)
+
+
+def _terms_norm(F, k, C):
+    """The bound through the decoded `.terms` view: the loop the packed read replaced."""
+    total = 0.0
+    for mu, c in F.terms.items():
+        n = mu.degree
+        bound = float(abs(c)) * C ** n * partition_block_count(n, k)
+        for mode, mult in mu:
+            bound *= slot_envelope(mode.freq, k) ** mult
+        total += bound
+    return total
+
+
+# Modes no other test builds, met first here in descending order, so that
+# their packed fields run against ModeIndex order.
+_FRESH = [ModeIndex(8, 800 + j, dual) for j in (-1, 0, 1) for dual in (False, True)]
+FockVector({MultiIndex.single(mode): 1 for mode in reversed(_FRESH)})
+_NORM_MODES = [ModeIndex(1, 0), ModeIndex(1, 1), ModeIndex(1, 1, True),
+               ModeIndex(2, -2), ModeIndex(2, 0, True)] + _FRESH
+_monomial = st.lists(st.tuples(st.sampled_from(_NORM_MODES), st.integers(1, 3)),
+                     max_size=4).map(MultiIndex)
+_coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7, 10]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(_monomial, _coeff), max_size=6).map(dict), st.integers(0, 5),
+       st.sampled_from([0.1, 0.5, 1, 1.0, 1.5, 2, 4.0, 7.25]))
+def test_norm_upper_matches_the_terms_loop(terms, k, C):
+    F = FockVector(terms)
+    assert connes_norm_upper(F, k, C) == _terms_norm(F, k, C)
+
+
+def test_norm_upper_decodes_no_key(monkeypatch):
+    F = FockVector({MultiIndex(((_FRESH[0], 2), (_FRESH[5], 1))): Fraction(-3, 7),
+                    MultiIndex.single(ModeIndex(1, 1)): Fraction(1, 2)})
+    want = _terms_norm(FockVector._raw(F._num, F._den), 3, 1.5)
+
+    def no_decode(key):
+        raise AssertionError("a packed key was decoded")
+    monkeypatch.setattr(fock, "_decode", no_decode)
+    assert connes_norm_upper(F, 3, 1.5) == want
+    assert F._terms is None

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from loopstar import fock
 from loopstar.fock import FockVector, _common_denominator, _encode
 from loopstar.modes import ModeIndex
 from loopstar.rand import _draws, instance_rng, random_fock, random_gamma, random_xi
@@ -84,7 +85,7 @@ def test_draws_interleave_with_generator_calls(seed):
                                   (2, 2, 2, 2, 1.0), (3, 1, 1, 2, 0.5), (2, 3, 4, 1, 0.3)])
 def test_random_fock_matches_reference(args):
     d, K, max_degree, n_terms, dual_fraction = args
-    for seed in range(60):
+    for seed in [*range(60), 2**63 + 1, 2**64 - 1]:
         ours, theirs = pair(seed, "fock")
         for _ in range(3):
             F = random_fock(ours, d, K, max_degree, n_terms=n_terms, dual_fraction=dual_fraction)
@@ -92,6 +93,34 @@ def test_random_fock_matches_reference(args):
                                       dual_fraction=dual_fraction)
             assert list(F._num.items()) == list(G._num.items()) and F._den == G._den
         assert same_state(ours, theirs)
+
+
+def test_random_fock_packs_fresh_modes_in_draw_order():
+    # Seed 115 draws one term of three modes on coordinates above 2000, which
+    # no other test meets, in descending ModeIndex order: their fields are
+    # assigned in draw order, against ModeIndex order, as the reference's are.
+    args = (5000, 1, 3, 1, 0.5)
+    ours, theirs = pair(115, "fresh")
+    met = len(fock._MODES)
+    F = random_fock(ours, *args)
+    fresh = fock._MODES[met:]
+    assert len(fresh) == 3 and fresh == sorted(fresh, reverse=True)
+    assert F.support_modes() == set(fresh)
+    G = reference_random_fock(theirs, *args)
+    assert list(F._num.items()) == list(G._num.items()) and F._den == G._den
+    assert same_state(ours, theirs)
+
+
+def test_random_fock_encodes_no_monomial(monkeypatch):
+    want = [reference_random_fock(instance_rng(seed, "fock"), 2, 3, 4, dual_fraction=0.3)
+            for seed in range(5)]
+
+    def no_encode(entries):
+        raise AssertionError("a monomial was encoded")
+    monkeypatch.setattr(fock, "_encode", no_encode)
+    for seed, G in enumerate(want):
+        F = random_fock(instance_rng(seed, "fock"), 2, 3, 4, dual_fraction=0.3)
+        assert list(F._num.items()) == list(G._num.items()) and F._den == G._den
 
 
 @pytest.mark.parametrize("include_dual", [False, True])
