@@ -44,16 +44,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.suite:
             cfg = dataclasses.replace(cfg, suites=tuple(dict.fromkeys(args.suite)))  # dedupe
             check_suite_requirements(cfg, args.config)
-        out_path = args.out if args.out is not None else cfg.output_path
-        if out_path is not None:
-            summary_path(out_path)      # refuses a .txt report path before any suite runs
+        if args.out is not None:
+            summary_path(args.out)      # refuses a .txt report path before any suite runs
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     report = run_suites(cfg)
-    if out_path is not None:
-        emit_report(report, out_path)
+    if args.out is not None:
+        emit_report(report, args.out)
     print(text_summary(report))
     return 0 if report.all_passed else 1
 

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .equivalence import FAMILIES
 from .serialization import INTEGER_TEXT, rational_from_text
@@ -63,7 +63,6 @@ class RunConfig:
     alpha_spec: Union[str, dict[int, Fraction]] = "ksq"
     mc: McConfig = field(default_factory=McConfig)
     suites: tuple = DEFAULT_SUITES
-    output_path: Optional[str] = None
 
 
 def _expect_int(doc: dict, key: str, default: int, where: str, minimum: int) -> int:
@@ -79,7 +78,7 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
     """Validate a parsed JSON object; unknown keys are rejected with their path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    known = {"d", "K", "N", "R", "weight_c", "alpha_spec", "mc", "suites", "output_path"}
+    known = {"d", "K", "N", "R", "weight_c", "alpha_spec", "mc", "suites"}
     for key in doc:
         if key not in known:
             raise ConfigError(f"{where}.{key}: unknown field")
@@ -134,12 +133,9 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
         if s not in SUITE_NAMES:
             raise ConfigError(f"{where}.suites: unknown suite {s!r}; "
                               f"known: {', '.join(SUITE_NAMES)}")
-    output_path = doc.get("output_path", default.output_path)
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"{where}.output_path: expected a string path")
 
     cfg = RunConfig(d=d, K=K, N=N, R=R, weight_c=weight_c, alpha_spec=alpha_spec,
-                    mc=mc, suites=tuple(suites), output_path=output_path)
+                    mc=mc, suites=tuple(suites))
     check_suite_requirements(cfg, where)
     return cfg
 
@@ -196,5 +192,4 @@ def config_echo(cfg: RunConfig) -> dict:
         "mc": {"n_samples": cfg.mc.n_samples, "seed": cfg.mc.seed, "K_mc": cfg.mc.K_mc,
                "n_grid": cfg.mc.n_grid},
         "suites": list(cfg.suites),
-        "output_path": cfg.output_path,
     }

@@ -121,26 +121,22 @@ def test_seed_override_changes_report(tmp_path, capsys):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-@pytest.mark.parametrize("source", ["--out", "output_path"])
-def test_txt_report_path_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, source):
+def test_txt_report_path_exits_two_before_any_suite(tmp_path, capsys, monkeypatch):
     """The summary goes to the report path with suffix .txt: for a .txt path, the path itself."""
     def runner(cfg):
         raise AssertionError("a suite ran")
 
     monkeypatch.setitem(suites.SUITE_RUNNERS, "algebra", runner)
     dest = tmp_path / "report.txt"
-    if source == "--out":
-        argv = ["--config", str(write_config(tmp_path)), "--out", str(dest)]
-    else:
-        argv = ["--config", str(write_config(tmp_path, output_path=str(dest)))]
-    assert main(argv) == 2
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(dest)]) == 2
     assert str(dest) in capsys.readouterr().err
     assert not dest.exists()
 
 
-def test_config_output_path_used_when_no_flag(tmp_path, capsys):
+def test_config_output_path_is_an_unknown_field(tmp_path, capsys):
+    """The report path is set by `--out` alone; a config naming one is refused."""
     dest = tmp_path / "from_config.json"
     path = write_config(tmp_path, output_path=str(dest))
-    assert main(["--config", str(path)]) == 0
-    capsys.readouterr()
-    assert dest.exists()
+    assert main(["--config", str(path)]) == 2
+    assert f"{path}.output_path: unknown field" in capsys.readouterr().err
+    assert not dest.exists()

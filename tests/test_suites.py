@@ -267,18 +267,18 @@ def test_equivalence_config_report_matches_golden():
 # the goldens' 42: a change that should leave every exact result alone must
 # leave these unchanged too.
 EXACT_BODY_HASHES = [
-    ("default", ("algebra", "poisson", "moyal"), 7, "1b7eda221f7fb350"),
-    ("default", ("algebra", "poisson", "moyal"), 3, "135f83a6a7ec9883"),
-    ("equivalence", ("equivalence",), 7, "e912b6c0db899220"),
-    ("equivalence", ("equivalence",), 3, "f3c9dd2d60777f6e"),
+    ("default", ("algebra", "poisson", "moyal"), 7, "6b72fb1505d356d9"),
+    ("default", ("algebra", "poisson", "moyal"), 3, "4645c789943896e9"),
+    ("equivalence", ("equivalence",), 7, "55fba29a31fadba7"),
+    ("equivalence", ("equivalence",), 3, "905d174d0edcc644"),
 ]
 
 
 # The same for the float suites of the default config: a refactor of the
 # Monte-Carlo and residual checks must leave these bodies alone too.
 FLOAT_BODY_HASHES = [
-    ("default", ("chaos", "gaussian"), 7, "b60b0cee66ddc235"),
-    ("default", ("chaos", "gaussian"), 3, "415daa1f26812145"),
+    ("default", ("chaos", "gaussian"), 7, "36ffb7a7d40710be"),
+    ("default", ("chaos", "gaussian"), 3, "fde5f98e9e32f7ff"),
 ]
 
 
@@ -327,6 +327,29 @@ def test_norm_search_forms_each_product_once(monkeypatch):
     assert len(calls) == 50
 
 
+_KSQ = suites.DiagonalOperatorA.family("ksq", 2, 3)
+
+
+@pytest.mark.parametrize("search, args, product, n", [
+    ("norm_submult_search", (2, 3), "wick_product", 50),
+    ("bracket_bound_search", (suites.SymplecticForm(2, 3, 1),), "poisson_bracket", 25),
+    ("generator_bound_search", (_KSQ,), "apply_T1", 15),
+    ("perturbation_bound_search", (_KSQ,), "apply_EA", 15),
+], ids=["norm.submultiplicative", "bracket.bounded", "transform.bounded", "perturbation.bounded"])
+def test_every_search_forms_each_product_once(monkeypatch, search, args, product, n):
+    """Each of the four searches forms its product once per instance.
+
+    Each product is scaled past every grid point's bound, so the search walks
+    the whole grid and still forms it only n times.
+    """
+    original, calls = getattr(suites, product), []
+    monkeypatch.setattr(suites, product,
+                        lambda *a: calls.append(1) or original(*a).scale(10 ** 24))
+    out = getattr(suites, search)(42, n, *args)
+    assert not out["found"] and out["n"] == n
+    assert len(calls) == n
+
+
 def _keys(value):
     if isinstance(value, dict):
         return set(value).union(*(_keys(v) for v in value.values()))
@@ -369,13 +392,12 @@ def _raising_table(monkeypatch, failing: dict) -> list:
     return ran
 
 
-@pytest.mark.parametrize("failing", [[0], [1], [1, 2], [0, 1]],
-                         ids=["in-parent", "in-child", "child-first", "parent-first"])
-def test_check_exception_reaches_caller_after_every_child_is_reaped(monkeypatch, failing):
+@pytest.mark.parametrize("failing", [[0, 1], [1, 2]], ids=["first-raises", "later-raises"])
+def test_first_raising_check_ends_the_suite_unwrapped(monkeypatch, failing):
     """The first raising entry's own exception ends the suite, unwrapped.
 
-    Every entry runs in the calling process, so no child is left to reap;
-    id `in-parent` names entry c0 and `in-child` entry c1.
+    Either the first entry raises, or a later one raises after an earlier
+    one passed; no entry after the raising one runs.
     """
     errors = {k: ValueError(f"boom {k}") for k in failing}
     ran = _raising_table(monkeypatch, errors)
@@ -398,10 +420,20 @@ def test_only_the_instance_loop_opens_a_stream():
     assert users == ["_instances"] and len(uses(tree)) == 1
 
 
+def test_suites_and_report_fit_their_line_budget():
+    """`suites.py` and `report.py` together stay within ROADMAP's 1338 lines."""
+    lines = sum(len((REPO / "src" / "loopstar" / name).read_text(encoding="utf-8").splitlines())
+                for name in ("suites.py", "report.py"))
+    assert lines <= 1338
+
+
 def test_a_search_that_finds_no_constant_fails(monkeypatch):
     """No grid point bounds the numerator: `found` is False, the residual 2.0,
     `max_ratio` the least ratio on the grid, and the record a FAIL."""
-    out = suites._constant_search(["F"], [100.0], lambda F, k0, C0: k0 * C0, suites._SCALES)
+    with monkeypatch.context() as m:        # a fake draw, product and norm bound
+        m.setattr(suites, "connes_norm_upper", lambda x, k0, C0: 100.0 if x == "FG" else k0 * C0)
+        out = suites._continuity_search(42, "fake", 1, lambda rng: ("F",), lambda F: "FG",
+                                        suites._SCALES)
     assert out == {"found": False, "k0": -1, "C0": 0.0, "max_ratio": 100.0 / (5 * 8.0),
                    "residual": 2.0, "n": 1}
     generator = suites.apply_T1
