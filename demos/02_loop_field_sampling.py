@@ -27,14 +27,14 @@ a = sample_loop(seed=11, K_mc=32, M=256, d=2)
 b = sample_loop(seed=11, K_mc=32, M=256, d=2)
 print("bit-identical resample:", np.array_equal(a.values, b.values))
 print("batch prefix agrees:", np.array_equal(sample_xi_batch(11, 3, 32, 2),
-                                             sample_xi_batch(11, 8, 32, 2)[:3]))
+                                             sample_xi_batch(11, 8, 32, 2)[:, :, :3]))
 
 n = 20000
 xi = sample_xi_batch(seed=11, n_samples=n, K_mc=32, d=1)
 from loopstar.gaussian import basis_matrix
 E = basis_matrix(32, np.array([0.1, 0.3]))
-vals = np.tensordot(xi, E, axes=([2], [0]))[:, 0, :]
-prod = vals[:, 0] * vals[:, 1]
+vals = E.T @ xi[0]               # one row of n values per point
+prod = vals[0] * vals[1]
 emp = float(np.mean(prod))
 se = float(np.std(prod, ddof=1)) / math.sqrt(n)
 truth = spectral_green_sum(0.1, 0.3, 32)

@@ -6,9 +6,10 @@ periodic kernel inverting (-d^2/ds^2 + 1).  Sampling is spectral: each
 retained trigonometric mode carries one standard normal coefficient drawn
 from its own counter-based stream, so any subset of modes, any batch size,
 and any thread layout reproduce bit-identical numbers for a given seed.
-A batch of at least `THREADED_DRAW_FLOOR` samples is drawn on every usable
-core, each thread filling the streams of its own range of modes into one
-shared buffer of one coordinate, 1/d of the result's memory.
+A batch is mode-major: each mode's stream draws straight into its own
+contiguous row of the result, with no buffer and no copy.  A batch of at
+least `THREADED_DRAW_FLOOR` samples is drawn on every usable core, each
+thread filling the rows of its own range of modes.
 The Monte-Carlo diagnostics take an already drawn batch `xi` as their
 only sample input and read its size, dimension and cutoff from its shape
 (`batch_shape`), so one verification run draws each Monte-Carlo batch once
@@ -76,11 +77,12 @@ def green_exponential_form(x):
 # Samples per stream from which `sample_xi_batch` draws on every usable
 # core.  Re-keying a generator holds the GIL and the fill does not, so a
 # short stream leaves a second thread too little fill to pay for its start.
-# On 2 cores at K_mc = 64, d = 2, a threaded draw took 5.8 ms against 3.6 ms
-# one-threaded at 256 samples, broke even near 1024, and took 20.1 ms
-# against 32.3 ms at 4096; the 2402 one-draw streams of
-# `sample_loop(seed, 600, M, 2)` took 19.4 ms against 9.4 ms.  The floor
-# sits a factor 4 above the break-even, where the gain is clear.
+# On 2 vCPUs at K_mc = 64, d = 2 (mode-major rows, medians of 21 draws), a
+# threaded draw took 3.3 ms against 1.5 ms one-threaded at 256 samples,
+# 4.1 ms against 4.6 ms at 1024, and 11.5 ms against 17.1 ms at 4096; the
+# 2402 one-draw streams of `sample_loop(seed, 600, M, 2)` took 9.4-10.4 ms
+# against 4.7-8.1 ms.  Threads break even just under 1024 samples; the
+# floor sits a factor 4 above, where the gain is clear.
 THREADED_DRAW_FLOOR = 4096
 
 
@@ -105,53 +107,48 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_rows(states: list, rows: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """Fill `out[:, c, lo:hi]` for every coordinate c from its streams lo..hi-1.
+def _draw_rows(seed: int, out: np.ndarray, lo: int, hi: int) -> None:
+    """Fill rows lo..hi-1 of `out[c]` for every coordinate c, each from its stream.
 
-    `states[c][i]` is the fresh state of the stream that fills row i of
-    `rows`, a buffer of one coordinate.  It calls numpy only, so any thread
-    may run it on its own range of rows.
+    Row `out[c, i]` draws the stream `_fresh_state(seed, c + 1, i - K_mc)`.
+    It calls numpy and `_fresh_state` only, so any thread may run it.
     """
+    K_mc = (out.shape[1] - 1) // 2
     bits = np.random.Philox(key=[0, 0])
     gen = np.random.Generator(bits)
-    for c, coord_states in enumerate(states):
+    for c in range(len(out)):
         for i in range(lo, hi):
-            bits.state = coord_states[i]
-            gen.standard_normal(out=rows[i])
-        out[:, c, lo:hi] = rows[lo:hi].T
+            bits.state = _fresh_state(seed, c + 1, i - K_mc)
+            gen.standard_normal(out=out[c, i])
 
 
 def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
     """Spectral coefficients for n_samples independent fields.
 
-    Shape (n_samples, d, 2 K_mc + 1); frequency k sits in column k + K_mc.
-    Sample j of any batch equals draw j of the mode's stream, a `Philox`
-    with the key of `_fresh_state(seed, coord, freq)`, so batches of
-    different sizes agree on their common prefix.  A generator is re-keyed
+    A C-contiguous array of shape (d, 2 K_mc + 1, n_samples): row
+    (c - 1, k + K_mc) holds the n_samples draws of mode (c, k).  Entry j
+    of a row is draw j of the mode's stream, a `Philox` with the key of
+    `_fresh_state(seed, coord, freq)`, so batches of different sizes agree
+    on their common prefix along the last axis.  A generator is re-keyed
     to each mode's stream in turn and draws what a newly built `Philox`
     would: building one from a key also draws OS entropy for a seed it
-    never uses, which costs several times the re-keying.  Each mode's draws fill one
-    contiguous row of a buffer holding one coordinate, which is copied
-    transposed into the C-contiguous result, so the extra memory is 1/d of
-    the result's.
+    never uses, which costs several times the re-keying.  Each stream
+    draws straight into its own row of the result, so the draw needs no
+    memory beyond the result.
 
     From `THREADED_DRAW_FLOOR` samples on, the 2 K_mc + 1 streams of a
     coordinate are split into contiguous ranges, one per usable core; the
     calling thread draws the first range and one thread each the others,
-    each with a generator of its own, filling its own rows of the shared
-    buffer.  Every mode keeps its own stream, so the numbers do not depend
-    on the layout.  The stream states are built here, in the calling
-    thread, and a worker's exception is raised here after every thread has
+    each with a generator of its own, filling its own rows of the result.
+    Every mode keeps its own stream, so the numbers do not depend on the
+    layout.  A worker's exception is raised here after every thread has
     been joined.
     """
     for name, value, least in (("n_samples", n_samples, 1), ("K_mc", K_mc, 0), ("d", d, 1)):
         if value < least:
             raise ValueError(f"sample_xi_batch needs {name} >= {least}, got {value}")
     width = 2 * K_mc + 1
-    out = np.empty((n_samples, d, width))
-    rows = np.empty((width, n_samples))
-    states = [[_fresh_state(seed, c, k) for k in range(-K_mc, K_mc + 1)]
-              for c in range(1, d + 1)]
+    out = np.empty((d, width, n_samples))
     parts = min(width, _usable_cores()) if n_samples >= THREADED_DRAW_FLOOR else 1
     bounds = [width * p // parts for p in range(parts + 1)]
     import threading
@@ -159,7 +156,7 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
 
     def worker(lo: int, hi: int) -> None:
         try:
-            _draw_rows(states, rows, out, lo, hi)
+            _draw_rows(seed, out, lo, hi)
         except BaseException as exc:
             errors.append(exc)
 
@@ -169,7 +166,7 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
             thread = threading.Thread(target=worker, args=(lo, hi))
             thread.start()
             threads.append(thread)
-        _draw_rows(states, rows, out, 0, bounds[1])
+        _draw_rows(seed, out, 0, bounds[1])
     finally:
         for thread in threads:
             thread.join()
@@ -179,8 +176,10 @@ def sample_xi_batch(seed: int, n_samples: int, K_mc: int, d: int) -> np.ndarray:
 
 
 def batch_shape(xi: np.ndarray) -> tuple[int, int, int]:
-    """(n_samples, d, K_mc) of a batch laid out as `sample_xi_batch` draws it."""
-    n_samples, d, width = xi.shape
+    """(n_samples, d, K_mc) of a batch laid out as `sample_xi_batch` draws it, else ValueError."""
+    if xi.ndim != 3 or xi.shape[1] % 2 == 0:
+        raise ValueError(f"a batch is laid out (d, 2 K_mc + 1, n_samples), got shape {xi.shape}")
+    d, width, n_samples = xi.shape
     return n_samples, d, (width - 1) // 2
 
 
@@ -258,9 +257,10 @@ def sample_loop(seed: int, K_mc: int, M: int, d: int) -> LoopSample:
     values equal `(xi @ basis_matrix(K_mc, grid)).T` to rounding, without
     building that (2 K_mc + 1, M) table.
     """
-    if K_mc < 1 or M < 2 or d < 1:
-        raise ValueError("need K_mc >= 1, M >= 2, d >= 1")
-    xi = sample_xi_batch(seed, 1, K_mc, d)[0]
+    for name, value, least in (("K_mc", K_mc, 1), ("M", M, 2), ("d", d, 1)):
+        if value < least:
+            raise ValueError(f"sample_loop needs {name} >= {least}, got {value}")
+    xi = sample_xi_batch(seed, 1, K_mc, d)[:, :, 0]
     half = 0.5 * np.array([norm_const(k) for k in range(1, K_mc + 1)])
     positive = (xi[:, K_mc + 1:] - 1j * xi[:, K_mc - 1::-1]) * half    # a_1..a_K_mc
     # Frequencies -K_mc..K_mc in order, padded to whole periods of M bins.
@@ -310,8 +310,8 @@ def holder_moment_check(xi: np.ndarray, pairs: Sequence[tuple[float, float]]) ->
     ValueError before anything is computed.  Returns the rows and the
     largest ratio; each row carries its standard error and the analytic
     value d Var / |t - s| implied by the truncated spectral covariance.
-    The increments of all pairs come from one product of the batch with
-    the (2 K_mc + 1, P) table of profile differences.
+    The increments of all pairs come from one product of the transposed
+    (2 K_mc + 1, P) table of profile differences with the batch's rows.
     """
     gaps = [abs(t - s) for s, t in pairs]
     for gap in gaps:
@@ -321,9 +321,8 @@ def holder_moment_check(xi: np.ndarray, pairs: Sequence[tuple[float, float]]) ->
     s_pts = np.array([s for s, _ in pairs], dtype=float)
     t_pts = np.array([t for _, t in pairs], dtype=float)
     delta = basis_matrix(K_mc, t_pts) - basis_matrix(K_mc, s_pts)
-    incr = (xi.reshape(-1, 2 * K_mc + 1) @ delta).reshape(n_samples, d, len(pairs))
-    # One contiguous row of n_samples per pair, as a per-pair reduction reads it.
-    power = np.ascontiguousarray(np.sum(incr * incr, axis=1).T)
+    incr = delta.T @ xi                                   # (d, P, n_samples)
+    power = np.sum(incr * incr, axis=0)
     means = np.mean(power, axis=1)
     stds = np.std(power, axis=1, ddof=1)
     variances = increment_variance(s_pts, t_pts, K_mc)

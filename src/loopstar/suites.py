@@ -522,8 +522,8 @@ def sampler_determinism_failures(seed: int, d: int) -> dict:
     small = sample_xi_batch(seed, 5, 16, d)
     broken = (not (np.array_equal(a.xi, b.xi) and np.array_equal(a.values, b.values)),
               np.array_equal(a.xi, c.xi),
-              not np.array_equal(big[:5], small),
-              not np.array_equal(big[0], a.xi))
+              not np.array_equal(big[:, :, :5], small),
+              not np.array_equal(big[:, :, 0], a.xi))
     return {"failures": sum(broken), "n": len(broken)}
 
 
@@ -537,9 +537,8 @@ def covariance_z_scores(xi: np.ndarray) -> dict:
     points = np.array([0.0, 0.11, 0.23, 0.37, 0.52, 0.68, 0.81, 0.94])
     n_samples, d, K_mc = batch_shape(xi)
     P = len(points)
-    vals = np.tensordot(xi, basis_matrix(K_mc, points), axes=([2], [0]))      # (n, d, P)
     # Row c * P + a: coordinate c + 1 at point a, one contiguous row of n values.
-    rows = np.ascontiguousarray(vals.reshape(n_samples, d * P).T)
+    rows = (basis_matrix(K_mc, points).T @ xi).reshape(d * P, n_samples)
     pair_a, pair_b = np.triu_indices(P)               # every a <= b, row by row
     truths = spectral_green_sum(points[pair_a], points[pair_b], K_mc)
 
@@ -563,11 +562,11 @@ def stationarity_z_score(xi: np.ndarray) -> dict:
     n_samples, _, K_mc = batch_shape(xi)
     points = [p for s, t in base_pairs for p in (s, t, (s + shift) % 1.0, (t + shift) % 1.0)]
     # Coordinate 0 only, the one read, at all 12 points in one product.
-    vals = xi[:, 0, :] @ basis_matrix(K_mc, np.array(points))
+    vals = basis_matrix(K_mc, np.array(points)).T @ xi[0]
     zs = []
     for j in range(0, len(points), 4):
-        p1 = vals[:, j] * vals[:, j + 1]
-        p2 = vals[:, j + 2] * vals[:, j + 3]
+        p1 = vals[j] * vals[j + 1]
+        p2 = vals[j + 2] * vals[j + 3]
         se = math.sqrt(np.var(p1, ddof=1) / n_samples + np.var(p2, ddof=1) / n_samples)
         zs.append(_z(float(np.mean(p1) - np.mean(p2)), se))
     return {"worst": _worst(zs), "n": len(base_pairs)}

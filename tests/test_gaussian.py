@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,15 +86,15 @@ def test_negative_cutoff_raises():
 
 def test_sampler_shapes_and_determinism():
     xi = sample_xi_batch(5, 7, 8, 2)
-    assert xi.shape == (7, 2, 17)
+    assert xi.shape == (2, 17, 7)
     assert np.array_equal(xi, sample_xi_batch(5, 7, 8, 2))
     assert not np.array_equal(xi, sample_xi_batch(6, 7, 8, 2))
-    assert np.array_equal(xi[:3], sample_xi_batch(5, 3, 8, 2))
+    assert np.array_equal(xi[:, :, :3], sample_xi_batch(5, 3, 8, 2))
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, -3])
 def test_rekeyed_streams_match_fresh_philox(seed):
-    # Every column is draw for draw the stream of a newly built Philox keyed
+    # Every row is draw for draw the stream of a newly built Philox keyed
     # by (seed, mode), and a batch of 1 is the prefix of a batch of 20000.
     # The reference key goes in as `philox_key`'s uint64 array: numpy reads a
     # plain list holding a word of 2**63 or more as floats, so 2**64 - 1 and
@@ -103,27 +104,27 @@ def test_rekeyed_streams_match_fresh_philox(seed):
     big = sample_xi_batch(seed, n, K, d)
     one = sample_xi_batch(seed, 1, K, d)
     assert big.flags.c_contiguous and one.flags.c_contiguous
-    assert big.shape == (n, d, 2 * K + 1)
+    assert big.shape == (d, 2 * K + 1, n)
     for c in range(1, d + 1):
         for k in range(-K, K + 1):
             key = [seed & (2 ** 64 - 1), (c << 32) | (k & 0xFFFFFFFF)]
             bits = np.random.Philox(key=philox_key(seed, key[1]))
             fresh = np.random.Generator(bits).standard_normal(n)
-            assert np.array_equal(big[:, c - 1, k + K], fresh), (c, k)
-            assert one[0, c - 1, k + K] == fresh[0]
+            assert np.array_equal(big[c - 1, k + K], fresh), (c, k)
+            assert one[c - 1, k + K, 0] == fresh[0]
             if key[0] < 2 ** 63:        # a list key is exact here
                 listed = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
                 assert np.array_equal(listed, fresh)
-    assert np.array_equal(one, big[:1])
+    assert np.array_equal(one, big[:, :, :1])
 
 
 def _fresh_streams(seed, n, K, d):
     """The reference batch: every mode from a newly built Philox of its own."""
-    out = np.empty((n, d, 2 * K + 1))
+    out = np.empty((d, 2 * K + 1, n))
     for c in range(1, d + 1):
         for k in range(-K, K + 1):
             key = np.array([seed & (2 ** 64 - 1), (c << 32) | (k & 0xFFFFFFFF)], dtype=np.uint64)
-            out[:, c - 1, k + K] = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+            out[c - 1, k + K] = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
     return out
 
 
@@ -136,9 +137,9 @@ def test_threaded_draw_matches_fresh_philox(monkeypatch, cores):
     calls = []
     draw = gaussian._draw_rows
 
-    def recording(states, rows, out, lo, hi):
+    def recording(seed, out, lo, hi):
         calls.append((lo, hi, threading.get_ident()))
-        draw(states, rows, out, lo, hi)
+        draw(seed, out, lo, hi)
     monkeypatch.setattr(gaussian, "_usable_cores", lambda: cores)
     monkeypatch.setattr(gaussian, "_draw_rows", recording)
     interval = sys.getswitchinterval()
@@ -162,7 +163,7 @@ def test_threaded_draw_matches_fresh_philox(monkeypatch, cores):
 def test_threaded_batch_prefix_is_the_unthreaded_batch(monkeypatch, m):
     monkeypatch.setattr(gaussian, "_usable_cores", lambda: 2)
     K, d = 3, 2
-    assert np.array_equal(sample_xi_batch(5, THREADED_DRAW_FLOOR, K, d)[:m],
+    assert np.array_equal(sample_xi_batch(5, THREADED_DRAW_FLOOR, K, d)[:, :, :m],
                           sample_xi_batch(5, m, K, d))
 
 
@@ -172,10 +173,10 @@ def test_draw_exception_reaches_caller_after_join(monkeypatch, failing_lo):
     # A failure in either is raised in the caller once every thread is joined.
     draw = gaussian._draw_rows
 
-    def failing(states, rows, out, lo, hi):
+    def failing(seed, out, lo, hi):
         if lo == failing_lo:
             raise RuntimeError(f"range at {lo}")
-        draw(states, rows, out, lo, hi)
+        draw(seed, out, lo, hi)
     monkeypatch.setattr(gaussian, "_usable_cores", lambda: 3)
     monkeypatch.setattr(gaussian, "_draw_rows", failing)
     before = threading.active_count()
@@ -192,6 +193,37 @@ def test_sample_xi_batch_rejects_empty_shapes(monkeypatch, args, name):
     monkeypatch.setattr(gaussian, "_draw_rows", no_draw)
     with pytest.raises(ValueError, match=name):
         sample_xi_batch(1, *args)
+
+
+def test_threaded_draw_needs_no_memory_beyond_its_result(monkeypatch):
+    # Each stream draws straight into its own row of the result, and each
+    # state is built as its row is drawn, so the traced peak is the result
+    # and a few small objects: no buffer, no copy, no table of states.
+    monkeypatch.setattr(gaussian, "_usable_cores", lambda: 2)
+    sample_xi_batch(1, THREADED_DRAW_FLOOR, 1, 1)     # imports and thread machinery warm
+    tracemalloc.start()
+    try:
+        xi = sample_xi_batch(3, THREADED_DRAW_FLOOR, 64, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * xi.nbytes, peak / xi.nbytes
+
+
+@pytest.mark.parametrize("shape", [(2, 17), (1, 2, 17, 5), (2, 8, 5), (2, 0, 5)],
+                         ids=["2-D", "4-D", "even-width", "no-width"])
+def test_batch_shape_refuses_what_is_not_a_batch(shape):
+    with pytest.raises(ValueError, match=r"\(d, 2 K_mc \+ 1, n_samples\), got shape"):
+        batch_shape(np.zeros(shape))
+
+
+@pytest.mark.parametrize("args, message", [((0, 64, 2), "K_mc >= 1, got 0"),
+                                           ((8, 1, 2), "M >= 2, got 1"),
+                                           ((8, 64, 0), "d >= 1, got 0")],
+                         ids=["K_mc", "M", "d"])
+def test_sample_loop_names_the_argument_it_refuses(args, message):
+    with pytest.raises(ValueError, match=f"sample_loop needs {message}"):
+        sample_loop(3, *args)
 
 
 def test_quadrature_field_on_2048_points_is_every_other_of_4096():
@@ -221,7 +253,7 @@ def test_sample_loop_values_are_the_table_product(K_mc, M):
     for seed in (3, 2 ** 64 - 1):
         sample = sample_loop(seed, K_mc, M, d=2)
         assert np.array_equal(sample.grid, uniform_grid(M))
-        assert np.array_equal(sample.xi, sample_xi_batch(seed, 1, K_mc, 2)[0])
+        assert np.array_equal(sample.xi, sample_xi_batch(seed, 1, K_mc, 2)[:, :, 0])
         want = (sample.xi @ basis_matrix(K_mc, sample.grid)).T
         assert sample.values.shape == want.shape == (M, 2)
         assert np.max(np.abs(sample.values - want)) <= FIELD_ABS_TOL, seed
@@ -288,7 +320,7 @@ def test_holder_pairs_are_checked_before_any_product(monkeypatch):
     def no_table(*_):
         raise AssertionError("built a table before checking the pairs")
     monkeypatch.setattr(gaussian, "basis_matrix", no_table)
-    xi = np.zeros((4, 2, 17))
+    xi = np.zeros((2, 17, 4))
     with pytest.raises(ValueError, match="pair separation"):
         holder_moment_check(xi, [(0.1, 0.2), (0.15, 0.4), (0.1, 0.1)])
 

@@ -12,8 +12,8 @@ import pytest
 import loopstar
 import loopstar.suites as suites
 from loopstar.config import parse_config
-from loopstar.gaussian import (basis_matrix, batch_shape, increment_variance, sample_xi_batch,
-                               spectral_green_sum)
+from loopstar.gaussian import (THREADED_DRAW_FLOOR, basis_matrix, batch_shape, increment_variance,
+                               sample_xi_batch, spectral_green_sum)
 from loopstar.report import Precision, canonical_json, report_to_dict, text_summary
 from loopstar.suites import SUITE_RUNNERS, run_suites
 
@@ -111,7 +111,7 @@ def test_one_gaussian_run_draws_its_batch_once(monkeypatch):
 def test_zero_variance_batch_fails_instead_of_raising():
     # A batch with no spread has standard error 0: every z-score is inf, so
     # each check FAILs without a ZeroDivisionError or a RuntimeWarning.
-    xi = numpy.zeros((10, 1, 9))
+    xi = numpy.zeros((1, 9, 10))
     assert suites.covariance_z_scores(xi)["worst_same"] == math.inf
     assert suites.stationarity_z_score(xi)["worst"] == math.inf
     assert suites.holder_p1_z(xi)["worst"] == math.inf
@@ -121,17 +121,17 @@ def _covariance_per_statistic(xi):
     """`covariance_z_scores` one statistic at a time, on strided columns of the point values."""
     points = numpy.array([0.0, 0.11, 0.23, 0.37, 0.52, 0.68, 0.81, 0.94])
     n_samples, d, K_mc = batch_shape(xi)
-    vals = numpy.tensordot(xi, basis_matrix(K_mc, points), axes=([2], [0]))
+    vals = numpy.tensordot(xi, basis_matrix(K_mc, points), axes=([1], [0]))    # (d, n, P)
     same, cross = [], []
     pair_a, pair_b = numpy.triu_indices(len(points))
     truths = spectral_green_sum(points[pair_a], points[pair_b], K_mc)
     for a, b, truth in zip(pair_a, pair_b, truths):
         for i in range(d):
-            prod = vals[:, i, a] * vals[:, i, b]
+            prod = vals[i, :, a] * vals[i, :, b]
             same.append(suites._z(numpy.mean(prod) - truth,
                                   numpy.std(prod, ddof=1) / math.sqrt(n_samples)))
         if d >= 2:
-            prod = vals[:, 0, a] * vals[:, 1, b]
+            prod = vals[0, :, a] * vals[1, :, b]
             cross.append(suites._z(numpy.mean(prod),
                                    numpy.std(prod, ddof=1) / math.sqrt(n_samples)))
     return {"worst_same": suites._worst(same), "worst_cross": suites._worst(cross),
@@ -164,7 +164,7 @@ def test_monte_carlo_gates_catch_a_perturbed_batch():
 
     xi = suites.sample_xi_batch(42, 20000, 64, 2)
     mixed = xi.copy()
-    mixed[:, 1] = 0.95 * xi[:, 1] + 0.312 * xi[:, 0]
+    mixed[1] = 0.95 * xi[1] + 0.312 * xi[0]
     gates = ("covariance.same_coord", "covariance.cross_coord", "holder.p1")
     assert all(over_gate(gate, xi) <= 1.0 for gate in gates)
     assert over_gate("covariance.same_coord", 1.05 * xi) > 3.0
@@ -184,8 +184,8 @@ def _holder_per_pair(xi, pairs):
     rows = []
     for j, (s, t) in enumerate(pairs):
         gap = abs(t - s)
-        incr = xi @ (E_t[:, j] - E_s[:, j])
-        power = numpy.sum(incr * incr, axis=1)
+        incr = (E_t[:, j] - E_s[:, j]) @ xi                 # (d, n)
+        power = numpy.sum(incr * incr, axis=0)
         rows.append({"ratio": float(numpy.mean(power)) / gap,
                      "stderr": float(numpy.std(power, ddof=1)) / math.sqrt(n_samples) / gap,
                      "analytic": float(variances[j]) * d / gap})
@@ -198,9 +198,9 @@ def _stationarity_per_pair(xi):
     zs = []
     for s, t in [(0.05, 0.25), (0.1, 0.45), (0.3, 0.62)]:
         E = basis_matrix(K_mc, numpy.array([s, t, (s + 0.31) % 1.0, (t + 0.31) % 1.0]))
-        vals = numpy.tensordot(xi, E, axes=([2], [0]))
-        p1 = vals[:, 0, 0] * vals[:, 0, 1]
-        p2 = vals[:, 0, 2] * vals[:, 0, 3]
+        vals = numpy.tensordot(xi, E, axes=([1], [0]))      # (d, n, 4)
+        p1 = vals[0, :, 0] * vals[0, :, 1]
+        p2 = vals[0, :, 2] * vals[0, :, 3]
         se = math.sqrt(numpy.var(p1, ddof=1) / n_samples + numpy.var(p2, ddof=1) / n_samples)
         zs.append(suites._z(float(numpy.mean(p1) - numpy.mean(p2)), se))
     return suites._worst(zs)
@@ -275,16 +275,23 @@ EXACT_BODY_HASHES = [
 
 
 # The same for the float suites of the default config: a refactor of the
-# Monte-Carlo and residual checks must leave these bodies alone too.
+# Monte-Carlo and residual checks must leave these bodies alone too.  The
+# last two leave the shipped point: one coordinate, and three coordinates
+# drawn on the threaded floor.  Each entry's last item sets d and n_samples.
 FLOAT_BODY_HASHES = [
-    ("default", ("chaos", "gaussian"), 7, "36ffb7a7d40710be"),
-    ("default", ("chaos", "gaussian"), 3, "fde5f98e9e32f7ff"),
+    ("default", ("chaos", "gaussian"), 7, "36ffb7a7d40710be", ()),
+    ("default", ("chaos", "gaussian"), 3, "fde5f98e9e32f7ff", ()),
+    ("default", ("chaos", "gaussian"), 7, "f23096e2ca2a47fd", (1, 5000)),
+    ("default", ("chaos", "gaussian"), 3, "bb1c8da941b19783", (3, THREADED_DRAW_FLOOR)),
 ]
 
 
-def _body_hash(config, suite_names, seed):
+def _body_hash(config, suite_names, seed, shape=()):
     doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
-    cfg = parse_config({**doc, "suites": list(suite_names), "mc": {**doc["mc"], "seed": seed}})
+    doc = {**doc, "suites": list(suite_names), "mc": {**doc["mc"], "seed": seed}}
+    if shape:
+        doc["d"], doc["mc"]["n_samples"] = shape
+    cfg = parse_config(doc)
     body = canonical_json(report_to_dict(run_suites(cfg)))
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
@@ -295,10 +302,11 @@ def test_exact_suite_bodies_are_pinned(config, suite_names, seed, prefix):
     assert _body_hash(config, suite_names, seed) == prefix
 
 
-@pytest.mark.parametrize("config, suite_names, seed, prefix", FLOAT_BODY_HASHES,
-                         ids=[f"{c}-seed{s}" for c, _, s, _ in FLOAT_BODY_HASHES])
-def test_float_suite_bodies_are_pinned(config, suite_names, seed, prefix):
-    assert _body_hash(config, suite_names, seed) == prefix
+@pytest.mark.parametrize("config, suite_names, seed, prefix, shape", FLOAT_BODY_HASHES,
+                         ids=[f"{c}-seed{s}" + ("-d{}-n{}".format(*shape) if shape else "")
+                              for c, _, s, _, shape in FLOAT_BODY_HASHES])
+def test_float_suite_bodies_are_pinned(config, suite_names, seed, prefix, shape):
+    assert _body_hash(config, suite_names, seed, shape) == prefix
 
 
 def test_worst_is_inf_on_any_non_finite_value():
